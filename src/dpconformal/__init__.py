@@ -8,15 +8,11 @@ baselines.
 """
 
 from .accounting import (BudgetSpec, InfeasibleBudgetError, RdpProfile,
-                         SgdAccountingRecord, calib_sigma_for_search,
-                         calibrate_sigma_q, calibrate_sigma_sgd,
-                         default_orders, gdp_compose, gdp_to_eps_delta,
+                         SgdAccountingRecord, calibrate_sigma_q,
+                         calibrate_sigma_sgd, default_orders, gdp_compose,
                          rdp_compose, rdp_gaussian, rdp_subsampled_gaussian,
-                         rdp_to_eps, sgd_profile, tradeoff_eps_delta,
-                         tradeoff_gdp)
-from .conformal import (EvalReport, PipelineConfig, PredictionSet,
-                        build_prediction_set, evaluate, nonconformity,
-                        run_pipeline)
+                         rdp_to_eps, sgd_profile)
+from .conformal import EvalReport, PipelineConfig, run_pipeline
 from .data import (StandardizationStats, apply_standardizer, fit_standardizer,
                    gen_logistic, gen_multiclass, load_csv)
 from .models import Dataset, ModelSpec, loss_and_grad

@@ -1,5 +1,5 @@
-"""Privacy accounting: tradeoff functions, GDP composition, and an RDP
-accountant for (subsampled) Gaussian mechanisms.
+"""Privacy accounting: GDP composition and an RDP accountant for
+(subsampled) Gaussian mechanisms.
 
 Everything here is a pure function of its inputs. The RDP side follows the
 noise-multiplier convention: a query with l2-sensitivity 1 released with
@@ -16,10 +16,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
-import numpy as np
-
-from ._normal import normal_cdf, normal_ppf
-
 __all__ = [
     "BudgetSpec",
     "GridMismatchError",
@@ -27,21 +23,16 @@ __all__ = [
     "RdpProfile",
     "SgdAccountingRecord",
     "UnsupportedOrderError",
-    "calib_sigma_for_search",
     "calibrate_sigma_q",
     "calibrate_sigma_sgd",
     "default_orders",
     "gaussian_profile",
-    "gaussian_sigma_for_gdp",
     "gdp_compose",
-    "gdp_to_eps_delta",
     "rdp_compose",
     "rdp_gaussian",
     "rdp_subsampled_gaussian",
     "rdp_to_eps",
     "sgd_profile",
-    "tradeoff_eps_delta",
-    "tradeoff_gdp",
 ]
 
 # Bracketing/bisection knobs for the noise calibrations.
@@ -67,50 +58,7 @@ def default_orders() -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Tradeoff functions and GDP
-
-
-def tradeoff_eps_delta(alpha: float, epsilon: float, delta: float) -> float:
-    """Type-II error lower bound of an (epsilon, delta)-DP mechanism at
-    Type-I level ``alpha``."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    if epsilon < 0.0:
-        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
-    if not 0.0 <= delta <= 1.0:
-        raise ValueError(f"delta must lie in [0, 1], got {delta}")
-    return max(
-        0.0,
-        1.0 - delta - math.exp(epsilon) * alpha,
-        math.exp(-epsilon) * (1.0 - delta - alpha),
-    )
-
-
-def tradeoff_gdp(alpha: float, mu: float) -> float:
-    """Gaussian tradeoff curve Phi(Phi^{-1}(1 - alpha) - mu)."""
-    if mu <= 0.0:
-        raise ValueError(f"mu must be positive, got {mu}")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    if alpha == 0.0:
-        return 1.0
-    if alpha == 1.0:
-        return 0.0
-    # Phi^{-1}(1 - alpha) = -Phi^{-1}(alpha); evaluating at alpha keeps full
-    # precision when alpha is tiny.
-    return normal_cdf(-normal_ppf(alpha) - mu)
-
-
-def gdp_to_eps_delta(mu: float, epsilon: float) -> float:
-    """Smallest delta such that a mu-GDP mechanism is (epsilon, delta)-DP."""
-    if mu <= 0.0:
-        raise ValueError(f"mu must be positive, got {mu}")
-    if epsilon < 0.0:
-        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
-    delta = normal_cdf(-epsilon / mu + mu / 2.0) - math.exp(epsilon) * normal_cdf(
-        -epsilon / mu - mu / 2.0
-    )
-    return min(max(delta, 0.0), 1.0)
+# GDP
 
 
 def gdp_compose(mus: Sequence[float]) -> float:
@@ -120,24 +68,6 @@ def gdp_compose(mus: Sequence[float]) -> float:
     if any(m <= 0.0 for m in mus):
         raise ValueError("all GDP parameters must be positive")
     return math.sqrt(math.fsum(m * m for m in mus))
-
-
-def gaussian_sigma_for_gdp(sensitivity: float, mu: float) -> float:
-    """Noise scale making the Gaussian mechanism mu-GDP at the given
-    l2-sensitivity."""
-    if sensitivity <= 0.0 or mu <= 0.0:
-        raise ValueError("sensitivity and mu must be positive")
-    return sensitivity / mu
-
-
-def calib_sigma_for_search(steps_n: int, mu_calib: float) -> float:
-    """Per-query noise scale so that N sensitivity-1 count queries compose
-    to mu_calib-GDP."""
-    if steps_n < 1:
-        raise ValueError(f"steps_n must be >= 1, got {steps_n}")
-    if mu_calib <= 0.0:
-        raise ValueError(f"mu_calib must be positive, got {mu_calib}")
-    return math.sqrt(steps_n) / mu_calib
 
 
 # ---------------------------------------------------------------------------
@@ -166,10 +96,6 @@ class RdpProfile:
     @classmethod
     def zeros(cls, orders: Sequence[float]) -> "RdpProfile":
         return cls(tuple(float(a) for a in orders), (0.0,) * len(orders))
-
-    def to_table(self) -> np.ndarray:
-        """Two-column (order, value) array for debugging dumps."""
-        return np.column_stack([self.orders, self.values])
 
 
 def _log_binom(n: int, k: int) -> float:

@@ -1,4 +1,4 @@
-"""Prediction-set construction and the end-to-end pipelines.
+"""Nonconformity scores, set evaluation and the end-to-end pipelines.
 
 Methods:
 
@@ -31,38 +31,9 @@ from .quantile import (QuantileConfig, buffered_right_search,
                        exact_conformal_quantile, target_rank)
 from .training import TrainConfig, TrainedModel, dp_sgd_train
 
-__all__ = ["EvalReport", "PipelineConfig", "PredictionSet", "METHODS",
-           "build_prediction_set", "evaluate", "nonconformity",
-           "run_pipeline"]
+__all__ = ["EvalReport", "PipelineConfig", "METHODS", "run_pipeline"]
 
 METHODS = ("dpscp_f", "dpscp_a", "dp_split", "split_cp", "naive_full")
-_PRIVATE = ("dpscp_f", "dpscp_a", "dp_split")
-
-
-@dataclass(frozen=True)
-class PredictionSet:
-    """Either a set of class indices or a real interval."""
-
-    labels: frozenset[int] | None = None
-    interval: tuple[float, float] | None = None
-
-    def __post_init__(self) -> None:
-        if (self.labels is None) == (self.interval is None):
-            raise ValueError("exactly one of labels/interval must be set")
-        if self.interval is not None and self.interval[0] > self.interval[1]:
-            raise ValueError("interval must satisfy lo <= hi")
-
-    def contains(self, y) -> bool:
-        if self.labels is not None:
-            return int(y) in self.labels
-        lo, hi = self.interval
-        return lo <= float(y) <= hi
-
-    def size(self) -> float:
-        if self.labels is not None:
-            return float(len(self.labels))
-        lo, hi = self.interval
-        return hi - lo
 
 
 @dataclass(frozen=True)
@@ -74,7 +45,6 @@ class PipelineConfig:
     quantile_template: QuantileConfig
     alpha: float = 0.1
     split_fraction: float = 0.5
-    split_tau_correction: bool = True
     target_scale: float = 1.0
 
     def __post_init__(self) -> None:
@@ -99,26 +69,14 @@ class EvalReport:
     trial_seed: int
 
 
-def nonconformity(model: TrainedModel, example) -> float:
-    """1 - true-class probability (classification heads) or the absolute
-    residual (regression heads)."""
-    x, y = example
-    x = np.asarray(x, dtype=float)[None, :]
-    if model.spec.kind != "linear_regression" and model.spec.output_dim > 1:
-        probs = predict_proba(model.spec, model.params, x)[0]
-        yi = int(y)
-        if not 0 <= yi < probs.size:
-            raise ValueError(f"label {yi} outside [0, {probs.size})")
-        return float(1.0 - probs[yi])
-    return float(abs(float(y) - predict_value(model.spec, model.params, x)[0]))
-
-
 def _classification_scores(model: TrainedModel, x: np.ndarray) -> np.ndarray:
     """(n, K) matrix of 1 - p_k."""
     return 1.0 - predict_proba(model.spec, model.params, x)
 
 
 def _in_sample_scores(model: TrainedModel, data: Dataset) -> np.ndarray:
+    """Nonconformity of each row: 1 - true-class probability for
+    classification, the absolute residual for regression."""
     if data.task == CLASSIFICATION:
         all_scores = _classification_scores(model, data.features)
         return all_scores[np.arange(data.n), data.labels.astype(int)]
@@ -126,40 +84,11 @@ def _in_sample_scores(model: TrainedModel, data: Dataset) -> np.ndarray:
     return np.abs(data.labels - pred)
 
 
-def build_prediction_set(model: TrainedModel, features: np.ndarray,
-                         q_hat: float) -> PredictionSet:
-    """All labels whose score is <= q_hat, or the symmetric residual
-    interval of half-width q_hat."""
-    if not math.isfinite(q_hat) and q_hat != math.inf:
-        raise ValueError("q_hat must be finite or the +inf sentinel")
-    x = np.asarray(features, dtype=float)[None, :]
-    if model.spec.kind != "linear_regression" and model.spec.output_dim > 1:
-        scores = _classification_scores(model, x)[0]
-        return PredictionSet(labels=frozenset(np.flatnonzero(scores <= q_hat)
-                                              .astype(int).tolist()))
-    f = float(predict_value(model.spec, model.params, x)[0])
-    return PredictionSet(interval=(f - q_hat, f + q_hat))
-
-
-def evaluate(sets: list[PredictionSet], truths, task: str) -> dict:
-    """Coverage, mean size/width, and (classification) singleton fraction."""
-    truths = np.asarray(truths)
-    if len(sets) != truths.shape[0]:
-        raise ValueError("sets and truths must have equal length")
-    covered = np.array([s.contains(y) for s, y in zip(sets, truths)])
-    sizes = np.array([s.size() for s in sets])
-    out = {"coverage": float(covered.mean()), "efficiency": float(sizes.mean())}
-    if task == CLASSIFICATION:
-        out["informativeness"] = float(np.mean(sizes == 1))
-    else:
-        out["informativeness"] = None
-    return out
-
-
 def _evaluate_fast(model: TrainedModel, test: Dataset, q_hat: float,
                    target_scale: float) -> dict:
-    """Vectorized metrics over a test split (same semantics as building every
-    PredictionSet and calling evaluate; cross-checked in the tests)."""
+    """Coverage, mean set size (or interval width) and, for classification,
+    the singleton fraction of the sets {y : score(x, y) <= q_hat} over a
+    test split."""
     if test.task == CLASSIFICATION:
         scores = _classification_scores(model, test.features)
         member = scores <= q_hat
@@ -252,8 +181,9 @@ def run_pipeline(pool: Dataset, test: Dataset, config: PipelineConfig,
         elif method == "dpscp_a":
             buffer_m, tau_override = 0, 0.0
         else:
-            buffer_m = 0
-            tau_override = None if config.split_tau_correction else 0.0
+            # dp_split keeps the noise correction; its disjoint calibration
+            # half needs no stability buffer.
+            buffer_m, tau_override = 0, None
         search_config = replace(qt, sigma_q=sigma_q, buffer_m=buffer_m,
                                 tau_override=tau_override, alpha=config.alpha,
                                 variant="buffered_right", seed=quant_seed)

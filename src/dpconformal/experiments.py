@@ -20,9 +20,10 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import product, repeat
 from pathlib import Path
 
 import numpy as np
@@ -170,9 +171,33 @@ def _quantile_template(config: ExperimentConfig, task: str) -> QuantileConfig:
     )
 
 
-def _pipeline_trial(config: ExperimentConfig, pool: Dataset, test: Dataset,
-                    method: str, epsilon: float, allocation: float,
-                    trial_seed: int, target_scale: float) -> dict:
+def _cell_row(config: ExperimentConfig, cell: tuple, trial: int) -> dict:
+    """Result-row skeleton of one trial: the experiment, the method, epsilon,
+    n and p columns its grid cell fixes, the trial index and its seed."""
+    if config.experiment == "scaling":
+        epsilon, n, allocation, method = cell
+    elif config.experiment == "realdata":
+        # n is the pool size, known once the CSV has been read.
+        (epsilon, allocation, method), n = cell, ""
+    elif config.experiment == "stability":
+        (epsilon,), n = cell, int(config.sample_sizes[0])
+        allocation, method = "", "dpsgd_coupled"
+    else:
+        # The p column carries the quantile-demo fixture name.
+        allocation, method = cell
+        epsilon, n = "", len(_fixture(allocation)["scores"])
+    return {"experiment": config.experiment, "method": method,
+            "epsilon": epsilon, "n": n, "p": allocation, "trial": trial,
+            "seed": config.seed + trial}
+
+
+def _pipeline_trial(config: ExperimentConfig, row: dict, pool: Dataset,
+                    test: Dataset) -> tuple[dict, list]:
+    """Standardize on the pool, run the cell's pipeline, fill the row."""
+    stats = fit_standardizer(pool)
+    pool = apply_standardizer(stats, pool)
+    test = apply_standardizer(stats, test)
+    method = row["method"]
     train = config.train
     epochs = int(train.get("epochs", 50))
     batch = int(train.get("batch_size", 32))
@@ -191,23 +216,20 @@ def _pipeline_trial(config: ExperimentConfig, pool: Dataset, test: Dataset,
     model = _mk_model(train, pool.task, pool.dim, pool.n_classes)
     pipe = PipelineConfig(
         method=method,
-        budget=BudgetSpec(epsilon, config.delta, allocation),
+        budget=BudgetSpec(row["epsilon"], config.delta, row["p"]),
         model=model,
         train_template=train_template,
         quantile_template=_quantile_template(config, pool.task),
         alpha=config.alpha,
         split_fraction=split_fraction,
-        target_scale=target_scale,
+        target_scale=stats.target_scale,
     )
-    report = run_pipeline(pool, test, pipe, trial_seed)
-    return {
-        "coverage": report.coverage,
-        "efficiency": report.efficiency,
-        "informativeness": report.informativeness,
-        "q_hat": report.q_hat,
-        "sigma_q": report.sigma_q,
-        "eps_train": report.eps_train_spent,
-    }
+    report = run_pipeline(pool, test, pipe, row["seed"])
+    return {**row, "status": "ok", "coverage": report.coverage,
+            "efficiency": report.efficiency,
+            "informativeness": report.informativeness,
+            "q_hat": report.q_hat, "sigma_q": report.sigma_q,
+            "eps_train": report.eps_train_spent}, []
 
 
 def _scaling_data(config: ExperimentConfig, n: int,
@@ -234,53 +256,34 @@ def _scaling_data(config: ExperimentConfig, n: int,
 
 def _run_scaling_trial(config: ExperimentConfig, cell: tuple,
                        trial: int) -> tuple[dict, list]:
-    epsilon, n, allocation, method = cell
-    trial_seed = config.seed + trial
-    pool, test = _scaling_data(config, n, trial_seed)
-    stats = fit_standardizer(pool)
-    pool = apply_standardizer(stats, pool)
-    test = apply_standardizer(stats, test)
-    metrics = _pipeline_trial(config, pool, test, method, epsilon, allocation,
-                              trial_seed, stats.target_scale)
-    row = {"experiment": config.experiment, "method": method,
-           "epsilon": epsilon, "n": n, "p": allocation, "trial": trial,
-           "seed": trial_seed, "status": "ok", **metrics}
-    return row, []
+    row = _cell_row(config, cell, trial)
+    pool, test = _scaling_data(config, row["n"], row["seed"])
+    return _pipeline_trial(config, row, pool, test)
 
 
 def _run_realdata_trial(config: ExperimentConfig, cell: tuple,
                         trial: int) -> tuple[dict, list]:
-    epsilon, allocation, method = cell
-    trial_seed = config.seed + trial
+    row = _cell_row(config, cell, trial)
     src = config.csv_source
     full = load_csv(src["path"], int(src.get("label_column", 0)),
                     src.get("task", REGRESSION),
                     bool(src.get("has_header", True)))
     test_fraction = float(src.get("test_fraction", 0.2))
     rng = np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence(trial_seed).spawn(1)[0]))
+        np.random.SeedSequence(row["seed"]).spawn(1)[0]))
     perm = rng.permutation(full.n)
     n_test = max(1, int(math.floor(test_fraction * full.n)))
     test = full.subset(perm[:n_test])
     pool = full.subset(perm[n_test:])
-    stats = fit_standardizer(pool)
-    pool = apply_standardizer(stats, pool)
-    test = apply_standardizer(stats, test)
-    metrics = _pipeline_trial(config, pool, test, method, epsilon, allocation,
-                              trial_seed, stats.target_scale)
-    row = {"experiment": config.experiment, "method": method,
-           "epsilon": epsilon, "n": pool.n, "p": allocation, "trial": trial,
-           "seed": trial_seed, "status": "ok", **metrics}
-    return row, []
+    row["n"] = pool.n
+    return _pipeline_trial(config, row, pool, test)
 
 
 def _run_stability_trial(config: ExperimentConfig, cell: tuple,
                          trial: int) -> tuple[dict, list]:
-    (epsilon,) = cell
-    trial_seed = config.seed + trial
-    gen = config.generator
-    d = int(gen.get("dim", 10))
-    n = int(config.sample_sizes[0])
+    row = _cell_row(config, cell, trial)
+    epsilon, n, trial_seed = row["epsilon"], row["n"], row["seed"]
+    d = int(config.generator.get("dim", 10))
     train = config.train
     rate = float(train.get("rate", 0.02))
     steps = int(train.get("steps", 100))
@@ -317,13 +320,8 @@ def _run_stability_trial(config: ExperimentConfig, cell: tuple,
         series.append({"experiment": config.experiment, "trial": trial,
                        "step": t, "metric": f"error/eps={epsilon:g}",
                        "value": err})
-    row = {"experiment": config.experiment, "method": "dpsgd_coupled",
-           "epsilon": epsilon, "n": n, "p": "", "trial": trial,
-           "seed": trial_seed, "status": "ok", "coverage": "",
-           "efficiency": "", "informativeness": "", "q_hat": "",
-           "sigma_q": sigma_sgd,
-           "eps_train": epsilon}
-    return row, series
+    return {**row, "status": "ok", "sigma_q": sigma_sgd,
+            "eps_train": epsilon}, series
 
 
 def s5_quantile_fixtures() -> list[dict]:
@@ -350,11 +348,15 @@ def s5_quantile_fixtures() -> list[dict]:
     ]
 
 
+def _fixture(name: str) -> dict:
+    return next(f for f in s5_quantile_fixtures() if f["name"] == name)
+
+
 def _run_quantile_demo_trial(config: ExperimentConfig, cell: tuple,
                              trial: int) -> tuple[dict, list]:
-    fixture_name, variant = cell
-    fixture = next(f for f in s5_quantile_fixtures()
-                   if f["name"] == fixture_name)
+    row = _cell_row(config, cell, trial)
+    fixture_name, variant = row["p"], row["method"]
+    fixture = _fixture(fixture_name)
     steps = int(config.quantile.get("steps", 20))
     noise = [0.0] * steps
     noise[0] = fixture["injection"]
@@ -392,13 +394,8 @@ def _run_quantile_demo_trial(config: ExperimentConfig, cell: tuple,
     series.append({"experiment": config.experiment, "trial": trial, "step": 0,
                    "metric": f"{fixture_name}/target_order_stat",
                    "value": fixture["target_order_stat"]})
-    row = {"experiment": config.experiment, "method": variant,
-           "epsilon": "", "n": len(fixture["scores"]), "p": fixture_name,
-           "trial": trial, "seed": config.seed, "status": "ok",
-           "coverage": "", "efficiency": "", "informativeness": "",
-           "q_hat": result.q_hat, "sigma_q": common["sigma_q"],
-           "eps_train": ""}
-    return row, series
+    return {**row, "status": "ok", "q_hat": result.q_hat,
+            "sigma_q": common["sigma_q"]}, series
 
 
 def _grid(config: ExperimentConfig) -> list[tuple]:
@@ -428,25 +425,15 @@ def _safe_trial(config: ExperimentConfig, cell: tuple,
     try:
         return runner(config, cell, trial)
     except Exception as exc:  # a failed trial becomes a failed row
-        row = {"experiment": config.experiment, "method": "", "epsilon": "",
-               "n": "", "p": "", "trial": trial, "seed": config.seed + trial,
-               "status": f"failed:{type(exc).__name__}"}
-        if config.experiment == "scaling":
-            row.update(method=cell[3], epsilon=cell[0], n=cell[1], p=cell[2])
-        elif config.experiment == "realdata":
-            row.update(method=cell[2], epsilon=cell[0], p=cell[1])
-        elif config.experiment == "stability":
-            row.update(method="dpsgd_coupled", epsilon=cell[0])
-        for col in _METRIC_COLUMNS:
-            row.setdefault(col, "")
-        return row, []
+        return {**_cell_row(config, cell, trial),
+                "status": f"failed:{type(exc).__name__}"}, []
 
 
 def _format_row(row: dict) -> dict:
     return {col: _fmt(row.get(col, "")) for col in RESULT_COLUMNS}
 
 
-def _aggregate_rows(config: ExperimentConfig, cell_rows: list[dict]) -> list[dict]:
+def _aggregate_rows(cell_rows: list[dict]) -> list[dict]:
     """Mean/sd rows recomputed from the formatted per-trial strings."""
     out = []
     for stat in ("mean", "sd"):
@@ -475,52 +462,31 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
     """
     cells = _grid(config)
     trials = 1 if config.experiment == "quantile_demo" else config.trials
-    tasks = [(ci, t) for ci in range(len(cells)) for t in range(trials)]
+    task_cells = [cell for cell in cells for _ in range(trials)]
+    task_trials = [t for _ in cells for t in range(trials)]
 
     writer = _ResultWriter(config.output)
     all_rows: list[dict] = []
-    cell_buffer: list[dict] = []
-
-    def emit(task_idx: int, row: dict, series: list[dict]) -> None:
-        nonlocal cell_buffer
-        formatted = _format_row(row)
-        cell_buffer.append(formatted)
-        all_rows.append(formatted)
-        writer.write_result(formatted)
-        writer.write_series(series)
-        if (task_idx + 1) % trials == 0:
-            aggs = _aggregate_rows(config, cell_buffer)
-            for agg in aggs:
-                all_rows.append(agg)
-                writer.write_result(agg)
-            cell_buffer = []
-        writer.flush()
-
-    if jobs <= 1:
-        for idx, (ci, t) in enumerate(tasks):
-            row, series = _safe_trial(config, cells[ci], t)
-            emit(idx, row, series)
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {
-                pool.submit(_safe_trial, config, cells[ci], t): idx
-                for idx, (ci, t) in enumerate(tasks)
-            }
-            done_results: dict[int, tuple[dict, list]] = {}
-            next_idx = 0
-            pending = set(futures)
-            while pending:
-                finished, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for fut in finished:
-                    done_results[futures[fut]] = fut.result()
-                while next_idx in done_results:
-                    row, series = done_results.pop(next_idx)
-                    emit(next_idx, row, series)
-                    next_idx += 1
-            while next_idx in done_results:
-                row, series = done_results.pop(next_idx)
-                emit(next_idx, row, series)
-                next_idx += 1
+    cell_rows: list[dict] = []
+    with ExitStack() as stack:
+        mapper = map
+        if jobs > 1:
+            mapper = stack.enter_context(
+                ProcessPoolExecutor(max_workers=jobs)).map
+        # Both maps yield in submission order.
+        for row, series in mapper(_safe_trial, repeat(config), task_cells,
+                                  task_trials):
+            formatted = _format_row(row)
+            cell_rows.append(formatted)
+            all_rows.append(formatted)
+            writer.write_result(formatted)
+            writer.write_series(series)
+            if len(cell_rows) == trials:
+                for agg in _aggregate_rows(cell_rows):
+                    all_rows.append(agg)
+                    writer.write_result(agg)
+                cell_rows = []
+            writer.flush()
 
     writer.close()
     return all_rows

@@ -1,7 +1,7 @@
 """Private quantile estimation on nonconformity scores.
 
-Two search variants over noisy count queries share one trace format: the
-buffered right-endpoint bisection (conservative by construction: the right
+Two search variants run one noisy bisection over count queries: the
+buffered right-endpoint search (conservative by construction: the right
 endpoint only moves when the noisy count clears an inflated rank threshold,
 and the right endpoint is what gets returned) and the fragile
 midpoint-return baseline it replaces. The exact order-statistic quantile is
@@ -80,7 +80,7 @@ class QuantileConfig:
             raise ValueError("beta must lie in (0, 1)")
         if self.buffer_m < 0:
             raise ValueError("buffer_m must be nonnegative")
-        if self.variant not in ("buffered_right", "midpoint", "exact"):
+        if self.variant not in ("buffered_right", "midpoint"):
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.precision_delta <= 0.0:
             raise ValueError("precision_delta must be positive")
@@ -101,13 +101,6 @@ class QuantileResult:
     rank_target_r: int
     threshold_r_prime: float
     trace: tuple[SearchStep, ...]
-
-    def trace_table(self) -> np.ndarray:
-        """(step, mid, count, noisy_count, branch) rows; branch 1 = right."""
-        return np.array(
-            [(s.step, s.mid, s.true_count, s.noisy_count,
-              1.0 if s.branch == "right" else 0.0) for s in self.trace]
-        )
 
 
 def empirical_count(scores, t: float) -> int:
@@ -171,6 +164,30 @@ def _noise_sequence(config: QuantileConfig, steps: int) -> np.ndarray:
     return config.sigma_q * rng.standard_normal(steps)
 
 
+def _bisect(arr: np.ndarray, config: QuantileConfig, steps: int,
+            threshold: float, left_step: float
+            ) -> tuple[float, float, tuple[SearchStep, ...]]:
+    """Noisy bisection over [range_lo, range_hi]: a noisy count at or above
+    ``threshold`` moves the right endpoint to the midpoint, any other moves
+    the left endpoint to the midpoint plus ``left_step``. Returns the final
+    (left, right) bracket and the per-step trace."""
+    noise = _noise_sequence(config, steps)
+    left, right = config.range_lo, config.range_hi
+    trace = []
+    for k in range(steps):
+        mid = 0.5 * (left + right)
+        count = int(np.count_nonzero(arr <= mid))
+        noisy = count + noise[k]
+        if noisy >= threshold:
+            right = mid
+            branch = "right"
+        else:
+            left = mid + left_step
+            branch = "left"
+        trace.append(SearchStep(k, mid, count, noisy, branch))
+    return left, right, tuple(trace)
+
+
 def buffered_right_search(scores, config: QuantileConfig) -> QuantileResult:
     """Right-endpoint bisection against the inflated rank threshold
     r' = r + m_n + tau; returns the final right endpoint."""
@@ -202,21 +219,8 @@ def buffered_right_search(scores, config: QuantileConfig) -> QuantileResult:
             "guarantee needs the range to cover the score support",
             stacklevel=2,
         )
-    noise = _noise_sequence(config, config.steps_n)
-    left, right = config.range_lo, config.range_hi
-    trace = []
-    for k in range(config.steps_n):
-        mid = 0.5 * (left + right)
-        count = int(np.count_nonzero(arr <= mid))
-        noisy = count + noise[k]
-        if noisy >= r_prime:
-            right = mid
-            branch = "right"
-        else:
-            left = mid
-            branch = "left"
-        trace.append(SearchStep(k, mid, count, noisy, branch))
-    return QuantileResult(right, r, r_prime, tuple(trace))
+    _, right, trace = _bisect(arr, config, config.steps_n, r_prime, 0.0)
+    return QuantileResult(right, r, r_prime, trace)
 
 
 def midpoint_search(scores, config: QuantileConfig) -> QuantileResult:
@@ -235,21 +239,8 @@ def midpoint_search(scores, config: QuantileConfig) -> QuantileResult:
         steps = _exact_ceil(
             math.log2((config.range_hi - config.range_lo) / config.precision_delta)
         )
-    noise = _noise_sequence(config, steps)
-    left, right = config.range_lo, config.range_hi
-    trace = []
-    for k in range(steps):
-        mid = 0.5 * (left + right)
-        count = int(np.count_nonzero(arr <= mid))
-        noisy = count + noise[k]
-        if noisy < r:
-            left = mid + config.precision_delta
-            branch = "left"
-        else:
-            right = mid
-            branch = "right"
-        trace.append(SearchStep(k, mid, count, noisy, branch))
-    return QuantileResult(0.5 * (left + right), r, float(r), tuple(trace))
+    left, right, trace = _bisect(arr, config, steps, r, config.precision_delta)
+    return QuantileResult(0.5 * (left + right), r, float(r), trace)
 
 
 def exact_conformal_quantile(scores, rank: int) -> float:

@@ -210,7 +210,7 @@ def test_criterion_07_desk_scale_scaling(tmp_path):
         output=str(tmp_path / "scaling.csv"),
     )
     rows = run_experiment(config, jobs=2)
-    assert all(r["status"] != "failed" for r in rows)
+    assert not any(r["status"].startswith("failed") for r in rows)
     means = {}
     for r in rows:
         if r["trial"] == "mean":

@@ -10,75 +10,15 @@ from scipy.stats import norm
 from dpconformal.accounting import (BudgetSpec, GridMismatchError,
                                     InfeasibleBudgetError, RdpProfile,
                                     SgdAccountingRecord,
-                                    UnsupportedOrderError,
-                                    calib_sigma_for_search, calibrate_sigma_q,
+                                    UnsupportedOrderError, calibrate_sigma_q,
                                     calibrate_sigma_sgd, default_orders,
-                                    gaussian_profile, gaussian_sigma_for_gdp,
-                                    gdp_compose, gdp_to_eps_delta,
+                                    gaussian_profile, gdp_compose,
                                     rdp_compose, rdp_gaussian,
                                     rdp_subsampled_gaussian, rdp_to_eps,
-                                    sgd_profile, tradeoff_eps_delta,
-                                    tradeoff_gdp)
+                                    sgd_profile)
 
 # ---------------------------------------------------------------------------
-# Tradeoff functions
-
-
-def test_tradeoff_eps_delta_values():
-    assert tradeoff_eps_delta(0.3, 0.0, 0.0) == pytest.approx(0.7)
-    # max{0, 0.9 - 0.4, 0.35} evaluated by hand
-    assert tradeoff_eps_delta(0.2, math.log(2), 0.1) == pytest.approx(0.5)
-    assert tradeoff_eps_delta(1.0, 3.0, 0.2) == 0.0
-
-
-def test_tradeoff_eps_delta_validation():
-    with pytest.raises(ValueError):
-        tradeoff_eps_delta(1.5, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        tradeoff_eps_delta(0.5, -1.0, 0.0)
-    with pytest.raises(ValueError):
-        tradeoff_eps_delta(0.5, 1.0, 1.5)
-
-
-def test_tradeoff_gdp_values():
-    assert tradeoff_gdp(0.5, 1e-12) == pytest.approx(0.5, abs=1e-9)
-    assert tradeoff_gdp(0.5, 1.0) == pytest.approx(0.15865525393145707, abs=1e-9)
-    assert tradeoff_gdp(0.5, 2.0) == pytest.approx(0.022750131948179195, abs=1e-9)
-    assert tradeoff_gdp(0.0, 1.0) == 1.0
-    assert tradeoff_gdp(1.0, 1.0) == 0.0
-    with pytest.raises(ValueError):
-        tradeoff_gdp(0.5, 0.0)
-
-
-@pytest.mark.parametrize("curve", [
-    lambda a: tradeoff_eps_delta(a, 0.3, 0.01),
-    lambda a: tradeoff_eps_delta(a, 1.0, 0.0),
-    lambda a: tradeoff_gdp(a, 0.7),
-    lambda a: tradeoff_gdp(a, 2.5),
-])
-def test_tradeoff_curves_convex_decreasing_bounded(curve):
-    grid = np.linspace(0.0, 1.0, 101)
-    vals = np.array([curve(a) for a in grid])
-    assert np.all(vals <= 1.0 - grid + 1e-9)
-    assert np.all(np.diff(vals) <= 1e-9)
-    # midpoint convexity on the sampled grid
-    mids = 0.5 * (vals[:-2] + vals[2:])
-    assert np.all(vals[1:-1] <= mids + 1e-9)
-
-
-def test_gdp_to_eps_delta_values():
-    assert gdp_to_eps_delta(1.0, 0.0) == pytest.approx(0.3829249225480263, abs=1e-9)
-    assert gdp_to_eps_delta(2.0, 0.0) == pytest.approx(0.6826894921370859, abs=1e-9)
-    assert gdp_to_eps_delta(0.1, 1.0) < 1e-15
-
-
-def test_gdp_to_eps_delta_monotonicity():
-    eps_grid = np.linspace(0.0, 3.0, 31)
-    deltas = [gdp_to_eps_delta(1.0, e) for e in eps_grid]
-    assert np.all(np.diff(deltas) <= 1e-12)
-    mu_grid = np.linspace(0.1, 3.0, 30)
-    deltas_mu = [gdp_to_eps_delta(m, 0.5) for m in mu_grid]
-    assert np.all(np.diff(deltas_mu) >= -1e-12)
+# GDP
 
 
 def test_gdp_compose_values():
@@ -99,20 +39,6 @@ def test_gdp_compose_permutation_and_flattening(mus):
     flat = gdp_compose(mus)
     nested = gdp_compose([gdp_compose(mus[:2]), *mus[2:]])
     assert nested == pytest.approx(flat, rel=1e-12)
-
-
-def test_gaussian_sigma_for_gdp():
-    assert gaussian_sigma_for_gdp(1.0, 1.0) == 1.0
-    assert gaussian_sigma_for_gdp(2.0, 1.0) == 2.0
-    assert gaussian_sigma_for_gdp(1.0, 2.0) == 0.5
-
-
-def test_calib_sigma_for_search():
-    assert calib_sigma_for_search(16, 2.0) == 2.0
-    assert calib_sigma_for_search(1, 1.0) == 1.0
-    assert calib_sigma_for_search(25, 0.5) == 10.0
-    with pytest.raises(ValueError):
-        calib_sigma_for_search(0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -175,9 +101,9 @@ def test_rdp_profile_validation_and_table():
         RdpProfile((1.0, 2.0), (0.0, 0.0))
     with pytest.raises(ValueError):
         RdpProfile((2.0,), (-1.0,))
-    table = RdpProfile((2.0, 3.0), (0.5, 0.25)).to_table()
-    assert table.shape == (2, 2)
-    assert table[0, 0] == 2.0 and table[1, 1] == 0.25
+    profile = RdpProfile((2.0, 3.0), (0.5, 0.25))
+    assert list(zip(profile.orders, profile.values)) == [(2.0, 0.5),
+                                                         (3.0, 0.25)]
 
 
 def test_rdp_compose():

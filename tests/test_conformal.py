@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,12 +7,11 @@ from dpconformal.accounting import (BudgetSpec, SgdAccountingRecord,
                                     calibrate_sigma_sgd, default_orders,
                                     gaussian_profile, rdp_compose, rdp_to_eps,
                                     sgd_profile)
-from dpconformal.conformal import (PipelineConfig, PredictionSet,
-                                   build_prediction_set, evaluate,
-                                   nonconformity, run_pipeline)
-from dpconformal.conformal import _evaluate_fast
+from dpconformal.conformal import (PipelineConfig, _evaluate_fast,
+                                   _in_sample_scores, run_pipeline)
 from dpconformal.data import gen_multiclass
-from dpconformal.models import Dataset, ModelSpec, param_count
+from dpconformal.models import (Dataset, ModelSpec, param_count,
+                                predict_proba, predict_value)
 from dpconformal.quantile import QuantileConfig
 from dpconformal.training import TrainConfig, TrainedModel
 
@@ -32,6 +33,32 @@ def linear_model(theta):
     return make_model(ModelSpec("linear_regression", len(theta)), theta)
 
 
+def one_row(x, y, task="classification", n_classes=0):
+    return Dataset(np.asarray([x], dtype=float), np.asarray([y]), task,
+                   n_classes)
+
+
+def per_row_metrics(model, test, q_hat, target_scale):
+    """Oracle for _evaluate_fast: build each test row's set on its own and
+    average coverage, size (width on the target scale) and singletons."""
+    covered, sizes = [], []
+    for x, y in zip(test.features, test.labels):
+        if test.task == "classification":
+            probs = predict_proba(model.spec, model.params, x[None, :])[0]
+            labels = {k for k, p in enumerate(probs) if 1.0 - p <= q_hat}
+            covered.append(int(y) in labels)
+            sizes.append(len(labels))
+        else:
+            f = predict_value(model.spec, model.params, x[None, :])[0]
+            lo, hi = f - q_hat, f + q_hat
+            covered.append(lo <= y <= hi)
+            sizes.append((hi - lo) * target_scale)
+    return {"coverage": float(np.mean(covered)),
+            "efficiency": float(np.mean(sizes)),
+            "informativeness": (float(np.mean(np.equal(sizes, 1)))
+                                if test.task == "classification" else None)}
+
+
 # ---------------------------------------------------------------------------
 # Scores and sets
 
@@ -42,74 +69,86 @@ def test_nonconformity_probability_one_class():
     w = np.zeros((3, 2))
     w[0] = [50.0, 50.0]
     model = make_model(spec, w.ravel())
-    score = nonconformity(model, (np.array([1.0, 1.0]), 0))
-    assert score == pytest.approx(0.0, abs=1e-12)
+    score = _in_sample_scores(model, one_row([1.0, 1.0], 0, n_classes=3))
+    assert score[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_nonconformity_uniform_eight_classes():
     model = softmax_model(k=8)
-    score = nonconformity(model, (RNG.standard_normal(3), 5))
-    assert score == pytest.approx(1 - 1 / 8)
+    score = _in_sample_scores(model,
+                              one_row(RNG.standard_normal(3), 5, n_classes=8))
+    assert score[0] == pytest.approx(1 - 1 / 8)
 
 
 def test_nonconformity_regression_residual():
     model = linear_model([2.0])
-    assert nonconformity(model, (np.array([1.0]), 3.5)) == pytest.approx(1.5)
+    score = _in_sample_scores(model, one_row([1.0], 3.5, "regression"))
+    assert score[0] == pytest.approx(1.5)
 
 
 def test_build_prediction_set_classification():
+    # uniform probabilities: every score is 0.75
     model = softmax_model(k=4)
-    full = build_prediction_set(model, RNG.standard_normal(3), 1.0)
-    assert full.labels == frozenset(range(4))
-    empty = build_prediction_set(model, RNG.standard_normal(3), 0.5)
-    assert empty.labels == frozenset()  # all scores are 0.75 > 0.5
-    assert empty.size() == 0.0
+    test = Dataset(RNG.standard_normal((3, 3)), np.array([0, 1, 3]),
+                   "classification", 4)
+    assert _evaluate_fast(model, test, 1.0, 1.0) == {
+        "coverage": 1.0, "efficiency": 4.0, "informativeness": 0.0}
+    assert _evaluate_fast(model, test, 0.5, 1.0) == {
+        "coverage": 0.0, "efficiency": 0.0, "informativeness": 0.0}
 
 
 def test_build_prediction_set_regression():
+    # f(x) = 1 at x = 1, so q_hat = 0.25 gives the closed set [0.75, 1.25]
     model = linear_model([1.0])
-    ps = build_prediction_set(model, np.array([1.0]), 0.25)
-    assert ps.interval == (0.75, 1.25)
-    assert ps.size() == pytest.approx(0.5)
+    test = Dataset(np.ones((4, 1)), np.array([0.75, 1.25, 1.3, 0.7]),
+                   "regression")
+    out = _evaluate_fast(model, test, 0.25, 1.0)
+    assert out["coverage"] == 0.5
+    assert out["efficiency"] == pytest.approx(0.5)
 
 
 def test_evaluate_metric_definitions():
-    k = 4
-    full = PredictionSet(labels=frozenset(range(k)))
-    out = evaluate([full] * 5, [0, 1, 2, 3, 0], "classification")
-    assert out == {"coverage": 1.0, "efficiency": float(k),
-                   "informativeness": 0.0}
-    empty = PredictionSet(labels=frozenset())
-    out = evaluate([empty] * 3, [0, 1, 2], "classification")
-    assert out["coverage"] == 0.0 and out["efficiency"] == 0.0
-    intervals = [PredictionSet(interval=(0.0, 2.0)),
-                 PredictionSet(interval=(1.0, 3.0))]
-    out = evaluate(intervals, [1.0, 5.0], "regression")
+    # one dominant class per row: at q_hat = 0.5 each set is that singleton
+    spec = ModelSpec("softmax_linear", 2, 3)
+    w = np.zeros((3, 2))
+    w[0] = [50.0, 0.0]
+    w[1] = [0.0, 50.0]
+    model = make_model(spec, w.ravel())
+    test = Dataset(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]]),
+                   np.array([0, 1, 2, 2]), "classification", 3)
+    assert _evaluate_fast(model, test, 0.5, 1.0) == {
+        "coverage": 0.5, "efficiency": 1.0, "informativeness": 1.0}
+    regression = Dataset(np.array([[0.0], [2.0]]), np.array([1.0, 5.0]),
+                         "regression")
+    out = _evaluate_fast(linear_model([1.0]), regression, 1.0, 1.0)
     assert out["coverage"] == 0.5
     assert out["efficiency"] == pytest.approx(2.0)
     assert out["informativeness"] is None
-    with pytest.raises(ValueError):
-        evaluate(intervals, [1.0], "regression")
 
 
 def test_monotone_nesting_in_qhat():
     model = softmax_model(k=5, d=4, params=RNG.standard_normal(20))
-    x = RNG.standard_normal(4)
-    small = build_prediction_set(model, x, 0.4)
-    large = build_prediction_set(model, x, 0.9)
-    assert small.labels <= large.labels
+    test = gen_multiclass(200, 4, 5, 1.0, 0.0, seed=4)
+    grid = [0.0, 0.2, 0.4, 0.6, 0.8, 0.9, 1.0, math.inf]
+    sizes = [_evaluate_fast(model, test, q, 1.0)["efficiency"] for q in grid]
+    assert sizes == sorted(sizes)
+    assert sizes[-1] == 5.0
 
 
 def test_evaluate_fast_matches_set_construction():
-    spec = ModelSpec("softmax_linear", 4, 5)
-    model = make_model(spec, RNG.standard_normal(20))
-    test = gen_multiclass(300, 4, 5, 1.0, 0.0, seed=8)
-    q_hat = 0.7
-    fast = _evaluate_fast(model, test, q_hat, 1.0)
-    sets = [build_prediction_set(model, test.features[i], q_hat)
-            for i in range(test.n)]
-    slow = evaluate(sets, test.labels, "classification")
-    assert fast == pytest.approx(slow)
+    classifier = make_model(ModelSpec("softmax_linear", 4, 5),
+                            RNG.standard_normal(20))
+    class_test = gen_multiclass(300, 4, 5, 1.0, 0.0, seed=8)
+    regressor = linear_model([0.5, -0.2])
+    reg_test = Dataset(RNG.standard_normal((200, 2)), RNG.standard_normal(200),
+                       "regression")
+    for q_hat in (0.0, 0.3, 0.7, 0.95, math.inf):
+        fast = _evaluate_fast(classifier, class_test, q_hat, 1.0)
+        assert fast == pytest.approx(
+            per_row_metrics(classifier, class_test, q_hat, 1.0))
+        fast = _evaluate_fast(regressor, reg_test, q_hat, 3.0)
+        assert fast == pytest.approx(
+            per_row_metrics(regressor, reg_test, q_hat, 3.0))
 
 
 def test_evaluate_fast_regression_width_rescaled():
@@ -118,15 +157,6 @@ def test_evaluate_fast_regression_width_rescaled():
                    "regression")
     out = _evaluate_fast(model, test, 0.3, target_scale=4.0)
     assert out["efficiency"] == pytest.approx(2 * 0.3 * 4.0)
-
-
-def test_prediction_set_validation():
-    with pytest.raises(ValueError):
-        PredictionSet()
-    with pytest.raises(ValueError):
-        PredictionSet(labels=frozenset([1]), interval=(0.0, 1.0))
-    with pytest.raises(ValueError):
-        PredictionSet(interval=(2.0, 1.0))
 
 
 # ---------------------------------------------------------------------------

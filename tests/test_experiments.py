@@ -101,17 +101,36 @@ def test_byte_identical_reruns_and_parallel(tmp_path):
 
 
 def test_failed_trial_becomes_failed_row(tmp_path):
-    cfg = ExperimentConfig(
+    realdata = ExperimentConfig(
         experiment="realdata", trials=1, seed=1, epsilons=(1.0,),
         allocations=(0.5,), methods=("split_cp",),
         csv_source={"path": str(tmp_path / "missing.csv")},
         output=str(tmp_path / "out.csv"),
     )
-    rows = run_experiment(cfg)
-    assert rows[0]["status"].startswith("failed:")
-    assert rows[0]["coverage"] == ""
-    # aggregates survive with empty metrics
-    assert rows[1]["trial"] == "mean" and rows[1]["coverage"] == ""
+    scaling = tiny_scaling_config(tmp_path, trials=1, methods=("dpscp_a",),
+                                  train={"model": "nope"})
+    stability = ExperimentConfig(
+        experiment="stability", trials=1, seed=3, epsilons=(2.0,),
+        sample_sizes=(200,), generator={"dim": 5}, train={"steps": 0},
+        output=str(tmp_path / "stab.csv"),
+    )
+    # The realdata pool size is known only once the CSV has been read.
+    cases = [
+        (realdata, {"method": "split_cp", "epsilon": "1.0", "n": "",
+                    "p": "0.5"}),
+        (scaling, {"method": "dpscp_a", "epsilon": "1.0", "n": "600",
+                   "p": "0.5"}),
+        (stability, {"method": "dpsgd_coupled", "epsilon": "2.0", "n": "200",
+                     "p": ""}),
+    ]
+    for cfg, cell in cases:
+        rows = run_experiment(cfg)
+        assert rows[0]["status"].startswith("failed:")
+        assert {col: rows[0][col] for col in cell} == cell
+        assert rows[0]["seed"] == str(cfg.seed)
+        assert rows[0]["coverage"] == ""
+        # aggregates survive with empty metrics
+        assert rows[1]["trial"] == "mean" and rows[1]["coverage"] == ""
 
 
 def test_realdata_experiment_runs_from_csv(tmp_path):

@@ -164,6 +164,9 @@ def test_midpoint_tie_jump_injection_undershoots():
     result = midpoint_search(TIE_JUMP_SCORES, cfg)
     assert result.trace[0].mid == 9.5
     assert result.trace[0].true_count == 5
+    # a left move puts the left endpoint at mid + precision_delta
+    assert result.trace[1].branch == "left"
+    assert result.trace[2].mid == pytest.approx((8.75 + 1e-3 + 9.5) / 2)
     assert result.q_hat < 10.0
 
 
