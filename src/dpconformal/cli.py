@@ -68,13 +68,21 @@ _DESK_DEFAULTS = {
 }
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _experiment_parser(sub, name: str, help_text: str) -> None:
     p = sub.add_parser(name, help=help_text)
     p.add_argument("--config", help="JSON config file (overrides defaults)")
     p.add_argument("--out", help="results CSV path")
     p.add_argument("--seed", type=int, help="base seed (trial t adds t)")
     p.add_argument("--trials", type=int, help="trials per grid cell")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p.add_argument("--jobs", type=_positive_int, default=1,
+                   help="worker processes (>= 1)")
     p.add_argument("--paper-scale", action="store_true",
                    help="restore the full protocol sizes")
 

@@ -14,6 +14,10 @@ Methods:
   in-sample shift).
 
 Every trial is a pure function of (pool, test, config, seed).
+``run_pipeline`` runs it in two stages: ``train_stage`` (split, DP-SGD,
+scores) and ``finish_stage`` (sigma_q, search or exact quantile,
+evaluation). ``train_target`` names the model a method trains, so methods
+with equal targets can finish from one train stage.
 """
 
 from __future__ import annotations
@@ -23,15 +27,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .accounting import (BudgetSpec, calibrate_sigma_q, calibrate_sigma_sgd,
-                         default_orders, rdp_to_eps, sgd_profile)
+from .accounting import (BudgetSpec, RdpProfile, calibrate_sigma_q,
+                         calibrate_sigma_sgd, default_orders, rdp_to_eps,
+                         sgd_profile)
 from .models import (CLASSIFICATION, Dataset, ModelSpec, predict_proba,
                      predict_value)
 from .quantile import (QuantileConfig, buffered_right_search,
                        exact_conformal_quantile, target_rank)
 from .training import TrainConfig, TrainedModel, dp_sgd_train
 
-__all__ = ["EvalReport", "PipelineConfig", "METHODS", "run_pipeline"]
+__all__ = ["EvalReport", "PipelineConfig", "METHODS", "TrainedStage",
+           "finish_stage", "run_pipeline", "train_stage", "train_target"]
 
 METHODS = ("dpscp_f", "dpscp_a", "dp_split", "split_cp", "naive_full")
 
@@ -69,29 +75,65 @@ class EvalReport:
     trial_seed: int
 
 
-def _classification_scores(model: TrainedModel, x: np.ndarray) -> np.ndarray:
-    """(n, K) matrix of 1 - p_k."""
-    return 1.0 - predict_proba(model.spec, model.params, x)
+def train_target(method: str,
+                 budget: BudgetSpec) -> tuple[bool, float | None]:
+    """What ``method`` trains on: whether it trains on the train half of a
+    split, and its epsilon_train target (None for non-private training).
+
+    Methods with equal targets train the same model from the same pool and
+    trial seed, so one train stage serves them all.
+    """
+    if method in ("dpscp_f", "dpscp_a"):
+        return False, budget.allocation_p * budget.epsilon_target
+    if method == "dp_split":
+        return True, budget.epsilon_target
+    if method == "split_cp":
+        return True, None
+    if method == "naive_full":
+        return False, None
+    raise ValueError(f"unknown method {method!r}")
+
+
+@dataclass(frozen=True)
+class TrainedStage:
+    """What the train stage hands the finish stage: the calibration scores,
+    the test split and its scores, and the training spend."""
+
+    target: tuple[bool, float | None]
+    cal_scores: np.ndarray
+    test: Dataset
+    test_scores: np.ndarray
+    train_profile: RdpProfile | None
+    eps_train_spent: float
+    trial_seed: int
+    quant_seed: int
+
+
+def _score_matrix(model: TrainedModel, data: Dataset) -> np.ndarray:
+    """Nonconformity of every candidate label: the (n, K) matrix 1 - p_k for
+    classification, the absolute residual of each row for regression."""
+    if data.task == CLASSIFICATION:
+        return 1.0 - predict_proba(model.spec, model.params, data.features)
+    pred = predict_value(model.spec, model.params, data.features)
+    return np.abs(data.labels - pred)
 
 
 def _in_sample_scores(model: TrainedModel, data: Dataset) -> np.ndarray:
     """Nonconformity of each row: 1 - true-class probability for
     classification, the absolute residual for regression."""
+    scores = _score_matrix(model, data)
     if data.task == CLASSIFICATION:
-        all_scores = _classification_scores(model, data.features)
-        return all_scores[np.arange(data.n), data.labels.astype(int)]
-    pred = predict_value(model.spec, model.params, data.features)
-    return np.abs(data.labels - pred)
+        return scores[np.arange(data.n), data.labels.astype(int)]
+    return scores
 
 
-def _evaluate_fast(model: TrainedModel, test: Dataset, q_hat: float,
+def _evaluate_fast(test_scores: np.ndarray, test: Dataset, q_hat: float,
                    target_scale: float) -> dict:
     """Coverage, mean set size (or interval width) and, for classification,
     the singleton fraction of the sets {y : score(x, y) <= q_hat} over a
-    test split."""
+    test split whose ``_score_matrix`` is ``test_scores``."""
     if test.task == CLASSIFICATION:
-        scores = _classification_scores(model, test.features)
-        member = scores <= q_hat
+        member = test_scores <= q_hat
         truth = member[np.arange(test.n), test.labels.astype(int)]
         sizes = member.sum(axis=1)
         return {
@@ -99,8 +141,7 @@ def _evaluate_fast(model: TrainedModel, test: Dataset, q_hat: float,
             "efficiency": float(sizes.mean()),
             "informativeness": float(np.mean(sizes == 1)),
         }
-    pred = predict_value(model.spec, model.params, test.features)
-    covered = np.abs(test.labels - pred) <= q_hat
+    covered = test_scores <= q_hat
     return {
         "coverage": float(covered.mean()),
         # Interval width reported on the original target scale.
@@ -118,19 +159,21 @@ def _split_indices(n: int, fraction: float,
     return perm[:cut], perm[cut:]
 
 
-def run_pipeline(pool: Dataset, test: Dataset, config: PipelineConfig,
-                 seed: int) -> EvalReport:
-    """Run one trial of the configured method and evaluate on the test split."""
+def train_stage(pool: Dataset, test: Dataset, config: PipelineConfig,
+                seed: int) -> TrainedStage:
+    """The split, sigma_sgd calibration, DP-SGD training and scoring of one
+    trial: everything that depends on ``train_target`` of the method."""
     if pool.task != test.task or pool.dim != test.dim:
         raise ValueError("pool and test must share schema")
-    method = config.method
     budget = config.budget
+    target = train_target(config.method, budget)
+    split, eps_train_target = target
     ss = np.random.SeedSequence(seed).spawn(3)
-    split_rng = np.random.Generator(np.random.PCG64(ss[0]))
     train_seed = int(ss[1].generate_state(1)[0])
     quant_seed = int(ss[2].generate_state(1)[0])
 
-    if method in ("dp_split", "split_cp"):
+    if split:
+        split_rng = np.random.Generator(np.random.PCG64(ss[0]))
         train_idx, cal_idx = _split_indices(pool.n, config.split_fraction,
                                             split_rng)
         train_data = pool.subset(train_idx)
@@ -138,13 +181,6 @@ def run_pipeline(pool: Dataset, test: Dataset, config: PipelineConfig,
     else:
         train_data = pool
         cal_data = pool
-
-    if method in ("dpscp_f", "dpscp_a"):
-        eps_train_target = budget.allocation_p * budget.epsilon_target
-    elif method == "dp_split":
-        eps_train_target = budget.epsilon_target
-    else:
-        eps_train_target = None
 
     tmpl = config.train_template
     if eps_train_target is None:
@@ -156,22 +192,39 @@ def run_pipeline(pool: Dataset, test: Dataset, config: PipelineConfig,
     model = dp_sgd_train(train_data, config.model, train_config)
 
     if eps_train_target is None:
-        eps_train_spent = 0.0
+        train_profile, eps_train_spent = None, 0.0
     else:
-        eps_train_spent = rdp_to_eps(
-            sgd_profile(model.accounting, default_orders()), budget.delta_target
-        )
+        train_profile = sgd_profile(model.accounting, default_orders())
+        eps_train_spent = rdp_to_eps(train_profile, budget.delta_target)
+    return TrainedStage(
+        target=target,
+        cal_scores=_in_sample_scores(model, cal_data),
+        test=test,
+        test_scores=_score_matrix(model, test),
+        train_profile=train_profile,
+        eps_train_spent=float(eps_train_spent),
+        trial_seed=seed,
+        quant_seed=quant_seed,
+    )
 
-    cal_scores = _in_sample_scores(model, cal_data)
+
+def finish_stage(stage: TrainedStage, config: PipelineConfig) -> EvalReport:
+    """The sigma_q calibration, the private search (or the exact quantile)
+    and the evaluation of one method on a model ``train_stage`` trained."""
+    method = config.method
+    budget = config.budget
+    if train_target(method, budget) != stage.target:
+        raise ValueError(f"{method!r} at this budget trains another model")
+    cal_scores = stage.cal_scores
     qt = config.quantile_template
 
     if method in ("split_cp", "naive_full"):
-        rank = target_rank(cal_data.n, config.alpha)
+        rank = target_rank(len(cal_scores), config.alpha)
         q_hat = exact_conformal_quantile(cal_scores, rank)
         sigma_q = 0.0
     else:
         if method in ("dpscp_f", "dpscp_a"):
-            train_profile = sgd_profile(model.accounting, default_orders())
+            train_profile = stage.train_profile
         else:
             # Disjoint calibration half: account the search in isolation.
             train_profile = sgd_profile((), default_orders())
@@ -186,16 +239,23 @@ def run_pipeline(pool: Dataset, test: Dataset, config: PipelineConfig,
             buffer_m, tau_override = 0, None
         search_config = replace(qt, sigma_q=sigma_q, buffer_m=buffer_m,
                                 tau_override=tau_override, alpha=config.alpha,
-                                variant="buffered_right", seed=quant_seed)
+                                variant="buffered_right", seed=stage.quant_seed)
         q_hat = buffered_right_search(cal_scores, search_config).q_hat
 
-    metrics = _evaluate_fast(model, test, q_hat, config.target_scale)
+    metrics = _evaluate_fast(stage.test_scores, stage.test, q_hat,
+                             config.target_scale)
     return EvalReport(
         coverage=metrics["coverage"],
         efficiency=metrics["efficiency"],
         informativeness=metrics["informativeness"],
         q_hat=float(q_hat),
         sigma_q=float(sigma_q),
-        eps_train_spent=float(eps_train_spent),
-        trial_seed=seed,
+        eps_train_spent=stage.eps_train_spent,
+        trial_seed=stage.trial_seed,
     )
+
+
+def run_pipeline(pool: Dataset, test: Dataset, config: PipelineConfig,
+                 seed: int) -> EvalReport:
+    """Run one trial of the configured method and evaluate on the test split."""
+    return finish_stage(train_stage(pool, test, config, seed), config)

@@ -13,6 +13,15 @@ Trial t always runs with seed ``base_seed + t``: adding trials never
 changes earlier rows, and grid cells sharing a trial index share their
 random draws (the generators are prefix-stable in n), which pairs the
 sweep's comparisons.
+
+The unit of work is one distinct training: a (data cell, trial, training
+key) task builds and standardizes the pool and test split once, runs
+``conformal.train_stage`` once and ``conformal.finish_stage`` for every grid
+cell whose method has the same ``train_target`` (so ``dpscp_f`` and
+``dpscp_a`` share a model, and ``split_cp`` and ``naive_full`` train once per
+data cell and trial). Stability and quantile-demo cells are tasks of one
+cell. A realdata CSV is parsed once per process for each version of the
+file.
 """
 
 from __future__ import annotations
@@ -20,16 +29,21 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product, repeat
 from pathlib import Path
 
 import numpy as np
 
 from .accounting import BudgetSpec, calibrate_sigma_sgd
-from .conformal import METHODS, PipelineConfig, run_pipeline
+from .conformal import (METHODS, PipelineConfig, finish_stage, train_stage,
+                        train_target)
+# Not called here: bench/layers.py wraps experiments.run_pipeline by name.
+from .conformal import run_pipeline  # noqa: F401
 from .data import (apply_standardizer, fit_standardizer, gen_logistic,
                    gen_multiclass, load_csv)
 from .models import CLASSIFICATION, REGRESSION, Dataset, ModelSpec
@@ -191,20 +205,25 @@ def _cell_row(config: ExperimentConfig, cell: tuple, trial: int) -> dict:
             "seed": config.seed + trial}
 
 
-def _pipeline_trial(config: ExperimentConfig, row: dict, pool: Dataset,
-                    test: Dataset) -> tuple[dict, list]:
-    """Standardize on the pool, run the cell's pipeline, fill the row."""
+def _failed(row: dict, exc: Exception) -> tuple[dict, list]:
+    return {**row, "status": f"failed:{type(exc).__name__}"}, []
+
+
+def _pipeline_group(config: ExperimentConfig, rows: list[dict], pool: Dataset,
+                    test: Dataset) -> list[tuple[dict, list]]:
+    """Standardize on the pool, train the model the rows' cells share once,
+    and finish every cell from it; a cell whose finish fails fails alone."""
     stats = fit_standardizer(pool)
     pool = apply_standardizer(stats, pool)
     test = apply_standardizer(stats, test)
-    method = row["method"]
     train = config.train
     epochs = int(train.get("epochs", 50))
     batch = int(train.get("batch_size", 32))
     split_fraction = float(train.get("split_fraction", 0.5))
-    n_train = pool.n
-    if method in ("dp_split", "split_cp"):
-        n_train = int(math.floor(split_fraction * pool.n))
+    budgets = [BudgetSpec(row["epsilon"], config.delta, row["p"])
+               for row in rows]
+    split, _ = train_target(rows[0]["method"], budgets[0])
+    n_train = int(math.floor(split_fraction * pool.n)) if split else pool.n
     rate, steps = train_plan(n_train, epochs, batch)
     train_template = TrainConfig(
         learning_rate=float(train.get("learning_rate", 1e-3)),
@@ -214,22 +233,31 @@ def _pipeline_trial(config: ExperimentConfig, row: dict, pool: Dataset,
         noise_multiplier=0.0,
     )
     model = _mk_model(train, pool.task, pool.dim, pool.n_classes)
-    pipe = PipelineConfig(
-        method=method,
-        budget=BudgetSpec(row["epsilon"], config.delta, row["p"]),
+    pipes = [PipelineConfig(
+        method=row["method"],
+        budget=budget,
         model=model,
         train_template=train_template,
         quantile_template=_quantile_template(config, pool.task),
         alpha=config.alpha,
         split_fraction=split_fraction,
         target_scale=stats.target_scale,
-    )
-    report = run_pipeline(pool, test, pipe, row["seed"])
-    return {**row, "status": "ok", "coverage": report.coverage,
-            "efficiency": report.efficiency,
-            "informativeness": report.informativeness,
-            "q_hat": report.q_hat, "sigma_q": report.sigma_q,
-            "eps_train": report.eps_train_spent}, []
+    ) for row, budget in zip(rows, budgets)]
+    stage = train_stage(pool, test, pipes[0], rows[0]["seed"])
+    out = []
+    for row, pipe in zip(rows, pipes):
+        try:
+            report = finish_stage(stage, pipe)
+        except Exception as exc:  # a failed cell becomes a failed row
+            out.append(_failed(row, exc))
+            continue
+        out.append(({**row, "n": pool.n, "status": "ok",
+                     "coverage": report.coverage,
+                     "efficiency": report.efficiency,
+                     "informativeness": report.informativeness,
+                     "q_hat": report.q_hat, "sigma_q": report.sigma_q,
+                     "eps_train": report.eps_train_spent}, []))
+    return out
 
 
 def _scaling_data(config: ExperimentConfig, n: int,
@@ -254,35 +282,52 @@ def _scaling_data(config: ExperimentConfig, n: int,
     return pool, test
 
 
-def _run_scaling_trial(config: ExperimentConfig, cell: tuple,
-                       trial: int) -> tuple[dict, list]:
-    row = _cell_row(config, cell, trial)
-    pool, test = _scaling_data(config, row["n"], row["seed"])
-    return _pipeline_trial(config, row, pool, test)
+def _run_scaling_trial(config: ExperimentConfig,
+                       rows: list[dict]) -> list[tuple[dict, list]]:
+    pool, test = _scaling_data(config, rows[0]["n"], rows[0]["seed"])
+    return _pipeline_group(config, rows, pool, test)
 
 
-def _run_realdata_trial(config: ExperimentConfig, cell: tuple,
-                        trial: int) -> tuple[dict, list]:
-    row = _cell_row(config, cell, trial)
+@lru_cache(maxsize=1)
+def _parsed_csv(path: str, label_column: int, task: str, has_header: bool,
+                version: tuple[int, int]) -> Dataset:
+    data = load_csv(path, label_column, task, has_header)
+    # Every trial of the process reads this one copy.
+    data.features.flags.writeable = False
+    data.labels.flags.writeable = False
+    return data
+
+
+def _read_csv(src: dict) -> Dataset:
+    """The realdata CSV, parsed at most once per process for each version of
+    the file: the memo key holds its path, mtime and size."""
+    path = os.path.abspath(src["path"])
+    st = os.stat(path)
+    return _parsed_csv(path, int(src.get("label_column", 0)),
+                       src.get("task", REGRESSION),
+                       bool(src.get("has_header", True)),
+                       (st.st_mtime_ns, st.st_size))
+
+
+def _run_realdata_trial(config: ExperimentConfig,
+                        rows: list[dict]) -> list[tuple[dict, list]]:
     src = config.csv_source
-    full = load_csv(src["path"], int(src.get("label_column", 0)),
-                    src.get("task", REGRESSION),
-                    bool(src.get("has_header", True)))
+    full = _read_csv(src)
     test_fraction = float(src.get("test_fraction", 0.2))
     rng = np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence(row["seed"]).spawn(1)[0]))
+        np.random.SeedSequence(rows[0]["seed"]).spawn(1)[0]))
     perm = rng.permutation(full.n)
     n_test = max(1, int(math.floor(test_fraction * full.n)))
     test = full.subset(perm[:n_test])
     pool = full.subset(perm[n_test:])
-    row["n"] = pool.n
-    return _pipeline_trial(config, row, pool, test)
+    return _pipeline_group(config, rows, pool, test)
 
 
-def _run_stability_trial(config: ExperimentConfig, cell: tuple,
-                         trial: int) -> tuple[dict, list]:
-    row = _cell_row(config, cell, trial)
+def _run_stability_trial(config: ExperimentConfig,
+                         rows: list[dict]) -> list[tuple[dict, list]]:
+    (row,) = rows
     epsilon, n, trial_seed = row["epsilon"], row["n"], row["seed"]
+    trial = row["trial"]
     d = int(config.generator.get("dim", 10))
     train = config.train
     rate = float(train.get("rate", 0.02))
@@ -320,8 +365,8 @@ def _run_stability_trial(config: ExperimentConfig, cell: tuple,
         series.append({"experiment": config.experiment, "trial": trial,
                        "step": t, "metric": f"error/eps={epsilon:g}",
                        "value": err})
-    return {**row, "status": "ok", "sigma_q": sigma_sgd,
-            "eps_train": epsilon}, series
+    return [({**row, "status": "ok", "sigma_q": sigma_sgd,
+              "eps_train": epsilon}, series)]
 
 
 def s5_quantile_fixtures() -> list[dict]:
@@ -352,10 +397,10 @@ def _fixture(name: str) -> dict:
     return next(f for f in s5_quantile_fixtures() if f["name"] == name)
 
 
-def _run_quantile_demo_trial(config: ExperimentConfig, cell: tuple,
-                             trial: int) -> tuple[dict, list]:
-    row = _cell_row(config, cell, trial)
-    fixture_name, variant = row["p"], row["method"]
+def _run_quantile_demo_trial(config: ExperimentConfig,
+                             rows: list[dict]) -> list[tuple[dict, list]]:
+    (row,) = rows
+    fixture_name, variant, trial = row["p"], row["method"], row["trial"]
     fixture = _fixture(fixture_name)
     steps = int(config.quantile.get("steps", 20))
     noise = [0.0] * steps
@@ -394,8 +439,8 @@ def _run_quantile_demo_trial(config: ExperimentConfig, cell: tuple,
     series.append({"experiment": config.experiment, "trial": trial, "step": 0,
                    "metric": f"{fixture_name}/target_order_stat",
                    "value": fixture["target_order_stat"]})
-    return {**row, "status": "ok", "q_hat": result.q_hat,
-            "sigma_q": common["sigma_q"]}, series
+    return [({**row, "status": "ok", "q_hat": result.q_hat,
+              "sigma_q": common["sigma_q"]}, series)]
 
 
 def _grid(config: ExperimentConfig) -> list[tuple]:
@@ -419,14 +464,42 @@ _TRIAL_RUNNERS = {
 }
 
 
-def _safe_trial(config: ExperimentConfig, cell: tuple,
-                trial: int) -> tuple[dict, list]:
-    runner = _TRIAL_RUNNERS[config.experiment]
+def _safe_trial(config: ExperimentConfig, cells: list[tuple],
+                trial: int) -> list[tuple[dict, list]]:
+    """Run one task: the grid cells of one trial that share a trained model
+    (one cell for stability and the quantile demo). A failure outside one
+    cell's finish stage fails every cell of the task."""
+    rows = [_cell_row(config, cell, trial) for cell in cells]
     try:
-        return runner(config, cell, trial)
-    except Exception as exc:  # a failed trial becomes a failed row
-        return {**_cell_row(config, cell, trial),
-                "status": f"failed:{type(exc).__name__}"}, []
+        return _TRIAL_RUNNERS[config.experiment](config, rows)
+    except Exception as exc:  # a failed trial becomes failed rows
+        return [_failed(row, exc) for row in rows]
+
+
+def _share_key(config: ExperimentConfig, cell: tuple, index: int):
+    """Cells of one trial with equal keys train the same model: their data
+    cell (n; the whole CSV for realdata) and ``train_target`` agree. Any
+    other cell is keyed by its own index and so runs alone."""
+    if config.experiment not in ("scaling", "realdata"):
+        return index
+    row = _cell_row(config, cell, 0)
+    try:
+        budget = BudgetSpec(row["epsilon"], config.delta, row["p"])
+        return row["n"], train_target(row["method"], budget)
+    except (TypeError, ValueError):  # an invalid budget fails on its own
+        return index
+
+
+def _tasks(config: ExperimentConfig, cells: list[tuple],
+           trials: int) -> list[tuple[list[int], int]]:
+    """One (cell indices, trial) task per distinct training, in the order of
+    each task's first row in the output."""
+    groups: dict = {}
+    for t in range(trials):
+        for i, cell in enumerate(cells):
+            groups.setdefault((t, _share_key(config, cell, i)), []).append(i)
+    return sorted(((members, t) for (t, _), members in groups.items()),
+                  key=lambda task: (task[0][0], task[1]))
 
 
 def _format_row(row: dict) -> dict:
@@ -456,36 +529,50 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
     """Run the configured sweep; returns the formatted result rows and, when
     ``config.output`` is set, writes ``<output>`` plus ``<stem>_series.csv``.
 
+    Each task trains one distinct model for one trial and finishes every
+    grid cell that shares it; ``jobs`` worker processes run the tasks.
     Rows appear in deterministic (grid cell, trial) order with per-cell
-    aggregate rows appended, regardless of worker count; completed trials
-    are flushed to disk as soon as their turn in that order comes up.
+    aggregate rows appended, regardless of worker count: a reorder buffer
+    holds each finished row until every row before it is out, and flushes
+    rows to disk as soon as their turn comes up.
     """
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     cells = _grid(config)
     trials = 1 if config.experiment == "quantile_demo" else config.trials
-    task_cells = [cell for cell in cells for _ in range(trials)]
-    task_trials = [t for _ in cells for t in range(trials)]
+    tasks = _tasks(config, cells, trials)
 
     writer = _ResultWriter(config.output)
     all_rows: list[dict] = []
     cell_rows: list[dict] = []
+    # Finished rows waiting for their turn, keyed by output position.
+    waiting: dict[int, tuple[dict, list]] = {}
+    position = 0
     with ExitStack() as stack:
         mapper = map
         if jobs > 1:
             mapper = stack.enter_context(
                 ProcessPoolExecutor(max_workers=jobs)).map
         # Both maps yield in submission order.
-        for row, series in mapper(_safe_trial, repeat(config), task_cells,
-                                  task_trials):
-            formatted = _format_row(row)
-            cell_rows.append(formatted)
-            all_rows.append(formatted)
-            writer.write_result(formatted)
-            writer.write_series(series)
-            if len(cell_rows) == trials:
-                for agg in _aggregate_rows(cell_rows):
-                    all_rows.append(agg)
-                    writer.write_result(agg)
-                cell_rows = []
+        results = mapper(_safe_trial, repeat(config),
+                         [[cells[i] for i in members] for members, _ in tasks],
+                         [t for _, t in tasks])
+        for (members, t), group in zip(tasks, results):
+            for i, result in zip(members, group):
+                waiting[i * trials + t] = result
+            while position in waiting:
+                row, series = waiting.pop(position)
+                position += 1
+                formatted = _format_row(row)
+                cell_rows.append(formatted)
+                all_rows.append(formatted)
+                writer.write_result(formatted)
+                writer.write_series(series)
+                if len(cell_rows) == trials:
+                    for agg in _aggregate_rows(cell_rows):
+                        all_rows.append(agg)
+                        writer.write_result(agg)
+                    cell_rows = []
             writer.flush()
 
     writer.close()

@@ -8,7 +8,9 @@ from dpconformal.accounting import (BudgetSpec, SgdAccountingRecord,
                                     gaussian_profile, rdp_compose, rdp_to_eps,
                                     sgd_profile)
 from dpconformal.conformal import (PipelineConfig, _evaluate_fast,
-                                   _in_sample_scores, run_pipeline)
+                                   _in_sample_scores, _score_matrix,
+                                   finish_stage, run_pipeline, train_stage,
+                                   train_target)
 from dpconformal.data import gen_multiclass
 from dpconformal.models import (Dataset, ModelSpec, param_count,
                                 predict_proba, predict_value)
@@ -36,6 +38,12 @@ def linear_model(theta):
 def one_row(x, y, task="classification", n_classes=0):
     return Dataset(np.asarray([x], dtype=float), np.asarray([y]), task,
                    n_classes)
+
+
+def evaluate(model, test, q_hat, target_scale):
+    """_evaluate_fast on the test scores the train stage would compute."""
+    return _evaluate_fast(_score_matrix(model, test), test, q_hat,
+                          target_scale)
 
 
 def per_row_metrics(model, test, q_hat, target_scale):
@@ -91,9 +99,9 @@ def test_build_prediction_set_classification():
     model = softmax_model(k=4)
     test = Dataset(RNG.standard_normal((3, 3)), np.array([0, 1, 3]),
                    "classification", 4)
-    assert _evaluate_fast(model, test, 1.0, 1.0) == {
+    assert evaluate(model, test, 1.0, 1.0) == {
         "coverage": 1.0, "efficiency": 4.0, "informativeness": 0.0}
-    assert _evaluate_fast(model, test, 0.5, 1.0) == {
+    assert evaluate(model, test, 0.5, 1.0) == {
         "coverage": 0.0, "efficiency": 0.0, "informativeness": 0.0}
 
 
@@ -102,7 +110,7 @@ def test_build_prediction_set_regression():
     model = linear_model([1.0])
     test = Dataset(np.ones((4, 1)), np.array([0.75, 1.25, 1.3, 0.7]),
                    "regression")
-    out = _evaluate_fast(model, test, 0.25, 1.0)
+    out = evaluate(model, test, 0.25, 1.0)
     assert out["coverage"] == 0.5
     assert out["efficiency"] == pytest.approx(0.5)
 
@@ -116,11 +124,11 @@ def test_evaluate_metric_definitions():
     model = make_model(spec, w.ravel())
     test = Dataset(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]]),
                    np.array([0, 1, 2, 2]), "classification", 3)
-    assert _evaluate_fast(model, test, 0.5, 1.0) == {
+    assert evaluate(model, test, 0.5, 1.0) == {
         "coverage": 0.5, "efficiency": 1.0, "informativeness": 1.0}
     regression = Dataset(np.array([[0.0], [2.0]]), np.array([1.0, 5.0]),
                          "regression")
-    out = _evaluate_fast(linear_model([1.0]), regression, 1.0, 1.0)
+    out = evaluate(linear_model([1.0]), regression, 1.0, 1.0)
     assert out["coverage"] == 0.5
     assert out["efficiency"] == pytest.approx(2.0)
     assert out["informativeness"] is None
@@ -130,7 +138,7 @@ def test_monotone_nesting_in_qhat():
     model = softmax_model(k=5, d=4, params=RNG.standard_normal(20))
     test = gen_multiclass(200, 4, 5, 1.0, 0.0, seed=4)
     grid = [0.0, 0.2, 0.4, 0.6, 0.8, 0.9, 1.0, math.inf]
-    sizes = [_evaluate_fast(model, test, q, 1.0)["efficiency"] for q in grid]
+    sizes = [evaluate(model, test, q, 1.0)["efficiency"] for q in grid]
     assert sizes == sorted(sizes)
     assert sizes[-1] == 5.0
 
@@ -143,10 +151,10 @@ def test_evaluate_fast_matches_set_construction():
     reg_test = Dataset(RNG.standard_normal((200, 2)), RNG.standard_normal(200),
                        "regression")
     for q_hat in (0.0, 0.3, 0.7, 0.95, math.inf):
-        fast = _evaluate_fast(classifier, class_test, q_hat, 1.0)
+        fast = evaluate(classifier, class_test, q_hat, 1.0)
         assert fast == pytest.approx(
             per_row_metrics(classifier, class_test, q_hat, 1.0))
-        fast = _evaluate_fast(regressor, reg_test, q_hat, 3.0)
+        fast = evaluate(regressor, reg_test, q_hat, 3.0)
         assert fast == pytest.approx(
             per_row_metrics(regressor, reg_test, q_hat, 3.0))
 
@@ -155,7 +163,7 @@ def test_evaluate_fast_regression_width_rescaled():
     model = linear_model([0.5, -0.2])
     test = Dataset(RNG.standard_normal((50, 2)), RNG.standard_normal(50),
                    "regression")
-    out = _evaluate_fast(model, test, 0.3, target_scale=4.0)
+    out = evaluate(model, test, 0.3, target_scale=4.0)
     assert out["efficiency"] == pytest.approx(2 * 0.3 * 4.0)
 
 
@@ -273,3 +281,32 @@ def test_regression_pipeline_widths_on_original_scale():
     assert report.efficiency == pytest.approx(2 * report.q_hat * scale)
     assert report.coverage >= 0.8
     assert report.informativeness is None
+
+
+def test_train_target_names_the_shared_model():
+    budget = BudgetSpec(2.0, 1e-5, 0.25)
+    assert train_target("dpscp_f", budget) == (False, 0.5)
+    assert train_target("dpscp_a", budget) == (False, 0.5)
+    assert train_target("dp_split", budget) == (True, 2.0)
+    assert train_target("split_cp", budget) == (True, None)
+    assert train_target("naive_full", budget) == (False, None)
+    with pytest.raises(ValueError):
+        train_target("nope", budget)
+
+
+def test_one_train_stage_finishes_every_method_that_shares_it(
+        class_pool_test):
+    pool, test = class_pool_test
+    for methods in (("dpscp_f", "dpscp_a"), ("split_cp",), ("naive_full",),
+                    ("dp_split",)):
+        configs = [tiny_pipeline_config(m, pool.n) for m in methods]
+        stage = train_stage(pool, test, configs[0], seed=11)
+        for cfg in configs:
+            assert finish_stage(stage, cfg) == run_pipeline(pool, test, cfg,
+                                                            seed=11)
+    stage = train_stage(pool, test, tiny_pipeline_config("dpscp_f", pool.n),
+                        seed=11)
+    for other in (tiny_pipeline_config("dp_split", pool.n),
+                  tiny_pipeline_config("dpscp_a", pool.n, epsilon=2.0)):
+        with pytest.raises(ValueError, match="trains another model"):
+            finish_stage(stage, other)

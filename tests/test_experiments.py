@@ -1,10 +1,13 @@
 import csv
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+from dpconformal import conformal, experiments
+from dpconformal.cli import main
 from dpconformal.experiments import (ExperimentConfig, RESULT_COLUMNS,
                                      SERIES_COLUMNS, load_config,
                                      run_experiment, s5_quantile_fixtures,
@@ -26,6 +29,16 @@ def tiny_scaling_config(tmp_path=None, trials=2, **kw):
         base["output"] = str(tmp_path / "results.csv")
     base.update(kw)
     return ExperimentConfig(**base)
+
+
+def write_regression_csv(path, rows=400, seed=12):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((rows, 3))
+    y = x @ np.array([2.0, -1.0, 0.5]) + 0.2 * rng.standard_normal(rows)
+    with open(path, "w") as fh:
+        fh.write("f0,f1,f2,target\n")
+        for row, target in zip(x, y):
+            fh.write(",".join(f"{v:.8f}" for v in row) + f",{target:.8f}\n")
 
 
 def read_rows(path):
@@ -134,14 +147,8 @@ def test_failed_trial_becomes_failed_row(tmp_path):
 
 
 def test_realdata_experiment_runs_from_csv(tmp_path):
-    rng = np.random.default_rng(12)
-    x = rng.standard_normal((400, 3))
-    y = x @ np.array([2.0, -1.0, 0.5]) + 0.2 * rng.standard_normal(400)
     path = tmp_path / "housing.csv"
-    with open(path, "w") as fh:
-        fh.write("f0,f1,f2,target\n")
-        for row, target in zip(x, y):
-            fh.write(",".join(f"{v:.8f}" for v in row) + f",{target:.8f}\n")
+    write_regression_csv(path)
     cfg = ExperimentConfig(
         experiment="realdata", trials=2, seed=9, epsilons=(2.0,),
         allocations=(0.5,), methods=("split_cp", "dpscp_a"),
@@ -243,3 +250,109 @@ def test_config_validation():
         ExperimentConfig(experiment="scaling", methods=("bogus",))
     with pytest.raises(ValueError):
         ExperimentConfig(experiment="scaling", trials=0)
+
+
+ALL_METHODS = ("dpscp_f", "dpscp_a", "dp_split", "split_cp", "naive_full")
+
+
+def counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that counts its calls."""
+    calls = []
+    real = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_each_distinct_model_trains_once_per_trial(tmp_path, monkeypatch):
+    # p * eps is 0.15, 0.25, 0.3 and 0.5: four distinct dpscp targets.
+    cfg = tiny_scaling_config(
+        tmp_path, methods=ALL_METHODS, epsilons=(0.5, 1.0),
+        allocations=(0.3, 0.5),
+        train={"model": "softmax_linear", "epochs": 2, "batch_size": 32,
+               "learning_rate": 0.05, "clip_norm": 1.0})
+    calls = counting(monkeypatch, conformal, "dp_sgd_train")
+    rows = run_experiment(cfg)
+    # Per trial: 4 dpscp_f/dpscp_a models, 2 dp_split, split_cp, naive_full.
+    assert len(calls) == 2 * 8
+    monkeypatch.undo()
+    assert sum(r["status"] == "ok" for r in rows) == 2 * 2 * 5 * 2
+    # Oracle: the same cell in a sweep of its own, where no model is shared.
+    for first in rows[::4]:
+        cell = [r for r in rows if all(
+            r[col] == first[col] for col in ("method", "epsilon", "p"))]
+        alone = dataclasses.replace(
+            cfg, epsilons=(float(first["epsilon"]),),
+            allocations=(float(first["p"]),), methods=(first["method"],),
+            output=None)
+        assert cell == run_experiment(alone)
+
+    results = (tmp_path / "results.csv").read_bytes()
+    series = (tmp_path / "results_series.csv").read_bytes()
+    assert run_experiment(cfg, jobs=2) == rows
+    assert (tmp_path / "results.csv").read_bytes() == results
+    assert (tmp_path / "results_series.csv").read_bytes() == series
+
+
+def test_failed_finish_leaves_the_cell_sharing_its_model_ok(tmp_path):
+    # A buffer of 10**6 overflows the rank of dpscp_f only; dpscp_a, which
+    # shares its model, ignores the buffer.
+    cfg = tiny_scaling_config(methods=("dpscp_f", "dpscp_a"),
+                              quantile={"buffer": 10**6})
+    rows = run_experiment(cfg)
+    assert [r["status"] for r in rows if r["method"] == "dpscp_f"] == [
+        "failed:RankOverflowError"] * 2 + ["aggregate"] * 2
+    alone = run_experiment(dataclasses.replace(cfg, methods=("dpscp_a",)))
+    assert [r for r in rows if r["method"] == "dpscp_a"] == alone
+    assert alone[0]["status"] == "ok"
+
+
+def test_realdata_csv_parsed_once_per_file_version(tmp_path, monkeypatch):
+    path = tmp_path / "data.csv"
+    write_regression_csv(path, rows=300, seed=1)
+    cfg = ExperimentConfig(
+        experiment="realdata", trials=2, seed=4, epsilons=(1.0, 2.0),
+        allocations=(0.5,), methods=("dpscp_a", "split_cp"),
+        csv_source={"path": str(path), "label_column": 3, "task": "regression"},
+        train={"model": "linear_regression", "epochs": 2, "batch_size": 32,
+               "learning_rate": 0.05, "clip_norm": 1.0},
+    )
+    loads = counting(monkeypatch, experiments, "load_csv")
+    first = run_experiment(cfg)
+    assert len(loads) == 1
+    assert run_experiment(cfg) == first
+    assert len(loads) == 1
+
+    # Rewritten in place: the next run must read the new rows.
+    write_regression_csv(path, rows=360, seed=2)
+    second = run_experiment(cfg)
+    assert len(loads) == 2
+    fresh = tmp_path / "fresh.csv"
+    write_regression_csv(fresh, rows=360, seed=2)
+    expected = run_experiment(dataclasses.replace(
+        cfg, csv_source={**cfg.csv_source, "path": str(fresh)}))
+    assert second == expected
+    assert second != first
+
+    # A file that fails to parse fails every trial the same way.
+    path.write_text("f0,f1,f2,target\n1,2,x,4\n")
+    rows = run_experiment(cfg)
+    assert {r["status"] for r in rows if r["seed"]} == {
+        "failed:CsvParseError"}
+
+
+def test_jobs_below_one_rejected(tmp_path, capsys):
+    cfg = tiny_scaling_config(trials=1)
+    for jobs in (0, -2):
+        with pytest.raises(ValueError, match="jobs"):
+            run_experiment(cfg, jobs=jobs)
+        with pytest.raises(SystemExit) as exc:
+            main(["quantile-demo", "--jobs", str(jobs),
+                  "--out", str(tmp_path / "demo.csv")])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+    assert not (tmp_path / "demo.csv").exists()
