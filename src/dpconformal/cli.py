@@ -162,7 +162,7 @@ def main(argv=None) -> int:
     cal.add_argument("--epsilon", type=float, required=True)
     cal.add_argument("--delta", type=float, default=1e-5)
     cal.add_argument("--allocation", type=float, default=0.5)
-    cal.add_argument("--queries", type=int, default=20)
+    cal.add_argument("--queries", type=_positive_int, default=20)
     cal.add_argument("--sgd-sigma", type=float, default=1.0,
                      help="training noise multiplier")
     cal.add_argument("--sgd-rate", type=float, default=0.01,

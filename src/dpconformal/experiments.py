@@ -104,8 +104,10 @@ class ExperimentConfig:
                 raise ValueError(f"unknown methods {bad}")
             if not self.methods or not self.epsilons or not self.allocations:
                 raise ValueError("grid lists must be nonempty")
-        if self.experiment in ("scaling", "stability") and not self.sample_sizes:
-            raise ValueError(f"{self.experiment} needs a sample size")
+        if self.experiment == "scaling" and not self.sample_sizes:
+            raise ValueError("scaling needs a sample size")
+        if self.experiment == "stability" and len(self.sample_sizes) != 1:
+            raise ValueError("stability takes exactly one sample size")
 
 
 _CONFIG_KEYS = {

@@ -16,11 +16,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
-
-from ._normal import normal_ppf
 
 __all__ = ["QuantileConfig", "QuantileResult", "RankOverflowError",
            "SearchStep", "buffered_right_search", "empirical_count",
@@ -138,7 +137,7 @@ def noise_correction_tau(sigma_q: float, beta: float, steps_n: int) -> float:
     if sigma_q == 0.0:
         return -1.0
     # Phi^{-1}(1 - u) = -Phi^{-1}(u); evaluate at u for tail precision.
-    return sigma_q * (-normal_ppf(beta / steps_n)) - 1.0
+    return sigma_q * (-NormalDist().inv_cdf(beta / steps_n)) - 1.0
 
 
 def stability_buffer(n: int, fbar: float, lipschitz_l: float, u_n: float,

@@ -4,16 +4,17 @@ coupling that trains two runs on adjacent datasets in lockstep.
 
 Randomness discipline: one root seed expands into three named streams
 (shared inclusion masks, Gaussian noise, extra-point inclusions). The
-coupled runner consumes the first two streams identically for both
-trajectories, so the runs are bitwise equal until the extra point is
-sampled for the first time.
+standalone trainer and the coupled runner read the first two streams through
+one per-step source, so a coupled run sees exactly the batches and noise of
+the standalone run, and its two trajectories are bitwise equal until the
+extra point is sampled for the first time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -39,7 +40,6 @@ class TrainConfig:
     clip_norm: float
     noise_multiplier: float = 0.0
     projection_radius: float | None = None
-    empty_batch_policy: str = "skip"
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -55,8 +55,6 @@ class TrainConfig:
             raise ValueError("noise_multiplier must be nonnegative")
         if self.projection_radius is not None and self.projection_radius <= 0.0:
             raise ValueError("projection_radius must be positive")
-        if self.empty_batch_policy not in ("skip", "resample"):
-            raise ValueError("empty_batch_policy must be 'skip' or 'resample'")
 
 
 @dataclass(frozen=True)
@@ -157,6 +155,22 @@ def _spawn_streams(seed: int) -> tuple[np.random.Generator, ...]:
     return tuple(np.random.Generator(np.random.PCG64(s)) for s in root.spawn(4))
 
 
+def _draws(
+    n: int,
+    p: int,
+    config: TrainConfig,
+    mask_rng: np.random.Generator,
+    noise_rng: np.random.Generator,
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Each step's Poisson batch indices over ``n`` rows and its standard
+    normal noise vector of length ``p``, one mask draw and one noise draw per
+    step. An empty batch is yielded as is: the accounting assumes plain
+    Poisson sampling at ``config.sampling_rate``, so it is never redrawn."""
+    for t in range(config.steps):
+        idx = poisson_sample(n, config.sampling_rate, mask_rng)
+        yield t, idx, noise_rng.standard_normal(p)
+
+
 def _batch_update(
     spec: ModelSpec,
     params: np.ndarray,
@@ -209,12 +223,7 @@ def dp_sgd_train(
     p = param_count(spec)
     mask_rng, noise_rng, _, init_rng = _spawn_streams(config.seed)
     params = init_params(spec, init_rng)
-    for t in range(config.steps):
-        idx = poisson_sample(n, config.sampling_rate, mask_rng)
-        if config.empty_batch_policy == "resample":
-            while idx.size == 0:
-                idx = poisson_sample(n, config.sampling_rate, mask_rng)
-        noise = noise_rng.standard_normal(p)
+    for t, idx, noise in _draws(n, p, config, mask_rng, noise_rng):
         if idx.size == 0:
             continue
         params = _batch_update(spec, params, x[idx], y[idx], noise, config, t,
@@ -262,21 +271,11 @@ def coupled_train(
         errors[0] = float(np.linalg.norm(theta_a - theta_star))
     first_divergence: int | None = None
 
-    for t in range(config.steps):
-        idx = poisson_sample(n, config.sampling_rate, mask_rng)
+    for t, idx, noise in _draws(n, p, config, mask_rng, noise_rng):
         if extra_schedule is not None:
             extra_in = bool(extra_schedule[t])
         else:
             extra_in = bool(extra_rng.random() < config.sampling_rate)
-        if config.empty_batch_policy == "resample":
-            # Rerun the sampler until the shared batch is nonempty, redrawing
-            # the extra flag alongside so both runs stay synchronized.
-            while idx.size == 0:
-                idx = poisson_sample(n, config.sampling_rate, mask_rng)
-                if extra_schedule is None:
-                    extra_in = bool(extra_rng.random() < config.sampling_rate)
-        noise = noise_rng.standard_normal(p)
-
         if extra_in and first_divergence is None:
             first_divergence = t
         if idx.size > 0:

@@ -250,6 +250,10 @@ def test_config_validation():
         ExperimentConfig(experiment="scaling", methods=("bogus",))
     with pytest.raises(ValueError):
         ExperimentConfig(experiment="scaling", trials=0)
+    # the stability study runs exactly one n
+    for sizes in ((), (50, 400)):
+        with pytest.raises(ValueError, match="one sample size"):
+            ExperimentConfig(experiment="stability", sample_sizes=sizes)
 
 
 ALL_METHODS = ("dpscp_f", "dpscp_a", "dp_split", "split_cp", "naive_full")
@@ -356,3 +360,11 @@ def test_jobs_below_one_rejected(tmp_path, capsys):
         assert exc.value.code == 2
         assert "--jobs" in capsys.readouterr().err
     assert not (tmp_path / "demo.csv").exists()
+
+
+def test_calibrate_queries_below_one_rejected(capsys):
+    for queries in ("0", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            main(["calibrate", "--epsilon", "1.0", "--queries", queries])
+        assert exc.value.code == 2
+        assert "--queries" in capsys.readouterr().err

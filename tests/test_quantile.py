@@ -45,6 +45,16 @@ def test_noise_correction_tau_values():
     assert noise_correction_tau(0.0, 0.1, 10) == -1.0
     beta_over_n = 1.0 - norm.cdf(2.0)
     assert noise_correction_tau(2.0, beta_over_n, 1) == pytest.approx(3.0, abs=1e-9)
+    # beta/N = 0.05/20, the value every default config uses.
+    assert noise_correction_tau(1.0, 0.05, 20) == 2.8070337683438042 - 1.0
+    for beta, steps_n in ((0.05, 20), (1e-5, 10), (1e-11, 10), (0.3, 1)):
+        z = norm.ppf(1.0 - beta / steps_n)
+        for sigma in (0.5, 3.0):
+            # 1 - beta/N rounds to a double, which moves the reference
+            # quantile by up to eps / phi(z).
+            tol = 1e-12 + sigma * np.finfo(float).eps / norm.pdf(z)
+            assert noise_correction_tau(sigma, beta, steps_n) == pytest.approx(
+                sigma * z - 1.0, abs=tol)
     with pytest.raises(ValueError):
         noise_correction_tau(1.0, 0.99, 1) and noise_correction_tau(1.0, 2.0, 1)
 
