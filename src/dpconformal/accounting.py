@@ -102,6 +102,19 @@ def _log_binom(n: int, k: int) -> float:
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
+@lru_cache(maxsize=None)
+def _sigma_free_terms(a: int, rate_q: float) -> tuple[float, ...]:
+    """The sigma-free prefix log C(a, k) + k log q + (a - k) log(1 - q) of
+    each term of the order-a bound, summed left to right as the full term
+    is, so adding the sigma part gives the same float. A noise calibration
+    probes many sigmas at one (order, rate); this computes the prefix once.
+    """
+    log_q = math.log(rate_q)
+    log_1mq = math.log1p(-rate_q)
+    return tuple(_log_binom(a, k) + k * log_q + (a - k) * log_1mq
+                 for k in range(a + 1))
+
+
 def _logsumexp(terms: Iterable[float]) -> float:
     terms = list(terms)
     m = max(terms)
@@ -144,11 +157,9 @@ def rdp_subsampled_gaussian(order: int, sigma: float, rate_q: float) -> float:
     if rate_q == 1.0:
         return rdp_gaussian(a, sigma)
     inv2s2 = 1.0 / (2.0 * sigma**2)
-    log_q = math.log(rate_q)
-    log_1mq = math.log1p(-rate_q)
     terms = [
-        _log_binom(a, k) + k * log_q + (a - k) * log_1mq + (k * k - k) * inv2s2
-        for k in range(a + 1)
+        base + (k * k - k) * inv2s2
+        for k, base in enumerate(_sigma_free_terms(a, rate_q))
     ]
     return max(_logsumexp(terms), 0.0) / (a - 1)
 

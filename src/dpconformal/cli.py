@@ -12,7 +12,8 @@ import argparse
 import dataclasses
 import sys
 
-from .accounting import (BudgetSpec, SgdAccountingRecord, calibrate_sigma_q,
+from .accounting import (BudgetSpec, InfeasibleBudgetError,
+                         SgdAccountingRecord, calibrate_sigma_q,
                          default_orders, gaussian_profile, rdp_compose,
                          rdp_to_eps, sgd_profile)
 from .experiments import ExperimentConfig, load_config, run_experiment
@@ -68,11 +69,26 @@ _DESK_DEFAULTS = {
 }
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _ranged(convert, ok, what: str):
+    """An argparse type that converts the text and then requires ``ok``, so
+    an out-of-range value is a usage error rather than a traceback."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {value}")
+        return value
+    # argparse names the type in its "invalid <type> value" message.
+    parse.__name__ = convert.__name__
+    return parse
+
+
+# Each comparison is False for NaN, which is therefore rejected too.
+_positive_int = _ranged(int, lambda v: v >= 1, ">= 1")
+_nonnegative_int = _ranged(int, lambda v: v >= 0, ">= 0")
+_positive_float = _ranged(float, lambda v: v > 0.0, "> 0")
+_nonnegative_float = _ranged(float, lambda v: v >= 0.0, ">= 0")
+_unit_float = _ranged(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+_open_unit_float = _ranged(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
 
 
 def _experiment_parser(sub, name: str, help_text: str) -> None:
@@ -159,20 +175,23 @@ def main(argv=None) -> int:
 
     cal = sub.add_parser("calibrate",
                          help="calibrate quantile noise against a budget")
-    cal.add_argument("--epsilon", type=float, required=True)
-    cal.add_argument("--delta", type=float, default=1e-5)
-    cal.add_argument("--allocation", type=float, default=0.5)
+    cal.add_argument("--epsilon", type=_positive_float, required=True)
+    cal.add_argument("--delta", type=_open_unit_float, default=1e-5)
+    cal.add_argument("--allocation", type=_open_unit_float, default=0.5)
     cal.add_argument("--queries", type=_positive_int, default=20)
-    cal.add_argument("--sgd-sigma", type=float, default=1.0,
+    cal.add_argument("--sgd-sigma", type=_nonnegative_float, default=1.0,
                      help="training noise multiplier")
-    cal.add_argument("--sgd-rate", type=float, default=0.01,
+    cal.add_argument("--sgd-rate", type=_unit_float, default=0.01,
                      help="training sampling rate")
-    cal.add_argument("--sgd-steps", type=int, default=0,
+    cal.add_argument("--sgd-steps", type=_nonnegative_int, default=0,
                      help="training steps (0 = no training stage)")
 
     args = parser.parse_args(argv)
     if args.command == "calibrate":
-        return _cmd_calibrate(args)
+        try:
+            return _cmd_calibrate(args)
+        except InfeasibleBudgetError as exc:
+            cal.error(str(exc))
     return _cmd_experiment(args)
 
 

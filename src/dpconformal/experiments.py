@@ -15,13 +15,13 @@ random draws (the generators are prefix-stable in n), which pairs the
 sweep's comparisons.
 
 The unit of work is one distinct training: a (data cell, trial, training
-key) task builds and standardizes the pool and test split once, runs
+key) task takes the standardized pool and test split, runs
 ``conformal.train_stage`` once and ``conformal.finish_stage`` for every grid
 cell whose method has the same ``train_target`` (so ``dpscp_f`` and
 ``dpscp_a`` share a model, and ``split_cp`` and ``naive_full`` train once per
 data cell and trial). Stability and quantile-demo cells are tasks of one
-cell. A realdata CSV is parsed once per process for each version of the
-file.
+cell. A scaling data cell is generated and standardized once per process,
+and a realdata CSV is parsed once per process for each version of the file.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ from .conformal import (METHODS, PipelineConfig, finish_stage, train_stage,
                         train_target)
 # Not called here: bench/layers.py wraps experiments.run_pipeline by name.
 from .conformal import run_pipeline  # noqa: F401
-from .data import (apply_standardizer, fit_standardizer, gen_logistic,
-                   gen_multiclass, load_csv)
+from .data import (StandardizationStats, apply_standardizer,
+                   fit_standardizer, gen_logistic, gen_multiclass, load_csv)
 from .models import CLASSIFICATION, REGRESSION, Dataset, ModelSpec
 from .quantile import QuantileConfig, buffered_right_search, midpoint_search
 from .training import TrainConfig, coupled_train
@@ -211,13 +211,18 @@ def _failed(row: dict, exc: Exception) -> tuple[dict, list]:
     return {**row, "status": f"failed:{type(exc).__name__}"}, []
 
 
-def _pipeline_group(config: ExperimentConfig, rows: list[dict], pool: Dataset,
-                    test: Dataset) -> list[tuple[dict, list]]:
-    """Standardize on the pool, train the model the rows' cells share once,
-    and finish every cell from it; a cell whose finish fails fails alone."""
+def _standardized(pool: Dataset, test: Dataset
+                  ) -> tuple[Dataset, Dataset, StandardizationStats]:
+    """Pool and test standardized with statistics fitted on the pool."""
     stats = fit_standardizer(pool)
-    pool = apply_standardizer(stats, pool)
-    test = apply_standardizer(stats, test)
+    return apply_standardizer(stats, pool), apply_standardizer(stats, test), stats
+
+
+def _pipeline_group(config: ExperimentConfig, rows: list[dict], pool: Dataset,
+                    test: Dataset, stats: StandardizationStats
+                    ) -> list[tuple[dict, list]]:
+    """Train the model the rows' cells share once on the standardized pool,
+    and finish every cell from it; a cell whose finish fails fails alone."""
     train = config.train
     epochs = int(train.get("epochs", 50))
     batch = int(train.get("batch_size", 32))
@@ -262,32 +267,42 @@ def _pipeline_group(config: ExperimentConfig, rows: list[dict], pool: Dataset,
     return out
 
 
-def _scaling_data(config: ExperimentConfig, n: int,
-                  trial_seed: int) -> tuple[Dataset, Dataset]:
-    """Pool and test for one trial.
+# Tasks run each training key for every trial in turn, so the tasks of one
+# (n, trial) lie up to (sample sizes x trials) data cells apart. 32 cells hold
+# the desk grid (2 x 10) and every trial of the paper's 30 at one n, at most
+# about 90 MB at n = 30000.
+@lru_cache(maxsize=32)
+def _scaling_data(generator: tuple, n: int, trial_seed: int
+                  ) -> tuple[Dataset, Dataset, StandardizationStats]:
+    """Standardized pool and test for one (n, trial), with the statistics.
 
     Both come from a single generator draw so that they share the same class
     centroids; the test block comes first, making it identical across the
-    n-grid, while pools at growing n are nested prefixes.
+    n-grid, while pools at growing n are nested prefixes. Every task of the
+    process with this data cell reads the one copy.
     """
-    gen = config.generator
-    d = int(gen.get("dim", 10))
-    k = int(gen.get("classes", 5))
-    sep = float(gen.get("class_sep", 0.6))
-    flip = float(gen.get("flip_y", 0.01))
-    test_size = int(gen.get("test_size", 2000))
+    d, k, sep, flip, test_size = generator
     data_seed = int(np.random.SeedSequence(trial_seed).spawn(1)[0]
                     .generate_state(1)[0])
     both = gen_multiclass(test_size + n, d, k, sep, flip, data_seed)
-    test = both.subset(np.arange(test_size))
-    pool = both.subset(np.arange(test_size, test_size + n))
-    return pool, test
+    pool, test, stats = _standardized(
+        both.subset(np.arange(test_size, test_size + n)),
+        both.subset(np.arange(test_size)))
+    for data in (pool, test):
+        data.features.flags.writeable = False
+        data.labels.flags.writeable = False
+    return pool, test, stats
 
 
 def _run_scaling_trial(config: ExperimentConfig,
                        rows: list[dict]) -> list[tuple[dict, list]]:
-    pool, test = _scaling_data(config, rows[0]["n"], rows[0]["seed"])
-    return _pipeline_group(config, rows, pool, test)
+    gen = config.generator
+    generator = (int(gen.get("dim", 10)), int(gen.get("classes", 5)),
+                 float(gen.get("class_sep", 0.6)),
+                 float(gen.get("flip_y", 0.01)),
+                 int(gen.get("test_size", 2000)))
+    data = _scaling_data(generator, rows[0]["n"], rows[0]["seed"])
+    return _pipeline_group(config, rows, *data)
 
 
 @lru_cache(maxsize=1)
@@ -320,9 +335,9 @@ def _run_realdata_trial(config: ExperimentConfig,
         np.random.SeedSequence(rows[0]["seed"]).spawn(1)[0]))
     perm = rng.permutation(full.n)
     n_test = max(1, int(math.floor(test_fraction * full.n)))
-    test = full.subset(perm[:n_test])
-    pool = full.subset(perm[n_test:])
-    return _pipeline_group(config, rows, pool, test)
+    pool, test, stats = _standardized(full.subset(perm[n_test:]),
+                                      full.subset(perm[:n_test]))
+    return _pipeline_group(config, rows, pool, test, stats)
 
 
 def _run_stability_trial(config: ExperimentConfig,

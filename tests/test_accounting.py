@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy.stats import norm
 
+from dpconformal import accounting
 from dpconformal.accounting import (BudgetSpec, GridMismatchError,
                                     InfeasibleBudgetError, RdpProfile,
                                     SgdAccountingRecord,
@@ -200,6 +201,73 @@ def test_calibrate_sigma_sgd_meets_target():
     assert rdp_to_eps(sgd_profile(rec), 1e-5) <= 1.0
     rec_small = SgdAccountingRecord(0.9 * sigma, 0.05, 500)
     assert rdp_to_eps(sgd_profile(rec_small), 1e-5) > 1.0
+
+
+def _oracle_rdp_subsampled(a: int, sigma: float, q: float) -> float:
+    """The direct term formula, each term summed in one expression."""
+    inv2s2 = 1.0 / (2.0 * sigma**2)
+    log_q = math.log(q)
+    log_1mq = math.log1p(-q)
+    terms = [
+        (math.lgamma(a + 1) - math.lgamma(k + 1) - math.lgamma(a - k + 1))
+        + k * log_q + (a - k) * log_1mq + (k * k - k) * inv2s2
+        for k in range(a + 1)
+    ]
+    m = max(terms)
+    return max(m + math.log(math.fsum(math.exp(t - m) for t in terms)),
+               0.0) / (a - 1)
+
+
+@pytest.mark.parametrize("q", [1e-4, 0.01, 0.1, 0.5, 0.99])
+def test_rdp_subsampled_bit_equal_to_direct_formula(q):
+    for a in (2, 3, 17, 64, 128, 256):
+        for sigma in (0.3, 1.0, 7.5):
+            assert rdp_subsampled_gaussian(a, sigma, q) == \
+                _oracle_rdp_subsampled(a, sigma, q)
+
+
+def test_calibrate_sigma_sgd_bit_equal_on_the_calib_sweep_grid():
+    # The calib_sweep benchmark grid: dpscp_f trains 10 steps at q = 0.1
+    # for each of its 18 distinct p * eps targets.
+    orders = default_orders()
+    for eps in (0.3, 0.7, 1.1, 1.7, 2.3, 3.1):
+        for p in (0.25, 0.5, 0.75):
+            target = p * eps
+
+            def eps_of(sigma):
+                values = tuple(10 * _oracle_rdp_subsampled(a, sigma, 0.1)
+                               for a in orders)
+                return rdp_to_eps(RdpProfile(tuple(map(float, orders)),
+                                             values), 1e-5)
+
+            oracle = accounting._min_sigma_satisfying(
+                eps_of, target, 1e-3, "oracle")
+            assert calibrate_sigma_sgd(0.1, 10, target, 1e-5) == oracle
+
+
+def test_calibration_computes_each_binomial_term_once_per_rate(monkeypatch):
+    calls = {}
+
+    def counting(n, k):
+        calls[n, k] = calls.get((n, k), 0) + 1
+        return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+
+    calibrate_sigma_sgd.cache_clear()
+    accounting._sigma_free_terms.cache_clear()
+    monkeypatch.setattr(accounting, "_log_binom", counting)
+    try:
+        every_term = {(a, k) for a in default_orders() for k in range(a + 1)}
+        calibrate_sigma_sgd(0.1, 10, 0.5, 1e-5)
+        assert set(calls) == every_term
+        assert max(calls.values()) == 1
+        # Another target at the same rate reuses every term.
+        calibrate_sigma_sgd(0.1, 10, 1.5, 1e-5)
+        assert max(calls.values()) == 1
+        calibrate_sigma_sgd(0.05, 10, 0.5, 1e-5)
+        assert set(calls.values()) == {2}
+    finally:
+        calibrate_sigma_sgd.cache_clear()
+        accounting._sigma_free_terms.cache_clear()
 
 
 def test_budget_spec_validation():

@@ -368,3 +368,55 @@ def test_calibrate_queries_below_one_rejected(capsys):
             main(["calibrate", "--epsilon", "1.0", "--queries", queries])
         assert exc.value.code == 2
         assert "--queries" in capsys.readouterr().err
+
+
+def test_each_scaling_data_cell_built_once_per_process(monkeypatch):
+    cfg = tiny_scaling_config(
+        methods=("dpscp_f", "dpscp_a", "dp_split"), epsilons=(0.5, 1.0),
+        sample_sizes=(300, 600), allocations=(0.3, 0.5),
+        train={"model": "softmax_linear", "epochs": 2, "batch_size": 32,
+               "learning_rate": 0.05, "clip_norm": 1.0})
+    experiments._scaling_data.cache_clear()
+    calls = counting(monkeypatch, experiments, "gen_multiclass")
+    rows = run_experiment(cfg)
+    # One generation per (n, trial): 2 sizes x 2 trials.
+    assert len(calls) == 4
+    assert sum(r["status"] == "ok" for r in rows) == 3 * 2 * 2 * 2 * 2
+    # Oracle: each cell in a sweep of its own, from freshly generated data.
+    for first in rows[::4]:
+        experiments._scaling_data.cache_clear()
+        alone = dataclasses.replace(
+            cfg, epsilons=(float(first["epsilon"]),),
+            sample_sizes=(int(first["n"]),), allocations=(float(first["p"]),),
+            methods=(first["method"],))
+        assert [r for r in rows if all(
+            r[col] == first[col] for col in ("method", "epsilon", "n", "p"))
+        ] == run_experiment(alone)
+    # 24 one-cell sweeps of 2 trials each generated their own data.
+    assert len(calls) == 4 + 24 * 2
+
+    # Every task of the process reads the memoized arrays: none may write.
+    pool, test, _ = experiments._scaling_data((6, 3, 1.0, 0.01, 300), 300,
+                                              cfg.seed)
+    for array in (pool.features, pool.labels, test.features, test.labels):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--sgd-steps", "-5"], "--sgd-steps"),
+    (["--sgd-rate", "2", "--sgd-steps", "5"], "--sgd-rate"),
+    (["--delta", "0"], "--delta"),
+    (["--allocation", "1.5"], "--allocation"),
+    (["--epsilon", "-1"], "--epsilon"),
+    (["--sgd-sigma", "-1", "--sgd-steps", "3"], "--sgd-sigma"),
+    (["--sgd-sigma", "0", "--sgd-steps", "3"], "no feasible sigma_q"),
+])
+def test_calibrate_bad_arguments_are_usage_errors(args, message, capsys):
+    epsilon = [] if "--epsilon" in args else ["--epsilon", "1.0"]
+    with pytest.raises(SystemExit) as exc:
+        main(["calibrate", *epsilon, *args])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
