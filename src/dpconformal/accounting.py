@@ -322,24 +322,38 @@ def calibrate_sigma_q(
     plus calibration stays within the global budget.
 
     Raises InfeasibleBudgetError when the training profile alone already
-    exceeds the target.
+    exceeds the target. Results are memoized per process on what the
+    calibration reads: the profile, K, the budget's epsilon and delta, and
+    rel_tol. The allocation p is not read, so an empty training profile
+    (``dp_split``) calibrates once per (epsilon, delta) whatever p is. A
+    calibration that raises is not memoized.
     """
+    return _calibrate_sigma_q(train_profile, queries_k, budget.epsilon_target,
+                              budget.delta_target, rel_tol)
+
+
+# Each entry holds a profile (two tuples over the order grid); 256 entries
+# cover every distinct input of a desk or paper-scale sweep.
+@lru_cache(maxsize=256)
+def _calibrate_sigma_q(train_profile: RdpProfile, queries_k: int,
+                       epsilon_target: float, delta_target: float,
+                       rel_tol: float) -> float:
     if queries_k < 1:
         raise ValueError(f"queries_k must be >= 1, got {queries_k}")
-    eps_train = rdp_to_eps(train_profile, budget.delta_target)
-    if eps_train > budget.epsilon_target:
+    eps_train = rdp_to_eps(train_profile, delta_target)
+    if eps_train > epsilon_target:
         raise InfeasibleBudgetError(
             f"training already spends eps={eps_train:.6g} > "
-            f"target {budget.epsilon_target:.6g}; no feasible sigma_q exists"
+            f"target {epsilon_target:.6g}; no feasible sigma_q exists"
         )
     orders = train_profile.orders
 
     def eps_total(sigma_q: float) -> float:
         qt = gaussian_profile(sigma_q, orders, queries=queries_k)
-        return rdp_to_eps(rdp_compose([train_profile, qt]), budget.delta_target)
+        return rdp_to_eps(rdp_compose([train_profile, qt]), delta_target)
 
     return _min_sigma_satisfying(
-        eps_total, budget.epsilon_target, rel_tol, "calibration noise sigma_q"
+        eps_total, epsilon_target, rel_tol, "calibration noise sigma_q"
     )
 
 

@@ -19,9 +19,12 @@ key) task takes the standardized pool and test split, runs
 ``conformal.train_stage`` once and ``conformal.finish_stage`` for every grid
 cell whose method has the same ``train_target`` (so ``dpscp_f`` and
 ``dpscp_a`` share a model, and ``split_cp`` and ``naive_full`` train once per
-data cell and trial). Stability and quantile-demo cells are tasks of one
-cell. A scaling data cell is generated and standardized once per process,
-and a realdata CSV is parsed once per process for each version of the file.
+data cell and trial). One stability task is one trial: its epsilon cells
+train in one lockstep ``coupled_train`` call. Quantile-demo cells are tasks
+of one cell. A scaling data cell, and a realdata trial's standardized split,
+is built once per process, and a realdata CSV is parsed once per process for
+each version of the file. Trial runners hand their series back as compact
+``_SeriesBlock`` arrays, not per-step rows.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product, repeat
 from pathlib import Path
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -74,6 +78,16 @@ def _fmt(value) -> str:
     # Shortest round-trip form: parsing the written value recovers the exact
     # float, which keeps aggregate rows exactly recomputable from trial rows.
     return repr(float(value))
+
+
+class _SeriesBlock(NamedTuple):
+    """Series rows of one trial in compact form: for each ``steps[i]``, one
+    row per metric in order, whose value is ``values[i][j]``. ``values`` is a
+    (steps, metrics) array or nested sequence."""
+
+    metrics: tuple[str, ...]
+    steps: Sequence[int]
+    values: Sequence
 
 
 @dataclass(frozen=True)
@@ -315,36 +329,52 @@ def _parsed_csv(path: str, label_column: int, task: str, has_header: bool,
     return data
 
 
-def _read_csv(src: dict) -> Dataset:
-    """The realdata CSV, parsed at most once per process for each version of
-    the file: the memo key holds its path, mtime and size."""
+def _csv_key(src: dict) -> tuple:
+    """Memo key of the realdata CSV: its absolute path, the parse options
+    and the file's version (mtime, size), so the CSV is parsed at most once
+    per process for each version of the file."""
     path = os.path.abspath(src["path"])
     st = os.stat(path)
-    return _parsed_csv(path, int(src.get("label_column", 0)),
-                       src.get("task", REGRESSION),
-                       bool(src.get("has_header", True)),
-                       (st.st_mtime_ns, st.st_size))
+    return (path, int(src.get("label_column", 0)), src.get("task", REGRESSION),
+            bool(src.get("has_header", True)), (st.st_mtime_ns, st.st_size))
+
+
+# Bounded as _scaling_data is: the tasks of one trial lie up to (training
+# keys x trials) tasks apart.
+@lru_cache(maxsize=32)
+def _realdata_split(csv_key: tuple, test_fraction: float, trial_seed: int
+                    ) -> tuple[Dataset, Dataset, StandardizationStats]:
+    """Standardized pool and test of one trial's permuted split of the CSV,
+    with the statistics; every task of the trial reads the one copy."""
+    full = _parsed_csv(*csv_key)
+    rng = np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(trial_seed).spawn(1)[0]))
+    perm = rng.permutation(full.n)
+    n_test = max(1, int(math.floor(test_fraction * full.n)))
+    pool, test, stats = _standardized(full.subset(perm[n_test:]),
+                                      full.subset(perm[:n_test]))
+    for data in (pool, test):
+        data.features.flags.writeable = False
+        data.labels.flags.writeable = False
+    return pool, test, stats
 
 
 def _run_realdata_trial(config: ExperimentConfig,
                         rows: list[dict]) -> list[tuple[dict, list]]:
     src = config.csv_source
-    full = _read_csv(src)
-    test_fraction = float(src.get("test_fraction", 0.2))
-    rng = np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence(rows[0]["seed"]).spawn(1)[0]))
-    perm = rng.permutation(full.n)
-    n_test = max(1, int(math.floor(test_fraction * full.n)))
-    pool, test, stats = _standardized(full.subset(perm[n_test:]),
-                                      full.subset(perm[:n_test]))
-    return _pipeline_group(config, rows, pool, test, stats)
+    data = _realdata_split(_csv_key(src), float(src.get("test_fraction", 0.2)),
+                           rows[0]["seed"])
+    return _pipeline_group(config, rows, *data)
 
 
 def _run_stability_trial(config: ExperimentConfig,
                          rows: list[dict]) -> list[tuple[dict, list]]:
-    (row,) = rows
-    epsilon, n, trial_seed = row["epsilon"], row["n"], row["seed"]
-    trial = row["trial"]
+    """Every epsilon cell of one stability trial: one data draw, sigma_sgd
+    per cell, and one lockstep ``coupled_train`` over the calibrated cells.
+    The cells share the trial seed, so they share masks, noise and
+    extra-point flags and differ only in sigma_sgd. A cell whose calibration
+    or run fails fails alone."""
+    trial_seed, n = rows[0]["seed"], rows[0]["n"]
     d = int(config.generator.get("dim", 10))
     train = config.train
     rate = float(train.get("rate", 0.02))
@@ -354,36 +384,51 @@ def _run_stability_trial(config: ExperimentConfig,
     data, theta = gen_logistic(n + 1, d, data_seed)
     base = data.subset(np.arange(n))
     extra = (data.features[n], int(data.labels[n]))
-    sigma_sgd = calibrate_sigma_sgd(rate, steps, epsilon, config.delta)
-    radius = train.get("projection_radius")
-    cfg = TrainConfig(
-        learning_rate=float(train.get("learning_rate", 1e-3)),
-        steps=steps,
-        sampling_rate=rate,
-        clip_norm=float(train.get("clip_norm", 1.0)),
-        noise_multiplier=sigma_sgd,
-        projection_radius=None if radius is None else float(radius),
-        seed=trial_seed,
-    )
-    spec = ModelSpec("softmax_linear", d, 2)
-    # Embed the logistic signal symmetrically into the two-class softmax
-    # parameterization (class margins +/- theta/2 reproduce the link).
-    theta_flat = np.concatenate([-theta / 2.0, theta / 2.0])
-    schedule = None
-    if train.get("force_extra_off"):
-        schedule = np.zeros(steps, dtype=bool)
-    trace = coupled_train(base, extra, spec, cfg, theta_star=theta_flat,
-                          extra_schedule=schedule)
-    series = []
-    for t, (gap, err) in enumerate(zip(trace.gap_series, trace.error_series)):
-        series.append({"experiment": config.experiment, "trial": trial,
-                       "step": t, "metric": f"gap/eps={epsilon:g}",
-                       "value": gap})
-        series.append({"experiment": config.experiment, "trial": trial,
-                       "step": t, "metric": f"error/eps={epsilon:g}",
-                       "value": err})
-    return [({**row, "status": "ok", "sigma_q": sigma_sgd,
-              "eps_train": epsilon}, series)]
+    out: list = [None] * len(rows)
+    sigmas = {}
+    for i, row in enumerate(rows):
+        try:
+            sigmas[i] = calibrate_sigma_sgd(rate, steps, row["epsilon"],
+                                            config.delta)
+        except Exception as exc:  # an invalid epsilon fails its cell alone
+            out[i] = _failed(row, exc)
+    if not sigmas:
+        return out
+    try:
+        radius = train.get("projection_radius")
+        cfg = TrainConfig(
+            learning_rate=float(train.get("learning_rate", 1e-3)),
+            steps=steps,
+            sampling_rate=rate,
+            clip_norm=float(train.get("clip_norm", 1.0)),
+            projection_radius=None if radius is None else float(radius),
+            seed=trial_seed,
+        )
+        spec = ModelSpec("softmax_linear", d, 2)
+        # Embed the logistic signal symmetrically into the two-class softmax
+        # parameterization (class margins +/- theta/2 reproduce the link).
+        theta_flat = np.concatenate([-theta / 2.0, theta / 2.0])
+        schedule = None
+        if train.get("force_extra_off"):
+            schedule = np.zeros(steps, dtype=bool)
+        traces = coupled_train(base, extra, spec, cfg, theta_star=theta_flat,
+                               extra_schedule=schedule,
+                               noise_multipliers=list(sigmas.values()))
+    except Exception as exc:  # a failure shared by every calibrated cell
+        traces = [exc] * len(sigmas)
+    step_index = range(steps + 1)
+    for (i, sigma_sgd), trace in zip(sigmas.items(), traces):
+        row = rows[i]
+        if isinstance(trace, Exception):
+            out[i] = _failed(row, trace)
+            continue
+        epsilon = row["epsilon"]
+        block = _SeriesBlock(
+            (f"gap/eps={epsilon:g}", f"error/eps={epsilon:g}"), step_index,
+            np.column_stack([trace.gap_series, trace.error_series]))
+        out[i] = ({**row, "status": "ok", "sigma_q": sigma_sgd,
+                   "eps_train": epsilon}, [block])
+    return out
 
 
 def s5_quantile_fixtures() -> list[dict]:
@@ -417,7 +462,7 @@ def _fixture(name: str) -> dict:
 def _run_quantile_demo_trial(config: ExperimentConfig,
                              rows: list[dict]) -> list[tuple[dict, list]]:
     (row,) = rows
-    fixture_name, variant, trial = row["p"], row["method"], row["trial"]
+    fixture_name, variant = row["p"], row["method"]
     fixture = _fixture(fixture_name)
     steps = int(config.quantile.get("steps", 20))
     noise = [0.0] * steps
@@ -439,23 +484,17 @@ def _run_quantile_demo_trial(config: ExperimentConfig,
         result = buffered_right_search(fixture["scores"],
                                        QuantileConfig(variant="buffered_right",
                                                       buffer_m=0, **common))
-    series = []
-    for s in result.trace:
-        prefix = f"{fixture_name}/{variant}"
-        series.extend([
-            {"experiment": config.experiment, "trial": trial, "step": s.step,
-             "metric": f"{prefix}/mid", "value": s.mid},
-            {"experiment": config.experiment, "trial": trial, "step": s.step,
-             "metric": f"{prefix}/count", "value": s.true_count},
-            {"experiment": config.experiment, "trial": trial, "step": s.step,
-             "metric": f"{prefix}/noisy_count", "value": s.noisy_count},
-            {"experiment": config.experiment, "trial": trial, "step": s.step,
-             "metric": f"{prefix}/moved_right",
-             "value": 1.0 if s.branch == "right" else 0.0},
-        ])
-    series.append({"experiment": config.experiment, "trial": trial, "step": 0,
-                   "metric": f"{fixture_name}/target_order_stat",
-                   "value": fixture["target_order_stat"]})
+    prefix = f"{fixture_name}/{variant}"
+    series = [
+        _SeriesBlock(
+            tuple(f"{prefix}/{name}" for name in
+                  ("mid", "count", "noisy_count", "moved_right")),
+            [s.step for s in result.trace],
+            [(s.mid, s.true_count, s.noisy_count,
+              1.0 if s.branch == "right" else 0.0) for s in result.trace]),
+        _SeriesBlock((f"{fixture_name}/target_order_stat",), (0,),
+                    ((fixture["target_order_stat"],),)),
+    ]
     return [({**row, "status": "ok", "q_hat": result.q_hat,
               "sigma_q": common["sigma_q"]}, series)]
 
@@ -484,8 +523,8 @@ _TRIAL_RUNNERS = {
 def _safe_trial(config: ExperimentConfig, cells: list[tuple],
                 trial: int) -> list[tuple[dict, list]]:
     """Run one task: the grid cells of one trial that share a trained model
-    (one cell for stability and the quantile demo). A failure outside one
-    cell's finish stage fails every cell of the task."""
+    (every cell for stability, one cell for the quantile demo). A failure
+    that no single cell owns fails every cell of the task."""
     rows = [_cell_row(config, cell, trial) for cell in cells]
     try:
         return _TRIAL_RUNNERS[config.experiment](config, rows)
@@ -494,9 +533,13 @@ def _safe_trial(config: ExperimentConfig, cells: list[tuple],
 
 
 def _share_key(config: ExperimentConfig, cell: tuple, index: int):
-    """Cells of one trial with equal keys train the same model: their data
-    cell (n; the whole CSV for realdata) and ``train_target`` agree. Any
-    other cell is keyed by its own index and so runs alone."""
+    """Cells of one trial with equal keys run in one task. Scaling and
+    realdata cells share a task when they train the same model: their data
+    cell (n; the whole CSV for realdata) and ``train_target`` agree. Every
+    stability cell of a trial shares one task, which trains all of them in
+    lockstep. Any other cell is keyed by its own index and so runs alone."""
+    if config.experiment == "stability":
+        return "coupled"
     if config.experiment not in ("scaling", "realdata"):
         return index
     row = _cell_row(config, cell, 0)
@@ -584,7 +627,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
                 cell_rows.append(formatted)
                 all_rows.append(formatted)
                 writer.write_result(formatted)
-                writer.write_series(series)
+                writer.write_series(row["experiment"], row["trial"], series)
                 if len(cell_rows) == trials:
                     for agg in _aggregate_rows(cell_rows):
                         all_rows.append(agg)
@@ -607,22 +650,27 @@ class _ResultWriter:
         series = out.with_name(out.stem + "_series.csv")
         self._result_fh = open(out, "w", newline="")
         self._series_fh = open(series, "w", newline="")
-        self._result_writer = csv.DictWriter(self._result_fh,
-                                             fieldnames=RESULT_COLUMNS)
-        self._result_writer.writeheader()
-        self._series_writer = csv.DictWriter(self._series_fh,
-                                             fieldnames=SERIES_COLUMNS)
-        self._series_writer.writeheader()
+        self._result_writer = csv.writer(self._result_fh)
+        self._result_writer.writerow(RESULT_COLUMNS)
+        self._series_writer = csv.writer(self._series_fh)
+        self._series_writer.writerow(SERIES_COLUMNS)
 
     def write_result(self, row: dict) -> None:
         if self._result_fh is not None:
-            self._result_writer.writerow(row)
+            self._result_writer.writerow([row[col] for col in RESULT_COLUMNS])
 
-    def write_series(self, rows: list[dict]) -> None:
-        if self._series_fh is not None:
-            for row in rows:
-                self._series_writer.writerow(
-                    {col: _fmt(row.get(col, "")) for col in SERIES_COLUMNS})
+    def write_series(self, experiment: str, trial: int,
+                     blocks: list[_SeriesBlock]) -> None:
+        if self._series_fh is None:
+            return
+        experiment, trial = _fmt(experiment), _fmt(trial)
+        for metrics, steps, values in blocks:
+            if isinstance(values, np.ndarray):
+                values = values.tolist()
+            self._series_writer.writerows(
+                (experiment, trial, _fmt(step), metric, _fmt(value))
+                for step, row in zip(steps, values)
+                for metric, value in zip(metrics, row))
 
     def flush(self) -> None:
         if self._result_fh is not None:

@@ -105,20 +105,27 @@ def init_params(spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
 
 
 def _mlp_unpack(spec: ModelSpec, params: np.ndarray):
+    """(W, b) views per layer; a leading run axis of ``params`` is kept."""
+    lead = params.shape[:-1]
     layers = []
     pos = 0
     for fan_in, fan_out in spec.layer_dims():
-        w = params[pos:pos + fan_in * fan_out].reshape(fan_out, fan_in)
+        w = params[..., pos:pos + fan_in * fan_out].reshape(*lead, fan_out,
+                                                            fan_in)
         pos += fan_in * fan_out
-        b = params[pos:pos + fan_out]
+        b = params[..., pos:pos + fan_out]
         pos += fan_out
         layers.append((w, b))
     return layers
 
 
-def _check_params(spec: ModelSpec, params: np.ndarray) -> np.ndarray:
+def _check_params(spec: ModelSpec, params: np.ndarray,
+                  stacked: bool = False) -> np.ndarray:
+    """One flat parameter vector (P,) or, when ``stacked``, also a stack of
+    R of them (R, P)."""
     params = np.asarray(params, dtype=float)
-    if params.shape != (param_count(spec),):
+    if (params.shape[-1:] != (param_count(spec),)
+            or params.ndim > (2 if stacked else 1)):
         raise ValueError(
             f"params length {params.shape} does not match spec "
             f"({param_count(spec)} expected)"
@@ -127,12 +134,16 @@ def _check_params(spec: ModelSpec, params: np.ndarray) -> np.ndarray:
 
 
 def _mlp_forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray):
-    """Forward pass on a (b, d) batch, keeping activations for backprop."""
+    """Forward pass on a (b, d) batch, keeping activations for backprop.
+
+    With (R, P) params every activation after the input is (R, b, width);
+    each run's matmuls are the ones its own (P,) vector would make.
+    """
     layers = _mlp_unpack(spec, params)
     acts = [x]
     h = x
     for i, (w, b) in enumerate(layers):
-        z = h @ w.T + b
+        z = h @ np.swapaxes(w, -1, -2) + b[..., None, :]
         h = np.maximum(z, 0.0) if i < len(layers) - 1 else z
         acts.append(h)
     return layers, acts
@@ -149,55 +160,64 @@ def batch_loss_and_grads(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample losses (b,) and per-sample gradients (b, P).
 
+    ``params`` may also be a stack of R parameter vectors (R, P); the batch
+    is then shared and the results are (R, b) and (R, b, P). Each run's
+    values are bit-equal to those of a call with its own (P,) vector: the
+    stacked matmuls make the same BLAS call per run, and everything else is
+    elementwise or reduces along the run's own axes.
+
     Losses: half squared error for regression heads, cross-entropy for
     classifier heads.
     """
-    params = _check_params(spec, params)
+    params = _check_params(spec, params, stacked=True)
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[1] != spec.input_dim:
         raise ValueError(f"feature dim {x.shape[1]} != input_dim {spec.input_dim}")
+    lead = params.shape[:-1]
     b = x.shape[0]
+    rows = np.arange(b)
 
     if spec.kind == "linear_regression":
         y = np.asarray(y, dtype=float).reshape(b)
-        resid = x @ params - y
+        resid = (x @ params[..., None])[..., 0] - y
         losses = 0.5 * resid**2
-        grads = resid[:, None] * x
+        grads = resid[..., None] * x
         return losses, grads
 
     if spec.kind == "softmax_linear":
         yi = np.asarray(y, dtype=int).reshape(b)
-        w = params.reshape(spec.output_dim, spec.input_dim)
-        probs = _softmax(x @ w.T)
-        losses = -np.log(np.clip(probs[np.arange(b), yi], 1e-300, None))
+        w = params.reshape(*lead, spec.output_dim, spec.input_dim)
+        probs = _softmax(x @ np.swapaxes(w, -1, -2))
+        losses = -np.log(np.clip(probs[..., rows, yi], 1e-300, None))
         dz = probs
-        dz[np.arange(b), yi] -= 1.0
-        grads = np.einsum("bk,bd->bkd", dz, x).reshape(b, -1)
+        dz[..., rows, yi] -= 1.0
+        grads = np.einsum("...bk,bd->...bkd", dz, x).reshape(*lead, b, -1)
         return losses, grads
 
     layers, acts = _mlp_forward(spec, params, x)
     out = acts[-1]
     if spec.output_dim == 1:
         yf = np.asarray(y, dtype=float).reshape(b)
-        resid = out[:, 0] - yf
+        resid = out[..., 0] - yf
         losses = 0.5 * resid**2
-        delta = resid[:, None]
+        delta = resid[..., None]
     else:
         yi = np.asarray(y, dtype=int).reshape(b)
         probs = _softmax(out)
-        losses = -np.log(np.clip(probs[np.arange(b), yi], 1e-300, None))
+        losses = -np.log(np.clip(probs[..., rows, yi], 1e-300, None))
         delta = probs
-        delta[np.arange(b), yi] -= 1.0
+        delta[..., rows, yi] -= 1.0
 
     grad_chunks = [None] * (2 * len(layers))
     for i in range(len(layers) - 1, -1, -1):
         w, _ = layers[i]
         a_in = acts[i]
-        grad_chunks[2 * i] = np.einsum("bo,bi->boi", delta, a_in).reshape(b, -1)
+        grad_chunks[2 * i] = np.einsum("...bo,...bi->...boi", delta,
+                                       a_in).reshape(*lead, b, -1)
         grad_chunks[2 * i + 1] = delta
         if i > 0:
             delta = (delta @ w) * (acts[i] > 0.0)
-    return losses, np.concatenate(grad_chunks, axis=1)
+    return losses, np.concatenate(grad_chunks, axis=-1)
 
 
 def loss_and_grad(

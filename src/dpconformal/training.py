@@ -8,13 +8,17 @@ standalone trainer and the coupled runner read the first two streams through
 one per-step source, so a coupled run sees exactly the batches and noise of
 the standalone run, and its two trajectories are bitwise equal until the
 extra point is sampled for the first time.
+
+One step function advances a stack of runs that differ only in their noise
+multiplier on one shared batch, so a coupled call can carry R pairs in
+lockstep; every run keeps the bits it has when trained alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -171,40 +175,66 @@ def _draws(
         yield t, idx, noise_rng.standard_normal(p)
 
 
+def _norm(vec: np.ndarray) -> float:
+    """l2 norm of one run's vector as ``np.linalg.norm`` computes it for 1-D
+    input, sqrt of the BLAS dot, and not the per-row reduction of
+    ``norm(..., axis=-1)``, whose bits differ."""
+    return math.sqrt(vec.dot(vec))
+
+
 def _batch_update(
     spec: ModelSpec,
     params: np.ndarray,
     x_batch: np.ndarray,
     y_batch: np.ndarray,
     noise_vec: np.ndarray,
+    noise_std: np.ndarray,
     config: TrainConfig,
     step: int,
-    audit_hook: Callable[[int, np.ndarray], None] | None,
-) -> np.ndarray:
-    """One noisy clipped-mean gradient step on a nonempty batch."""
+    audit_hook: Callable[[int, np.ndarray], None] | None = None,
+) -> tuple[np.ndarray, dict[int, str]]:
+    """One noisy clipped-mean gradient step of a stack of runs on one
+    nonempty shared batch.
+
+    ``params`` is (R, P) and ``noise_std`` (R, 1) holds each run's
+    noise_multiplier * clip_norm. Returns the new (R, P) stack and, for each
+    run that failed a finiteness check, the message of the first check it
+    failed. A failed run's row is garbage; every other row is bit-equal to
+    the step that run would take alone. ``audit_hook(step, clipped_norms)``
+    observes run 0 (its one caller trains a single run).
+    """
     losses, grads = batch_loss_and_grads(spec, params, x_batch, y_batch)
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(grads, axis=1)
-    if (not np.all(np.isfinite(losses)) or not np.all(np.isfinite(grads))
-            or not np.all(np.isfinite(norms))):
-        raise NumericFailureError(f"non-finite loss or gradient at step {step}")
-    scale = np.minimum(1.0, config.clip_norm / np.maximum(norms, 1e-300))
-    clipped = grads * scale[:, None]
-    if audit_hook is not None:
-        audit_hook(step, norms * scale)
-    m = x_batch.shape[0]
-    update = (clipped.sum(axis=0)
-              + config.noise_multiplier * config.clip_norm * noise_vec) / m
-    if not np.all(np.isfinite(update)):
-        raise NumericFailureError(f"non-finite gradient update at step {step}")
-    new = params - config.learning_rate * update
-    if config.projection_radius is not None:
-        norm = float(np.linalg.norm(new))
-        if norm > config.projection_radius:
-            new = new * (config.projection_radius / norm)
-    if not np.all(np.isfinite(new)):
-        raise NumericFailureError(f"non-finite iterate at step {step}")
-    return new
+    # A failing run may overflow or make NaNs; the checks below name it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(grads, axis=-1)
+        # A finite norm implies finite gradients.
+        grads_ok = (np.isfinite(losses).all(axis=-1)
+                    & np.isfinite(norms).all(axis=-1))
+        scale = np.minimum(1.0, config.clip_norm / np.maximum(norms, 1e-300))
+        clipped = grads * scale[..., None]
+        if audit_hook is not None and grads_ok[0]:
+            audit_hook(step, norms[0] * scale[0])
+        m = x_batch.shape[0]
+        update = (clipped.sum(axis=-2) + noise_std * noise_vec) / m
+        new = params - config.learning_rate * update
+        if config.projection_radius is not None:
+            for r, row in enumerate(new):
+                norm = _norm(row)
+                if norm > config.projection_radius:
+                    new[r] = row * (config.projection_radius / norm)
+        # A non-finite update makes a non-finite iterate, projected or not.
+        new_ok = np.isfinite(new).all(axis=-1)
+    failed = {}
+    if not (grads_ok.all() and new_ok.all()):
+        update_ok = np.isfinite(update).all(axis=-1)
+        for r in range(len(new)):
+            if not grads_ok[r]:
+                failed[r] = f"non-finite loss or gradient at step {step}"
+            elif not update_ok[r]:
+                failed[r] = f"non-finite gradient update at step {step}"
+            elif not new_ok[r]:
+                failed[r] = f"non-finite iterate at step {step}"
+    return new, failed
 
 
 def dp_sgd_train(
@@ -222,15 +252,18 @@ def dp_sgd_train(
     n = dataset.n
     p = param_count(spec)
     mask_rng, noise_rng, _, init_rng = _spawn_streams(config.seed)
-    params = init_params(spec, init_rng)
+    params = init_params(spec, init_rng)[None, :]
+    noise_std = np.array([[config.noise_multiplier * config.clip_norm]])
     for t, idx, noise in _draws(n, p, config, mask_rng, noise_rng):
         if idx.size == 0:
             continue
-        params = _batch_update(spec, params, x[idx], y[idx], noise, config, t,
-                               audit_hook)
+        params, failed = _batch_update(spec, params, x[idx], y[idx], noise,
+                                       noise_std, config, t, audit_hook)
+        if failed:
+            raise NumericFailureError(failed[0])
     record = SgdAccountingRecord(config.noise_multiplier, config.sampling_rate,
                                  config.steps)
-    return TrainedModel(spec, params, (record,), config.seed)
+    return TrainedModel(spec, params[0], (record,), config.seed)
 
 
 def coupled_train(
@@ -240,14 +273,28 @@ def coupled_train(
     config: TrainConfig,
     theta_star: np.ndarray | None = None,
     extra_schedule: np.ndarray | None = None,
-) -> CouplingTrace:
+    *,
+    noise_multipliers: Sequence[float] | None = None,
+) -> CouplingTrace | list[CouplingTrace | NumericFailureError]:
     """Run DP-SGD on ``base`` and on ``base + extra_point`` in lockstep.
 
     Both trajectories share the initialization, the inclusion masks of the n
     shared points, and the Gaussian noise vectors; the extra point gets an
     independent Bernoulli(q) inclusion stream (or the boolean
     ``extra_schedule`` override, used by the tests to force exclusion).
+
+    With ``noise_multipliers``, one such pair runs per multiplier in place of
+    ``config.noise_multiplier``, all 2R trajectories advancing on each step's
+    one mask, noise vector and extra-point flag. The result is then a list
+    holding, per multiplier, the trace that a call with that multiplier
+    alone returns, bit for bit, or the ``NumericFailureError`` that such a
+    call raises; a failed run leaves the others unchanged.
     """
+    single = noise_multipliers is None
+    sigmas = [config.noise_multiplier] if single else list(noise_multipliers)
+    if not sigmas or any(s < 0.0 for s in sigmas):
+        raise ValueError("noise_multipliers must be a nonempty sequence of "
+                         "nonnegative values")
     x, y = base.features, base.labels
     n = base.n
     p = param_count(spec)
@@ -255,22 +302,29 @@ def coupled_train(
     y_extra = np.asarray([extra_point[1]])
     mask_rng, noise_rng, extra_rng, init_rng = _spawn_streams(config.seed)
     init = init_params(spec, init_rng)
-    theta_a = init.copy()
-    theta_b = init.copy()
     if extra_schedule is not None:
         extra_schedule = np.asarray(extra_schedule, dtype=bool)
         if extra_schedule.shape != (config.steps,):
             raise ValueError("extra_schedule must have one flag per step")
 
-    gaps = np.zeros(config.steps + 1)
-    errors = np.zeros(config.steps + 1) if theta_star is not None else None
+    runs = len(sigmas)
+    gaps = np.zeros((runs, config.steps + 1))
+    errors = None
     if theta_star is not None:
         theta_star = np.asarray(theta_star, dtype=float)
         if theta_star.shape != (p,):
             raise ValueError("theta_star must live in the flat parameter space")
-        errors[0] = float(np.linalg.norm(theta_a - theta_star))
+        errors = np.zeros((runs, config.steps + 1))
+        errors[:, 0] = _norm(init - theta_star)
     first_divergence: int | None = None
+    outcome: list = [None] * runs
 
+    # Row i < a of theta is live run live[i] on base, row a + i the same
+    # run on base + extra_point.
+    live = list(range(runs))
+    theta = np.tile(init, (2 * runs, 1))
+    std = np.array(sigmas, dtype=float)[:, None] * config.clip_norm
+    std_both = np.concatenate([std, std])
     for t, idx, noise in _draws(n, p, config, mask_rng, noise_rng):
         if extra_schedule is not None:
             extra_in = bool(extra_schedule[t])
@@ -278,24 +332,53 @@ def coupled_train(
             extra_in = bool(extra_rng.random() < config.sampling_rate)
         if extra_in and first_divergence is None:
             first_divergence = t
-        if idx.size > 0:
-            theta_a = _batch_update(spec, theta_a, x[idx], y[idx], noise,
-                                    config, t, None)
-        if idx.size > 0 or extra_in:
-            if extra_in:
-                xb = np.concatenate([x[idx], x_extra])
-                yb = np.concatenate([y[idx], y_extra])
-            else:
-                xb, yb = x[idx], y[idx]
-            theta_b = _batch_update(spec, theta_b, xb, yb, noise, config, t,
-                                    None)
-        gaps[t + 1] = float(np.linalg.norm(theta_a - theta_b))
+        a = len(live)
+        if not extra_in:
+            failed = {}
+            if idx.size > 0:
+                theta, failed = _batch_update(spec, theta, x[idx], y[idx],
+                                              noise, std_both, config, t)
+        else:
+            new_a, failed = theta[:a], {}
+            if idx.size > 0:
+                new_a, failed = _batch_update(spec, new_a, x[idx], y[idx],
+                                              noise, std, config, t)
+            new_b, failed_b = _batch_update(
+                spec, theta[a:], np.concatenate([x[idx], x_extra]),
+                np.concatenate([y[idx], y_extra]), noise, std, config, t)
+            theta = np.concatenate([new_a, new_b])
+            failed.update((a + i, msg) for i, msg in failed_b.items())
+        if failed:
+            # A run fails with its base trajectory's message first, as the
+            # base update runs first when it trains alone.
+            dead: dict[int, str] = {}
+            for row in sorted(failed):
+                dead.setdefault(row % a, failed[row])
+            for i, msg in dead.items():
+                outcome[live[i]] = NumericFailureError(msg)
+            keep = [i for i in range(a) if i not in dead]
+            theta = theta[keep + [a + i for i in keep]]
+            std = std[keep]
+            std_both = np.concatenate([std, std])
+            live = [live[i] for i in keep]
+            if not live:
+                break
+        gap_rows = theta[:len(live)] - theta[len(live):]
+        for i, r in enumerate(live):
+            gaps[r, t + 1] = _norm(gap_rows[i])
         if errors is not None:
-            errors[t + 1] = float(np.linalg.norm(theta_a - theta_star))
+            error_rows = theta[:len(live)] - theta_star
+            for i, r in enumerate(live):
+                errors[r, t + 1] = _norm(error_rows[i])
 
-    return CouplingTrace(
-        gap_series=gaps,
-        error_series=errors,
+    traces = [CouplingTrace(
+        gap_series=gaps[r],
+        error_series=None if errors is None else errors[r],
         diverged=first_divergence is not None,
         first_divergence_step=first_divergence,
-    )
+    ) if outcome[r] is None else outcome[r] for r in range(runs)]
+    if single:
+        if isinstance(traces[0], NumericFailureError):
+            raise traces[0]
+        return traces[0]
+    return traces

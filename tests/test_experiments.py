@@ -420,3 +420,143 @@ def test_calibrate_bad_arguments_are_usage_errors(args, message, capsys):
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+
+
+def tiny_stability_config(tmp_path=None, **kw):
+    base = dict(
+        experiment="stability", trials=2, seed=3, epsilons=(0.5, 1.0, 2.0),
+        sample_sizes=(200,), generator={"dim": 5},
+        train={"rate": 0.05, "steps": 40, "learning_rate": 0.05,
+               "clip_norm": 1.0},
+    )
+    if tmp_path is not None:
+        base["output"] = str(tmp_path / "results.csv")
+    base.update(kw)
+    return ExperimentConfig(**base)
+
+
+def cell_series(series_rows, epsilon):
+    return [r for r in series_rows if r["metric"].endswith(f"={epsilon:g}")]
+
+
+def test_stability_trial_trains_its_cells_in_one_lockstep_call(
+        tmp_path, monkeypatch):
+    cfg = tiny_stability_config(tmp_path)
+    coupled = counting(monkeypatch, experiments, "coupled_train")
+    gens = counting(monkeypatch, experiments, "gen_logistic")
+    rows = run_experiment(cfg)
+    # One data draw and one lockstep run per trial, for all three cells.
+    assert len(coupled) == 2 and len(gens) == 2
+    monkeypatch.undo()
+    assert sum(r["status"] == "ok" for r in rows) == 3 * 2
+    series = read_rows(tmp_path / "results_series.csv")
+    assert any(float(r["value"]) > 0 for r in series
+               if r["metric"].startswith("gap/"))
+    # Oracle: each cell in a sweep of its own.
+    for epsilon in cfg.epsilons:
+        alone = run_experiment(dataclasses.replace(
+            cfg, epsilons=(epsilon,), output=str(tmp_path / "alone.csv")))
+        assert [r for r in rows if r["epsilon"] == repr(epsilon)] == alone
+        assert cell_series(series, epsilon) == read_rows(
+            tmp_path / "alone_series.csv")
+
+    results = (tmp_path / "results.csv").read_bytes()
+    series_bytes = (tmp_path / "results_series.csv").read_bytes()
+    assert run_experiment(cfg, jobs=2) == rows
+    assert (tmp_path / "results.csv").read_bytes() == results
+    assert (tmp_path / "results_series.csv").read_bytes() == series_bytes
+
+    run_experiment(dataclasses.replace(
+        cfg, train={**cfg.train, "force_extra_off": True}))
+    gaps = [float(r["value"]) for r in read_rows(
+        tmp_path / "results_series.csv") if r["metric"].startswith("gap/")]
+    assert len(gaps) == 3 * 2 * 41 and all(g == 0.0 for g in gaps)
+
+
+def test_stability_cell_failures_stay_in_their_cell(tmp_path, monkeypatch):
+    # -1 fails its calibration; the 1e308 noise multiplier, handed to the
+    # epsilon = 2 cell, overflows its run. The other cells run as if alone.
+    cfg = tiny_stability_config(tmp_path, epsilons=(0.5, -1.0, 1.0, 2.0))
+    real = experiments.calibrate_sigma_sgd
+
+    def calibrate(rate, steps, epsilon, delta):
+        return 1e308 if epsilon == 2.0 else real(rate, steps, epsilon, delta)
+
+    monkeypatch.setattr(experiments, "calibrate_sigma_sgd", calibrate)
+    rows = run_experiment(cfg)
+    series = read_rows(tmp_path / "results_series.csv")
+    monkeypatch.undo()
+    status = {}
+    for r in rows:
+        if r["seed"]:
+            status.setdefault(r["epsilon"], []).append(r["status"])
+    assert status["-1.0"] == ["failed:ValueError"] * 2
+    assert status["2.0"] == ["failed:NumericFailureError"] * 2
+    assert cell_series(series, 2.0) == []
+    ok = run_experiment(dataclasses.replace(
+        cfg, epsilons=(0.5, 1.0), output=str(tmp_path / "ok.csv")))
+    assert [r for r in rows if r["epsilon"] in ("0.5", "1.0")] == ok
+    assert cell_series(series, 0.5) + cell_series(series, 1.0) == read_rows(
+        tmp_path / "ok_series.csv")
+
+
+def test_calibrate_sigma_q_computes_each_distinct_input_once(monkeypatch):
+    from dpconformal import accounting
+    cfg = tiny_scaling_config(methods=("dpscp_f", "dpscp_a", "dp_split"),
+                              allocations=(0.3, 0.5))
+    searches = []
+    real = accounting._min_sigma_satisfying
+
+    def spy(eps_of_sigma, eps_target, rel_tol, what):
+        if what == "calibration noise sigma_q":
+            searches.append(eps_target)
+        return real(eps_of_sigma, eps_target, rel_tol, what)
+
+    monkeypatch.setattr(accounting, "_min_sigma_satisfying", spy)
+    accounting._calibrate_sigma_q.cache_clear()
+    calls = counting(monkeypatch, conformal, "calibrate_sigma_q")
+    rows = run_experiment(cfg)
+    # 3 methods x 2 p x 2 trials ask; the trials share their training
+    # profiles, dpscp_f and dpscp_a share one per p, and dp_split's empty
+    # profile does not depend on p: 3 distinct inputs.
+    assert len(calls) == 12 and len(searches) == 3
+    assert sum(r["status"] == "ok" for r in rows) == 12
+
+    def uncached(profile, queries, budget, rel_tol=1e-3):
+        return accounting._calibrate_sigma_q.__wrapped__(
+            profile, queries, budget.epsilon_target, budget.delta_target,
+            rel_tol)
+
+    monkeypatch.setattr(conformal, "calibrate_sigma_q", uncached)
+    del searches[:]
+    assert run_experiment(cfg) == rows
+    assert len(searches) == 12
+
+
+def test_realdata_split_standardized_once_per_trial(tmp_path, monkeypatch):
+    path = tmp_path / "data.csv"
+    write_regression_csv(path, rows=300, seed=5)
+    cfg = ExperimentConfig(
+        experiment="realdata", trials=2, seed=9, epsilons=(1.0, 2.0),
+        allocations=(0.5,), methods=ALL_METHODS,
+        csv_source={"path": str(path), "label_column": 3, "task": "regression"},
+        train={"model": "linear_regression", "epochs": 2, "batch_size": 32,
+               "learning_rate": 0.05, "clip_norm": 1.0},
+    )
+    experiments._realdata_split.cache_clear()
+    fits = counting(monkeypatch, experiments, "fit_standardizer")
+    rows = run_experiment(cfg)
+    # Six training keys per trial, one split and fit per trial.
+    assert len(fits) == 2
+    assert sum(r["status"] == "ok" for r in rows) == 2 * 5 * 2
+    monkeypatch.setattr(experiments, "_realdata_split",
+                        experiments._realdata_split.__wrapped__)
+    assert run_experiment(cfg) == rows
+    assert len(fits) == 2 + 2 * 6
+    monkeypatch.undo()
+
+    pool, test, _ = experiments._realdata_split(
+        experiments._csv_key(cfg.csv_source), 0.2, cfg.seed)
+    for array in (pool.features, pool.labels, test.features, test.labels):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0

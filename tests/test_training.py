@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -209,6 +210,120 @@ def test_coupling_divergence_frequency_quick():
         hits += trace.gap_series[-1] > 0
     se = math.sqrt(bound * (1 - bound) / seeds)
     assert abs(hits / seeds - bound) < 3 * se
+
+
+# ---------------------------------------------------------------------------
+# Lockstep runs: one shared batch stream, R noise multipliers
+
+
+LOCKSTEP_SIGMAS = (0.0, 0.7, 3.1)
+
+
+def assert_traces_equal(got, want):
+    assert np.array_equal(got.gap_series, want.gap_series)
+    assert np.array_equal(got.error_series, want.error_series)
+    assert got.diverged == want.diverged
+    assert got.first_divergence_step == want.first_divergence_step
+
+
+@pytest.mark.parametrize("case", ["default", "projection", "all_off",
+                                  "forced"])
+def test_lockstep_coupled_runs_equal_separate_runs(case):
+    base, extra, spec, target = coupled_setup()
+    steps = 150
+    radius = 0.3 if case == "projection" else None
+    schedule = {"all_off": np.zeros(steps, dtype=bool),
+                "forced": np.arange(steps) % 9 == 4}.get(case)
+    cfg = TrainConfig(0.2, steps, 0.05, 1.0, projection_radius=radius,
+                      seed=13)
+    traces = coupled_train(base, extra, spec, cfg, theta_star=target,
+                           extra_schedule=schedule,
+                           noise_multipliers=LOCKSTEP_SIGMAS)
+    assert len(traces) == len(LOCKSTEP_SIGMAS)
+    for sigma, trace in zip(LOCKSTEP_SIGMAS, traces):
+        single = dataclasses.replace(cfg, noise_multiplier=sigma)
+        alone = coupled_train(base, extra, spec, single, theta_star=target,
+                              extra_schedule=schedule)
+        assert_traces_equal(trace, alone)
+        # The error series is the 1-D np.linalg.norm of the base run's
+        # distance to theta_star, bit for bit; a k-step run is the base run
+        # at step k. (The per-row reduction of norm(..., axis=-1) differs in
+        # the last bit for about a fifth of such vectors.)
+        for k in range(5, steps + 1, 10):
+            params = dp_sgd_train(base, spec, dataclasses.replace(
+                single, steps=k)).params
+            assert trace.error_series[k] == np.linalg.norm(params - target)
+    if case == "default":
+        assert traces[0].diverged
+        # Different noise scales really give different trajectories.
+        assert not np.array_equal(traces[1].error_series,
+                                  traces[2].error_series)
+    if case == "all_off":
+        assert all(np.all(t.gap_series == 0.0) for t in traces)
+
+
+@pytest.mark.parametrize("extra_first", [False, True])
+def test_lockstep_failed_run_fails_alone(extra_first):
+    # The 1e308 run overflows its noisy update at step 0, on the shared
+    # batch or, when the extra point is in at step 0, on both batches.
+    base, extra, spec, target = coupled_setup()
+    sigmas = (0.7, 1e308, 3.1)
+    steps = 60
+    schedule = np.arange(steps) % 7 == 0 if extra_first else None
+    cfg = TrainConfig(0.2, steps, 0.05, 1.0, seed=13)
+
+    def alone(sigma):
+        return coupled_train(base, extra, spec,
+                             dataclasses.replace(cfg, noise_multiplier=sigma),
+                             theta_star=target, extra_schedule=schedule)
+
+    traces = coupled_train(base, extra, spec, cfg, theta_star=target,
+                           extra_schedule=schedule, noise_multipliers=sigmas)
+    failure = traces[1]
+    assert isinstance(failure, NumericFailureError)
+    assert str(failure) == "non-finite gradient update at step 0"
+    with pytest.raises(NumericFailureError) as single:
+        alone(1e308)
+    assert str(single.value) == str(failure)
+    for i in (0, 2):
+        assert traces[i].diverged
+        assert_traces_equal(traces[i], alone(sigmas[i]))
+
+
+def test_lockstep_rejects_bad_multipliers():
+    base, extra, spec, _ = coupled_setup()
+    cfg = TrainConfig(0.2, 5, 0.05, 1.0, seed=1)
+    for bad in ((), (0.5, -1.0)):
+        with pytest.raises(ValueError, match="noise_multipliers"):
+            coupled_train(base, extra, spec, cfg, noise_multipliers=bad)
+
+
+@pytest.mark.parametrize("spec", [
+    ModelSpec("linear_regression", 5),
+    ModelSpec("softmax_linear", 5, 3),
+    ModelSpec("mlp", 5, 4, (8, 6)),
+    ModelSpec("mlp", 5, 1, (7,)),
+], ids=["linear_regression", "softmax_linear", "mlp_classifier",
+        "mlp_regression"])
+def test_stacked_batch_grads_equal_per_run_calls(spec):
+    # Exact equality: a BLAS whose stacked matmul changes the bits of one
+    # run must fail here, not drift silently.
+    rng = np.random.default_rng(8)
+    runs = 4
+    params = rng.standard_normal((runs, param_count(spec)))
+    for b in (1, 3, 21):
+        x = rng.standard_normal((b, spec.input_dim))
+        y = (rng.standard_normal(b) if spec.output_dim == 1
+             else rng.integers(0, spec.output_dim, b))
+        losses, grads = batch_loss_and_grads(spec, params, x, y)
+        assert losses.shape == (runs, b)
+        assert grads.shape == (runs, b, param_count(spec))
+        for r in range(runs):
+            loss_r, grad_r = batch_loss_and_grads(spec, params[r], x, y)
+            assert np.array_equal(losses[r], loss_r)
+            assert np.array_equal(grads[r], grad_r)
+    with pytest.raises(ValueError):
+        batch_loss_and_grads(spec, np.zeros((2, 2, param_count(spec))), x, y)
 
 
 # ---------------------------------------------------------------------------
