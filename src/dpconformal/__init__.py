@@ -17,12 +17,10 @@ from .data import (StandardizationStats, apply_standardizer, fit_standardizer,
                    gen_logistic, gen_multiclass, load_csv)
 from .models import Dataset, ModelSpec, loss_and_grad
 from .quantile import (QuantileConfig, QuantileResult, buffered_right_search,
-                       empirical_count, exact_conformal_quantile,
-                       midpoint_search, noise_correction_tau,
-                       stability_buffer, target_rank)
+                       exact_conformal_quantile, midpoint_search,
+                       noise_correction_tau, stability_buffer, target_rank)
 from .training import (CouplingTrace, TrainConfig, TrainedModel,
-                       clip_gradient, coupled_train, dp_sgd_train,
-                       expected_inverse_batch, poisson_sample,
+                       coupled_train, dp_sgd_train, poisson_sample,
                        stability_bound_smooth, stability_bound_universal)
 
 __version__ = "0.1.0"

@@ -123,15 +123,13 @@ def _logsumexp(terms: Iterable[float]) -> float:
     return m + math.log(math.fsum(math.exp(t - m) for t in terms))
 
 
-def rdp_gaussian(order: float, sigma: float, sensitivity: float = 1.0) -> float:
-    """RDP of the Gaussian mechanism: order * sensitivity^2 / (2 sigma^2)."""
+def rdp_gaussian(order: float, sigma: float) -> float:
+    """RDP of the Gaussian mechanism: order / (2 sigma^2)."""
     if order <= 1.0:
         raise ValueError(f"order must be > 1, got {order}")
     if sigma <= 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    if sensitivity <= 0.0:
-        raise ValueError(f"sensitivity must be positive, got {sensitivity}")
-    return order * sensitivity**2 / (2.0 * sigma**2)
+    return order / (2.0 * sigma**2)
 
 
 def rdp_subsampled_gaussian(order: int, sigma: float, rate_q: float) -> float:
@@ -167,14 +165,13 @@ def rdp_subsampled_gaussian(order: int, sigma: float, rate_q: float) -> float:
 def gaussian_profile(
     sigma: float,
     orders: Sequence[float] | None = None,
-    sensitivity: float = 1.0,
     queries: int = 1,
 ) -> RdpProfile:
     """Profile of ``queries`` composed Gaussian mechanisms at noise ``sigma``."""
     if queries < 0:
         raise ValueError(f"queries must be nonnegative, got {queries}")
     orders = default_orders() if orders is None else tuple(orders)
-    values = tuple(queries * rdp_gaussian(a, sigma, sensitivity) for a in orders)
+    values = tuple(queries * rdp_gaussian(a, sigma) for a in orders)
     return RdpProfile(tuple(float(a) for a in orders), values)
 
 
@@ -197,29 +194,24 @@ class SgdAccountingRecord:
 
 
 def sgd_profile(
-    records: SgdAccountingRecord | Sequence[SgdAccountingRecord],
+    record: SgdAccountingRecord,
     orders: Sequence[float] | None = None,
 ) -> RdpProfile:
-    """Total training RDP reconstructed from an accounting history.
+    """Training RDP of one DP-SGD run; ``rdp_compose`` adds runs together.
 
-    A record with zero noise multiplier contributes +inf at every order
-    (no privacy), except when it took no steps.
+    A zero noise multiplier gives +inf at every order (no privacy), except
+    when the run took no steps or sampled nothing.
     """
-    if isinstance(records, SgdAccountingRecord):
-        records = [records]
     orders = default_orders() if orders is None else tuple(orders)
-    values = [0.0] * len(orders)
-    for rec in records:
-        if rec.steps == 0 or rec.sampling_rate == 0.0:
-            continue
-        for i, a in enumerate(orders):
-            if rec.noise_multiplier == 0.0:
-                values[i] = math.inf
-            else:
-                values[i] += rec.steps * rdp_subsampled_gaussian(
-                    int(a), rec.noise_multiplier, rec.sampling_rate
-                )
-    return RdpProfile(tuple(float(a) for a in orders), tuple(values))
+    if record.steps == 0 or record.sampling_rate == 0.0:
+        return RdpProfile.zeros(orders)
+    if record.noise_multiplier == 0.0:
+        values = (math.inf,) * len(orders)
+    else:
+        values = tuple(record.steps * rdp_subsampled_gaussian(
+            int(a), record.noise_multiplier, record.sampling_rate)
+            for a in orders)
+    return RdpProfile(tuple(float(a) for a in orders), values)
 
 
 def rdp_compose(profiles: Sequence[RdpProfile]) -> RdpProfile:

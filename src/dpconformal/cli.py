@@ -95,8 +95,10 @@ def _experiment_parser(sub, name: str, help_text: str) -> None:
     p = sub.add_parser(name, help=help_text)
     p.add_argument("--config", help="JSON config file (overrides defaults)")
     p.add_argument("--out", help="results CSV path")
-    p.add_argument("--seed", type=int, help="base seed (trial t adds t)")
-    p.add_argument("--trials", type=int, help="trials per grid cell")
+    p.add_argument("--seed", type=_nonnegative_int,
+                   help="base seed (>= 0; trial t adds t)")
+    p.add_argument("--trials", type=_positive_int,
+                   help="trials per grid cell (>= 1)")
     p.add_argument("--jobs", type=_positive_int, default=1,
                    help="worker processes (>= 1)")
     p.add_argument("--paper-scale", action="store_true",
@@ -139,12 +141,9 @@ def _cmd_experiment(args) -> int:
 def _cmd_calibrate(args) -> int:
     budget = BudgetSpec(args.epsilon, args.delta, args.allocation)
     orders = default_orders()
-    if args.sgd_steps:
-        record = SgdAccountingRecord(args.sgd_sigma, args.sgd_rate,
-                                     args.sgd_steps)
-        train_profile = sgd_profile(record, orders)
-    else:
-        train_profile = sgd_profile((), orders)
+    # Zero steps give the zero profile: no training stage.
+    record = SgdAccountingRecord(args.sgd_sigma, args.sgd_rate, args.sgd_steps)
+    train_profile = sgd_profile(record, orders)
     eps_train = rdp_to_eps(train_profile, args.delta)
     sigma_q = calibrate_sigma_q(train_profile, args.queries, budget)
     total = rdp_to_eps(

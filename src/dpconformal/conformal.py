@@ -72,7 +72,6 @@ class EvalReport:
     q_hat: float
     sigma_q: float
     eps_train_spent: float
-    trial_seed: int
 
 
 def train_target(method: str,
@@ -105,7 +104,6 @@ class TrainedStage:
     test_scores: np.ndarray
     train_profile: RdpProfile | None
     eps_train_spent: float
-    trial_seed: int
     quant_seed: int
 
 
@@ -203,7 +201,6 @@ def train_stage(pool: Dataset, test: Dataset, config: PipelineConfig,
         test_scores=_score_matrix(model, test),
         train_profile=train_profile,
         eps_train_spent=float(eps_train_spent),
-        trial_seed=seed,
         quant_seed=quant_seed,
     )
 
@@ -227,7 +224,7 @@ def finish_stage(stage: TrainedStage, config: PipelineConfig) -> EvalReport:
             train_profile = stage.train_profile
         else:
             # Disjoint calibration half: account the search in isolation.
-            train_profile = sgd_profile((), default_orders())
+            train_profile = RdpProfile.zeros(default_orders())
         sigma_q = calibrate_sigma_q(train_profile, qt.steps_n, budget)
         if method == "dpscp_f":
             buffer_m, tau_override = qt.buffer_m, None
@@ -239,7 +236,7 @@ def finish_stage(stage: TrainedStage, config: PipelineConfig) -> EvalReport:
             buffer_m, tau_override = 0, None
         search_config = replace(qt, sigma_q=sigma_q, buffer_m=buffer_m,
                                 tau_override=tau_override, alpha=config.alpha,
-                                variant="buffered_right", seed=stage.quant_seed)
+                                seed=stage.quant_seed)
         q_hat = buffered_right_search(cal_scores, search_config).q_hat
 
     metrics = _evaluate_fast(stage.test_scores, stage.test, q_hat,
@@ -251,7 +248,6 @@ def finish_stage(stage: TrainedStage, config: PipelineConfig) -> EvalReport:
         q_hat=float(q_hat),
         sigma_q=float(sigma_q),
         eps_train_spent=stage.eps_train_spent,
-        trial_seed=stage.trial_seed,
     )
 
 

@@ -18,8 +18,7 @@ import numpy as np
 from .models import CLASSIFICATION, REGRESSION, Dataset
 
 __all__ = ["CsvParseError", "StandardizationStats", "apply_standardizer",
-           "fit_standardizer", "gen_logistic", "gen_multiclass",
-           "inverse_target", "load_csv"]
+           "fit_standardizer", "gen_logistic", "gen_multiclass", "load_csv"]
 
 logger = logging.getLogger(__name__)
 
@@ -205,8 +204,3 @@ def apply_standardizer(stats: StandardizationStats, data: Dataset) -> Dataset:
     else:
         y = data.labels
     return Dataset(x, y, data.task, data.n_classes)
-
-
-def inverse_target(stats: StandardizationStats, values: np.ndarray) -> np.ndarray:
-    """Map standardized target values back to the original scale."""
-    return np.asarray(values, dtype=float) * stats.target_sd + stats.target_mean

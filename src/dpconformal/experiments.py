@@ -67,6 +67,17 @@ _METRIC_COLUMNS = ("coverage", "efficiency", "informativeness", "q_hat",
 
 EXPERIMENTS = ("stability", "scaling", "quantile_demo", "realdata")
 
+# The keys each nested config section may hold: every key that some trial
+# runner reads from it, so that a misspelt key fails instead of being ignored.
+_SECTION_KEYS = {
+    "generator": {"dim", "classes", "class_sep", "flip_y", "test_size"},
+    "csv": {"path", "label_column", "task", "has_header", "test_fraction"},
+    "train": {"model", "hidden", "epochs", "batch_size", "learning_rate",
+              "clip_norm", "split_fraction", "rate", "steps",
+              "projection_radius", "force_extra_off"},
+    "quantile": {"steps", "beta", "buffer", "range_hi", "sigma"},
+}
+
 
 def _fmt(value) -> str:
     if value is None or value == "":
@@ -112,6 +123,14 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        for name, section in (("generator", self.generator),
+                              ("csv", self.csv_source), ("train", self.train),
+                              ("quantile", self.quantile)):
+            unknown = set(section) - _SECTION_KEYS[name]
+            if unknown:
+                raise ValueError(f"unknown {name} keys: {sorted(unknown)}")
         if self.experiment in ("scaling", "realdata"):
             bad = [m for m in self.methods if m not in METHODS]
             if bad:
@@ -197,7 +216,6 @@ def _quantile_template(config: ExperimentConfig, task: str) -> QuantileConfig:
         sigma_q=0.0,
         beta=float(q.get("beta", 0.05)),
         buffer_m=int(q.get("buffer", 10)),
-        variant="buffered_right",
     )
 
 
@@ -223,6 +241,14 @@ def _cell_row(config: ExperimentConfig, cell: tuple, trial: int) -> dict:
 
 def _failed(row: dict, exc: Exception) -> tuple[dict, list]:
     return {**row, "status": f"failed:{type(exc).__name__}"}, []
+
+
+def _read_only(*datasets: Dataset) -> None:
+    """Freeze the arrays of memoized data: every task of the process reads
+    the one copy, so none may write into it."""
+    for data in datasets:
+        data.features.flags.writeable = False
+        data.labels.flags.writeable = False
 
 
 def _standardized(pool: Dataset, test: Dataset
@@ -302,9 +328,7 @@ def _scaling_data(generator: tuple, n: int, trial_seed: int
     pool, test, stats = _standardized(
         both.subset(np.arange(test_size, test_size + n)),
         both.subset(np.arange(test_size)))
-    for data in (pool, test):
-        data.features.flags.writeable = False
-        data.labels.flags.writeable = False
+    _read_only(pool, test)
     return pool, test, stats
 
 
@@ -323,9 +347,7 @@ def _run_scaling_trial(config: ExperimentConfig,
 def _parsed_csv(path: str, label_column: int, task: str, has_header: bool,
                 version: tuple[int, int]) -> Dataset:
     data = load_csv(path, label_column, task, has_header)
-    # Every trial of the process reads this one copy.
-    data.features.flags.writeable = False
-    data.labels.flags.writeable = False
+    _read_only(data)
     return data
 
 
@@ -353,9 +375,7 @@ def _realdata_split(csv_key: tuple, test_fraction: float, trial_seed: int
     n_test = max(1, int(math.floor(test_fraction * full.n)))
     pool, test, stats = _standardized(full.subset(perm[n_test:]),
                                       full.subset(perm[:n_test]))
-    for data in (pool, test):
-        data.features.flags.writeable = False
-        data.labels.flags.writeable = False
+    _read_only(pool, test)
     return pool, test, stats
 
 
@@ -478,12 +498,10 @@ def _run_quantile_demo_trial(config: ExperimentConfig,
     )
     if variant == "midpoint":
         result = midpoint_search(fixture["scores"],
-                                 QuantileConfig(variant="midpoint",
-                                                precision_delta=1e-3, **common))
+                                 QuantileConfig(precision_delta=1e-3, **common))
     else:
         result = buffered_right_search(fixture["scores"],
-                                       QuantileConfig(variant="buffered_right",
-                                                      buffer_m=0, **common))
+                                       QuantileConfig(buffer_m=0, **common))
     prefix = f"{fixture_name}/{variant}"
     series = [
         _SeriesBlock(

@@ -22,9 +22,9 @@ from typing import Sequence
 import numpy as np
 
 __all__ = ["QuantileConfig", "QuantileResult", "RankOverflowError",
-           "SearchStep", "buffered_right_search", "empirical_count",
-           "exact_conformal_quantile", "midpoint_search",
-           "noise_correction_tau", "stability_buffer", "target_rank"]
+           "SearchStep", "buffered_right_search", "exact_conformal_quantile",
+           "midpoint_search", "noise_correction_tau", "stability_buffer",
+           "target_rank"]
 
 
 class RankOverflowError(ValueError):
@@ -49,6 +49,9 @@ class QuantileConfig:
     from (sigma_q, beta, steps_n); the asymptotic pipeline variant uses 0.0
     while sigma_q keeps scaling the injected noise. ``noise_override``
     replaces the seeded Gaussian draws with fixed values, one per step.
+    ``variant`` governs only one rule: ``steps_n`` may be None (derived
+    from ``precision_delta``) only under ``"midpoint"``. Either search
+    function accepts either variant.
     """
 
     range_lo: float
@@ -100,11 +103,6 @@ class QuantileResult:
     rank_target_r: int
     threshold_r_prime: float
     trace: tuple[SearchStep, ...]
-
-
-def empirical_count(scores, t: float) -> int:
-    """Number of scores <= t."""
-    return int(np.count_nonzero(as_score_array(scores) <= t))
 
 
 def _exact_ceil(value: float) -> int:
@@ -190,8 +188,8 @@ def _bisect(arr: np.ndarray, config: QuantileConfig, steps: int,
 def buffered_right_search(scores, config: QuantileConfig) -> QuantileResult:
     """Right-endpoint bisection against the inflated rank threshold
     r' = r + m_n + tau; returns the final right endpoint."""
-    if config.variant != "buffered_right":
-        raise ValueError("config.variant must be 'buffered_right'")
+    if config.steps_n is None:
+        raise ValueError("the buffered search needs steps_n")
     arr = as_score_array(scores)
     n = arr.size
     r = target_rank(n, config.alpha)
@@ -228,8 +226,6 @@ def midpoint_search(scores, config: QuantileConfig) -> QuantileResult:
     A single positive noise spike below the target quantile pins the bracket
     under it for good; kept for the failure-mode demonstrations.
     """
-    if config.variant != "midpoint":
-        raise ValueError("config.variant must be 'midpoint'")
     arr = as_score_array(scores)
     n = arr.size
     r = target_rank(n, config.alpha)

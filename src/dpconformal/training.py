@@ -27,13 +27,13 @@ from .models import (Dataset, ModelSpec, batch_loss_and_grads, init_params,
                      param_count)
 
 __all__ = ["CouplingTrace", "NumericFailureError", "TrainConfig",
-           "TrainedModel", "clip_gradient", "coupled_train", "dp_sgd_train",
-           "expected_inverse_batch", "poisson_sample",
+           "TrainedModel", "coupled_train", "dp_sgd_train", "poisson_sample",
            "stability_bound_smooth", "stability_bound_universal"]
 
 
 class NumericFailureError(RuntimeError):
-    """A training step produced a non-finite loss, gradient, or iterate."""
+    """A training step produced a non-finite loss, gradient, iterate or
+    norm."""
 
 
 @dataclass(frozen=True)
@@ -65,8 +65,7 @@ class TrainConfig:
 class TrainedModel:
     spec: ModelSpec
     params: np.ndarray
-    accounting: tuple[SgdAccountingRecord, ...]
-    seed: int
+    accounting: SgdAccountingRecord
 
 
 @dataclass(frozen=True)
@@ -78,17 +77,6 @@ class CouplingTrace:
     error_series: np.ndarray | None
     diverged: bool
     first_divergence_step: int | None
-
-
-def clip_gradient(grad: np.ndarray, clip_norm: float) -> np.ndarray:
-    """Rescale onto the l2 ball of radius clip_norm; identity inside it."""
-    if clip_norm <= 0.0:
-        raise ValueError("clip_norm must be positive")
-    grad = np.asarray(grad, dtype=float)
-    norm = float(np.linalg.norm(grad))
-    if norm <= clip_norm:
-        return grad.copy()
-    return grad * (clip_norm / norm)
 
 
 def poisson_sample(n: int, rate_q: float, stream: np.random.Generator) -> np.ndarray:
@@ -144,15 +132,6 @@ def stability_bound_smooth(
     )
 
 
-def expected_inverse_batch(n: int, rate_q: float) -> float:
-    """E[1/(K+1)] for K ~ Binomial(n, rate_q)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if not 0.0 < rate_q <= 1.0:
-        raise ValueError("rate_q must lie in (0, 1]")
-    return (1.0 - (1.0 - rate_q) ** (n + 1)) / ((n + 1) * rate_q)
-
-
 def _spawn_streams(seed: int) -> tuple[np.random.Generator, ...]:
     """Mask, noise, extra-point, and init streams from one root seed."""
     root = np.random.SeedSequence(seed)
@@ -198,9 +177,9 @@ def _batch_update(
 
     ``params`` is (R, P) and ``noise_std`` (R, 1) holds each run's
     noise_multiplier * clip_norm. Returns the new (R, P) stack and, for each
-    run that failed a finiteness check, the message of the first check it
-    failed. A failed run's row is garbage; every other row is bit-equal to
-    the step that run would take alone. ``audit_hook(step, clipped_norms)``
+    run that failed a finiteness check (a projected run's norm included),
+    the message of the first check it failed. A failed run's row is garbage;
+    every other row is bit-equal to the step that run would take alone. ``audit_hook(step, clipped_norms)``
     observes run 0 (its one caller trains a single run).
     """
     losses, grads = batch_loss_and_grads(spec, params, x_batch, y_batch)
@@ -217,15 +196,20 @@ def _batch_update(
         m = x_batch.shape[0]
         update = (clipped.sum(axis=-2) + noise_std * noise_vec) / m
         new = params - config.learning_rate * update
+        # A finite row whose norm overflows would be projected onto 0.
+        bad_norm = ()
         if config.projection_radius is not None:
+            bad_norm = []
             for r, row in enumerate(new):
                 norm = _norm(row)
+                if not math.isfinite(norm):
+                    bad_norm.append(r)
                 if norm > config.projection_radius:
                     new[r] = row * (config.projection_radius / norm)
         # A non-finite update makes a non-finite iterate, projected or not.
         new_ok = np.isfinite(new).all(axis=-1)
     failed = {}
-    if not (grads_ok.all() and new_ok.all()):
+    if bad_norm or not (grads_ok.all() and new_ok.all()):
         update_ok = np.isfinite(update).all(axis=-1)
         for r in range(len(new)):
             if not grads_ok[r]:
@@ -234,6 +218,8 @@ def _batch_update(
                 failed[r] = f"non-finite gradient update at step {step}"
             elif not new_ok[r]:
                 failed[r] = f"non-finite iterate at step {step}"
+            elif r in bad_norm:
+                failed[r] = f"non-finite projection norm at step {step}"
     return new, failed
 
 
@@ -263,7 +249,7 @@ def dp_sgd_train(
             raise NumericFailureError(failed[0])
     record = SgdAccountingRecord(config.noise_multiplier, config.sampling_rate,
                                  config.steps)
-    return TrainedModel(spec, params[0], (record,), config.seed)
+    return TrainedModel(spec, params[0], record)
 
 
 def coupled_train(
@@ -288,7 +274,8 @@ def coupled_train(
     one mask, noise vector and extra-point flag. The result is then a list
     holding, per multiplier, the trace that a call with that multiplier
     alone returns, bit for bit, or the ``NumericFailureError`` that such a
-    call raises; a failed run leaves the others unchanged.
+    call raises; a failed run leaves the others unchanged. A run whose gap
+    or error norm is not finite fails too, naming the first such step.
     """
     single = noise_multipliers is None
     sigmas = [config.noise_multiplier] if single else list(noise_multipliers)
@@ -370,6 +357,22 @@ def coupled_train(
             error_rows = theta[:len(live)] - theta_star
             for i, r in enumerate(live):
                 errors[r, t + 1] = _norm(error_rows[i])
+
+    # A norm can overflow while the iterate stays finite. Such a run fails at
+    # the first step whose gap or error norm is not finite, which precedes
+    # any failure in the loop (a failed run's later entries stay 0). The
+    # series are scanned once here, not on every step.
+    named = [("gap", gaps)] + ([] if errors is None else [("error", errors)])
+    for r in range(runs):
+        firsts = []
+        for name, series in named:
+            bad = np.flatnonzero(~np.isfinite(series[r, 1:]))
+            if bad.size:
+                firsts.append((int(bad[0]), name))
+        if firsts:
+            step, name = min(firsts, key=lambda f: f[0])  # gap wins a tie
+            outcome[r] = NumericFailureError(
+                f"non-finite {name} norm at step {step}")
 
     traces = [CouplingTrace(
         gap_series=gaps[r],

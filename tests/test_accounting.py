@@ -47,9 +47,9 @@ def test_gdp_compose_permutation_and_flattening(mus):
 
 
 def test_rdp_gaussian_values():
-    assert rdp_gaussian(2.0, 1.0, 1.0) == pytest.approx(1.0)
-    assert rdp_gaussian(4.0, 2.0, 1.0) == pytest.approx(0.5)
-    assert rdp_gaussian(8.0, 1e9, 1.0) < 1e-15
+    assert rdp_gaussian(2.0, 1.0) == pytest.approx(1.0)
+    assert rdp_gaussian(4.0, 2.0) == pytest.approx(0.5)
+    assert rdp_gaussian(8.0, 1e9) < 1e-15
     with pytest.raises(ValueError):
         rdp_gaussian(1.0, 1.0)
 
@@ -144,10 +144,21 @@ def test_sgd_profile_history_sum():
     orders = (2.0, 3.0)
     rec = SgdAccountingRecord(1.5, 0.02, 10)
     one = sgd_profile(rec, orders)
-    two = sgd_profile([rec, rec], orders)
-    for a, b in zip(two.values, one.values):
+    # A history of runs composes with rdp_compose; two equal runs are one
+    # run of twice the steps.
+    two = rdp_compose([one, one])
+    double = sgd_profile(SgdAccountingRecord(1.5, 0.02, 20), orders)
+    for a, b, c in zip(two.values, one.values, double.values):
         assert a == pytest.approx(2 * b, rel=1e-12)
-    assert sgd_profile((), orders).values == (0.0, 0.0)
+        assert a == pytest.approx(c, rel=1e-12)
+    # No steps, or no sampling, spends nothing, whatever the noise: the
+    # profile equals (and hashes as) the zero profile.
+    for empty in (SgdAccountingRecord(1.5, 0.02, 0),
+                  SgdAccountingRecord(0.0, 0.5, 0),
+                  SgdAccountingRecord(0.0, 0.0, 3)):
+        zero = sgd_profile(empty, orders)
+        assert zero == RdpProfile.zeros(orders)
+        assert hash(zero) == hash(RdpProfile.zeros(orders))
     # zero noise with steps taken gives an unbounded profile
     assert math.isinf(sgd_profile(SgdAccountingRecord(0.0, 0.5, 3), orders).values[0])
 

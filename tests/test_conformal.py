@@ -21,7 +21,8 @@ RNG = np.random.default_rng(55)
 
 
 def make_model(spec, params):
-    return TrainedModel(spec, np.asarray(params, dtype=float), (), 0)
+    return TrainedModel(spec, np.asarray(params, dtype=float),
+                        SgdAccountingRecord(0.0, 0.0, 0))
 
 
 def softmax_model(k=8, d=3, params=None):
@@ -203,7 +204,6 @@ def test_run_pipeline_report_shape(method, class_pool_test):
     assert 0.0 <= report.coverage <= 1.0
     assert report.efficiency >= 0.0
     assert 0.0 <= report.informativeness <= 1.0
-    assert report.trial_seed == 7
     if method in ("split_cp", "naive_full"):
         assert report.sigma_q == 0.0 and report.eps_train_spent == 0.0
     else:

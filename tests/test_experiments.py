@@ -243,6 +243,37 @@ def test_load_config_roundtrip(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("section, key", [
+    ("generator", "dims"), ("csv", "label"), ("train", "learning-rate"),
+    ("quantile", "sigmaa"),
+])
+def test_unknown_nested_config_keys_rejected(tmp_path, section, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiment": "quantile_demo",
+                                section: {key: 100.0}}))
+    with pytest.raises(ValueError, match=f"unknown {section} keys"):
+        load_config(path)
+    field = "csv_source" if section == "csv" else section
+    with pytest.raises(ValueError, match=repr(key)):
+        ExperimentConfig(experiment="scaling", **{field: {key: 1}})
+
+
+@pytest.mark.parametrize("args, message", [
+    (["stability", "--seed", "-2", "--trials", "3"], "--seed"),
+    (["scaling", "--trials", "0"], "--trials"),
+    (["quantile-demo", "--trials", "-1"], "--trials"),
+])
+def test_bad_seed_and_trials_are_usage_errors(tmp_path, args, message,
+                                              capsys):
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([*args, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(experiment="nope")
@@ -250,6 +281,9 @@ def test_config_validation():
         ExperimentConfig(experiment="scaling", methods=("bogus",))
     with pytest.raises(ValueError):
         ExperimentConfig(experiment="scaling", trials=0)
+    # a trial seed seeds numpy's SeedSequence, which takes no negative value
+    with pytest.raises(ValueError, match="seed"):
+        ExperimentConfig(experiment="stability", sample_sizes=(50,), seed=-2)
     # the stability study runs exactly one n
     for sizes in ((), (50, 400)):
         with pytest.raises(ValueError, match="one sample size"):
@@ -498,6 +532,25 @@ def test_stability_cell_failures_stay_in_their_cell(tmp_path, monkeypatch):
     assert [r for r in rows if r["epsilon"] in ("0.5", "1.0")] == ok
     assert cell_series(series, 0.5) + cell_series(series, 1.0) == read_rows(
         tmp_path / "ok_series.csv")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("radius", [None, 1e200],
+                         ids=["no_projection", "projection"])
+def test_stability_norm_overflow_fails_the_cell(tmp_path, radius):
+    # At learning rate 1e306 every iterate stays finite while its norm
+    # overflows; unprojected, the error norm is inf, and projected, the
+    # overflowing norm would scale the iterate onto 0 at every step.
+    train = {"rate": 0.05, "steps": 40, "learning_rate": 1e306,
+             "clip_norm": 1.0}
+    if radius is not None:
+        train["projection_radius"] = radius
+    rows = run_experiment(tiny_stability_config(tmp_path, train=train))
+    trial_rows = [r for r in rows if r["seed"]]
+    assert len(trial_rows) == 3 * 2
+    assert all(r["status"] == "failed:NumericFailureError"
+               for r in trial_rows)
+    assert read_rows(tmp_path / "results_series.csv") == []
 
 
 def test_calibrate_sigma_q_computes_each_distinct_input_once(monkeypatch):

@@ -2,34 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.stats import norm
 
 from dpconformal.quantile import (QuantileConfig, RankOverflowError,
-                                  buffered_right_search, empirical_count,
+                                  buffered_right_search,
                                   exact_conformal_quantile, midpoint_search,
                                   noise_correction_tau, stability_buffer,
                                   target_rank)
 
 TIE_JUMP_SCORES = [0.0] * 5 + [10.0] * 8 + [11.0]  # n=14, jump 5 -> 13 at 10
 STAIRCASE_SCORES = [float(v) for v in range(1, 11)]  # n=10, no ties
-
-
-def test_empirical_count_fixture_values():
-    assert empirical_count(TIE_JUMP_SCORES, 9.5) == 5
-    assert empirical_count(TIE_JUMP_SCORES, 10.0) == 13
-    assert empirical_count(STAIRCASE_SCORES, 8.5) == 8
-    assert empirical_count(STAIRCASE_SCORES, 0.0) == 0
-    assert empirical_count(STAIRCASE_SCORES, 11.0) == 10
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.floats(-100, 100), min_size=1, max_size=30),
-       st.floats(-120, 120), st.floats(-120, 120))
-def test_empirical_count_monotone(scores, t1, t2):
-    lo, hi = min(t1, t2), max(t1, t2)
-    assert empirical_count(scores, lo) <= empirical_count(scores, hi)
 
 
 def test_target_rank_values():
@@ -241,9 +223,34 @@ def test_exact_conformal_quantile():
 
 
 def test_score_validation():
-    with pytest.raises(ValueError):
-        empirical_count([], 0.0)
-    with pytest.raises(ValueError):
-        empirical_count([1.0, math.nan], 0.0)
-    with pytest.raises(ValueError):
-        empirical_count([1.0, math.inf], 0.0)
+    # Every entry point that takes scores rejects an empty or non-finite set.
+    buffered = QuantileConfig(0.0, 1.0, 0.2, 5)
+    midpoint = QuantileConfig(0.0, 1.0, 0.2, None, variant="midpoint")
+    for bad in ([], [1.0, math.nan], [1.0, math.inf], [[1.0, 2.0]]):
+        with pytest.raises(ValueError, match="scores must"):
+            buffered_right_search(bad, buffered)
+        with pytest.raises(ValueError, match="scores must"):
+            midpoint_search(bad, midpoint)
+        with pytest.raises(ValueError, match="scores must"):
+            exact_conformal_quantile(bad, 1)
+
+
+@pytest.mark.filterwarnings("ignore:effective threshold")
+def test_variant_only_governs_unset_steps():
+    # Either search runs under either variant, with the same result.
+    for steps_n in (5, 20):
+        for search in (buffered_right_search, midpoint_search):
+            runs = [search(STAIRCASE_SCORES, QuantileConfig(
+                0.0, 16.0, 0.2, steps_n, sigma_q=1.0, seed=3, variant=v))
+                for v in ("buffered_right", "midpoint")]
+            assert runs[0] == runs[1]
+    # steps_n may be unset only under "midpoint", and the buffered search
+    # never runs without it.
+    with pytest.raises(ValueError, match="midpoint"):
+        QuantileConfig(0.0, 16.0, 0.2, None)
+    unset = QuantileConfig(0.0, 16.0, 0.2, None, variant="midpoint")
+    assert len(midpoint_search(STAIRCASE_SCORES, unset).trace) == 14
+    with pytest.raises(ValueError, match="steps_n"):
+        buffered_right_search(STAIRCASE_SCORES, unset)
+    with pytest.raises(ValueError, match="unknown variant"):
+        QuantileConfig(0.0, 16.0, 0.2, 5, variant="exact")

@@ -3,14 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from dpconformal.data import gen_logistic
 from dpconformal.models import Dataset, ModelSpec, batch_loss_and_grads, param_count
 from dpconformal.training import (NumericFailureError, TrainConfig,
-                                  clip_gradient, coupled_train, dp_sgd_train,
-                                  expected_inverse_batch, poisson_sample,
+                                  coupled_train, dp_sgd_train, poisson_sample,
                                   stability_bound_smooth,
                                   stability_bound_universal)
 
@@ -23,27 +20,6 @@ def small_logistic(n=400, d=6, seed=12):
 
 # ---------------------------------------------------------------------------
 # Primitives
-
-
-def test_clip_gradient_values():
-    np.testing.assert_allclose(clip_gradient(np.array([3.0, 4.0]), 1.0),
-                               [0.6, 0.8])
-    g = np.array([0.3, -0.4])
-    np.testing.assert_array_equal(clip_gradient(g, 1.0), g)
-    np.testing.assert_array_equal(clip_gradient(np.zeros(3), 2.0), np.zeros(3))
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8),
-       st.floats(0.01, 100.0))
-def test_clip_gradient_properties(values, clip):
-    g = np.array(values)
-    clipped = clip_gradient(g, clip)
-    assert np.linalg.norm(clipped) <= clip * (1 + 1e-12)
-    if np.linalg.norm(g) > 0:
-        # direction preserved
-        cross = np.outer(clipped, g) - np.outer(g, clipped)
-        assert np.abs(cross).max() <= 1e-6 * max(1.0, np.abs(g).max()) ** 2
 
 
 def test_poisson_sample_extremes():
@@ -71,8 +47,8 @@ def test_dp_sgd_deterministic():
     a = dp_sgd_train(data, spec, cfg)
     b = dp_sgd_train(data, spec, cfg)
     np.testing.assert_array_equal(a.params, b.params)
-    assert a.accounting == (b.accounting[0],)
-    rec = a.accounting[0]
+    assert a.accounting == b.accounting
+    rec = a.accounting
     assert (rec.noise_multiplier, rec.sampling_rate, rec.steps) == (1.0, 0.1, 150)
 
 
@@ -290,6 +266,40 @@ def test_lockstep_failed_run_fails_alone(extra_first):
         assert_traces_equal(traces[i], alone(sigmas[i]))
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("radius", [None, 1e200],
+                         ids=["no_projection", "projection"])
+def test_lockstep_norm_overflow_fails_its_run_alone(radius):
+    # At learning rate 1e150 the 6000 run's iterate stays finite while its
+    # norm grows past sqrt(max float), about 1.3e154, after some steps; the
+    # others stay near 1e150.
+    base, extra, spec, target = coupled_setup()
+    sigmas = (0.7, 6000.0, 3.1)
+    cfg = TrainConfig(1e150, 60, 0.05, 1.0, projection_radius=radius, seed=13)
+
+    def alone(sigma, steps=60):
+        return coupled_train(base, extra, spec, dataclasses.replace(
+            cfg, noise_multiplier=sigma, steps=steps), theta_star=target)
+
+    traces = coupled_train(base, extra, spec, cfg, theta_star=target,
+                           noise_multipliers=sigmas)
+    failure = traces[1]
+    assert isinstance(failure, NumericFailureError)
+    what = "error" if radius is None else "projection"
+    prefix = f"non-finite {what} norm at step "
+    assert str(failure).startswith(prefix)
+    step = int(str(failure)[len(prefix):])
+    assert step > 0
+    with pytest.raises(NumericFailureError) as single:
+        alone(6000.0)
+    assert str(single.value) == str(failure)
+    # The named step is the first bad one: the run stopped before it is ok.
+    assert np.isfinite(alone(6000.0, steps=step).error_series).all()
+    for i in (0, 2):
+        assert np.isfinite(traces[i].error_series).all()
+        assert_traces_equal(traces[i], alone(sigmas[i]))
+
+
 def test_lockstep_rejects_bad_multipliers():
     base, extra, spec, _ = coupled_setup()
     cfg = TrainConfig(0.2, 5, 0.05, 1.0, seed=1)
@@ -345,13 +355,3 @@ def test_stability_bound_smooth_values():
     expected = ((1 - 0.95 ** 1000) / 1000) * (2 + math.sqrt(10)) * (math.e - 1)
     assert got == pytest.approx(expected, rel=1e-12)
 
-
-def test_expected_inverse_batch_closed_form_and_monte_carlo():
-    assert expected_inverse_batch(25, 1.0) == pytest.approx(1 / 26)
-    assert expected_inverse_batch(0, 0.37) == pytest.approx(1.0)
-    n, q, draws = 100, 0.1, 100000
-    rng = np.random.default_rng(123)
-    ks = rng.binomial(n, q, size=draws)
-    sample = 1.0 / (ks + 1.0)
-    se = sample.std(ddof=1) / math.sqrt(draws)
-    assert abs(expected_inverse_batch(n, q) - sample.mean()) < 3 * se
