@@ -227,9 +227,15 @@ def rdp_compose(profiles: Sequence[RdpProfile]) -> RdpProfile:
 
 
 def rdp_to_eps(profile: RdpProfile, delta: float) -> float:
-    """Classical RDP -> (epsilon, delta) conversion, minimized over orders."""
+    """Classical RDP -> (epsilon, delta) conversion, minimized over orders.
+
+    A profile that is 0 at every order is (0, 0)-DP and converts to 0, not
+    to the conversion floor log(1/delta) / (max order - 1).
+    """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    if not any(profile.values):
+        return 0.0
     log_inv_delta = math.log(1.0 / delta)
     best = math.inf
     for a, v in zip(profile.orders, profile.values):

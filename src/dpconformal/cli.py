@@ -91,7 +91,8 @@ _unit_float = _ranged(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
 _open_unit_float = _ranged(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
 
 
-def _experiment_parser(sub, name: str, help_text: str) -> None:
+def _experiment_parser(sub, name: str,
+                       help_text: str) -> argparse.ArgumentParser:
     p = sub.add_parser(name, help=help_text)
     p.add_argument("--config", help="JSON config file (overrides defaults)")
     p.add_argument("--out", help="results CSV path")
@@ -103,15 +104,21 @@ def _experiment_parser(sub, name: str, help_text: str) -> None:
                    help="worker processes (>= 1)")
     p.add_argument("--paper-scale", action="store_true",
                    help="restore the full protocol sizes")
+    return p
 
 
-def _build_config(args) -> ExperimentConfig:
+def _build_config(args, parser: argparse.ArgumentParser) -> ExperimentConfig:
+    """The run's config. A config file that cannot be read, parsed or
+    validated is a usage error (one line, exit code 2), as a bad flag is."""
     experiment = args.command.replace("-", "_")
     if args.config:
-        config = load_config(args.config)
+        try:
+            config = load_config(args.config)
+        except (OSError, TypeError, ValueError) as exc:
+            parser.error(f"bad --config {args.config}: {exc}")
         if config.experiment != experiment:
-            raise SystemExit(
-                f"config is for {config.experiment!r}, not {experiment!r}")
+            parser.error(f"--config is for {config.experiment!r}, not "
+                         f"{experiment!r}")
     else:
         config = ExperimentConfig(**_DESK_DEFAULTS[experiment])
     overrides = {}
@@ -128,8 +135,8 @@ def _build_config(args) -> ExperimentConfig:
     return config
 
 
-def _cmd_experiment(args) -> int:
-    config = _build_config(args)
+def _cmd_experiment(args, parser: argparse.ArgumentParser) -> int:
+    config = _build_config(args, parser)
     rows = run_experiment(config, jobs=args.jobs)
     ok = sum(1 for r in rows if r["status"] == "ok")
     failed = sum(1 for r in rows if r["status"].startswith("failed"))
@@ -164,13 +171,13 @@ def main(argv=None) -> int:
                     "experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    _experiment_parser(sub, "stability",
-                       "coupled DP-SGD stability vs estimation error")
-    _experiment_parser(sub, "scaling",
-                       "prediction-set quality across sample sizes")
-    _experiment_parser(sub, "quantile-demo",
-                       "midpoint-search failure vs buffered search")
-    _experiment_parser(sub, "realdata", "CSV-ingested benchmark sweep")
+    experiments = {}
+    for name, help_text in (
+            ("stability", "coupled DP-SGD stability vs estimation error"),
+            ("scaling", "prediction-set quality across sample sizes"),
+            ("quantile-demo", "midpoint-search failure vs buffered search"),
+            ("realdata", "CSV-ingested benchmark sweep")):
+        experiments[name] = _experiment_parser(sub, name, help_text)
 
     cal = sub.add_parser("calibrate",
                          help="calibrate quantile noise against a budget")
@@ -191,7 +198,7 @@ def main(argv=None) -> int:
             return _cmd_calibrate(args)
         except InfeasibleBudgetError as exc:
             cal.error(str(exc))
-    return _cmd_experiment(args)
+    return _cmd_experiment(args, experiments[args.command])
 
 
 if __name__ == "__main__":

@@ -1,7 +1,9 @@
 """Model zoo for the training pipelines: linear regression, a
 multinomial-softmax linear classifier, and a small fully-connected ReLU
 network. Parameters live in a single flat vector; gradients are computed by
-hand and checked against finite differences in the test suite.
+hand and checked against finite differences in the test suite. DP-SGD reads
+``clipped_grad_sum``, which clips and sums per-sample gradients without
+forming them; ``batch_loss_and_grads`` forms them and is its oracle.
 """
 
 from __future__ import annotations
@@ -10,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Dataset", "ModelSpec", "init_params", "loss_and_grad",
-           "batch_loss_and_grads", "param_count", "predict_proba",
-           "predict_value"]
+__all__ = ["Dataset", "ModelSpec", "as_batch", "batch_loss_and_grads",
+           "clip_scale", "clipped_grad_sum", "init_params", "loss_and_grad",
+           "param_count", "predict_proba", "predict_value"]
 
 CLASSIFICATION = "classification"
 REGRESSION = "regression"
@@ -104,9 +106,13 @@ def init_params(spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
     return np.concatenate(chunks)
 
 
-def _mlp_unpack(spec: ModelSpec, params: np.ndarray):
-    """(W, b) views per layer; a leading run axis of ``params`` is kept."""
+def _layers(spec: ModelSpec, params: np.ndarray):
+    """(W, b) views per layer, b None for the bias-free linear models; a
+    leading run axis of ``params`` is kept."""
     lead = params.shape[:-1]
+    if spec.kind != "mlp":
+        out = 1 if spec.kind == "linear_regression" else spec.output_dim
+        return [(params.reshape(*lead, out, spec.input_dim), None)]
     layers = []
     pos = 0
     for fan_in, fan_out in spec.layer_dims():
@@ -133,17 +139,41 @@ def _check_params(spec: ModelSpec, params: np.ndarray,
     return params
 
 
-def _mlp_forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray):
+def _regression_head(spec: ModelSpec) -> bool:
+    return spec.kind == "linear_regression" or (
+        spec.kind == "mlp" and spec.output_dim == 1)
+
+
+def _check_features(spec: ModelSpec, x: np.ndarray) -> np.ndarray:
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    if x.shape[1] != spec.input_dim:
+        raise ValueError(f"feature dim {x.shape[1]} != input_dim {spec.input_dim}")
+    return x
+
+
+def as_batch(spec: ModelSpec, x: np.ndarray,
+             y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Features as a float (b, d) matrix with d == ``spec.input_dim``, and
+    labels as the (b,) float targets or int classes that the head reads.
+    Float 2-D features come back as the same array."""
+    x = _check_features(spec, x)
+    dtype = float if _regression_head(spec) else int
+    return x, np.asarray(y, dtype=dtype).reshape(x.shape[0])
+
+
+def _forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray):
     """Forward pass on a (b, d) batch, keeping activations for backprop.
 
     With (R, P) params every activation after the input is (R, b, width);
     each run's matmuls are the ones its own (P,) vector would make.
     """
-    layers = _mlp_unpack(spec, params)
+    layers = _layers(spec, params)
     acts = [x]
     h = x
     for i, (w, b) in enumerate(layers):
-        z = h @ np.swapaxes(w, -1, -2) + b[..., None, :]
+        z = h @ np.swapaxes(w, -1, -2)
+        if b is not None:
+            z = z + b[..., None, :]
         h = np.maximum(z, 0.0) if i < len(layers) - 1 else z
         acts.append(h)
     return layers, acts
@@ -153,6 +183,26 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def _loss_and_delta(spec: ModelSpec, out: np.ndarray, y: np.ndarray):
+    """Per-sample losses (..., b) and the output delta d loss / d out
+    (..., b, k): half squared error for regression heads, cross-entropy for
+    classifier heads."""
+    if _regression_head(spec):
+        resid = out[..., 0] - y
+        return 0.5 * resid**2, resid[..., None]
+    rows = np.arange(y.shape[0])
+    probs = _softmax(out)
+    losses = -np.log(np.clip(probs[..., rows, y], 1e-300, None))
+    probs[..., rows, y] -= 1.0
+    return losses, probs
+
+
+def _next_delta(delta: np.ndarray, w: np.ndarray,
+                act: np.ndarray) -> np.ndarray:
+    """Backpropagate a delta through ``w`` and the ReLU that made ``act``."""
+    return (delta @ w) * (act > 0.0)
 
 
 def batch_loss_and_grads(
@@ -167,57 +217,80 @@ def batch_loss_and_grads(
     elementwise or reduces along the run's own axes.
 
     Losses: half squared error for regression heads, cross-entropy for
-    classifier heads.
+    classifier heads. DP-SGD uses ``clipped_grad_sum``, which never forms
+    the (b, P) gradients; this function is its oracle.
     """
     params = _check_params(spec, params, stacked=True)
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.shape[1] != spec.input_dim:
-        raise ValueError(f"feature dim {x.shape[1]} != input_dim {spec.input_dim}")
+    x, y = as_batch(spec, x, y)
     lead = params.shape[:-1]
     b = x.shape[0]
-    rows = np.arange(b)
-
-    if spec.kind == "linear_regression":
-        y = np.asarray(y, dtype=float).reshape(b)
-        resid = (x @ params[..., None])[..., 0] - y
-        losses = 0.5 * resid**2
-        grads = resid[..., None] * x
-        return losses, grads
-
-    if spec.kind == "softmax_linear":
-        yi = np.asarray(y, dtype=int).reshape(b)
-        w = params.reshape(*lead, spec.output_dim, spec.input_dim)
-        probs = _softmax(x @ np.swapaxes(w, -1, -2))
-        losses = -np.log(np.clip(probs[..., rows, yi], 1e-300, None))
-        dz = probs
-        dz[..., rows, yi] -= 1.0
-        grads = np.einsum("...bk,bd->...bkd", dz, x).reshape(*lead, b, -1)
-        return losses, grads
-
-    layers, acts = _mlp_forward(spec, params, x)
-    out = acts[-1]
-    if spec.output_dim == 1:
-        yf = np.asarray(y, dtype=float).reshape(b)
-        resid = out[..., 0] - yf
-        losses = 0.5 * resid**2
-        delta = resid[..., None]
-    else:
-        yi = np.asarray(y, dtype=int).reshape(b)
-        probs = _softmax(out)
-        losses = -np.log(np.clip(probs[..., rows, yi], 1e-300, None))
-        delta = probs
-        delta[..., rows, yi] -= 1.0
-
-    grad_chunks = [None] * (2 * len(layers))
+    layers, acts = _forward(spec, params, x)
+    losses, delta = _loss_and_delta(spec, acts[-1], y)
+    grad_chunks = []
     for i in range(len(layers) - 1, -1, -1):
-        w, _ = layers[i]
-        a_in = acts[i]
-        grad_chunks[2 * i] = np.einsum("...bo,...bi->...boi", delta,
-                                       a_in).reshape(*lead, b, -1)
-        grad_chunks[2 * i + 1] = delta
+        w, bias = layers[i]
+        if bias is not None:
+            grad_chunks.append(delta)
+        grad_chunks.append(np.einsum("...bo,...bi->...boi", delta,
+                                     acts[i]).reshape(*lead, b, -1))
         if i > 0:
-            delta = (delta @ w) * (acts[i] > 0.0)
-    return losses, np.concatenate(grad_chunks, axis=-1)
+            delta = _next_delta(delta, w, acts[i])
+    return losses, np.concatenate(grad_chunks[::-1], axis=-1)
+
+
+def clip_scale(norms: np.ndarray, clip_norm: float) -> np.ndarray:
+    """The factor min(1, C / norm) that clips each per-sample gradient to
+    l2 norm ``clip_norm``."""
+    return np.minimum(1.0, clip_norm / np.maximum(norms, 1e-300))
+
+
+def clipped_grad_sum(
+    spec: ModelSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray,
+    clip_norm: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-sample losses (b,), per-sample gradient l2 norms (b,) and the sum
+    (P,) of the per-sample gradients each clipped to l2 norm ``clip_norm``,
+    without forming the (b, P) gradients.
+
+    A dense layer's weight gradient at one example is the outer product
+    delta a^T of its output delta and its input, so its squared norm is
+    |delta|^2 (|a|^2 + 1) with the bias included, and the clipped sum over
+    the batch is one matmul (s * delta)^T a per layer, s the clip scale
+    (ghost norms: Goodfellow 2015; Lee & Kifer 2021). The linear models are
+    one layer without a bias. A finite norm bounds every gradient entry,
+    since |delta_o a_i| <= |delta| |a|. Squaring the two norms apart can
+    overflow, or make 0 * inf, where the formed gradient would not, but only
+    once a delta or activation row has norm above sqrt(max float), about
+    1.3e154; the norm is then not finite and the caller's check fails.
+
+    With (R, P) params the results are (R, b), (R, b) and (R, P), each run
+    bit-equal to a call with its own (P,) vector, as in
+    ``batch_loss_and_grads``. The inputs are trusted: ``params`` of the
+    spec's length, and ``x``, ``y`` as ``as_batch`` returns them.
+    """
+    lead = params.shape[:-1]
+    layers, acts = _forward(spec, params, x)
+    losses, delta = _loss_and_delta(spec, acts[-1], y)
+    deltas = [None] * len(layers)
+    sq_norms = 0.0
+    for i in range(len(layers) - 1, -1, -1):
+        w, bias = layers[i]
+        a_sq = np.square(acts[i]).sum(axis=-1)
+        if bias is not None:
+            a_sq += 1.0
+        sq_norms = sq_norms + np.square(delta).sum(axis=-1) * a_sq
+        deltas[i] = delta
+        if i > 0:
+            delta = _next_delta(delta, w, acts[i])
+    norms = np.sqrt(sq_norms)
+    scale = clip_scale(norms, clip_norm)[..., None]
+    chunks = []
+    for (_, bias), a, delta in zip(layers, acts, deltas):
+        scaled = delta * scale
+        chunks.append((np.swapaxes(scaled, -1, -2) @ a).reshape(*lead, -1))
+        if bias is not None:
+            chunks.append(scaled.sum(axis=-2))
+    return losses, norms, np.concatenate(chunks, axis=-1)
 
 
 def loss_and_grad(
@@ -231,13 +304,6 @@ def loss_and_grad(
     return float(losses[0]), grads[0]
 
 
-def _check_features(spec: ModelSpec, x: np.ndarray) -> np.ndarray:
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.shape[1] != spec.input_dim:
-        raise ValueError(f"feature dim {x.shape[1]} != input_dim {spec.input_dim}")
-    return x
-
-
 def predict_value(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Regression predictions on a (b, d) batch."""
     params = _check_params(spec, params)
@@ -245,7 +311,7 @@ def predict_value(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.ndar
     if spec.kind == "linear_regression":
         return x @ params
     if spec.kind == "mlp" and spec.output_dim == 1:
-        _, acts = _mlp_forward(spec, params, x)
+        _, acts = _forward(spec, params, x)
         return acts[-1][:, 0]
     raise ValueError(f"{spec.kind} with output_dim {spec.output_dim} has no "
                      "regression head")
@@ -259,7 +325,7 @@ def predict_proba(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.ndar
         w = params.reshape(spec.output_dim, spec.input_dim)
         return _softmax(x @ w.T)
     if spec.kind == "mlp" and spec.output_dim > 1:
-        _, acts = _mlp_forward(spec, params, x)
+        _, acts = _forward(spec, params, x)
         return _softmax(acts[-1])
     raise ValueError(f"{spec.kind} with output_dim {spec.output_dim} has no "
                      "classifier head")

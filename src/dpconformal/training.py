@@ -23,8 +23,10 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .accounting import SgdAccountingRecord
-from .models import (Dataset, ModelSpec, batch_loss_and_grads, init_params,
-                     param_count)
+# batch_loss_and_grads is not called here; the traced benchmark wraps it by
+# this module's name.
+from .models import (Dataset, ModelSpec, as_batch, batch_loss_and_grads,
+                     clip_scale, clipped_grad_sum, init_params, param_count)
 
 __all__ = ["CouplingTrace", "NumericFailureError", "TrainConfig",
            "TrainedModel", "coupled_train", "dp_sgd_train", "poisson_sample",
@@ -179,22 +181,22 @@ def _batch_update(
     noise_multiplier * clip_norm. Returns the new (R, P) stack and, for each
     run that failed a finiteness check (a projected run's norm included),
     the message of the first check it failed. A failed run's row is garbage;
-    every other row is bit-equal to the step that run would take alone. ``audit_hook(step, clipped_norms)``
-    observes run 0 (its one caller trains a single run).
+    every other row is bit-equal to the step that run would take alone.
+    ``audit_hook(step, clipped_norms)`` observes run 0 (its one caller trains
+    a single run). The batch is trusted: ``as_batch`` checked the features
+    and labels it is drawn from, once per training call.
     """
-    losses, grads = batch_loss_and_grads(spec, params, x_batch, y_batch)
     # A failing run may overflow or make NaNs; the checks below name it.
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.linalg.norm(grads, axis=-1)
+        losses, norms, grad_sum = clipped_grad_sum(spec, params, x_batch,
+                                                   y_batch, config.clip_norm)
         # A finite norm implies finite gradients.
         grads_ok = (np.isfinite(losses).all(axis=-1)
                     & np.isfinite(norms).all(axis=-1))
-        scale = np.minimum(1.0, config.clip_norm / np.maximum(norms, 1e-300))
-        clipped = grads * scale[..., None]
         if audit_hook is not None and grads_ok[0]:
-            audit_hook(step, norms[0] * scale[0])
+            audit_hook(step, norms[0] * clip_scale(norms[0], config.clip_norm))
         m = x_batch.shape[0]
-        update = (clipped.sum(axis=-2) + noise_std * noise_vec) / m
+        update = (grad_sum + noise_std * noise_vec) / m
         new = params - config.learning_rate * update
         # A finite row whose norm overflows would be projected onto 0.
         bad_norm = ()
@@ -234,7 +236,7 @@ def dp_sgd_train(
     ``audit_hook(step, clipped_norms)``, when given, observes the post-clip
     per-sample gradient norms of every processed batch.
     """
-    x, y = dataset.features, dataset.labels
+    x, y = as_batch(spec, dataset.features, dataset.labels)
     n = dataset.n
     p = param_count(spec)
     mask_rng, noise_rng, _, init_rng = _spawn_streams(config.seed)
@@ -282,11 +284,10 @@ def coupled_train(
     if not sigmas or any(s < 0.0 for s in sigmas):
         raise ValueError("noise_multipliers must be a nonempty sequence of "
                          "nonnegative values")
-    x, y = base.features, base.labels
+    x, y = as_batch(spec, base.features, base.labels)
     n = base.n
     p = param_count(spec)
-    x_extra = np.asarray(extra_point[0], dtype=float)[None, :]
-    y_extra = np.asarray([extra_point[1]])
+    x_extra, y_extra = as_batch(spec, extra_point[0], [extra_point[1]])
     mask_rng, noise_rng, extra_rng, init_rng = _spawn_streams(config.seed)
     init = init_params(spec, init_rng)
     if extra_schedule is not None:

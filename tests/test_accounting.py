@@ -126,8 +126,12 @@ def test_rdp_to_eps_values():
     assert rdp_to_eps(RdpProfile((2.0,), (1.0,)), 1e-5) == pytest.approx(
         1.0 + math.log(1e5), abs=1e-12)
     zero = RdpProfile.zeros(default_orders())
-    # all-zero profile: best order is the largest on the grid
-    assert rdp_to_eps(zero, 0.5) == pytest.approx(math.log(2) / 255, abs=1e-12)
+    # all-zero profile: nothing is spent, for every delta
+    assert rdp_to_eps(zero, 0.5) == 0.0
+    assert rdp_to_eps(zero, 1e-5) == 0.0
+    # a flat positive profile: best order is the largest on the grid
+    tiny = RdpProfile(zero.orders, (1e-15,) * len(zero.orders))
+    assert rdp_to_eps(tiny, 0.5) == pytest.approx(math.log(2) / 255, abs=1e-12)
     with pytest.raises(ValueError):
         rdp_to_eps(zero, 0.0)
 

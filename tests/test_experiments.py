@@ -456,6 +456,34 @@ def test_calibrate_bad_arguments_are_usage_errors(args, message, capsys):
     assert "Traceback" not in err
 
 
+def test_calibrate_without_training_spends_nothing(capsys):
+    assert main(["calibrate", "--epsilon", "1"]) == 0
+    assert "eps_train = 0\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"experiment": "quantile_demo", "quantile": {"sigmaa": 100.0}}',
+     "sigmaa"),
+    ('{"experiment": "quantile_demo", "seed": -1}', "seed"),
+    ('{"experiment": "quantile_demo", "colour": "red"}', "colour"),
+    ('{"experiment": "quantile_demo", ', "Expecting"),
+    ('{"experiment": "scaling"}', "'scaling', not 'quantile_demo'"),
+    (None, "No such file"),
+], ids=["nested_key", "seed", "top_level_key", "malformed", "experiment",
+        "missing_file"])
+def test_bad_config_file_is_a_usage_error(tmp_path, text, message, capsys):
+    path = tmp_path / "config.json"
+    if text is not None:
+        path.write_text(text)
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["quantile-demo", "--config", str(path), "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def tiny_stability_config(tmp_path=None, **kw):
     base = dict(
         experiment="stability", trials=2, seed=3, epsilons=(0.5, 1.0, 2.0),

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from dpconformal.models import (Dataset, ModelSpec, batch_loss_and_grads,
-                                init_params, loss_and_grad, param_count,
-                                predict_proba, predict_value)
+from dpconformal.models import (Dataset, ModelSpec, as_batch,
+                                batch_loss_and_grads, clip_scale,
+                                clipped_grad_sum, init_params, loss_and_grad,
+                                param_count, predict_proba, predict_value)
 
 RNG = np.random.default_rng(20260810)
 
@@ -75,6 +76,54 @@ def test_batched_grads_match_per_example_loop():
         li, gi = loss_and_grad(spec, params, (x[i], y[i]))
         assert losses[i] == pytest.approx(li, rel=1e-12)
         np.testing.assert_allclose(grads[i], gi, rtol=1e-12)
+
+
+KERNEL_SPECS = [
+    ModelSpec("linear_regression", 5),
+    ModelSpec("softmax_linear", 5, 3),
+    ModelSpec("mlp", 5, 4, (8, 6)),
+    ModelSpec("mlp", 5, 1, (7,)),
+]
+KERNEL_IDS = ["linear_regression", "softmax_linear", "mlp_classifier",
+              "mlp_regression"]
+
+
+@pytest.mark.parametrize("spec", KERNEL_SPECS, ids=KERNEL_IDS)
+def test_clipped_grad_sum_matches_materialized_gradients(spec):
+    # The oracle forms the (b, P) or (R, b, P) gradients and clips them one
+    # by one; the kernel never does. The clip norm sits at the median norm,
+    # so about half the rows are clipped.
+    rng = np.random.default_rng(40)
+    runs = 3
+    for stack in ((), (runs,)):
+        for b in (1, 4, 33):
+            params = rng.standard_normal((*stack, param_count(spec)))
+            x, y = as_batch(spec, rng.standard_normal((b, spec.input_dim)),
+                            rng.standard_normal(b) if spec.output_dim == 1
+                            else rng.integers(0, spec.output_dim, b))
+            want_losses, grads = batch_loss_and_grads(spec, params, x, y)
+            want_norms = np.linalg.norm(grads, axis=-1)
+            clip = float(np.median(want_norms))
+            want_sum = (grads * clip_scale(want_norms, clip)[..., None]).sum(
+                axis=-2)
+            losses, norms, grad_sum = clipped_grad_sum(spec, params, x, y,
+                                                       clip)
+            assert np.array_equal(losses, want_losses)
+            np.testing.assert_allclose(norms, want_norms, rtol=1e-12)
+            assert grad_sum.shape == (*stack, param_count(spec))
+            assert (np.linalg.norm(grad_sum - want_sum, axis=-1)
+                    <= 1e-12 * np.linalg.norm(want_sum, axis=-1)).all()
+
+
+def test_as_batch_converts_once():
+    spec = ModelSpec("mlp", 3, 4, (5,))
+    x = np.arange(6.0).reshape(2, 3)
+    xb, yb = as_batch(spec, x, [1.0, 3.0])
+    assert xb is x and yb.dtype.kind == "i" and yb.tolist() == [1, 3]
+    xb, yb = as_batch(ModelSpec("mlp", 3, 1, (5,)), [1, 2, 3], [2])
+    assert xb.shape == (1, 3) and yb.dtype == float
+    with pytest.raises(ValueError, match="feature dim"):
+        as_batch(spec, np.zeros((2, 4)), [0, 1])
 
 
 def test_init_params():

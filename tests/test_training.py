@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from dpconformal.data import gen_logistic
-from dpconformal.models import Dataset, ModelSpec, batch_loss_and_grads, param_count
+from dpconformal.models import (Dataset, ModelSpec, as_batch,
+                               batch_loss_and_grads, clipped_grad_sum,
+                               param_count)
 from dpconformal.training import (NumericFailureError, TrainConfig,
-                                  coupled_train, dp_sgd_train, poisson_sample,
-                                  stability_bound_smooth,
+                                  _spawn_streams, coupled_train, dp_sgd_train,
+                                  poisson_sample, stability_bound_smooth,
                                   stability_bound_universal)
 
 RNG = np.random.default_rng(77)
@@ -119,6 +121,105 @@ def test_empty_batch_policies():
     cfg = TrainConfig(0.1, 30, 1e-9, 1.0, noise_multiplier=1.0, seed=3)
     trained = dp_sgd_train(data, spec, cfg)
     assert np.all(trained.params == 0.0)
+
+
+KIND_SPECS = [
+    ModelSpec("linear_regression", 5),
+    ModelSpec("softmax_linear", 5, 3),
+    ModelSpec("mlp", 5, 3, (8, 6)),
+    ModelSpec("mlp", 5, 1, (7,)),
+]
+KIND_IDS = ["linear_regression", "softmax_linear", "mlp_classifier",
+            "mlp_regression"]
+
+
+def kind_data(spec, n=200, seed=3):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, spec.input_dim))
+    if spec.output_dim == 1:
+        return x, rng.standard_normal(n), "regression", 0
+    return x, rng.integers(0, spec.output_dim, n), "classification", \
+        spec.output_dim
+
+
+def first_batch_with(row, n, cfg):
+    """The first step whose Poisson batch over ``n`` rows holds ``row``,
+    replayed from the trainer's mask stream."""
+    mask_rng = _spawn_streams(cfg.seed)[0]
+    return next(t for t in range(cfg.steps)
+                if row in poisson_sample(n, cfg.sampling_rate, mask_rng))
+
+
+def failures(traces):
+    assert all(isinstance(t, NumericFailureError) for t in traces)
+    return [str(t) for t in traces]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("spec", KIND_SPECS, ids=KIND_IDS)
+def test_nan_feature_row_fails_its_first_batch(spec):
+    x, y, task, k = kind_data(spec)
+    n = len(y)
+    x_nan = x.copy()
+    x_nan[17] = np.nan
+    cfg = TrainConfig(0.1, 60, 0.05, 1.0, noise_multiplier=0.5, seed=5)
+    step = first_batch_with(17, n, cfg)
+    with pytest.raises(NumericFailureError) as err:
+        dp_sgd_train(Dataset(x_nan, y, task, k), spec, cfg)
+    assert str(err.value) == f"non-finite loss or gradient at step {step}"
+
+    # Lockstep: every run fails at the base row's first batch, or at the
+    # first step that includes a NaN extra point.
+    base = Dataset(x_nan[:-1], y[:-1], task, k)
+    step = first_batch_with(17, n - 1, cfg)
+    traces = coupled_train(base, (x[-1], y[-1]), spec, cfg,
+                           noise_multipliers=(0.5, 3.0))
+    assert failures(traces) == [
+        f"non-finite loss or gradient at step {step}"] * 2
+    base = Dataset(x[:-1], y[:-1], task, k)
+    traces = coupled_train(base, (x_nan[17], y[17]), spec, cfg,
+                           extra_schedule=np.arange(60) % 20 == 7,
+                           noise_multipliers=(0.5, 3.0))
+    assert failures(traces) == ["non-finite loss or gradient at step 7"] * 2
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered",
+                            "ignore:invalid value encountered")
+@pytest.mark.parametrize("spec,learning_rate", [
+    (KIND_SPECS[0], 1e200), (KIND_SPECS[2], 1e100), (KIND_SPECS[3], 1e100),
+], ids=["linear_regression", "mlp_classifier", "mlp_regression"])
+def test_overflowing_parameters_fail_the_next_step(spec, learning_rate):
+    # Step 0 moves the parameters to about the learning rate; step 1's
+    # forward or backward pass overflows.
+    x, y, task, k = kind_data(spec)
+    data = Dataset(x, y, task, k)
+    cfg = TrainConfig(learning_rate, 30, 0.1, 1.0, noise_multiplier=0.5,
+                      seed=5)
+    message = "non-finite loss or gradient at step 1"
+    with pytest.raises(NumericFailureError) as err:
+        dp_sgd_train(data, spec, cfg)
+    assert str(err.value) == message
+    traces = coupled_train(data.subset(np.arange(len(y) - 1)), (x[-1], y[-1]),
+                           spec, cfg, noise_multipliers=(0.5, 3.0))
+    assert failures(traces) == [message] * 2
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered",
+                            "ignore:invalid value encountered")
+def test_overflowing_gradient_norm_fails_with_a_finite_loss():
+    # At the zero init the softmax loss is log 3 on every row, but the row of
+    # 1e160 features has a gradient norm past the float range.
+    spec = KIND_SPECS[1]
+    x, y, task, k = kind_data(spec)
+    x[17] = 1e160
+    cfg = TrainConfig(0.1, 60, 0.05, 1.0, noise_multiplier=0.5, seed=0)
+    assert first_batch_with(17, len(y), cfg) == 0
+    losses, _ = batch_loss_and_grads(spec, np.zeros(param_count(spec)),
+                                     x[17:18], y[17:18])
+    assert losses[0] == pytest.approx(math.log(3))
+    with pytest.raises(NumericFailureError) as err:
+        dp_sgd_train(Dataset(x, y, task, k), spec, cfg)
+    assert str(err.value) == "non-finite loss or gradient at step 0"
 
 
 # ---------------------------------------------------------------------------
@@ -317,21 +418,30 @@ def test_lockstep_rejects_bad_multipliers():
         "mlp_regression"])
 def test_stacked_batch_grads_equal_per_run_calls(spec):
     # Exact equality: a BLAS whose stacked matmul changes the bits of one
-    # run must fail here, not drift silently.
+    # run must fail here, not drift silently. The same holds for the
+    # clipped-sum kernel that DP-SGD steps through, against (P,) and (1, P)
+    # calls.
     rng = np.random.default_rng(8)
     runs = 4
     params = rng.standard_normal((runs, param_count(spec)))
-    for b in (1, 3, 21):
+    for b in (1, 3, 21, 128):
         x = rng.standard_normal((b, spec.input_dim))
         y = (rng.standard_normal(b) if spec.output_dim == 1
              else rng.integers(0, spec.output_dim, b))
         losses, grads = batch_loss_and_grads(spec, params, x, y)
         assert losses.shape == (runs, b)
         assert grads.shape == (runs, b, param_count(spec))
+        xb, yb = as_batch(spec, x, y)
+        stacked = clipped_grad_sum(spec, params, xb, yb, 0.5)
         for r in range(runs):
             loss_r, grad_r = batch_loss_and_grads(spec, params[r], x, y)
             assert np.array_equal(losses[r], loss_r)
             assert np.array_equal(grads[r], grad_r)
+            for alone in (clipped_grad_sum(spec, params[r], xb, yb, 0.5),
+                          [out[0] for out in clipped_grad_sum(
+                              spec, params[r:r + 1], xb, yb, 0.5)]):
+                for got, want in zip(stacked, alone):
+                    assert np.array_equal(got[r], want)
     with pytest.raises(ValueError):
         batch_loss_and_grads(spec, np.zeros((2, 2, param_count(spec))), x, y)
 
