@@ -244,6 +244,27 @@ def clip_scale(norms: np.ndarray, clip_norm: float) -> np.ndarray:
     return np.minimum(1.0, clip_norm / np.maximum(norms, 1e-300))
 
 
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """l2 norms of the rows of ``v``, each row divided by its largest
+    magnitude before it is squared, so no square overflows."""
+    top = np.abs(v).max(axis=-1, keepdims=True)
+    unit = np.where(top > 0.0, top, 1.0)
+    return top[..., 0] * np.sqrt(np.square(v / unit).sum(axis=-1))
+
+
+def _scaled_norms(layers, acts, deltas) -> np.ndarray:
+    """Per-sample gradient norms as sqrt(sum of (|delta| |a|)^2) over the
+    layers, from overflow-free row norms: slower than squaring the norms
+    apart, and not finite only where some layer's gradient norm overflows."""
+    sq = 0.0
+    for (_, bias), a, delta in zip(layers, acts, deltas):
+        a_norm = _row_norms(a)
+        if bias is not None:
+            a_norm = np.hypot(a_norm, 1.0)
+        sq = sq + np.square(_row_norms(delta) * a_norm)
+    return np.sqrt(sq)
+
+
 def clipped_grad_sum(
     spec: ModelSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray,
     clip_norm: float,
@@ -258,10 +279,12 @@ def clipped_grad_sum(
     the batch is one matmul (s * delta)^T a per layer, s the clip scale
     (ghost norms: Goodfellow 2015; Lee & Kifer 2021). The linear models are
     one layer without a bias. A finite norm bounds every gradient entry,
-    since |delta_o a_i| <= |delta| |a|. Squaring the two norms apart can
-    overflow, or make 0 * inf, where the formed gradient would not, but only
-    once a delta or activation row has norm above sqrt(max float), about
-    1.3e154; the norm is then not finite and the caller's check fails.
+    since |delta_o a_i| <= |delta| |a|. Squaring the two norms apart
+    overflows, or makes 0 * inf, once a delta or input row has norm above
+    sqrt(max float), about 1.3e154, even where the gradient's norm is
+    finite; such a norm is taken again from rescaled rows
+    (``_scaled_norms``), so it is not finite only where the gradient's own
+    norm overflows.
 
     With (R, P) params the results are (R, b), (R, b) and (R, P), each run
     bit-equal to a call with its own (P,) vector, as in
@@ -283,6 +306,9 @@ def clipped_grad_sum(
         if i > 0:
             delta = _next_delta(delta, w, acts[i])
     norms = np.sqrt(sq_norms)
+    bad = ~np.isfinite(norms)
+    if bad.any():
+        norms = np.where(bad, _scaled_norms(layers, acts, deltas), norms)
     scale = clip_scale(norms, clip_norm)[..., None]
     chunks = []
     for (_, bias), a, delta in zip(layers, acts, deltas):

@@ -115,6 +115,49 @@ def test_clipped_grad_sum_matches_materialized_gradients(spec):
                     <= 1e-12 * np.linalg.norm(want_sum, axis=-1)).all()
 
 
+def _overflow_cases():
+    # A feature row of 1e160 squares to inf. softmax_linear: run 0 makes the
+    # softmax exactly one-hot, so the row's delta and gradient are exactly 0;
+    # run 1 leaves a delta of about 1e-100, a gradient norm of about 1e60.
+    soft = ModelSpec("softmax_linear", 2, 3)
+    soft_params = np.zeros((2, 3, 2))
+    soft_params[0, 0, 0] = 1.0
+    soft_params[1, 0, 0] = 230e-160
+    # mlp regressor: a 1e-160 weight keeps the hidden units near 1 and the
+    # first layer's delta near 1e-160, so every gradient entry is near 1 and
+    # the bias terms count in the norm.
+    mlp = ModelSpec("mlp", 2, 1, (2,))
+    mlp_params = np.array([1e-160, 0.0, 0.0, 1.0, 0.0, 0.0,
+                           1e-160, 2e-160, 0.3])
+    x = [[1e160, 0.5], [0.5, -1.0]]
+    return [(soft, soft_params.reshape(2, -1), x, [0, 2]),
+            (mlp, mlp_params[None, :], x, [1.0, -2.0])]
+
+
+@pytest.mark.parametrize("case", _overflow_cases(),
+                         ids=["softmax_linear", "mlp_regression"])
+def test_clipped_grad_sum_norms_survive_overflowing_squares(case):
+    # The oracle's norms are finite, so the kernel's must be too: the norm of
+    # a row whose squares overflow is taken again from rescaled rows.
+    spec, params, x, y = case
+    x, y = as_batch(spec, x, y)
+    want_losses, grads = batch_loss_and_grads(spec, params, x, y)
+    want_norms = np.linalg.norm(grads, axis=-1)
+    assert np.isfinite(want_norms).all()
+    clip = 1.0
+    want_sum = (grads * clip_scale(want_norms, clip)[..., None]).sum(axis=-2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        stacked = clipped_grad_sum(spec, params, x, y, clip)
+        alone = [clipped_grad_sum(spec, row, x, y, clip) for row in params]
+    losses, norms, grad_sum = stacked
+    assert np.array_equal(losses, want_losses)
+    np.testing.assert_allclose(norms, want_norms, rtol=1e-12)
+    np.testing.assert_allclose(grad_sum, want_sum, rtol=1e-12)
+    for r, outs in enumerate(alone):
+        for got, want in zip(outs, stacked):
+            assert np.array_equal(got, want[r])
+
+
 def test_as_batch_converts_once():
     spec = ModelSpec("mlp", 3, 4, (5,))
     x = np.arange(6.0).reshape(2, 3)
