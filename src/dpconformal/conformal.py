@@ -17,13 +17,17 @@ Every trial is a pure function of (pool, test, config, seed).
 ``run_pipeline`` runs it in two stages: ``train_stage`` (split, DP-SGD,
 scores) and ``finish_stage`` (sigma_q, search or exact quantile,
 evaluation). ``train_target`` names the model a method trains, so methods
-with equal targets can finish from one train stage.
+with equal targets can finish from one train stage. Every model of a trial
+that trains on the same subset reads the same batches and noise, so
+``train_stages`` trains the targets of one subset in one lockstep DP-SGD
+call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -37,7 +41,8 @@ from .quantile import (QuantileConfig, buffered_right_search,
 from .training import TrainConfig, TrainedModel, dp_sgd_train
 
 __all__ = ["EvalReport", "PipelineConfig", "METHODS", "TrainedStage",
-           "finish_stage", "run_pipeline", "train_stage", "train_target"]
+           "finish_stage", "run_pipeline", "train_stage", "train_stages",
+           "train_target"]
 
 METHODS = ("dpscp_f", "dpscp_a", "dp_split", "split_cp", "naive_full")
 
@@ -157,22 +162,36 @@ def _split_indices(n: int, fraction: float,
     return perm[:cut], perm[cut:]
 
 
-def train_stage(pool: Dataset, test: Dataset, config: PipelineConfig,
-                seed: int) -> TrainedStage:
-    """The split, sigma_sgd calibration, DP-SGD training and scoring of one
-    trial: everything that depends on ``train_target`` of the method."""
+def train_stages(pool: Dataset, test: Dataset,
+                 configs: Sequence[PipelineConfig], seed: int
+                 ) -> Iterator[TrainedStage | Exception]:
+    """The split, sigma_sgd calibrations, DP-SGD training and scoring of one
+    trial for configs that train on one subset (``train_target(...)[0]``)
+    with one model spec and training template.
+
+    The models train in one lockstep ``dp_sgd_train`` call, each bit-equal
+    to its own call. Yields, per config in order, its ``TrainedStage`` or
+    the exception that its calibration, training or scoring raised; a stage
+    is scored only when it is asked for, so one stage's score arrays are
+    held at a time. An error that no single config owns (the schema, the
+    split) is raised.
+    """
     if pool.task != test.task or pool.dim != test.dim:
         raise ValueError("pool and test must share schema")
-    budget = config.budget
-    target = train_target(config.method, budget)
-    split, eps_train_target = target
+    first = configs[0]
+    split = train_target(first.method, first.budget)[0]
+    shared = (split, first.model, first.train_template, first.split_fraction)
+    if any((train_target(c.method, c.budget)[0], c.model, c.train_template,
+            c.split_fraction) != shared for c in configs):
+        raise ValueError("configs must share one training subset, model "
+                         "and training template")
     ss = np.random.SeedSequence(seed).spawn(3)
     train_seed = int(ss[1].generate_state(1)[0])
     quant_seed = int(ss[2].generate_state(1)[0])
 
     if split:
         split_rng = np.random.Generator(np.random.PCG64(ss[0]))
-        train_idx, cal_idx = _split_indices(pool.n, config.split_fraction,
+        train_idx, cal_idx = _split_indices(pool.n, first.split_fraction,
                                             split_rng)
         train_data = pool.subset(train_idx)
         cal_data = pool.subset(cal_idx)
@@ -180,20 +199,50 @@ def train_stage(pool: Dataset, test: Dataset, config: PipelineConfig,
         train_data = pool
         cal_data = pool
 
-    tmpl = config.train_template
-    if eps_train_target is None:
-        sigma_sgd = 0.0
-    else:
-        sigma_sgd = calibrate_sigma_sgd(tmpl.sampling_rate, tmpl.steps,
-                                        eps_train_target, budget.delta_target)
-    train_config = replace(tmpl, noise_multiplier=sigma_sgd, seed=train_seed)
-    model = dp_sgd_train(train_data, config.model, train_config)
+    tmpl = first.train_template
+    sigmas: list = []
+    for config in configs:
+        eps_train_target = train_target(config.method, config.budget)[1]
+        try:
+            sigmas.append(0.0 if eps_train_target is None else
+                          calibrate_sigma_sgd(tmpl.sampling_rate, tmpl.steps,
+                                              eps_train_target,
+                                              config.budget.delta_target))
+        except Exception as exc:  # fails this config alone
+            sigmas.append(exc)
+    calibrated = [s for s in sigmas if not isinstance(s, Exception)]
+    models: list = []
+    if calibrated:
+        try:
+            models = dp_sgd_train(train_data, first.model,
+                                  replace(tmpl, seed=train_seed),
+                                  noise_multipliers=calibrated)
+        except Exception as exc:  # a failure shared by every calibrated run
+            models = [exc] * len(calibrated)
+    runs = iter(models)
 
-    if eps_train_target is None:
+    for config, sigma in zip(configs, sigmas):
+        stage = sigma if isinstance(sigma, Exception) else next(runs)
+        if isinstance(stage, TrainedModel):
+            try:
+                stage = _scored_stage(stage, config, cal_data, test,
+                                      quant_seed)
+            except Exception as exc:  # a scoring failure fails this config
+                stage = exc
+        yield stage
+
+
+def _scored_stage(model: TrainedModel, config: PipelineConfig,
+                  cal_data: Dataset, test: Dataset,
+                  quant_seed: int) -> TrainedStage:
+    """The training spend and the scores of one config's trained model."""
+    target = train_target(config.method, config.budget)
+    if target[1] is None:
         train_profile, eps_train_spent = None, 0.0
     else:
         train_profile = sgd_profile(model.accounting, default_orders())
-        eps_train_spent = rdp_to_eps(train_profile, budget.delta_target)
+        eps_train_spent = rdp_to_eps(train_profile,
+                                     config.budget.delta_target)
     return TrainedStage(
         target=target,
         cal_scores=_in_sample_scores(model, cal_data),
@@ -203,6 +252,17 @@ def train_stage(pool: Dataset, test: Dataset, config: PipelineConfig,
         eps_train_spent=float(eps_train_spent),
         quant_seed=quant_seed,
     )
+
+
+def train_stage(pool: Dataset, test: Dataset, config: PipelineConfig,
+                seed: int) -> TrainedStage:
+    """The split, sigma_sgd calibration, DP-SGD training and scoring of one
+    trial: everything that depends on ``train_target`` of the method. The
+    one-config case of ``train_stages``."""
+    (stage,) = train_stages(pool, test, [config], seed)
+    if isinstance(stage, Exception):
+        raise stage
+    return stage
 
 
 def finish_stage(stage: TrainedStage, config: PipelineConfig) -> EvalReport:

@@ -146,9 +146,10 @@ def load_csv(path, label_column: int, task: str,
     labels = table[:, label_column]
     features = np.delete(table, label_column, axis=1)
     if task == CLASSIFICATION:
-        if not np.allclose(labels, np.round(labels)):
+        rounded = np.round(labels)
+        if not np.allclose(labels, rounded):
             raise ValueError(f"{path}: classification labels must be integers")
-        labels = labels.astype(int)
+        labels = rounded.astype(int)
         if labels.min() < 0:
             raise ValueError(f"{path}: class labels must be nonnegative")
         return Dataset(features, labels, CLASSIFICATION,

@@ -14,17 +14,21 @@ changes earlier rows, and grid cells sharing a trial index share their
 random draws (the generators are prefix-stable in n), which pairs the
 sweep's comparisons.
 
-The unit of work is one distinct training: a (data cell, trial, training
-key) task takes the standardized pool and test split, runs
-``conformal.train_stage`` once and ``conformal.finish_stage`` for every grid
-cell whose method has the same ``train_target`` (so ``dpscp_f`` and
-``dpscp_a`` share a model, and ``split_cp`` and ``naive_full`` train once per
-data cell and trial). One stability task is one trial: its epsilon cells
-train in one lockstep ``coupled_train`` call. Quantile-demo cells are tasks
-of one cell. A scaling data cell, and a realdata trial's standardized split,
-is built once per process, and a realdata CSV is parsed once per process for
-each version of the file. Trial runners hand their series back as compact
-``_SeriesBlock`` arrays, not per-step rows.
+The unit of work is one training subset: a (data cell, trial, training
+subset) task takes the standardized pool and test split, and trains every
+distinct ``train_target`` of its cells on that subset (the full pool, or
+the train half of the split) in one lockstep ``conformal.train_stages``
+call, since they share the trial's batches and noise and differ only in
+sigma_sgd. It then runs ``conformal.finish_stage`` for every cell from the
+model of its target (so ``dpscp_f`` and ``dpscp_a`` share a model, and
+``split_cp`` and ``naive_full`` train once per data cell and trial). A
+subset whose targets would stack more than ``_LOCKSTEP_ROWS`` batch rows in
+one step is split over several tasks. One stability task is one trial: its
+epsilon cells train in one lockstep ``coupled_train`` call. Quantile-demo
+cells are tasks of one cell. A scaling data cell, and a realdata trial's
+standardized split, is built once per process, and a realdata CSV is parsed
+once per process for each version of the file. Trial runners hand their
+series back as compact ``_SeriesBlock`` arrays, not per-step rows.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .accounting import BudgetSpec, calibrate_sigma_sgd
-from .conformal import (METHODS, PipelineConfig, finish_stage, train_stage,
+from .conformal import (METHODS, PipelineConfig, finish_stage, train_stages,
                         train_target)
 # Not called here: bench/layers.py wraps experiments.run_pipeline by name.
 from .conformal import run_pipeline  # noqa: F401
@@ -261,8 +265,11 @@ def _standardized(pool: Dataset, test: Dataset
 def _pipeline_group(config: ExperimentConfig, rows: list[dict], pool: Dataset,
                     test: Dataset, stats: StandardizationStats
                     ) -> list[tuple[dict, list]]:
-    """Train the model the rows' cells share once on the standardized pool,
-    and finish every cell from it; a cell whose finish fails fails alone."""
+    """Train the distinct targets of the rows' cells, which share one
+    training subset, in one lockstep call on the standardized pool, and
+    finish every cell from the model of its target. A cell fails alone when
+    its finish fails, and with the cells of its target when that target's
+    calibration or run fails."""
     train = config.train
     epochs = int(train.get("epochs", 50))
     batch = int(train.get("batch_size", 32))
@@ -290,27 +297,37 @@ def _pipeline_group(config: ExperimentConfig, rows: list[dict], pool: Dataset,
         split_fraction=split_fraction,
         target_scale=stats.target_scale,
     ) for row, budget in zip(rows, budgets)]
-    stage = train_stage(pool, test, pipes[0], rows[0]["seed"])
-    out = []
-    for row, pipe in zip(rows, pipes):
-        try:
-            report = finish_stage(stage, pipe)
-        except Exception as exc:  # a failed cell becomes a failed row
-            out.append(_failed(row, exc))
-            continue
-        out.append(({**row, "n": pool.n, "status": "ok",
-                     "coverage": report.coverage,
-                     "efficiency": report.efficiency,
-                     "informativeness": report.informativeness,
-                     "q_hat": report.q_hat, "sigma_q": report.sigma_q,
-                     "eps_train": report.eps_train_spent}, []))
+    groups: dict = {}
+    for i, (pipe, budget) in enumerate(zip(pipes, budgets)):
+        groups.setdefault(train_target(pipe.method, budget), []).append(i)
+    stages = train_stages(pool, test, [pipes[m[0]] for m in groups.values()],
+                          rows[0]["seed"])
+    out: list = [None] * len(rows)
+    for members, stage in zip(groups.values(), stages):
+        for i in members:
+            row = rows[i]
+            if isinstance(stage, Exception):
+                out[i] = _failed(row, stage)
+                continue
+            try:
+                report = finish_stage(stage, pipes[i])
+            except Exception as exc:  # a failed cell becomes a failed row
+                out[i] = _failed(row, exc)
+                continue
+            out[i] = ({**row, "n": pool.n, "status": "ok",
+                       "coverage": report.coverage,
+                       "efficiency": report.efficiency,
+                       "informativeness": report.informativeness,
+                       "q_hat": report.q_hat, "sigma_q": report.sigma_q,
+                       "eps_train": report.eps_train_spent}, [])
     return out
 
 
-# Tasks run each training key for every trial in turn, so the tasks of one
-# (n, trial) lie up to (sample sizes x trials) data cells apart. 32 cells hold
-# the desk grid (2 x 10) and every trial of the paper's 30 at one n, at most
-# about 90 MB at n = 30000.
+# An (n, trial) has one task per training subset, two in all unless the
+# lockstep row cap splits a subset's targets. Tasks run each subset for every
+# trial in turn, so the tasks of one (n, trial) lie up to (sample sizes x
+# trials) data cells apart. 32 cells hold the desk grid (2 x 10) and every
+# trial of the paper's 30 at one n, at most about 90 MB at n = 30000.
 @lru_cache(maxsize=32)
 def _scaling_data(generator: tuple, n: int, trial_seed: int
                   ) -> tuple[Dataset, Dataset, StandardizationStats]:
@@ -361,8 +378,9 @@ def _csv_key(src: dict) -> tuple:
             bool(src.get("has_header", True)), (st.st_mtime_ns, st.st_size))
 
 
-# Bounded as _scaling_data is: the tasks of one trial lie up to (training
-# keys x trials) tasks apart.
+# Bounded as _scaling_data is: a trial has one task per training subset (two
+# unless the lockstep row cap splits a subset), and they lie up to (trials)
+# tasks apart.
 @lru_cache(maxsize=32)
 def _realdata_split(csv_key: tuple, test_fraction: float, trial_seed: int
                     ) -> tuple[Dataset, Dataset, StandardizationStats]:
@@ -540,9 +558,9 @@ _TRIAL_RUNNERS = {
 
 def _safe_trial(config: ExperimentConfig, cells: list[tuple],
                 trial: int) -> list[tuple[dict, list]]:
-    """Run one task: the grid cells of one trial that share a trained model
-    (every cell for stability, one cell for the quantile demo). A failure
-    that no single cell owns fails every cell of the task."""
+    """Run one task: the grid cells of one trial that share a training
+    subset (every cell for stability, one cell for the quantile demo). A
+    failure that no single cell owns fails every cell of the task."""
     rows = [_cell_row(config, cell, trial) for cell in cells]
     try:
         return _TRIAL_RUNNERS[config.experiment](config, rows)
@@ -550,34 +568,69 @@ def _safe_trial(config: ExperimentConfig, cells: list[tuple],
         return [_failed(row, exc) for row in rows]
 
 
-def _share_key(config: ExperimentConfig, cell: tuple, index: int):
-    """Cells of one trial with equal keys run in one task. Scaling and
-    realdata cells share a task when they train the same model: their data
-    cell (n; the whole CSV for realdata) and ``train_target`` agree. Every
-    stability cell of a trial shares one task, which trains all of them in
-    lockstep. Any other cell is keyed by its own index and so runs alone."""
-    if config.experiment == "stability":
-        return "coupled"
+# At most this many rows (lockstep runs x batch size) in one training call.
+# A subset's targets beyond it go to further tasks, so that the (runs, batch,
+# width) activations of large batches stay small and the tasks balance on a
+# few workers: batch 2000 trains 2 runs per call, batch 32 up to 128.
+_LOCKSTEP_ROWS = 4096
+
+
+def _cell_target(config: ExperimentConfig, cell: tuple):
+    """(n, ``train_target``) of a scaling or realdata cell; None for other
+    cells and for an invalid budget."""
     if config.experiment not in ("scaling", "realdata"):
-        return index
+        return None
     row = _cell_row(config, cell, 0)
     try:
         budget = BudgetSpec(row["epsilon"], config.delta, row["p"])
         return row["n"], train_target(row["method"], budget)
     except (TypeError, ValueError):  # an invalid budget fails on its own
+        return None
+
+
+def _share_key(config: ExperimentConfig, cell: tuple, index: int):
+    """Cells of one trial with equal keys share a training subset. Scaling
+    and realdata cells do when their data cell (n; the whole CSV for
+    realdata) and the split flag of ``train_target`` agree. Every stability
+    cell of a trial shares one task, which trains all of them in lockstep.
+    Any other cell is keyed by its own index and so runs alone."""
+    if config.experiment == "stability":
+        return "coupled"
+    target = _cell_target(config, cell)
+    if target is None:
         return index
+    n, (split, _) = target
+    return n, split
+
+
+def _lockstep_runs(config: ExperimentConfig) -> int:
+    """Most distinct targets that one task trains in lockstep."""
+    try:
+        batch = int(config.train.get("batch_size", 32))
+    except (TypeError, ValueError):  # the task fails on the bad value
+        return 1
+    return max(1, _LOCKSTEP_ROWS // max(batch, 1))
 
 
 def _tasks(config: ExperimentConfig, cells: list[tuple],
            trials: int) -> list[tuple[list[int], int]]:
-    """One (cell indices, trial) task per distinct training, in the order of
-    each task's first row in the output."""
+    """(cell indices, trial) tasks, one per training subset of a trial and
+    per ``_lockstep_runs`` of its distinct targets, in the order of each
+    task's first row in the output."""
     groups: dict = {}
     for t in range(trials):
         for i, cell in enumerate(cells):
             groups.setdefault((t, _share_key(config, cell, i)), []).append(i)
-    return sorted(((members, t) for (t, _), members in groups.items()),
-                  key=lambda task: (task[0][0], task[1]))
+    cap = _lockstep_runs(config)
+    tasks = []
+    for (t, _), members in groups.items():
+        targets = [_cell_target(config, cells[i]) for i in members]
+        distinct = list(dict.fromkeys(targets))
+        for k in range(0, len(distinct), cap):
+            chunk = distinct[k:k + cap]
+            tasks.append(([i for i, target in zip(members, targets)
+                           if target in chunk], t))
+    return sorted(tasks, key=lambda task: (task[0][0], task[1]))
 
 
 def _format_row(row: dict) -> dict:
@@ -607,8 +660,9 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
     """Run the configured sweep; returns the formatted result rows and, when
     ``config.output`` is set, writes ``<output>`` plus ``<stem>_series.csv``.
 
-    Each task trains one distinct model for one trial and finishes every
-    grid cell that shares it; ``jobs`` worker processes run the tasks.
+    Each task trains the models of one training subset of one trial in
+    lockstep and finishes every grid cell that uses them; ``jobs`` worker
+    processes run the tasks.
     Rows appear in deterministic (grid cell, trial) order with per-cell
     aggregate rows appended, regardless of worker count: a reorder buffer
     holds each finished row until every row before it is out, and flushes

@@ -10,8 +10,9 @@ the standalone run, and its two trajectories are bitwise equal until the
 extra point is sampled for the first time.
 
 One step function advances a stack of runs that differ only in their noise
-multiplier on one shared batch, so a coupled call can carry R pairs in
-lockstep; every run keeps the bits it has when trained alone.
+multiplier on one shared batch, so a standalone call can carry R runs and a
+coupled call R pairs in lockstep; every run keeps the bits it has when
+trained alone.
 """
 
 from __future__ import annotations
@@ -185,9 +186,10 @@ def _batch_update(
     run that failed a finiteness check (a projected run's norm included),
     the message of the first check it failed. A failed run's row is garbage;
     every other row is bit-equal to the step that run would take alone.
-    ``audit_hook(step, clipped_norms)`` observes run 0 (its one caller trains
-    a single run). The batch is trusted: ``as_batch`` checked the features
-    and labels it is drawn from, once per training call.
+    ``audit_hook(step, clipped_norms)`` observes run 0; ``dp_sgd_train``,
+    which rejects a hook when it trains more than one run, is its one
+    caller. The batch is trusted: ``as_batch`` checked the features and
+    labels it is drawn from, once per training call.
     """
     # A failing run may overflow or make NaNs; the checks below name it.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -228,33 +230,74 @@ def _batch_update(
     return new, failed
 
 
+def _multipliers(config: TrainConfig,
+                 noise_multipliers: Sequence[float] | None) -> list[float]:
+    """The noise multiplier of each lockstep run: ``noise_multipliers``, or
+    the one of ``config`` when it is None."""
+    if noise_multipliers is None:
+        return [config.noise_multiplier]
+    sigmas = list(noise_multipliers)
+    if not sigmas or not all(s >= 0.0 for s in sigmas):
+        raise ValueError("noise_multipliers must be a nonempty sequence of "
+                         "nonnegative values")
+    return sigmas
+
+
 def dp_sgd_train(
     dataset: Dataset,
     spec: ModelSpec,
     config: TrainConfig,
     audit_hook: Callable[[int, np.ndarray], None] | None = None,
-) -> TrainedModel:
+    *,
+    noise_multipliers: Sequence[float] | None = None,
+) -> TrainedModel | list[TrainedModel | NumericFailureError]:
     """Train with DP-SGD; bit-reproducible for a fixed config.
 
     ``audit_hook(step, clipped_norms)``, when given, observes the post-clip
     per-sample gradient norms of every processed batch.
+
+    With ``noise_multipliers``, one run per multiplier replaces the run at
+    ``config.noise_multiplier``, all R advancing on each step's one mask and
+    noise vector. The result is then a list holding, per multiplier, the
+    model that a call with that multiplier alone returns, bit for bit, or
+    the ``NumericFailureError`` that such a call raises; a failed run leaves
+    the others unchanged. ``audit_hook`` is rejected with more than one run.
     """
+    sigmas = _multipliers(config, noise_multipliers)
+    if audit_hook is not None and len(sigmas) > 1:
+        raise ValueError("audit_hook observes a single run")
     x, y = as_batch(spec, dataset.features, dataset.labels)
     n = dataset.n
     p = param_count(spec)
     mask_rng, noise_rng, _, init_rng = _spawn_streams(config.seed)
-    params = init_params(spec, init_rng)[None, :]
-    noise_std = np.array([[config.noise_multiplier * config.clip_norm]])
+    runs = len(sigmas)
+    params = np.tile(init_params(spec, init_rng), (runs, 1))
+    std = np.array(sigmas, dtype=float)[:, None] * config.clip_norm
+    outcome: list = [None] * runs
+    # Row i of params is run live[i].
+    live = list(range(runs))
     for t, idx, noise in _draws(n, p, config, mask_rng, noise_rng):
         if idx.size == 0:
             continue
         params, failed = _batch_update(spec, params, x[idx], y[idx], noise,
-                                       noise_std, config, t, audit_hook)
+                                       std, config, t, audit_hook)
         if failed:
-            raise NumericFailureError(failed[0])
-    record = SgdAccountingRecord(config.noise_multiplier, config.sampling_rate,
-                                 config.steps)
-    return TrainedModel(spec, params[0], record)
+            for i, msg in failed.items():
+                outcome[live[i]] = NumericFailureError(msg)
+            keep = [i for i in range(len(live)) if i not in failed]
+            params, std = params[keep], std[keep]
+            live = [live[i] for i in keep]
+            if not live:
+                break
+    for i, r in enumerate(live):
+        record = SgdAccountingRecord(sigmas[r], config.sampling_rate,
+                                     config.steps)
+        outcome[r] = TrainedModel(spec, params[i], record)
+    if noise_multipliers is None:
+        if isinstance(outcome[0], NumericFailureError):
+            raise outcome[0]
+        return outcome[0]
+    return outcome
 
 
 def coupled_train(
@@ -282,11 +325,7 @@ def coupled_train(
     call raises; a failed run leaves the others unchanged. A run whose gap
     or error norm is not finite fails too, naming the first such step.
     """
-    single = noise_multipliers is None
-    sigmas = [config.noise_multiplier] if single else list(noise_multipliers)
-    if not sigmas or any(s < 0.0 for s in sigmas):
-        raise ValueError("noise_multipliers must be a nonempty sequence of "
-                         "nonnegative values")
+    sigmas = _multipliers(config, noise_multipliers)
     x, y = as_batch(spec, base.features, base.labels)
     n = base.n
     p = param_count(spec)
@@ -384,7 +423,7 @@ def coupled_train(
         diverged=first_divergence is not None,
         first_divergence_step=first_divergence,
     ) if outcome[r] is None else outcome[r] for r in range(runs)]
-    if single:
+    if noise_multipliers is None:
         if isinstance(traces[0], NumericFailureError):
             raise traces[0]
         return traces[0]

@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from dpconformal.accounting import (BudgetSpec, SgdAccountingRecord,
+from dpconformal.accounting import (BudgetSpec, InfeasibleBudgetError,
+                                    SgdAccountingRecord,
                                     calibrate_sigma_sgd, default_orders,
                                     gaussian_profile, rdp_compose, rdp_to_eps,
                                     sgd_profile)
 from dpconformal.conformal import (PipelineConfig, _evaluate_fast,
                                    _in_sample_scores, _score_matrix,
                                    finish_stage, run_pipeline, train_stage,
-                                   train_target)
+                                   train_stages, train_target)
 from dpconformal.data import gen_multiclass
 from dpconformal.models import (Dataset, ModelSpec, param_count,
                                 predict_proba, predict_value)
@@ -310,3 +311,28 @@ def test_one_train_stage_finishes_every_method_that_shares_it(
                   tiny_pipeline_config("dpscp_a", pool.n, epsilon=2.0)):
         with pytest.raises(ValueError, match="trains another model"):
             finish_stage(stage, other)
+
+
+def test_train_stages_equal_one_train_stage_each(class_pool_test):
+    # Three dpscp targets and naive_full train on the full pool in one
+    # lockstep call; no sigma_sgd meets the epsilon 0.04 target.
+    pool, test = class_pool_test
+    configs = [tiny_pipeline_config("dpscp_f", pool.n, epsilon=eps)
+               for eps in (0.5, 0.04, 2.0)]
+    configs.append(tiny_pipeline_config("naive_full", pool.n))
+    stages = list(train_stages(pool, test, configs, seed=11))
+    assert isinstance(stages[1], InfeasibleBudgetError)
+    with pytest.raises(InfeasibleBudgetError):
+        train_stage(pool, test, configs[1], seed=11)
+    for i in (0, 2, 3):
+        alone = train_stage(pool, test, configs[i], seed=11)
+        assert stages[i].target == alone.target
+        assert np.array_equal(stages[i].cal_scores, alone.cal_scores)
+        assert np.array_equal(stages[i].test_scores, alone.test_scores)
+        assert stages[i].eps_train_spent == alone.eps_train_spent
+        assert finish_stage(stages[i], configs[i]) == finish_stage(
+            alone, configs[i])
+    assert not np.array_equal(stages[0].cal_scores, stages[2].cal_scores)
+    split = tiny_pipeline_config("dp_split", pool.n)
+    with pytest.raises(ValueError, match="one training subset"):
+        list(train_stages(pool, test, [configs[0], split], seed=11))

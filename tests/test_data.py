@@ -123,6 +123,16 @@ def test_load_csv_classification_infers_classes(tmp_path):
     assert data.labels.dtype.kind == "i"
 
 
+def test_load_csv_rounds_near_integer_class_labels(tmp_path):
+    # Within the integer tolerance, but below 3: the label is class 3, not
+    # its truncation to 2.
+    path = tmp_path / "near.csv"
+    path.write_text("x,label\n0.5,2.9999999\n1.5,1.0000001\n2.5,0\n")
+    data = load_csv(path, label_column=1, task="classification")
+    assert data.labels.tolist() == [3, 1, 0]
+    assert data.n_classes == 4
+
+
 def test_load_csv_empty_after_filtering(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("a,b\n,\n")

@@ -313,10 +313,19 @@ def test_each_distinct_model_trains_once_per_trial(tmp_path, monkeypatch):
         allocations=(0.3, 0.5),
         train={"model": "softmax_linear", "epochs": 2, "batch_size": 32,
                "learning_rate": 0.05, "clip_norm": 1.0})
-    calls = counting(monkeypatch, conformal, "dp_sgd_train")
+    runs = []
+    real = conformal.dp_sgd_train
+
+    def train(*args, noise_multipliers, **kwargs):
+        runs.append(len(noise_multipliers))
+        return real(*args, noise_multipliers=noise_multipliers, **kwargs)
+
+    monkeypatch.setattr(conformal, "dp_sgd_train", train)
     rows = run_experiment(cfg)
-    # Per trial: 4 dpscp_f/dpscp_a models, 2 dp_split, split_cp, naive_full.
-    assert len(calls) == 2 * 8
+    # Per trial: one lockstep call on the full pool (4 dpscp_f/dpscp_a
+    # models and naive_full) and one on the train half (2 dp_split and
+    # split_cp): 2 calls carrying 8 runs.
+    assert len(runs) == 2 * 2 and sum(runs) == 2 * 8
     monkeypatch.undo()
     assert sum(r["status"] == "ok" for r in rows) == 2 * 2 * 5 * 2
     # Oracle: the same cell in a sweep of its own, where no model is shared.
@@ -334,6 +343,72 @@ def test_each_distinct_model_trains_once_per_trial(tmp_path, monkeypatch):
     assert run_experiment(cfg, jobs=2) == rows
     assert (tmp_path / "results.csv").read_bytes() == results
     assert (tmp_path / "results_series.csv").read_bytes() == series
+
+
+def test_infeasible_target_fails_alone_in_its_lockstep_task(tmp_path):
+    # At epsilon 0.04 no sigma_sgd meets the dpscp or dp_split training
+    # target; each subset's task still trains its other targets.
+    cfg = tiny_scaling_config(
+        tmp_path, methods=ALL_METHODS, epsilons=(0.04, 1.0),
+        train={"model": "softmax_linear", "epochs": 2, "batch_size": 32,
+               "learning_rate": 0.05, "clip_norm": 1.0})
+    tasks = experiments._tasks(cfg, experiments._grid(cfg), cfg.trials)
+    assert len(tasks) == 2 * 2
+    rows = run_experiment(cfg)
+    status = {}
+    for r in rows:
+        if r["seed"]:
+            status.setdefault((r["method"], r["epsilon"]), set()).add(
+                r["status"])
+    infeasible = {("dpscp_f", "0.04"), ("dpscp_a", "0.04"),
+                  ("dp_split", "0.04")}
+    assert {key for key, got in status.items()
+            if got == {"failed:InfeasibleBudgetError"}} == infeasible
+    assert all(got == {"ok"} for key, got in status.items()
+               if key not in infeasible)
+    # The ok cells are those of a sweep without the infeasible targets.
+    feasible = [r for r in rows if (r["method"], r["epsilon"]) not in
+                infeasible]
+    alone = [
+        *run_experiment(dataclasses.replace(
+            cfg, epsilons=(0.04,), methods=("split_cp", "naive_full"),
+            output=None)),
+        *run_experiment(dataclasses.replace(cfg, epsilons=(1.0,),
+                                            output=None))]
+    assert feasible == alone
+
+
+def test_row_cap_splits_a_subset_into_lockstep_tasks(tmp_path):
+    # Batch 2048 (full-batch steps on 600 rows) trains at most
+    # 4096 // 2048 = 2 runs per call: the full pool's 4 dpscp targets and
+    # naive_full take 3 tasks per trial, the train half's 3 targets 2.
+    cfg = tiny_scaling_config(
+        tmp_path, methods=ALL_METHODS, epsilons=(0.5, 1.0),
+        allocations=(0.3, 0.5),
+        train={"model": "softmax_linear", "epochs": 8, "batch_size": 2048,
+               "learning_rate": 0.05, "clip_norm": 1.0})
+    cells = experiments._grid(cfg)
+    tasks = experiments._tasks(cfg, cells, cfg.trials)
+    assert len(tasks) == 2 * (3 + 2)
+    for members, _ in tasks:
+        targets = {experiments._cell_target(cfg, cells[i]) for i in members}
+        assert len(targets) <= 2
+    rows = run_experiment(cfg)
+    assert sum(r["status"] == "ok" for r in rows) == 2 * 2 * 5 * 2
+    results = (tmp_path / "results.csv").read_bytes()
+    series = (tmp_path / "results_series.csv").read_bytes()
+    assert run_experiment(cfg, jobs=2) == rows
+    assert (tmp_path / "results.csv").read_bytes() == results
+    assert (tmp_path / "results_series.csv").read_bytes() == series
+    # Oracle: each cell in a sweep of its own.
+    for first in rows[::4]:
+        alone = dataclasses.replace(
+            cfg, epsilons=(float(first["epsilon"]),),
+            allocations=(float(first["p"]),), methods=(first["method"],),
+            output=None)
+        assert [r for r in rows if all(
+            r[col] == first[col] for col in ("method", "epsilon", "p"))
+        ] == run_experiment(alone)
 
 
 def test_failed_finish_leaves_the_cell_sharing_its_model_ok(tmp_path):
@@ -627,13 +702,13 @@ def test_realdata_split_standardized_once_per_trial(tmp_path, monkeypatch):
     experiments._realdata_split.cache_clear()
     fits = counting(monkeypatch, experiments, "fit_standardizer")
     rows = run_experiment(cfg)
-    # Six training keys per trial, one split and fit per trial.
+    # Two training subsets per trial, one split and fit per trial.
     assert len(fits) == 2
     assert sum(r["status"] == "ok" for r in rows) == 2 * 5 * 2
     monkeypatch.setattr(experiments, "_realdata_split",
                         experiments._realdata_split.__wrapped__)
     assert run_experiment(cfg) == rows
-    assert len(fits) == 2 + 2 * 6
+    assert len(fits) == 2 + 2 * 2
     monkeypatch.undo()
 
     pool, test, _ = experiments._realdata_split(

@@ -167,6 +167,9 @@ def test_nan_feature_row_fails_its_first_batch(spec):
     with pytest.raises(NumericFailureError) as err:
         dp_sgd_train(Dataset(x_nan, y, task, k), spec, cfg)
     assert str(err.value) == f"non-finite loss or gradient at step {step}"
+    models = dp_sgd_train(Dataset(x_nan, y, task, k), spec, cfg,
+                          noise_multipliers=(0.5, 3.0))
+    assert failures(models) == [str(err.value)] * 2
 
     # Lockstep: every run fails at the base row's first batch, or at the
     # first step that includes a NaN extra point.
@@ -199,6 +202,8 @@ def test_overflowing_parameters_fail_the_next_step(spec, learning_rate):
     with pytest.raises(NumericFailureError) as err:
         dp_sgd_train(data, spec, cfg)
     assert str(err.value) == message
+    models = dp_sgd_train(data, spec, cfg, noise_multipliers=(0.5, 3.0))
+    assert failures(models) == [message] * 2
     traces = coupled_train(data.subset(np.arange(len(y) - 1)), (x[-1], y[-1]),
                            spec, cfg, noise_multipliers=(0.5, 3.0))
     assert failures(traces) == [message] * 2
@@ -401,12 +406,73 @@ def test_lockstep_norm_overflow_fails_its_run_alone(radius):
         assert_traces_equal(traces[i], alone(sigmas[i]))
 
 
-def test_lockstep_rejects_bad_multipliers():
+@pytest.mark.parametrize("trainer", ["coupled_train", "dp_sgd_train"])
+def test_lockstep_rejects_bad_multipliers(trainer):
     base, extra, spec, _ = coupled_setup()
     cfg = TrainConfig(0.2, 5, 0.05, 1.0, seed=1)
-    for bad in ((), (0.5, -1.0)):
+
+    def train(**kwargs):
+        if trainer == "coupled_train":
+            return coupled_train(base, extra, spec, cfg, **kwargs)
+        return dp_sgd_train(base, spec, cfg, **kwargs)
+
+    for bad in ((), (0.5, -1.0), (math.nan,)):
         with pytest.raises(ValueError, match="noise_multipliers"):
-            coupled_train(base, extra, spec, cfg, noise_multipliers=bad)
+            train(noise_multipliers=bad)
+    if trainer == "dp_sgd_train":
+        # The hook observes one run; one lockstep run is still allowed.
+        with pytest.raises(ValueError, match="audit_hook"):
+            train(noise_multipliers=(0.5, 1.0),
+                  audit_hook=lambda t, norms: None)
+        seen = []
+        train(noise_multipliers=(0.5,),
+              audit_hook=lambda t, norms: seen.append(t))
+        assert seen
+
+
+@pytest.mark.parametrize("radius", [None, 0.1],
+                         ids=["no_projection", "projection"])
+@pytest.mark.parametrize("spec", KIND_SPECS, ids=KIND_IDS)
+def test_lockstep_dp_sgd_runs_equal_separate_calls(spec, radius):
+    # Exact equality, as for the coupled runs: each lockstep run, the
+    # sigma = 0 run included, is its own call bit for bit.
+    x, y, task, k = kind_data(spec)
+    data = Dataset(x, y, task, k)
+    cfg = TrainConfig(0.2, 120, 0.1, 1.0, projection_radius=radius, seed=13)
+    models = dp_sgd_train(data, spec, cfg, noise_multipliers=LOCKSTEP_SIGMAS)
+    assert len(models) == len(LOCKSTEP_SIGMAS)
+    for sigma, model in zip(LOCKSTEP_SIGMAS, models):
+        alone = dp_sgd_train(data, spec,
+                             dataclasses.replace(cfg, noise_multiplier=sigma))
+        assert np.array_equal(model.params, alone.params)
+        assert model.accounting == alone.accounting
+        assert model.spec == spec
+    assert not np.array_equal(models[1].params, models[2].params)
+    if radius is not None:
+        # The projection binds for some run.
+        assert max(np.linalg.norm(m.params) for m in models) == \
+            pytest.approx(radius)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered",
+                            "ignore:invalid value encountered")
+def test_lockstep_dp_sgd_failed_run_fails_alone():
+    # The 1e308 run overflows its noisy update at the first nonempty step.
+    data, _ = small_logistic()
+    spec = ModelSpec("softmax_linear", data.dim, 2)
+    sigmas = (0.7, 1e308, 0.0)
+    cfg = TrainConfig(0.2, 60, 0.05, 1.0, seed=13)
+    models = dp_sgd_train(data, spec, cfg, noise_multipliers=sigmas)
+    with pytest.raises(NumericFailureError) as single:
+        dp_sgd_train(data, spec, dataclasses.replace(cfg,
+                                                     noise_multiplier=1e308))
+    assert str(single.value).startswith("non-finite gradient update at step")
+    assert isinstance(models[1], NumericFailureError)
+    assert str(models[1]) == str(single.value)
+    for i in (0, 2):
+        alone = dp_sgd_train(data, spec, dataclasses.replace(
+            cfg, noise_multiplier=sigmas[i]))
+        assert np.array_equal(models[i].params, alone.params)
 
 
 @pytest.mark.parametrize("spec", [
