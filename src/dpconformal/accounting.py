@@ -4,9 +4,23 @@
 Everything here is a pure function of its inputs. The RDP side follows the
 noise-multiplier convention: a query with l2-sensitivity 1 released with
 N(0, sigma^2) noise. Subsampled-Gaussian values are the analytic
-integer-order moment bound (binomial expansion), which is exact for the
-mixture-vs-base Renyi divergence at integer orders, so the accountant is
-reproducible without any external library.
+integer-order moment bound (binomial expansion; Mironov, Talwar & Zhang
+2019), which is exact for the mixture-vs-base Renyi divergence at integer
+orders, so the accountant is reproducible without any external library.
+
+``sgd_profile``, ``rdp_subsampled_gaussian`` and ``rdp_to_eps`` are the
+exact reference (``math.exp`` and ``fsum`` per order); every recorded spend
+reads them. The two noise calibrations probe many sigmas, so each probe is
+one numpy pass over the whole order grid instead:
+
+- a ``calibrate_sigma_sgd`` probe screens sigma with a numpy log-sum-exp,
+  whose last bits may differ from the exact one, and falls back to the
+  exact conversion when the screened epsilon lies within
+  ``_SCREEN_MARGIN`` of the target, so every probe decides as the exact
+  conversion does and the search returns the same sigma bit for bit;
+- a ``calibrate_sigma_q`` probe adds the Gaussian values to the training
+  profile with the IEEE sums ``rdp_compose`` makes, so it equals the exact
+  conversion bit for bit and needs no fallback.
 """
 
 from __future__ import annotations
@@ -14,7 +28,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 __all__ = [
     "BudgetSpec",
@@ -38,6 +55,18 @@ __all__ = [
 # Bracketing/bisection knobs for the noise calibrations.
 _SIGMA_CAP = 2.0 ** 40
 _MAX_BISECT = 60
+
+# Relative margin within which a screened sigma_sgd probe is decided by the
+# exact conversion. At one order the screen and the exact path add the same
+# float terms; they differ only in exp (numpy's is within a few ulp, math's
+# within one) and in the sum of the at most 257 positive shifted terms
+# (numpy's sum, sequential at worst, is within 256 ulp; fsum rounds once).
+# The sum lies in [1, 257], so its log differs by at most about
+# 260 * 2^-53 ~ 3e-14, plus a few ulp of rounding relative to the value.
+# Scaled by the step count, epsilon differs by at most about
+# 3e-14 * steps + 1e-15 * epsilon; 1e-12 * (target + steps) covers that
+# thirtyfold.
+_SCREEN_MARGIN = 1e-12
 
 
 class InfeasibleBudgetError(ValueError):
@@ -123,13 +152,31 @@ def _logsumexp(terms: Iterable[float]) -> float:
     return m + math.log(math.fsum(math.exp(t - m) for t in terms))
 
 
+def _two_sigma_sq(sigma: float) -> float:
+    """2 sigma^2; +inf where sigma^2 overflows, which Python raises on."""
+    try:
+        return 2.0 * sigma**2
+    except OverflowError:
+        return math.inf
+
+
+def _unbounded(two_s2: float) -> bool:
+    """Whether 1 / (2 sigma^2) is not finite: 2 sigma^2 underflowed to 0 or
+    to a subnormal whose reciprocal overflows. The RDP is then +inf, as at
+    sigma = 0."""
+    return two_s2 == 0.0 or math.isinf(1.0 / two_s2)
+
+
 def rdp_gaussian(order: float, sigma: float) -> float:
     """RDP of the Gaussian mechanism: order / (2 sigma^2)."""
     if order <= 1.0:
         raise ValueError(f"order must be > 1, got {order}")
     if sigma <= 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    return order / (2.0 * sigma**2)
+    two_s2 = _two_sigma_sq(sigma)
+    if _unbounded(two_s2):
+        return math.inf
+    return order / two_s2
 
 
 def rdp_subsampled_gaussian(order: int, sigma: float, rate_q: float) -> float:
@@ -154,7 +201,10 @@ def rdp_subsampled_gaussian(order: int, sigma: float, rate_q: float) -> float:
         return 0.0
     if rate_q == 1.0:
         return rdp_gaussian(a, sigma)
-    inv2s2 = 1.0 / (2.0 * sigma**2)
+    two_s2 = _two_sigma_sq(sigma)
+    if _unbounded(two_s2):
+        return math.inf
+    inv2s2 = 1.0 / two_s2
     terms = [
         base + (k * k - k) * inv2s2
         for k, base in enumerate(_sigma_free_terms(a, rate_q))
@@ -185,8 +235,9 @@ class SgdAccountingRecord:
     steps: int
 
     def __post_init__(self) -> None:
-        if self.noise_multiplier < 0.0:
-            raise ValueError("noise_multiplier must be nonnegative")
+        if not self.noise_multiplier >= 0.0:
+            raise ValueError("noise_multiplier must be nonnegative, got "
+                             f"{self.noise_multiplier}")
         if not 0.0 <= self.sampling_rate <= 1.0:
             raise ValueError("sampling_rate must lie in [0, 1]")
         if self.steps < 0:
@@ -258,8 +309,9 @@ class BudgetSpec:
     allocation_p: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.epsilon_target <= 0.0:
-            raise ValueError("epsilon_target must be positive")
+        if not self.epsilon_target > 0.0:
+            raise ValueError("epsilon_target must be positive, got "
+                             f"{self.epsilon_target}")
         if not 0.0 < self.delta_target < 1.0:
             raise ValueError("delta_target must lie in (0, 1)")
         if not 0.0 < self.allocation_p < 1.0:
@@ -277,7 +329,7 @@ def _min_sigma_satisfying(
     eps_of_sigma must be non-increasing. Brackets by doubling/halving from
     1.0 (capped at 2^40 / 2^-40), then bisects.
     """
-    if rel_tol <= 0.0:
+    if not rel_tol > 0.0:
         raise ValueError(f"rel_tol must be positive, got {rel_tol}")
     hi = 1.0
     if eps_of_sigma(hi) <= eps_target:
@@ -344,11 +396,17 @@ def _calibrate_sigma_q(train_profile: RdpProfile, queries_k: int,
             f"training already spends eps={eps_train:.6g} > "
             f"target {epsilon_target:.6g}; no feasible sigma_q exists"
         )
-    orders = train_profile.orders
+    # rdp_to_eps(rdp_compose([train_profile, gaussian_profile(sigma_q,
+    # orders, queries_k)]), delta_target) in one numpy pass: fsum of two
+    # floats is their IEEE sum, so each probe equals it bit for bit. An inf
+    # training value stays inf and loses the min, as rdp_to_eps skips it.
+    orders = np.array(train_profile.orders)
+    train = np.array(train_profile.values)
+    floor = math.log(1.0 / delta_target) / (orders - 1.0)
 
     def eps_total(sigma_q: float) -> float:
-        qt = gaussian_profile(sigma_q, orders, queries=queries_k)
-        return rdp_to_eps(rdp_compose([train_profile, qt]), delta_target)
+        total = train + queries_k * (orders / (2.0 * sigma_q**2))
+        return float(np.min(total + floor)) if total.any() else 0.0
 
     return _min_sigma_satisfying(
         eps_total, epsilon_target, rel_tol, "calibration noise sigma_q"
@@ -367,16 +425,64 @@ def calibrate_sigma_sgd(
     profile converts to at most epsilon_target at delta_target."""
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    if epsilon_target <= 0.0:
-        raise ValueError("epsilon_target must be positive")
+    if not epsilon_target > 0.0:
+        raise ValueError(f"epsilon_target must be positive, got "
+                         f"{epsilon_target}")
     if not 0.0 < delta_target < 1.0:
         raise ValueError("delta_target must lie in (0, 1)")
     orders = default_orders()
 
-    def eps_of(sigma: float) -> float:
+    def exact(sigma: float) -> float:
         rec = SgdAccountingRecord(sigma, rate_q, steps)
         return rdp_to_eps(sgd_profile(rec, orders), delta_target)
 
+    # Rates 0 and 1, and invalid ones, keep the exact path and its checks.
+    eps_of = (_screened_sgd_eps(exact, rate_q, steps, epsilon_target,
+                                delta_target, orders)
+              if 0.0 < rate_q < 1.0 else exact)
     return _min_sigma_satisfying(
         eps_of, epsilon_target, rel_tol, "training noise multiplier"
     )
+
+
+def _screened_sgd_eps(
+    exact: Callable[[float], float],
+    rate_q: float,
+    steps: int,
+    epsilon_target: float,
+    delta_target: float,
+    orders: Sequence[int],
+) -> Callable[[float], float]:
+    """A probe that compares with epsilon_target as ``exact`` does.
+
+    It evaluates the T-step profile at every order in one numpy pass over
+    the flat sigma-free terms of ``rate_q`` and converts it. Its value is
+    within ``_SCREEN_MARGIN`` * (epsilon_target + steps) of the exact one,
+    so beyond that margin of the target it decides the comparison; within
+    it, or when the screened profile is near 0 (where ``rdp_to_eps``
+    returns 0 for an all-zero profile), the probe returns ``exact(sigma)``.
+    """
+    base = np.fromiter(
+        chain.from_iterable(_sigma_free_terms(a, rate_q) for a in orders),
+        dtype=float)
+    sizes = np.array([a + 1 for a in orders])
+    starts = np.cumsum(sizes) - sizes
+    k = np.concatenate([np.arange(size, dtype=float) for size in sizes])
+    kk = k * k - k
+    a_minus_1 = np.array(orders, dtype=float) - 1.0
+    floor = math.log(1.0 / delta_target) / a_minus_1
+    margin = _SCREEN_MARGIN * (epsilon_target + steps)
+
+    def eps_of(sigma: float) -> float:
+        # The same float terms as rdp_subsampled_gaussian adds, per order.
+        terms = base + kk * (1.0 / (2.0 * sigma**2))
+        top = np.maximum.reduceat(terms, starts)
+        shifted = np.exp(terms - np.repeat(top, sizes))
+        lse = top + np.log(np.add.reduceat(shifted, starts))
+        values = steps * (np.maximum(lse, 0.0) / a_minus_1)
+        eps = float(np.min(values + floor))
+        if values.max() <= margin or abs(eps - epsilon_target) <= margin:
+            return exact(sigma)
+        return eps
+
+    return eps_of

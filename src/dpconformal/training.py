@@ -61,8 +61,9 @@ class TrainConfig:
             raise ValueError("sampling_rate must lie in (0, 1]")
         if self.clip_norm <= 0.0:
             raise ValueError("clip_norm must be positive")
-        if self.noise_multiplier < 0.0:
-            raise ValueError("noise_multiplier must be nonnegative")
+        if not self.noise_multiplier >= 0.0:
+            raise ValueError("noise_multiplier must be nonnegative, got "
+                             f"{self.noise_multiplier}")
         if self.projection_radius is not None and self.projection_radius <= 0.0:
             raise ValueError("projection_radius must be positive")
 

@@ -54,6 +54,30 @@ def test_rdp_gaussian_values():
         rdp_gaussian(1.0, 1.0)
 
 
+@pytest.mark.parametrize("sigma", [1e-160, 1e-200])
+def test_rdp_is_unbounded_when_two_sigma_squared_underflows(sigma):
+    # 2 sigma^2 is subnormal (1e-160) or 0 (1e-200): +inf, as at sigma = 0.
+    assert rdp_gaussian(2.0, sigma) == math.inf
+    for a in (2, 64):
+        assert rdp_subsampled_gaussian(a, sigma, 0.1) == math.inf
+        assert rdp_subsampled_gaussian(a, sigma, 1.0) == math.inf
+        assert rdp_subsampled_gaussian(a, sigma, 0.0) == 0.0
+    profile = sgd_profile(SgdAccountingRecord(sigma, 0.1, 3))
+    assert rdp_to_eps(profile, 1e-5) == math.inf
+
+
+def test_rdp_vanishes_when_sigma_squared_overflows():
+    # sigma^2 overflows (Python raises): 2 sigma^2 is +inf, and the RDP is
+    # what a large sigma with a finite square gives.
+    assert rdp_gaussian(2.0, 1e200) == 0.0
+    assert rdp_subsampled_gaussian(2, 1e200, 1.0) == 0.0
+    for a in (2, 64):
+        assert rdp_subsampled_gaussian(a, 1e200, 0.1) == \
+            rdp_subsampled_gaussian(a, 1e100, 0.1)
+    assert sgd_profile(SgdAccountingRecord(1e200, 0.1, 3)) == \
+        sgd_profile(SgdAccountingRecord(1e100, 0.1, 3))
+
+
 def test_rdp_subsampled_reductions():
     for a in (2, 3, 7, 32):
         assert rdp_subsampled_gaussian(a, 1.3, 1.0) == pytest.approx(
@@ -241,23 +265,104 @@ def test_rdp_subsampled_bit_equal_to_direct_formula(q):
                 _oracle_rdp_subsampled(a, sigma, q)
 
 
+def _oracle_sigma_sgd(rate, steps, target, delta=1e-5):
+    """The bisection over the direct term formula, converted exactly."""
+    orders = default_orders()
+
+    def eps_of(sigma):
+        values = tuple(steps * _oracle_rdp_subsampled(a, sigma, rate)
+                       for a in orders)
+        return rdp_to_eps(RdpProfile(tuple(map(float, orders)), values),
+                          delta)
+
+    return accounting._min_sigma_satisfying(eps_of, target, 1e-3, "oracle")
+
+
+# (rate, steps, target) of every calibrate_sigma_sgd call the benchmark
+# workloads make besides calib_sweep's dpscp_f grid (seed 1, full size).
+_BENCH_SGD_KEYS = [
+    # scaling_mlp
+    (0.0064, 314, 0.25), (0.0064, 314, 0.5), (0.0128, 158, 0.25),
+    (0.0128, 158, 0.5), (0.0128, 158, 1.0), (0.0256, 80, 0.5),
+    (0.0256, 80, 1.0),
+    # realdata_csv
+    (0.008, 250, 0.25), (0.008, 250, 0.5), (0.016, 126, 0.5),
+    (0.016, 126, 1.0),
+    # stability_coupled
+    (0.02, 2000, 0.5), (0.02, 2000, 1.0), (0.02, 2000, 2.0),
+    # calib_sweep, dp_split (half the pool, the whole epsilon)
+    (0.2, 5, 0.3), (0.2, 5, 0.7), (0.2, 5, 1.1), (0.2, 5, 1.7), (0.2, 5, 2.3),
+    (0.2, 5, 3.1),
+]
+
+
 def test_calibrate_sigma_sgd_bit_equal_on_the_calib_sweep_grid():
     # The calib_sweep benchmark grid: dpscp_f trains 10 steps at q = 0.1
     # for each of its 18 distinct p * eps targets.
+    keys = [(0.1, 10, p * eps) for eps in (0.3, 0.7, 1.1, 1.7, 2.3, 3.1)
+            for p in (0.25, 0.5, 0.75)]
+    for rate, steps, target in keys + _BENCH_SGD_KEYS:
+        assert calibrate_sigma_sgd(rate, steps, target, 1e-5) == \
+            _oracle_sigma_sgd(rate, steps, target)
+
+
+def test_calibrate_sigma_sgd_tie_takes_the_exact_path(monkeypatch):
+    # Target the exact epsilon at sigma = 2, the second bracket probe: the
+    # screened epsilon lands within its margin of the target there, so the
+    # exact conversion decides that probe, and only that one.
+    rate, steps = 0.1, 10
+    target = rdp_to_eps(sgd_profile(SgdAccountingRecord(2.0, rate, steps)),
+                        1e-5)
+    exact_sigmas = []
+    real = accounting.sgd_profile
+
+    def spy(record, orders=None):
+        exact_sigmas.append(record.noise_multiplier)
+        return real(record, orders)
+
+    monkeypatch.setattr(accounting, "sgd_profile", spy)
+    sigma = calibrate_sigma_sgd.__wrapped__(rate, steps, target, 1e-5)
+    assert exact_sigmas == [2.0]
+    monkeypatch.undo()
+    assert sigma == _oracle_sigma_sgd(rate, steps, target)
+
+
+def test_calibrate_sigma_q_equals_the_scalar_search(monkeypatch):
     orders = default_orders()
-    for eps in (0.3, 0.7, 1.1, 1.7, 2.3, 3.1):
-        for p in (0.25, 0.5, 0.75):
-            target = p * eps
+    trained = sgd_profile(SgdAccountingRecord(4.0, 0.05, 100), orders)
+    # An overflowed training value is skipped by the conversion.
+    partly_inf = RdpProfile(trained.orders,
+                            trained.values[:-3] + (math.inf,) * 3)
+    probes = []
+    real = accounting._min_sigma_satisfying
 
-            def eps_of(sigma):
-                values = tuple(10 * _oracle_rdp_subsampled(a, sigma, 0.1)
-                               for a in orders)
-                return rdp_to_eps(RdpProfile(tuple(map(float, orders)),
-                                             values), 1e-5)
+    def spy(eps_of_sigma, eps_target, rel_tol, what):
+        probes.append(eps_of_sigma)
+        return real(eps_of_sigma, eps_target, rel_tol, what)
 
-            oracle = accounting._min_sigma_satisfying(
-                eps_of, target, 1e-3, "oracle")
-            assert calibrate_sigma_sgd(0.1, 10, target, 1e-5) == oracle
+    for train in (RdpProfile.zeros(orders), trained, partly_inf):
+        for epsilon in (0.5, 1.0, 2.0, 4.0):
+            for k in (1, 20, 60):
+                budget = BudgetSpec(epsilon, 1e-5)
+                if rdp_to_eps(train, 1e-5) > epsilon:
+                    with pytest.raises(InfeasibleBudgetError):
+                        calibrate_sigma_q(train, k, budget)
+                    continue
+
+                def eps_total(s):
+                    search = gaussian_profile(s, orders, queries=k)
+                    return rdp_to_eps(rdp_compose([train, search]), 1e-5)
+
+                monkeypatch.setattr(accounting, "_min_sigma_satisfying", spy)
+                sigma = accounting._calibrate_sigma_q.__wrapped__(
+                    train, k, epsilon, 1e-5, 1e-3)
+                monkeypatch.undo()
+                assert sigma == real(eps_total, epsilon, 1e-3, "oracle")
+                # Each probe is the scalar conversion, bit for bit.
+                probe = probes.pop()
+                for s in [2.0 ** -40, 2.0 ** 40,
+                          *map(float, np.geomspace(0.01, 100, 37))]:
+                    assert probe(s) == eps_total(s)
 
 
 def test_calibration_computes_each_binomial_term_once_per_rate(monkeypatch):
@@ -288,7 +393,18 @@ def test_calibration_computes_each_binomial_term_once_per_rate(monkeypatch):
 def test_budget_spec_validation():
     with pytest.raises(ValueError):
         BudgetSpec(0.0, 1e-5)
+    with pytest.raises(ValueError, match="epsilon_target"):
+        BudgetSpec(math.nan, 1e-5)
     with pytest.raises(ValueError):
         BudgetSpec(1.0, 0.0)
     with pytest.raises(ValueError):
         BudgetSpec(1.0, 1e-5, 1.0)
+
+
+def test_nan_is_rejected_by_the_calibration_checks():
+    with pytest.raises(ValueError, match="epsilon_target"):
+        calibrate_sigma_sgd(0.1, 10, math.nan, 1e-5)
+    with pytest.raises(ValueError, match="noise_multiplier"):
+        SgdAccountingRecord(math.nan, 0.1, 10)
+    with pytest.raises(ValueError, match="rel_tol"):
+        accounting._min_sigma_satisfying(lambda s: 0.0, 1.0, math.nan, "x")

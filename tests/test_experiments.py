@@ -520,6 +520,9 @@ def test_each_scaling_data_cell_built_once_per_process(monkeypatch):
     (["--epsilon", "-1"], "--epsilon"),
     (["--sgd-sigma", "-1", "--sgd-steps", "3"], "--sgd-sigma"),
     (["--sgd-sigma", "0", "--sgd-steps", "3"], "no feasible sigma_q"),
+    # 2 sigma^2 underflows: training spends eps = inf, as at sigma = 0.
+    (["--sgd-sigma", "1e-160", "--sgd-steps", "3"], "eps=inf"),
+    (["--sgd-sigma", "1e-200", "--sgd-steps", "3"], "eps=inf"),
 ])
 def test_calibrate_bad_arguments_are_usage_errors(args, message, capsys):
     epsilon = [] if "--epsilon" in args else ["--epsilon", "1.0"]
@@ -529,6 +532,25 @@ def test_calibrate_bad_arguments_are_usage_errors(args, message, capsys):
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+
+
+def test_nan_epsilon_fails_its_scaling_cells_alone():
+    # NaN passes no budget check: its cells fail with a ValueError, and the
+    # other cells give the rows they give without it.
+    methods = ("dpscp_f", "dp_split", "split_cp")
+    rows = run_experiment(tiny_scaling_config(
+        trials=1, epsilons=(math.nan, 1.0), methods=methods))
+    assert [r["status"] for r in rows if r["seed"] and r["epsilon"] == "nan"
+            ] == ["failed:ValueError"] * 3
+    assert [r for r in rows if r["epsilon"] == "1.0"] == run_experiment(
+        tiny_scaling_config(trials=1, epsilons=(1.0,), methods=methods))
+
+
+def test_calibrate_with_an_overflowing_sgd_sigma_runs(capsys):
+    # sigma^2 overflows: training spends what a large finite sigma spends.
+    assert main(["calibrate", "--epsilon", "1", "--sgd-sigma", "1e200",
+                 "--sgd-steps", "3"]) == 0
+    assert "eps_train = 0.0451487\n" in capsys.readouterr().out
 
 
 def test_calibrate_without_training_spends_nothing(capsys):
@@ -611,9 +633,11 @@ def test_stability_trial_trains_its_cells_in_one_lockstep_call(
 
 
 def test_stability_cell_failures_stay_in_their_cell(tmp_path, monkeypatch):
-    # -1 fails its calibration; the 1e308 noise multiplier, handed to the
-    # epsilon = 2 cell, overflows its run. The other cells run as if alone.
-    cfg = tiny_stability_config(tmp_path, epsilons=(0.5, -1.0, 1.0, 2.0))
+    # -1 and NaN fail their calibration; the 1e308 noise multiplier, handed
+    # to the epsilon = 2 cell, overflows its run. The other cells run as if
+    # alone.
+    cfg = tiny_stability_config(tmp_path,
+                                epsilons=(0.5, -1.0, math.nan, 1.0, 2.0))
     real = experiments.calibrate_sigma_sgd
 
     def calibrate(rate, steps, epsilon, delta):
@@ -627,7 +651,7 @@ def test_stability_cell_failures_stay_in_their_cell(tmp_path, monkeypatch):
     for r in rows:
         if r["seed"]:
             status.setdefault(r["epsilon"], []).append(r["status"])
-    assert status["-1.0"] == ["failed:ValueError"] * 2
+    assert status["-1.0"] == status["nan"] == ["failed:ValueError"] * 2
     assert status["2.0"] == ["failed:NumericFailureError"] * 2
     assert cell_series(series, 2.0) == []
     ok = run_experiment(dataclasses.replace(

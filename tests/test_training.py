@@ -406,6 +406,11 @@ def test_lockstep_norm_overflow_fails_its_run_alone(radius):
         assert_traces_equal(traces[i], alone(sigmas[i]))
 
 
+def test_train_config_rejects_a_nan_noise_multiplier():
+    with pytest.raises(ValueError, match="noise_multiplier"):
+        TrainConfig(0.1, 5, 0.5, 1.0, noise_multiplier=math.nan)
+
+
 @pytest.mark.parametrize("trainer", ["coupled_train", "dp_sgd_train"])
 def test_lockstep_rejects_bad_multipliers(trainer):
     base, extra, spec, _ = coupled_setup()
