@@ -8,19 +8,13 @@ integer-order moment bound (binomial expansion; Mironov, Talwar & Zhang
 2019), which is exact for the mixture-vs-base Renyi divergence at integer
 orders, so the accountant is reproducible without any external library.
 
-``sgd_profile``, ``rdp_subsampled_gaussian`` and ``rdp_to_eps`` are the
-exact reference (``math.exp`` and ``fsum`` per order); every recorded spend
-reads them. The two noise calibrations probe many sigmas, so each probe is
-one numpy pass over the whole order grid instead:
-
-- a ``calibrate_sigma_sgd`` probe screens sigma with a numpy log-sum-exp,
-  whose last bits may differ from the exact one, and falls back to the
-  exact conversion when the screened epsilon lies within
-  ``_SCREEN_MARGIN`` of the target, so every probe decides as the exact
-  conversion does and the search returns the same sigma bit for bit;
-- a ``calibrate_sigma_q`` probe adds the Gaussian values to the training
-  profile with the IEEE sums ``rdp_compose`` makes, so it equals the exact
-  conversion bit for bit and needs no fallback.
+The bound is evaluated in one place, ``_subsampled_values``: one numpy
+log-sum-exp pass over the whole order grid. ``rdp_subsampled_gaussian``
+evaluates one order with it, ``sgd_profile`` the grid times the step count,
+and each ``calibrate_sigma_sgd`` probe the same grid. RDP converts to
+(epsilon, delta) in one place too, ``_eps``, which ``rdp_to_eps`` and both
+calibration probes call. So a recorded spend and the probe that calibrated
+its sigma read the same floats; their last bits follow numpy's ``exp``.
 """
 
 from __future__ import annotations
@@ -28,8 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -55,18 +48,6 @@ __all__ = [
 # Bracketing/bisection knobs for the noise calibrations.
 _SIGMA_CAP = 2.0 ** 40
 _MAX_BISECT = 60
-
-# Relative margin within which a screened sigma_sgd probe is decided by the
-# exact conversion. At one order the screen and the exact path add the same
-# float terms; they differ only in exp (numpy's is within a few ulp, math's
-# within one) and in the sum of the at most 257 positive shifted terms
-# (numpy's sum, sequential at worst, is within 256 ulp; fsum rounds once).
-# The sum lies in [1, 257], so its log differs by at most about
-# 260 * 2^-53 ~ 3e-14, plus a few ulp of rounding relative to the value.
-# Scaled by the step count, epsilon differs by at most about
-# 3e-14 * steps + 1e-15 * epsilon; 1e-12 * (target + steps) covers that
-# thirtyfold.
-_SCREEN_MARGIN = 1e-12
 
 
 class InfeasibleBudgetError(ValueError):
@@ -94,7 +75,7 @@ def gdp_compose(mus: Sequence[float]) -> float:
     """GDP parameters compose by root-sum-of-squares."""
     if len(mus) == 0:
         raise ValueError("need at least one GDP parameter to compose")
-    if any(m <= 0.0 for m in mus):
+    if not all(m > 0.0 for m in mus):
         raise ValueError("all GDP parameters must be positive")
     return math.sqrt(math.fsum(m * m for m in mus))
 
@@ -115,11 +96,11 @@ class RdpProfile:
             raise ValueError("RdpProfile needs at least one order")
         if len(self.orders) != len(self.values):
             raise ValueError("orders and values must have equal length")
-        if any(a <= 1.0 for a in self.orders):
+        if not all(a > 1.0 for a in self.orders):
             raise ValueError("all RDP orders must be > 1")
-        if any(b <= a for a, b in zip(self.orders, self.orders[1:])):
+        if not all(b > a for a, b in zip(self.orders, self.orders[1:])):
             raise ValueError("order grid must be strictly increasing")
-        if any(v < 0.0 or math.isnan(v) for v in self.values):
+        if not all(v >= 0.0 for v in self.values):
             raise ValueError("RDP values must be nonnegative")
 
     @classmethod
@@ -129,27 +110,6 @@ class RdpProfile:
 
 def _log_binom(n: int, k: int) -> float:
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-
-
-@lru_cache(maxsize=None)
-def _sigma_free_terms(a: int, rate_q: float) -> tuple[float, ...]:
-    """The sigma-free prefix log C(a, k) + k log q + (a - k) log(1 - q) of
-    each term of the order-a bound, summed left to right as the full term
-    is, so adding the sigma part gives the same float. A noise calibration
-    probes many sigmas at one (order, rate); this computes the prefix once.
-    """
-    log_q = math.log(rate_q)
-    log_1mq = math.log1p(-rate_q)
-    return tuple(_log_binom(a, k) + k * log_q + (a - k) * log_1mq
-                 for k in range(a + 1))
-
-
-def _logsumexp(terms: Iterable[float]) -> float:
-    terms = list(terms)
-    m = max(terms)
-    if math.isinf(m):
-        return m
-    return m + math.log(math.fsum(math.exp(t - m) for t in terms))
 
 
 def _two_sigma_sq(sigma: float) -> float:
@@ -167,11 +127,78 @@ def _unbounded(two_s2: float) -> bool:
     return two_s2 == 0.0 or math.isinf(1.0 / two_s2)
 
 
+def _integer_order(order: float) -> int:
+    if not float(order).is_integer() or order < 2:
+        raise UnsupportedOrderError(
+            f"subsampled bound needs integer orders >= 2, got {order}")
+    return int(order)
+
+
+@lru_cache(maxsize=None)
+def _sigma_free_grid(orders: tuple[int, ...], rate_q: float
+                     ) -> tuple[np.ndarray, ...]:
+    """The terms of the bound at ``orders`` laid out flat, order after order,
+    without their sigma part: the prefix log C(a, k) + k log q
+    + (a - k) log(1 - q) for k = 0..a, and k^2 - k, which the sigma part
+    scales; then where each order's terms start, how many there are, and
+    a - 1. A calibration probes many sigmas at one rate; this is computed
+    once per (orders, rate) and is read-only.
+    """
+    log_q = math.log(rate_q)
+    log_1mq = math.log1p(-rate_q)
+    base = np.array([_log_binom(a, k) + k * log_q + (a - k) * log_1mq
+                     for a in orders for k in range(a + 1)])
+    k = np.concatenate([np.arange(a + 1, dtype=float) for a in orders])
+    sizes = np.array(orders) + 1
+    grid = (base, k * k - k, np.cumsum(sizes) - sizes, sizes,
+            np.array(orders, dtype=float) - 1.0)
+    for array in grid:
+        array.flags.writeable = False
+    return grid
+
+
+def _subsampled_values(orders: tuple[int, ...], sigma: float,
+                       rate_q: float) -> np.ndarray:
+    """The subsampled-Gaussian bound at each integer order >= 2 in
+    ``orders``, for sigma >= 0 and rate_q in [0, 1], in one numpy pass.
+
+    Per order it is log sum_k exp(term_k) / (a - 1), shifted by the largest
+    term; an order whose largest term overflowed to +inf is +inf.
+    """
+    if rate_q == 0.0:
+        return np.zeros(len(orders))
+    two_s2 = _two_sigma_sq(sigma)
+    if _unbounded(two_s2):
+        return np.full(len(orders), math.inf)
+    # Overflow gives +inf, as Python's float arithmetic does. An overflowed
+    # term makes inf - inf = nan below; its order is set to +inf at the end.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if rate_q == 1.0:
+            return np.array(orders, dtype=float) / two_s2
+        base, kk, starts, sizes, a_minus_1 = _sigma_free_grid(orders, rate_q)
+        terms = base + kk * (1.0 / two_s2)
+        top = np.maximum.reduceat(terms, starts)
+        shifted = np.exp(terms - np.repeat(top, sizes))
+        lse = top + np.log(np.add.reduceat(shifted, starts))
+    values = np.maximum(lse, 0.0) / a_minus_1
+    values[np.isinf(top)] = math.inf
+    return values
+
+
+def _eps(values: np.ndarray, orders: np.ndarray, delta: float) -> float:
+    """Classical RDP -> (epsilon, delta) conversion, minimized over orders;
+    0 for a profile that is 0 at every order. An order at +inf never wins
+    the min unless every order is +inf."""
+    if not values.any():
+        return 0.0
+    return float(np.min(values + math.log(1.0 / delta) / (orders - 1.0)))
+
+
 def rdp_gaussian(order: float, sigma: float) -> float:
     """RDP of the Gaussian mechanism: order / (2 sigma^2)."""
-    if order <= 1.0:
+    if not order > 1.0:
         raise ValueError(f"order must be > 1, got {order}")
-    if sigma <= 0.0:
+    if not sigma > 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     two_s2 = _two_sigma_sq(sigma)
     if _unbounded(two_s2):
@@ -186,30 +213,12 @@ def rdp_subsampled_gaussian(order: int, sigma: float, rate_q: float) -> float:
     the classical moment bound, which is exact for the Renyi divergence of the
     subsampled mixture against the base Gaussian at integer orders.
     """
-    if isinstance(order, float) and not order.is_integer():
-        raise UnsupportedOrderError(
-            f"subsampled bound only supports integer orders, got {order}"
-        )
-    a = int(order)
-    if a < 2:
-        raise UnsupportedOrderError(f"order must be an integer >= 2, got {order}")
-    if sigma <= 0.0:
+    a = _integer_order(order)
+    if not sigma > 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     if not 0.0 <= rate_q <= 1.0:
         raise ValueError(f"rate_q must lie in [0, 1], got {rate_q}")
-    if rate_q == 0.0:
-        return 0.0
-    if rate_q == 1.0:
-        return rdp_gaussian(a, sigma)
-    two_s2 = _two_sigma_sq(sigma)
-    if _unbounded(two_s2):
-        return math.inf
-    inv2s2 = 1.0 / two_s2
-    terms = [
-        base + (k * k - k) * inv2s2
-        for k, base in enumerate(_sigma_free_terms(a, rate_q))
-    ]
-    return max(_logsumexp(terms), 0.0) / (a - 1)
+    return float(_subsampled_values((a,), sigma, rate_q)[0])
 
 
 def gaussian_profile(
@@ -251,18 +260,17 @@ def sgd_profile(
     """Training RDP of one DP-SGD run; ``rdp_compose`` adds runs together.
 
     A zero noise multiplier gives +inf at every order (no privacy), except
-    when the run took no steps or sampled nothing.
+    when the run took no steps or sampled nothing. Otherwise every order
+    must be an integer >= 2, as ``rdp_subsampled_gaussian`` requires.
     """
     orders = default_orders() if orders is None else tuple(orders)
     if record.steps == 0 or record.sampling_rate == 0.0:
         return RdpProfile.zeros(orders)
-    if record.noise_multiplier == 0.0:
-        values = (math.inf,) * len(orders)
-    else:
-        values = tuple(record.steps * rdp_subsampled_gaussian(
-            int(a), record.noise_multiplier, record.sampling_rate)
-            for a in orders)
-    return RdpProfile(tuple(float(a) for a in orders), values)
+    values = _subsampled_values(tuple(_integer_order(a) for a in orders),
+                                record.noise_multiplier, record.sampling_rate)
+    with np.errstate(over="ignore"):  # steps times a finite value may be inf
+        values = record.steps * values
+    return RdpProfile(tuple(float(a) for a in orders), tuple(values.tolist()))
 
 
 def rdp_compose(profiles: Sequence[RdpProfile]) -> RdpProfile:
@@ -285,15 +293,7 @@ def rdp_to_eps(profile: RdpProfile, delta: float) -> float:
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    if not any(profile.values):
-        return 0.0
-    log_inv_delta = math.log(1.0 / delta)
-    best = math.inf
-    for a, v in zip(profile.orders, profile.values):
-        if math.isinf(v):
-            continue
-        best = min(best, v + log_inv_delta / (a - 1.0))
-    return best
+    return _eps(np.array(profile.values), np.array(profile.orders), delta)
 
 
 # ---------------------------------------------------------------------------
@@ -397,16 +397,14 @@ def _calibrate_sigma_q(train_profile: RdpProfile, queries_k: int,
             f"target {epsilon_target:.6g}; no feasible sigma_q exists"
         )
     # rdp_to_eps(rdp_compose([train_profile, gaussian_profile(sigma_q,
-    # orders, queries_k)]), delta_target) in one numpy pass: fsum of two
-    # floats is their IEEE sum, so each probe equals it bit for bit. An inf
-    # training value stays inf and loses the min, as rdp_to_eps skips it.
+    # orders, queries_k)]), delta_target) without building profiles: fsum
+    # of two floats is their IEEE sum, so each probe equals it bit for bit.
     orders = np.array(train_profile.orders)
     train = np.array(train_profile.values)
-    floor = math.log(1.0 / delta_target) / (orders - 1.0)
 
     def eps_total(sigma_q: float) -> float:
-        total = train + queries_k * (orders / (2.0 * sigma_q**2))
-        return float(np.min(total + floor)) if total.any() else 0.0
+        return _eps(train + queries_k * (orders / (2.0 * sigma_q**2)),
+                    orders, delta_target)
 
     return _min_sigma_satisfying(
         eps_total, epsilon_target, rel_tol, "calibration noise sigma_q"
@@ -430,59 +428,15 @@ def calibrate_sigma_sgd(
                          f"{epsilon_target}")
     if not 0.0 < delta_target < 1.0:
         raise ValueError("delta_target must lie in (0, 1)")
+    if not 0.0 <= rate_q <= 1.0:
+        raise ValueError(f"rate_q must lie in [0, 1], got {rate_q}")
     orders = default_orders()
+    orders_f = np.array(orders, dtype=float)
 
-    def exact(sigma: float) -> float:
-        rec = SgdAccountingRecord(sigma, rate_q, steps)
-        return rdp_to_eps(sgd_profile(rec, orders), delta_target)
+    def eps_of(sigma: float) -> float:
+        return _eps(steps * _subsampled_values(orders, sigma, rate_q),
+                    orders_f, delta_target)
 
-    # Rates 0 and 1, and invalid ones, keep the exact path and its checks.
-    eps_of = (_screened_sgd_eps(exact, rate_q, steps, epsilon_target,
-                                delta_target, orders)
-              if 0.0 < rate_q < 1.0 else exact)
     return _min_sigma_satisfying(
         eps_of, epsilon_target, rel_tol, "training noise multiplier"
     )
-
-
-def _screened_sgd_eps(
-    exact: Callable[[float], float],
-    rate_q: float,
-    steps: int,
-    epsilon_target: float,
-    delta_target: float,
-    orders: Sequence[int],
-) -> Callable[[float], float]:
-    """A probe that compares with epsilon_target as ``exact`` does.
-
-    It evaluates the T-step profile at every order in one numpy pass over
-    the flat sigma-free terms of ``rate_q`` and converts it. Its value is
-    within ``_SCREEN_MARGIN`` * (epsilon_target + steps) of the exact one,
-    so beyond that margin of the target it decides the comparison; within
-    it, or when the screened profile is near 0 (where ``rdp_to_eps``
-    returns 0 for an all-zero profile), the probe returns ``exact(sigma)``.
-    """
-    base = np.fromiter(
-        chain.from_iterable(_sigma_free_terms(a, rate_q) for a in orders),
-        dtype=float)
-    sizes = np.array([a + 1 for a in orders])
-    starts = np.cumsum(sizes) - sizes
-    k = np.concatenate([np.arange(size, dtype=float) for size in sizes])
-    kk = k * k - k
-    a_minus_1 = np.array(orders, dtype=float) - 1.0
-    floor = math.log(1.0 / delta_target) / a_minus_1
-    margin = _SCREEN_MARGIN * (epsilon_target + steps)
-
-    def eps_of(sigma: float) -> float:
-        # The same float terms as rdp_subsampled_gaussian adds, per order.
-        terms = base + kk * (1.0 / (2.0 * sigma**2))
-        top = np.maximum.reduceat(terms, starts)
-        shifted = np.exp(terms - np.repeat(top, sizes))
-        lse = top + np.log(np.add.reduceat(shifted, starts))
-        values = steps * (np.maximum(lse, 0.0) / a_minus_1)
-        eps = float(np.min(values + floor))
-        if values.max() <= margin or abs(eps - epsilon_target) <= margin:
-            return exact(sigma)
-        return eps
-
-    return eps_of

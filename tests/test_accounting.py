@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -30,6 +31,8 @@ def test_gdp_compose_values():
         gdp_compose([])
     with pytest.raises(ValueError):
         gdp_compose([1.0, -2.0])
+    with pytest.raises(ValueError):
+        gdp_compose([math.nan])
 
 
 @settings(max_examples=50, deadline=None)
@@ -50,20 +53,36 @@ def test_rdp_gaussian_values():
     assert rdp_gaussian(2.0, 1.0) == pytest.approx(1.0)
     assert rdp_gaussian(4.0, 2.0) == pytest.approx(0.5)
     assert rdp_gaussian(8.0, 1e9) < 1e-15
-    with pytest.raises(ValueError):
-        rdp_gaussian(1.0, 1.0)
+    for order, sigma in [(1.0, 1.0), (2.0, math.nan), (math.nan, 1.0)]:
+        with pytest.raises(ValueError):
+            rdp_gaussian(order, sigma)
+    with pytest.raises(ValueError, match="sigma"):
+        rdp_subsampled_gaussian(2, math.nan, 0.1)
 
 
-@pytest.mark.parametrize("sigma", [1e-160, 1e-200])
+@pytest.mark.parametrize("sigma", [1e-154, 1e-160, 1e-200])
 def test_rdp_is_unbounded_when_two_sigma_squared_underflows(sigma):
-    # 2 sigma^2 is subnormal (1e-160) or 0 (1e-200): +inf, as at sigma = 0.
-    assert rdp_gaussian(2.0, sigma) == math.inf
-    for a in (2, 64):
-        assert rdp_subsampled_gaussian(a, sigma, 0.1) == math.inf
-        assert rdp_subsampled_gaussian(a, sigma, 1.0) == math.inf
-        assert rdp_subsampled_gaussian(a, sigma, 0.0) == 0.0
-    profile = sgd_profile(SgdAccountingRecord(sigma, 0.1, 3))
-    assert rdp_to_eps(profile, 1e-5) == math.inf
+    # 2 sigma^2 is subnormal (1e-154, 1e-160) or 0 (1e-200). At 1e-160 and
+    # 1e-200 its reciprocal overflows: +inf, as at sigma = 0. At 1e-154 it
+    # is about 5e307, so order 2 stays finite while (k^2 - k) / (2 sigma^2)
+    # overflows at higher orders. Either way nothing warns.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        if sigma == 1e-154:
+            assert rdp_gaussian(2.0, sigma) == pytest.approx(1e308)
+            assert rdp_subsampled_gaussian(2, sigma, 0.1) == \
+                pytest.approx(1e308)
+        else:
+            assert rdp_gaussian(2.0, sigma) == math.inf
+            assert rdp_subsampled_gaussian(2, sigma, 0.1) == math.inf
+        for a in (64, 256):
+            assert rdp_subsampled_gaussian(a, sigma, 0.1) == math.inf
+            assert rdp_subsampled_gaussian(a, sigma, 1.0) == math.inf
+        for a in (2, 64):
+            assert rdp_subsampled_gaussian(a, sigma, 0.0) == 0.0
+        profile = sgd_profile(SgdAccountingRecord(sigma, 0.1, 3))
+        assert profile.values == (math.inf,) * len(profile.values)
+        assert rdp_to_eps(profile, 1e-5) == math.inf
 
 
 def test_rdp_vanishes_when_sigma_squared_overflows():
@@ -117,6 +136,11 @@ def test_rdp_subsampled_rejects_non_integer_order():
         rdp_subsampled_gaussian(2.5, 1.0, 0.1)
     with pytest.raises(UnsupportedOrderError):
         rdp_subsampled_gaussian(1, 1.0, 0.1)
+    # sgd_profile does not truncate 2.5 and 3.7 to orders 2 and 3, which
+    # would understate the spend.
+    for q in (0.1, 1.0):
+        with pytest.raises(UnsupportedOrderError):
+            sgd_profile(SgdAccountingRecord(1.0, q, 100), (2.5, 3.7))
 
 
 def test_rdp_profile_validation_and_table():
@@ -126,6 +150,10 @@ def test_rdp_profile_validation_and_table():
         RdpProfile((1.0, 2.0), (0.0, 0.0))
     with pytest.raises(ValueError):
         RdpProfile((2.0,), (-1.0,))
+    with pytest.raises(ValueError):
+        RdpProfile((2.0, math.nan), (0.0, 0.0))
+    with pytest.raises(ValueError):
+        RdpProfile((2.0,), (math.nan,))
     profile = RdpProfile((2.0, 3.0), (0.5, 0.25))
     assert list(zip(profile.orders, profile.values)) == [(2.0, 0.5),
                                                          (3.0, 0.25)]
@@ -259,10 +287,17 @@ def _oracle_rdp_subsampled(a: int, sigma: float, q: float) -> float:
 
 @pytest.mark.parametrize("q", [1e-4, 0.01, 0.1, 0.5, 0.99])
 def test_rdp_subsampled_bit_equal_to_direct_formula(q):
+    # Both add the same float terms. They differ only in exp (numpy's is
+    # within a few ulp, math's within one) and in the sum of the at most 257
+    # positive shifted terms (numpy's sum, sequential at worst, is within
+    # 256 ulp; fsum rounds once). That sum lies in [1, 257], so its log
+    # differs by at most about 260 * 2^-53 ~ 3e-14, plus a few ulp of the
+    # value; dividing by a - 1 >= 1 only shrinks the gap.
     for a in (2, 3, 17, 64, 128, 256):
         for sigma in (0.3, 1.0, 7.5):
-            assert rdp_subsampled_gaussian(a, sigma, q) == \
-                _oracle_rdp_subsampled(a, sigma, q)
+            ours = rdp_subsampled_gaussian(a, sigma, q)
+            oracle = _oracle_rdp_subsampled(a, sigma, q)
+            assert abs(ours - oracle) <= 3e-14 * max(1.0, oracle)
 
 
 def _oracle_sigma_sgd(rate, steps, target, delta=1e-5):
@@ -304,27 +339,6 @@ def test_calibrate_sigma_sgd_bit_equal_on_the_calib_sweep_grid():
     for rate, steps, target in keys + _BENCH_SGD_KEYS:
         assert calibrate_sigma_sgd(rate, steps, target, 1e-5) == \
             _oracle_sigma_sgd(rate, steps, target)
-
-
-def test_calibrate_sigma_sgd_tie_takes_the_exact_path(monkeypatch):
-    # Target the exact epsilon at sigma = 2, the second bracket probe: the
-    # screened epsilon lands within its margin of the target there, so the
-    # exact conversion decides that probe, and only that one.
-    rate, steps = 0.1, 10
-    target = rdp_to_eps(sgd_profile(SgdAccountingRecord(2.0, rate, steps)),
-                        1e-5)
-    exact_sigmas = []
-    real = accounting.sgd_profile
-
-    def spy(record, orders=None):
-        exact_sigmas.append(record.noise_multiplier)
-        return real(record, orders)
-
-    monkeypatch.setattr(accounting, "sgd_profile", spy)
-    sigma = calibrate_sigma_sgd.__wrapped__(rate, steps, target, 1e-5)
-    assert exact_sigmas == [2.0]
-    monkeypatch.undo()
-    assert sigma == _oracle_sigma_sgd(rate, steps, target)
 
 
 def test_calibrate_sigma_q_equals_the_scalar_search(monkeypatch):
@@ -373,7 +387,7 @@ def test_calibration_computes_each_binomial_term_once_per_rate(monkeypatch):
         return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
     calibrate_sigma_sgd.cache_clear()
-    accounting._sigma_free_terms.cache_clear()
+    accounting._sigma_free_grid.cache_clear()
     monkeypatch.setattr(accounting, "_log_binom", counting)
     try:
         every_term = {(a, k) for a in default_orders() for k in range(a + 1)}
@@ -383,11 +397,14 @@ def test_calibration_computes_each_binomial_term_once_per_rate(monkeypatch):
         # Another target at the same rate reuses every term.
         calibrate_sigma_sgd(0.1, 10, 1.5, 1e-5)
         assert max(calls.values()) == 1
+        # So does the spend recorded at that rate.
+        sgd_profile(SgdAccountingRecord(2.0, 0.1, 10))
+        assert max(calls.values()) == 1
         calibrate_sigma_sgd(0.05, 10, 0.5, 1e-5)
         assert set(calls.values()) == {2}
     finally:
         calibrate_sigma_sgd.cache_clear()
-        accounting._sigma_free_terms.cache_clear()
+        accounting._sigma_free_grid.cache_clear()
 
 
 def test_budget_spec_validation():
