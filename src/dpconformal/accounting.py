@@ -249,8 +249,9 @@ class SgdAccountingRecord:
                              f"{self.noise_multiplier}")
         if not 0.0 <= self.sampling_rate <= 1.0:
             raise ValueError("sampling_rate must lie in [0, 1]")
-        if self.steps < 0:
-            raise ValueError("steps must be nonnegative")
+        if not float(self.steps).is_integer() or self.steps < 0:
+            raise ValueError("steps must be a nonnegative integer, got "
+                             f"{self.steps}")
 
 
 def sgd_profile(
@@ -421,8 +422,8 @@ def calibrate_sigma_sgd(
 ) -> float:
     """Smallest DP-SGD noise multiplier whose T-step subsampled-Gaussian
     profile converts to at most epsilon_target at delta_target."""
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
+    if not float(steps).is_integer() or steps < 1:
+        raise ValueError(f"steps must be an integer >= 1, got {steps}")
     if not epsilon_target > 0.0:
         raise ValueError(f"epsilon_target must be positive, got "
                          f"{epsilon_target}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,6 +102,51 @@ def load_csv(path, label_column: int, task: str,
     logged); a cell that fails to parse at all raises CsvParseError with its
     location.
     """
+    table = _read_table(path, has_header)
+    width = table.shape[1]
+    if not 0 <= label_column < width:
+        raise ValueError(f"label_column {label_column} outside 0..{width - 1}")
+    labels = table[:, label_column]
+    features = np.delete(table, label_column, axis=1)
+    if task == CLASSIFICATION:
+        rounded = np.round(labels)
+        if not np.allclose(labels, rounded):
+            raise ValueError(f"{path}: classification labels must be integers")
+        labels = rounded.astype(int)
+        if labels.min() < 0:
+            raise ValueError(f"{path}: class labels must be nonnegative")
+        return Dataset(features, labels, CLASSIFICATION,
+                       n_classes=int(labels.max()) + 1)
+    return Dataset(features, labels, REGRESSION)
+
+
+def _read_table(path, has_header: bool) -> np.ndarray:
+    """The CSV's rows whose cells are all finite, as one float array.
+
+    numpy's C reader parses the file. It rejects an empty or non-numeric
+    cell and a ragged row, and it warns on a file without data rows; those
+    files go to the row loop ``_row_loop_table``, which drops the incomplete
+    rows and locates a malformed cell. Both round every cell correctly, so
+    either gives the same table.
+    """
+    try:
+        with open(path, newline="") as fh, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if has_header:
+                # The header is one CSV record, which spans lines when a
+                # quoted name holds a newline; skiprows would count lines.
+                next(csv.reader(fh), None)
+            table = np.loadtxt(fh, dtype=float, delimiter=",", comments=None,
+                               quotechar='"', ndmin=2)
+    except (ValueError, Warning):
+        return _row_loop_table(path, has_header)
+    kept = table[np.isfinite(table).all(axis=1)]
+    _check_kept(path, len(kept), len(table) - len(kept))
+    return kept
+
+
+def _row_loop_table(path, has_header: bool) -> np.ndarray:
+    """``_read_table`` one cell at a time with ``csv`` and ``float``."""
     rows: list[list[float]] = []
     dropped = 0
     with open(path, newline="") as fh:
@@ -132,29 +178,19 @@ def load_csv(path, label_column: int, task: str,
                 dropped += 1
                 continue
             rows.append(parsed)
-    if dropped:
-        logger.warning("%s: dropped %d rows with missing/non-finite values",
-                       path, dropped)
-    if not rows:
-        raise ValueError(f"{path}: no usable data rows")
+    _check_kept(path, len(rows), dropped)
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise CsvParseError(f"{path}: inconsistent column counts")
-    if not 0 <= label_column < width:
-        raise ValueError(f"label_column {label_column} outside 0..{width - 1}")
-    table = np.asarray(rows, dtype=float)
-    labels = table[:, label_column]
-    features = np.delete(table, label_column, axis=1)
-    if task == CLASSIFICATION:
-        rounded = np.round(labels)
-        if not np.allclose(labels, rounded):
-            raise ValueError(f"{path}: classification labels must be integers")
-        labels = rounded.astype(int)
-        if labels.min() < 0:
-            raise ValueError(f"{path}: class labels must be nonnegative")
-        return Dataset(features, labels, CLASSIFICATION,
-                       n_classes=int(labels.max()) + 1)
-    return Dataset(features, labels, REGRESSION)
+    return np.asarray(rows, dtype=float)
+
+
+def _check_kept(path, kept: int, dropped: int) -> None:
+    if dropped:
+        logger.warning("%s: dropped %d rows with missing/non-finite values",
+                       path, dropped)
+    if not kept:
+        raise ValueError(f"{path}: no usable data rows")
 
 
 @dataclass(frozen=True)

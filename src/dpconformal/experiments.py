@@ -145,6 +145,13 @@ class ExperimentConfig:
             raise ValueError("scaling needs a sample size")
         if self.experiment == "stability" and len(self.sample_sizes) != 1:
             raise ValueError("stability takes exactly one sample size")
+        if self.experiment == "realdata":
+            # At 0 or below the test split is one row; at 1 or above the
+            # pool is empty. NaN fails the check as well.
+            fraction = self.csv_source.get("test_fraction", 0.2)
+            if not 0.0 < float(fraction) < 1.0:
+                raise ValueError("csv test_fraction must lie in (0, 1), got "
+                                 f"{fraction!r}")
 
 
 _CONFIG_KEYS = {

@@ -418,6 +418,29 @@ def test_budget_spec_validation():
         BudgetSpec(1.0, 1e-5, 1.0)
 
 
+@pytest.mark.parametrize("steps", [2.5, math.nan, math.inf, -1])
+def test_sgd_record_rejects_a_step_count_that_is_not_an_integer(steps):
+    with pytest.raises(ValueError, match="steps"):
+        SgdAccountingRecord(1.0, 0.1, steps)
+
+
+def test_sgd_record_takes_integer_step_counts():
+    for steps in (0, 7, np.int64(7), 7.0):
+        assert SgdAccountingRecord(1.0, 0.1, steps).steps == steps
+
+
+@pytest.mark.parametrize("steps", [2.5, math.nan, math.inf, 0])
+def test_calibrate_sigma_sgd_rejects_a_step_count_that_is_not_an_integer(
+        steps):
+    with pytest.raises(ValueError, match="steps"):
+        calibrate_sigma_sgd(0.1, steps, 1.0, 1e-5)
+
+
+def test_calibrate_sigma_sgd_takes_numpy_integer_step_counts():
+    assert (calibrate_sigma_sgd(0.1, np.int64(3), 1.0, 1e-5)
+            == calibrate_sigma_sgd(0.1, 3, 1.0, 1e-5))
+
+
 def test_nan_is_rejected_by_the_calibration_checks():
     with pytest.raises(ValueError, match="epsilon_target"):
         calibrate_sigma_sgd(0.1, 10, math.nan, 1e-5)

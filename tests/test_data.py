@@ -1,12 +1,16 @@
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dpconformal.data import (CsvParseError, apply_standardizer,
-                              default_logistic_signal, fit_standardizer,
-                              gen_logistic, gen_multiclass, load_csv)
+from dpconformal.data import (CsvParseError, _row_loop_table,
+                              apply_standardizer, default_logistic_signal,
+                              fit_standardizer, gen_logistic, gen_multiclass,
+                              load_csv)
 from dpconformal.models import Dataset
 
 
@@ -138,6 +142,128 @@ def test_load_csv_empty_after_filtering(tmp_path):
     path.write_text("a,b\n,\n")
     with pytest.raises(ValueError, match="no usable data rows"):
         load_csv(path, label_column=0, task="regression")
+
+
+def test_load_csv_header_only(tmp_path):
+    # numpy's reader warns "input contained no data" here; that warning must
+    # not escape, and the error is the row loop's.
+    path = tmp_path / "header.csv"
+    path.write_text("a,b\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="no usable data rows"):
+            load_csv(path, label_column=0, task="regression")
+
+
+def test_load_csv_header_record_spans_lines(tmp_path):
+    # The header is one CSV record: the numeric-looking lines inside its
+    # quoted name are not data rows.
+    path = tmp_path / "quoted.csv"
+    path.write_text('"name\n7\n"\n5\n')
+    data = load_csv(path, label_column=0, task="regression")
+    assert data.labels.tolist() == [5.0]
+
+
+_NUMBER_CELLS = st.one_of(
+    st.floats().map(repr),
+    st.integers(-10**20, 10**20).map(str),
+    st.builds("{}{}.{}e{}".format, st.sampled_from(["", "+", "-"]),
+              st.integers(0, 999), st.integers(0, 99),
+              st.integers(-330, 330)),
+    st.sampled_from(["nan", "inf", "-Infinity", "+inf", "NaN", "1e400",
+                     "-1e400", "1e-400", "-0", ".5", "5."]),
+)
+_BAD_CELLS = st.sampled_from(["", "oops", "1_0", "0x10", "1 2", '1"2'])
+_PADS = st.sampled_from(["", " ", "\t", " \t "])
+_HEADER_NAMES = st.sampled_from(["a", "x1", '"y"', '"h,1"', '"h\n1"',
+                                 '"h\n7\n"', '"h\r\n2,3\r\n"', '""'])
+
+
+@st.composite
+def _csv_files(draw):
+    """A CSV text and whether its first record is a header. Half the files
+    hold only numeric cells in rectangular rows and blank lines, which
+    numpy's reader parses; the rest may also hold empty or non-numeric
+    cells, ragged rows, lines of one blank cell and quoted cells led by
+    blanks."""
+    clean = draw(st.booleans())
+    cells = _NUMBER_CELLS if clean else st.one_of(_NUMBER_CELLS, _BAD_CELLS)
+    fillers = st.just("") if clean else st.sampled_from(["", " ", '""'])
+
+    def cell():
+        text = draw(_PADS) + draw(cells) + draw(_PADS)
+        if draw(st.booleans()):
+            # A space before the opening quote makes the quote a character
+            # of the cell, which neither parser reads as a number.
+            lead = "" if clean else draw(_PADS)
+            text = lead + '"' + text + '"' + draw(_PADS)
+        return text
+
+    width = draw(st.integers(1, 4))
+    lines = []
+    has_header = draw(st.booleans())
+    if has_header:
+        lines.append(",".join(draw(_HEADER_NAMES) for _ in range(width)))
+    for _ in range(draw(st.integers(int(clean), 6))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(fillers))
+            continue
+        n_cells = width if clean else draw(st.integers(max(1, width - 1),
+                                                       width + 1))
+        lines.append(",".join(cell() for _ in range(n_cells)))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(lines) + draw(st.sampled_from(["", newline]))
+    return text, has_header
+
+
+class _Records(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def _outcome(read):
+    """What ``read()`` returns or raises, with the log lines it writes."""
+    logger = logging.getLogger("dpconformal.data")
+    handler = _Records()
+    logger.addHandler(handler)
+    try:
+        result = read()
+    except Exception as exc:
+        result = (type(exc), str(exc))
+    finally:
+        logger.removeHandler(handler)
+    return result, handler.messages
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "table.csv"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_csv_files())
+def test_load_csv_matches_the_row_loop(csv_path, file):
+    text, has_header = file
+    with open(csv_path, "w", newline="") as fh:
+        fh.write(text)
+    expected, expected_log = _outcome(
+        lambda: _row_loop_table(csv_path, has_header))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got, got_log = _outcome(
+            lambda: load_csv(csv_path, 0, "regression", has_header))
+    assert not caught, [str(w.message) for w in caught]
+    assert got_log == expected_log
+    if isinstance(expected, tuple):
+        assert got == expected
+    else:
+        table = np.column_stack([got.labels, got.features])
+        assert table.shape == expected.shape
+        assert table.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -290,6 +290,34 @@ def test_config_validation():
             ExperimentConfig(experiment="stability", sample_sizes=sizes)
 
 
+@pytest.mark.parametrize("fraction", [0.0, -0.5, 1.0, 1.5, math.nan])
+def test_realdata_test_fraction_outside_the_open_unit_interval(
+        tmp_path, fraction, capsys):
+    data = tmp_path / "data.csv"
+    write_regression_csv(data, rows=50)
+    path = tmp_path / "cfg.json"
+
+    def write_config(value):
+        # json.dumps writes nan as NaN, which json.load reads back.
+        path.write_text(json.dumps({
+            "experiment": "realdata", "trials": 1,
+            "csv": {"path": str(data), "label_column": 3,
+                    "test_fraction": value}}))
+
+    write_config(fraction)
+    with pytest.raises(ValueError, match="test_fraction"):
+        load_config(path)
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["realdata", "--config", str(path), "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "test_fraction" in err and "Traceback" not in err
+    assert not out.exists()
+    write_config(0.5)
+    assert load_config(path).csv_source["test_fraction"] == 0.5
+
+
 ALL_METHODS = ("dpscp_f", "dpscp_a", "dp_split", "split_cp", "naive_full")
 
 
