@@ -109,7 +109,8 @@ def _experiment_parser(sub, name: str,
 
 def _build_config(args, parser: argparse.ArgumentParser) -> ExperimentConfig:
     """The run's config. A config file that cannot be read, parsed or
-    validated is a usage error (one line, exit code 2), as a bad flag is."""
+    validated is a usage error (one line, exit code 2), as a bad flag is, and
+    so is a desk default that needs a config file (realdata's CSV)."""
     experiment = args.command.replace("-", "_")
     if args.config:
         try:
@@ -120,7 +121,10 @@ def _build_config(args, parser: argparse.ArgumentParser) -> ExperimentConfig:
             parser.error(f"--config is for {config.experiment!r}, not "
                          f"{experiment!r}")
     else:
-        config = ExperimentConfig(**_DESK_DEFAULTS[experiment])
+        try:
+            config = ExperimentConfig(**_DESK_DEFAULTS[experiment])
+        except ValueError as exc:  # realdata has no desk-default CSV
+            parser.error(f"{exc}; pass one with --config")
     overrides = {}
     if args.paper_scale and experiment in _PAPER_SCALE:
         overrides.update(_PAPER_SCALE[experiment])

@@ -34,6 +34,7 @@ series back as compact ``_SeriesBlock`` arrays, not per-step rows.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -95,10 +96,19 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+def _csv_prefix(*cells) -> str:
+    """The cells as ``csv.writer`` writes them at the start of a row, each
+    followed by its delimiter."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([*map(_fmt, cells), ""])
+    return buf.getvalue()[:-2]
+
+
 class _SeriesBlock(NamedTuple):
-    """Series rows of one trial in compact form: for each ``steps[i]``, one
-    row per metric in order, whose value is ``values[i][j]``. ``values`` is a
-    (steps, metrics) array or nested sequence."""
+    """Series rows of one trial in compact form: for each integer
+    ``steps[i]``, one row per metric in order, whose value is
+    ``values[i][j]``. ``values`` is a (steps, metrics) array or nested
+    sequence of numbers."""
 
     metrics: tuple[str, ...]
     steps: Sequence[int]
@@ -146,6 +156,9 @@ class ExperimentConfig:
         if self.experiment == "stability" and len(self.sample_sizes) != 1:
             raise ValueError("stability takes exactly one sample size")
         if self.experiment == "realdata":
+            if "path" not in self.csv_source:
+                raise ValueError("realdata needs a csv path (the csv "
+                                 "section's 'path' key)")
             # At 0 or below the test split is one row; at 1 or above the
             # pool is empty. NaN fails the check as well.
             fraction = self.csv_source.get("test_fraction", 0.2)
@@ -731,8 +744,7 @@ class _ResultWriter:
         self._series_fh = open(series, "w", newline="")
         self._result_writer = csv.writer(self._result_fh)
         self._result_writer.writerow(RESULT_COLUMNS)
-        self._series_writer = csv.writer(self._series_fh)
-        self._series_writer.writerow(SERIES_COLUMNS)
+        csv.writer(self._series_fh).writerow(SERIES_COLUMNS)
 
     def write_result(self, row: dict) -> None:
         if self._result_fh is not None:
@@ -740,16 +752,24 @@ class _ResultWriter:
 
     def write_series(self, experiment: str, trial: int,
                      blocks: list[_SeriesBlock]) -> None:
+        """The rows ``csv.writer`` would write for the blocks, byte for
+        byte, as one string per block: the text cells go through ``csv``
+        quoting once per block, and the numbers never need it."""
         if self._series_fh is None:
             return
-        experiment, trial = _fmt(experiment), _fmt(trial)
+        head = _csv_prefix(experiment, trial)
         for metrics, steps, values in blocks:
-            if isinstance(values, np.ndarray):
-                values = values.tolist()
-            self._series_writer.writerows(
-                (experiment, trial, _fmt(step), metric, _fmt(value))
-                for step, row in zip(steps, values)
-                for metric, value in zip(metrics, row))
+            names = [_csv_prefix(metric) for metric in metrics]
+            if isinstance(values, np.ndarray) and values.dtype == float:
+                # Python floats, whose repr is their _fmt.
+                text = "".join(f"{head}{step},{name}{value!r}\r\n"
+                               for step, row in zip(steps, values.tolist())
+                               for name, value in zip(names, row))
+            else:
+                text = "".join(f"{head}{step},{name}{_fmt(value)}\r\n"
+                               for step, row in zip(steps, values)
+                               for name, value in zip(names, row))
+            self._series_fh.write(text)
 
     def flush(self) -> None:
         if self._result_fh is not None:

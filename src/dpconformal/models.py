@@ -179,10 +179,32 @@ def _forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray):
     return layers, acts
 
 
+def _sum_last(v: np.ndarray) -> np.ndarray:
+    """``v.sum(axis=-1)``, bit for bit. numpy adds fewer than 8 entries
+    left to right from +0.0, one short reduction per row; adding the columns
+    in that order does the same sums in a few calls over all rows."""
+    k = v.shape[-1]
+    if k >= 8:
+        return v.sum(axis=-1)
+    total = v[..., 0] + 0.0
+    for j in range(1, k):
+        total += v[..., j]
+    return total
+
+
 def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the class axis, bit-equal to the per-row reductions
+    ``z - z.max(-1)`` and ``e / e.sum(-1)``: the max is exact in any order
+    (a +-0 tie changes ``z - top`` only at a zero, where exp gives 1; a NaN
+    row stays NaN, though its sign bit may differ), and ``_sum_last`` keeps
+    numpy's order."""
+    top = z[..., 0].copy()
+    for j in range(1, z.shape[-1]):
+        np.maximum(top, z[..., j], out=top)
+    e = z - top[..., None]
+    np.exp(e, out=e)
+    e /= _sum_last(e)[..., None]
+    return e
 
 
 def _loss_and_delta(spec: ModelSpec, out: np.ndarray, y: np.ndarray):
@@ -194,8 +216,12 @@ def _loss_and_delta(spec: ModelSpec, out: np.ndarray, y: np.ndarray):
         return 0.5 * resid**2, resid[..., None]
     rows = np.arange(y.shape[0])
     probs = _softmax(out)
-    losses = -np.log(np.clip(probs[..., rows, y], 1e-300, None))
-    probs[..., rows, y] -= 1.0
+    losses = -np.log(np.maximum(probs[..., rows, y], 1e-300))
+    # p - 0.0 is p, so subtracting the one-hot matrix changes only the label
+    # entries, as a fancy-index update would, at a quarter the cost.
+    onehot = np.zeros(probs.shape[-2:])
+    onehot[rows, y] = 1.0
+    probs -= onehot
     return losses, probs
 
 
@@ -298,10 +324,10 @@ def clipped_grad_sum(
     sq_norms = 0.0
     for i in range(len(layers) - 1, -1, -1):
         w, bias = layers[i]
-        a_sq = np.square(acts[i]).sum(axis=-1)
+        a_sq = _sum_last(np.square(acts[i]))
         if bias is not None:
             a_sq += 1.0
-        sq_norms = sq_norms + np.square(delta).sum(axis=-1) * a_sq
+        sq_norms = sq_norms + _sum_last(np.square(delta)) * a_sq
         deltas[i] = delta
         if i > 0:
             delta = _next_delta(delta, w, acts[i])

@@ -609,6 +609,57 @@ def test_bad_config_file_is_a_usage_error(tmp_path, text, message, capsys):
     assert not out.exists()
 
 
+def test_realdata_without_a_csv_path_is_a_usage_error(tmp_path, capsys):
+    # Every trial would fail reading the missing path; the config is
+    # rejected before any trial runs.
+    with pytest.raises(ValueError, match="csv path"):
+        ExperimentConfig(experiment="realdata",
+                         csv_source={"task": "regression"})
+    path = tmp_path / "config.json"
+    path.write_text('{"experiment": "realdata", "trials": 1}')
+    out = tmp_path / "out.csv"
+    for argv in (["realdata", "--config", str(path), "--out", str(out)],
+                 ["realdata", "--trials", "1", "--out", str(out)]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "csv path" in err and "Traceback" not in err
+        assert not out.exists()
+
+
+def test_series_writer_writes_what_csv_writer_writes(tmp_path):
+    # The oracle is a csv.writer over the same rows, formatted by _fmt.
+    blocks = [
+        experiments._SeriesBlock(
+            ('gap/eps=0.5', 'quote "me", twice\nplease'), range(4),
+            np.array([[math.nan, math.inf], [-math.inf, -0.0],
+                      [1e-300, 0.1 + 0.2], [3.0, -2.5e17]])),
+        experiments._SeriesBlock(
+            ("mixed",), [0, np.int64(7)],
+            [(np.float64(0.25),), (np.int64(3),)]),
+        experiments._SeriesBlock(("count", "moved"), (5,), [(2, 1.0)]),
+    ]
+    writer = experiments._ResultWriter(str(tmp_path / "results.csv"))
+    writer.write_series("stab,ility", 3, blocks)
+    writer.write_series("stability", 4, blocks[1:])
+    writer.close()
+    with open(tmp_path / "want.csv", "w", newline="") as fh:
+        want = csv.writer(fh)
+        want.writerow(SERIES_COLUMNS)
+        for experiment, trial, trial_blocks in (("stab,ility", 3, blocks),
+                                                ("stability", 4, blocks[1:])):
+            for metrics, steps, values in trial_blocks:
+                for step, row in zip(steps, values):
+                    for metric, value in zip(metrics, row):
+                        want.writerow([experiments._fmt(cell) for cell in
+                                       (experiment, trial, step, metric,
+                                        value)])
+    got = (tmp_path / "results_series.csv").read_bytes()
+    assert got == (tmp_path / "want.csv").read_bytes()
+    assert b'"quote ""me"", twice\nplease"' in got and b"-0.0" in got
+
+
 def tiny_stability_config(tmp_path=None, **kw):
     base = dict(
         experiment="stability", trials=2, seed=3, epsilons=(0.5, 1.0, 2.0),

@@ -1,8 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dpconformal import models
 from dpconformal.models import (Dataset, ModelSpec, as_batch,
                                 batch_loss_and_grads, clip_scale,
                                 clipped_grad_sum, init_params, loss_and_grad,
@@ -200,3 +204,129 @@ def test_dataset_validation():
         Dataset(np.zeros((3, 2)), np.zeros(2), "regression")
     data = Dataset(np.zeros((4, 2)), np.array([0, 1, 2, 1]), "classification")
     assert data.n_classes == 3 and data.n == 4 and data.dim == 2
+
+
+# The per-row reductions that the column-by-column class-axis code replaces;
+# they are the oracle the kernels must equal bit for bit.
+def reduce_softmax(z):
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def reduce_sum_last(v):
+    return v.sum(axis=-1)
+
+
+def reduce_loss_and_delta(spec, out, y):
+    if models._regression_head(spec):
+        resid = out[..., 0] - y
+        return 0.5 * resid**2, resid[..., None]
+    rows = np.arange(y.shape[0])
+    probs = reduce_softmax(out)
+    losses = -np.log(np.clip(probs[..., rows, y], 1e-300, None))
+    probs[..., rows, y] -= 1.0
+    return losses, probs
+
+
+def _bits(a):
+    """Shape and bit patterns, every NaN as one pattern: the max reductions
+    pick the sign of a NaN their own way, and no written result shows it."""
+    a = np.where(np.isnan(a), np.nan, np.asarray(a, dtype=float))
+    return a.shape, a.view(np.uint64).tolist()
+
+
+def _warned(f, *args):
+    """f(*args) and whether it raised a RuntimeWarning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = f(*args)
+    return out, any(issubclass(w.category, RuntimeWarning) for w in caught)
+
+
+EXTREME_LOGITS = np.array([1e308, -1e308, np.inf, -np.inf, np.nan, 0.0, -0.0,
+                           1.0, -1.0, 709.0, -745.0, 1e-300])
+
+
+def _class_axis_cases():
+    rng = np.random.default_rng(23)
+    for k in range(1, 13):
+        for shape in ((40, k), (3, 9, k)):
+            yield rng.standard_normal(shape) * 30.0
+            yield rng.choice(EXTREME_LOGITS, size=shape)
+            yield (rng.choice(EXTREME_LOGITS, size=shape)
+                   * rng.uniform(-1.0, 1.0, size=shape))
+
+
+@pytest.mark.parametrize("z", list(_class_axis_cases()))
+def test_class_axis_reductions_equal_the_per_row_reductions(z):
+    # numpy sums fewer than 8 entries left to right from +0.0; the column
+    # path relies on that order, so this holds it on every numpy version
+    # the suite runs on. The column path may warn only where the per-row
+    # reductions do.
+    got, new_warns = _warned(models._softmax, z)
+    want, old_warns = _warned(reduce_softmax, z)
+    assert _bits(got) == _bits(want)
+    assert old_warns or not new_warns
+    with np.errstate(over="ignore"):
+        squares = np.square(z)
+    for v in (z, squares):
+        got, new_warns = _warned(models._sum_last, v)
+        want, old_warns = _warned(reduce_sum_last, v)
+        assert _bits(got) == _bits(want)
+        assert old_warns or not new_warns
+    y = np.arange(z.shape[-2]) % z.shape[-1]
+    spec = ModelSpec("softmax_linear", 1, z.shape[-1])
+    got, new_warns = _warned(models._loss_and_delta, spec, z, y)
+    want, old_warns = _warned(reduce_loss_and_delta, spec, z, y)
+    assert [_bits(a) for a in got] == [_bits(a) for a in want]
+    assert old_warns or not new_warns
+
+
+def test_sum_last_keeps_the_sign_of_a_zero_sum():
+    # numpy's sum starts from +0.0, so a row of -0.0 sums to +0.0.
+    for k in (1, 3, 8):
+        v = np.full((2, k), -0.0)
+        assert _bits(models._sum_last(v)) == _bits(v.sum(axis=-1))
+
+
+finite_or_not = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12).flatmap(
+    lambda k: st.lists(st.lists(finite_or_not, min_size=k, max_size=k),
+                       min_size=1, max_size=6)))
+def test_class_axis_reductions_equal_the_per_row_reductions_on_any_floats(
+        rows):
+    z = np.array(rows, dtype=float)
+    with np.errstate(all="ignore"):
+        assert _bits(models._softmax(z)) == _bits(reduce_softmax(z))
+        assert _bits(models._sum_last(z)) == _bits(reduce_sum_last(z))
+
+
+def _kernel_bits(spec, params, x, y):
+    outs = [*batch_loss_and_grads(spec, params, x, y),
+            *clipped_grad_sum(spec, params, x, y, 1.5)]
+    if params.ndim == 1 and spec.output_dim > 1:
+        outs.append(predict_proba(spec, params, x))
+    return [_bits(a) for a in outs]
+
+
+@pytest.mark.parametrize("spec",
+                         KERNEL_SPECS + [ModelSpec("mlp", 9, 12, (10,))],
+                         ids=KERNEL_IDS + ["mlp_12_classes"])
+@pytest.mark.parametrize("stack", [(), (1,), (4,)], ids=["P", "R1", "R4"])
+def test_kernels_equal_the_per_row_reductions(spec, stack, monkeypatch):
+    # Swapping the reduce formulas back in gives the kernels as they were
+    # before the class axis was reduced column by column.
+    rng = np.random.default_rng(61)
+    params = rng.standard_normal((*stack, param_count(spec))) * 3.0
+    x, y = as_batch(spec, rng.standard_normal((33, spec.input_dim)) * 2.0,
+                    rng.standard_normal(33) if spec.output_dim == 1
+                    else rng.integers(0, spec.output_dim, 33))
+    got = _kernel_bits(spec, params, x, y)
+    monkeypatch.setattr(models, "_softmax", reduce_softmax)
+    monkeypatch.setattr(models, "_sum_last", reduce_sum_last)
+    monkeypatch.setattr(models, "_loss_and_delta", reduce_loss_and_delta)
+    assert got == _kernel_bits(spec, params, x, y)
