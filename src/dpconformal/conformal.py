@@ -114,20 +114,23 @@ class TrainedStage:
 
 def _score_matrix(model: TrainedModel, data: Dataset) -> np.ndarray:
     """Nonconformity of every candidate label: the (n, K) matrix 1 - p_k for
-    classification, the absolute residual of each row for regression."""
+    classification, the absolute residual of each row for regression. Each
+    is written into the probability or residual array it is taken from."""
     if data.task == CLASSIFICATION:
-        return 1.0 - predict_proba(model.spec, model.params, data.features)
-    pred = predict_value(model.spec, model.params, data.features)
-    return np.abs(data.labels - pred)
+        probs = predict_proba(model.spec, model.params, data.features)
+        return np.subtract(1.0, probs, out=probs)
+    resid = data.labels - predict_value(model.spec, model.params,
+                                        data.features)
+    return np.abs(resid, out=resid)
 
 
 def _in_sample_scores(model: TrainedModel, data: Dataset) -> np.ndarray:
     """Nonconformity of each row: 1 - true-class probability for
     classification, the absolute residual for regression."""
-    scores = _score_matrix(model, data)
     if data.task == CLASSIFICATION:
-        return scores[np.arange(data.n), data.labels.astype(int)]
-    return scores
+        probs = predict_proba(model.spec, model.params, data.features)
+        return 1.0 - probs[np.arange(data.n), data.labels.astype(int)]
+    return _score_matrix(model, data)
 
 
 def _evaluate_fast(test_scores: np.ndarray, test: Dataset, q_hat: float,

@@ -140,7 +140,9 @@ def _read_table(path, has_header: bool) -> np.ndarray:
                                quotechar='"', ndmin=2)
     except (ValueError, Warning):
         return _row_loop_table(path, has_header)
-    kept = table[np.isfinite(table).all(axis=1)]
+    finite = np.isfinite(table).all(axis=1)
+    # Only a file that drops a row pays for the copy.
+    kept = table if finite.all() else table[finite]
     _check_kept(path, len(kept), len(table) - len(kept))
     return kept
 

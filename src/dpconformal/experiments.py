@@ -38,7 +38,6 @@ import io
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -703,6 +702,9 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
     with ExitStack() as stack:
         mapper = map
         if jobs > 1:
+            # The pool pulls in multiprocessing and its dependencies, which
+            # no jobs=1 run needs.
+            from concurrent.futures import ProcessPoolExecutor
             mapper = stack.enter_context(
                 ProcessPoolExecutor(max_workers=jobs)).map
         # Both maps yield in submission order.

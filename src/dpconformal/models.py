@@ -165,17 +165,19 @@ def _forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray):
     """Forward pass on a (b, d) batch, keeping activations for backprop.
 
     With (R, P) params every activation after the input is (R, b, width);
-    each run's matmuls are the ones its own (P,) vector would make.
+    each run's matmuls are the ones its own (P,) vector would make. The bias
+    and the ReLU are applied in the fresh matmul output, so each layer
+    allocates one array; backprop reads only the post-ReLU activations.
     """
     layers = _layers(spec, params)
     acts = [x]
-    h = x
     for i, (w, b) in enumerate(layers):
-        z = h @ np.swapaxes(w, -1, -2)
+        z = acts[-1] @ np.swapaxes(w, -1, -2)
         if b is not None:
-            z = z + b[..., None, :]
-        h = np.maximum(z, 0.0) if i < len(layers) - 1 else z
-        acts.append(h)
+            z += b[..., None, :]
+        if i < len(layers) - 1:
+            np.maximum(z, 0.0, out=z)
+        acts.append(z)
     return layers, acts
 
 

@@ -96,6 +96,33 @@ def test_nonconformity_regression_residual():
     assert score[0] == pytest.approx(1.5)
 
 
+@pytest.mark.parametrize("spec", [
+    ModelSpec("softmax_linear", 3, 4), ModelSpec("mlp", 3, 5, (6,)),
+    ModelSpec("linear_regression", 3), ModelSpec("mlp", 3, 1, (6, 4)),
+], ids=["softmax_linear", "mlp_classifier", "linear_regression",
+        "mlp_regression"])
+def test_scores_equal_the_out_of_place_formulas(spec):
+    # The scores are written into the probability or residual array they
+    # come from; the formulas that allocate a fresh array are the oracle.
+    rng = np.random.default_rng(19)
+    params = rng.standard_normal(param_count(spec)) * 3.0
+    x = rng.standard_normal((50, 3)) * 2.0
+    if spec.output_dim == 1:
+        data = Dataset(x, rng.standard_normal(50), "regression")
+        want = np.abs(data.labels - predict_value(spec, params, x))
+        want_in_sample = want
+    else:
+        data = Dataset(x, rng.integers(0, spec.output_dim, 50),
+                       "classification", n_classes=spec.output_dim)
+        want = 1.0 - predict_proba(spec, params, x)
+        want_in_sample = want[np.arange(50), data.labels]
+    model = make_model(spec, params)
+    assert _score_matrix(model, data).tobytes() == want.tobytes()
+    got = _in_sample_scores(model, data)
+    assert got.shape == want_in_sample.shape
+    assert got.tobytes() == want_in_sample.tobytes()
+
+
 def test_build_prediction_set_classification():
     # uniform probabilities: every score is 0.75
     model = softmax_model(k=4)

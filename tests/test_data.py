@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpconformal.data import (CsvParseError, _row_loop_table,
+from dpconformal.data import (CsvParseError, _read_table, _row_loop_table,
                               apply_standardizer, default_logistic_signal,
                               fit_standardizer, gen_logistic, gen_multiclass,
                               load_csv)
@@ -264,6 +264,25 @@ def test_load_csv_matches_the_row_loop(csv_path, file):
         table = np.column_stack([got.labels, got.features])
         assert table.shape == expected.shape
         assert table.tobytes() == expected.tobytes()
+
+
+def test_read_table_keeps_the_parsed_table_of_a_clean_file(tmp_path,
+                                                          monkeypatch):
+    # Only a file that drops a row pays for a copy of the table.
+    parsed = []
+    real_loadtxt = np.loadtxt
+
+    def loadtxt(*args, **kwargs):
+        parsed.append(real_loadtxt(*args, **kwargs))
+        return parsed[-1]
+
+    monkeypatch.setattr(np, "loadtxt", loadtxt)
+    path = tmp_path / "table.csv"
+    path.write_text("a,b\n1,2\n3,4\n")
+    assert _read_table(path, True) is parsed[-1]
+    path.write_text("a,b\n1,2\n3,nan\n")
+    kept = _read_table(path, True)
+    assert kept is not parsed[-1] and kept.tolist() == [[1.0, 2.0]]
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,10 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -220,6 +224,25 @@ def test_quantile_demo_outputs(tmp_path):
     assert fixtures == {"tie_jump", "no_ties"}
     series = read_rows(tmp_path / "demo_series.csv")
     assert any(r["metric"] == "tie_jump/midpoint/noisy_count" for r in series)
+
+
+def test_jobs_1_sweep_does_not_import_the_process_pool():
+    # A fresh interpreter sees what a jobs=1 CLI run imports; the pool and
+    # multiprocessing load only for jobs > 1.
+    script = (
+        "import sys\n"
+        "import dpconformal, dpconformal.experiments as ex\n"
+        "ex.run_experiment(ex.ExperimentConfig(experiment='quantile_demo'),"
+        " jobs=1)\n"
+        "print(sorted({'concurrent.futures.process', 'multiprocessing'}"
+        " & set(sys.modules)))\n")
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ,
+           "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_load_config_roundtrip(tmp_path):

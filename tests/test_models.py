@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -330,3 +331,102 @@ def test_kernels_equal_the_per_row_reductions(spec, stack, monkeypatch):
     monkeypatch.setattr(models, "_sum_last", reduce_sum_last)
     monkeypatch.setattr(models, "_loss_and_delta", reduce_loss_and_delta)
     assert got == _kernel_bits(spec, params, x, y)
+
+
+def reference_forward(spec, params, x):
+    """The forward pass with the bias and the ReLU applied out of place, as
+    it was before they were applied in the matmul output; the oracle of
+    ``_forward``."""
+    layers = models._layers(spec, params)
+    acts = [x]
+    h = x
+    for i, (w, b) in enumerate(layers):
+        z = h @ np.swapaxes(w, -1, -2)
+        if b is not None:
+            z = z + b[..., None, :]
+        h = np.maximum(z, 0.0) if i < len(layers) - 1 else z
+        acts.append(h)
+    return layers, acts
+
+
+FORWARD_SPECS = KERNEL_SPECS + [ModelSpec("mlp", 9, 12, (10,))]
+FORWARD_IDS = KERNEL_IDS + ["mlp_12_classes"]
+PREACTIVATIONS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0,
+                           5e-324, -5e-324, 1e308, -1e308])
+
+
+class _Product(np.ndarray):
+    """Features whose product with any weight matrix is ``self.product``:
+    the first layer's pre-activations chosen directly, since no BLAS product
+    is -0.0."""
+
+    def __matmul__(self, other):
+        return self.product.copy()
+
+
+@pytest.mark.parametrize("spec", FORWARD_SPECS, ids=FORWARD_IDS)
+@pytest.mark.parametrize("stack", [(), (1,), (4,)], ids=["P", "R1", "R4"])
+def test_forward_equals_the_out_of_place_formula(spec, stack):
+    # The first layer meets every pre-activation in PREACTIVATIONS plus a
+    # bias of +-0, +-inf or NaN; the ReLU and the later layers then meet
+    # zeros of both signs, infinities and NaNs.
+    rng = np.random.default_rng(71)
+    params = rng.standard_normal((*stack, param_count(spec)))
+    width = spec.layer_dims()[0][1]
+    if spec.kind == "mlp":
+        pos = spec.input_dim * width
+        params[..., pos:pos + width] = rng.choice(PREACTIVATIONS[:5],
+                                                  size=(*stack, width))
+    x = np.zeros((40, spec.input_dim)).view(_Product)
+    x.product = rng.choice(PREACTIVATIONS, size=(*stack, 40, width))
+    got, new_warns = _warned(models._forward, spec, params, x)
+    want, old_warns = _warned(reference_forward, spec, params, x)
+    assert [_bits(a) for a in got[1][1:]] == [_bits(a) for a in want[1][1:]]
+    assert old_warns or not new_warns
+
+
+def _model_bits(spec, params, x, y):
+    """Bits of both kernels and of the head's predictions for every run."""
+    predict = predict_value if models._regression_head(spec) else predict_proba
+    return _kernel_bits(spec, params, x, y) + [
+        _bits(predict(spec, row, x)) for row in params]
+
+
+@pytest.mark.parametrize("spec", FORWARD_SPECS, ids=FORWARD_IDS)
+@pytest.mark.parametrize("stack", [(1,), (4,)], ids=["R1", "R4"])
+def test_kernels_and_predictions_equal_the_out_of_place_forward(
+        spec, stack, monkeypatch):
+    # Features of +-inf and NaN put infinities and NaNs among the
+    # pre-activations and gradients; a zero feature row and zeroed last
+    # parameters put zeros.
+    rng = np.random.default_rng(73)
+    params = rng.standard_normal((*stack, param_count(spec))) * 3.0
+    params[..., -spec.output_dim:] = 0.0
+    x = rng.standard_normal((33, spec.input_dim)) * 2.0
+    x[0] = 0.0
+    x[1, 0] = np.inf
+    x[2, -1] = -np.inf
+    x[3, 0] = np.nan
+    x, y = as_batch(spec, x, rng.standard_normal(33) if spec.output_dim == 1
+                    else rng.integers(0, spec.output_dim, 33))
+    got, new_warns = _warned(_model_bits, spec, params, x, y)
+    monkeypatch.setattr(models, "_forward", reference_forward)
+    want, old_warns = _warned(_model_bits, spec, params, x, y)
+    assert got == want
+    assert old_warns or not new_warns
+
+
+def test_predict_value_allocates_one_array_per_layer():
+    # Each layer's activation is its matmul output, so scoring n rows
+    # through the 8 -> 32 -> 16 -> 1 regressor holds n * (32 + 16 + 1)
+    # floats; the bias and the ReLU out of place held three per layer.
+    spec = ModelSpec("mlp", 8, 1, (32, 16))
+    params = init_params(spec, np.random.default_rng(5))
+    x = np.random.default_rng(6).standard_normal((20_000, 8))
+    tracemalloc.start()
+    try:
+        predict_value(spec, params, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * 20_000 * 8 * (32 + 16 + 1)
