@@ -61,6 +61,10 @@ def gen_logistic(
     return Dataset(x, labels, CLASSIFICATION, n_classes=2), theta
 
 
+# Rows of centroids gathered at once by gen_multiclass.
+_GEN_BLOCK_ROWS = 2048
+
+
 def gen_multiclass(
     n: int, d: int, k: int, class_sep: float, flip_y: float, seed: int
 ) -> Dataset:
@@ -89,7 +93,13 @@ def gen_multiclass(
     clusters = (u[:, 0] * k).astype(int)
     flip_mask = u[:, 1] < flip_y
     flip_targets = (u[:, 2] * k).astype(int)
-    x = centroids[clusters] + noise_rng.standard_normal((n, d))
+    # The centroids are added into the noise matrix a row block at a time;
+    # the sum commutes, so x holds centroids[clusters] + noise bit for bit
+    # without a second (n, d) array.
+    x = noise_rng.standard_normal((n, d))
+    for start in range(0, n, _GEN_BLOCK_ROWS):
+        block = slice(start, start + _GEN_BLOCK_ROWS)
+        x[block] += centroids[clusters[block]]
     labels = np.where(flip_mask, flip_targets, clusters)
     return Dataset(x, labels, CLASSIFICATION, n_classes=k)
 
@@ -106,7 +116,8 @@ def load_csv(path, label_column: int, task: str,
     width = table.shape[1]
     if not 0 <= label_column < width:
         raise ValueError(f"label_column {label_column} outside 0..{width - 1}")
-    labels = table[:, label_column]
+    # A copy, so the labels do not keep the whole parsed table alive.
+    labels = table[:, label_column].copy()
     features = np.delete(table, label_column, axis=1)
     if task == CLASSIFICATION:
         rounded = np.round(labels)
@@ -236,10 +247,16 @@ def fit_standardizer(train: Dataset) -> StandardizationStats:
 
 
 def apply_standardizer(stats: StandardizationStats, data: Dataset) -> Dataset:
-    """Transform features (and the target, for regression) with train stats."""
-    x = (data.features - stats.feature_mean) / stats.feature_sd
+    """Transform features (and the target, for regression) with train stats.
+
+    Returns new arrays and never writes into ``data``; each result is
+    divided in the array its subtraction allocates.
+    """
+    x = data.features - stats.feature_mean
+    x /= stats.feature_sd
     if data.task == REGRESSION:
-        y = (data.labels - stats.target_mean) / stats.target_sd
+        y = data.labels - stats.target_mean
+        y /= stats.target_sd
     else:
         y = data.labels
     return Dataset(x, y, data.task, data.n_classes)

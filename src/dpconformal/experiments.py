@@ -346,7 +346,11 @@ def _pipeline_group(config: ExperimentConfig, rows: list[dict], pool: Dataset,
 # lockstep row cap splits a subset's targets. Tasks run each subset for every
 # trial in turn, so the tasks of one (n, trial) lie up to (sample sizes x
 # trials) data cells apart. 32 cells hold the desk grid (2 x 10) and every
-# trial of the paper's 30 at one n, at most about 90 MB at n = 30000.
+# trial of the paper's 30 at one n. A cell keeps (test_size + n) rows of d
+# standardized features and one label: 2.8 MB at n = 30000, test_size 2000
+# and d = 10, so 32 such cells keep about 90 MB. Building one peaks at about
+# twice what it keeps, since the pool and test are standardized out of row
+# slices of the one generated matrix.
 @lru_cache(maxsize=32)
 def _scaling_data(generator: tuple, n: int, trial_seed: int
                   ) -> tuple[Dataset, Dataset, StandardizationStats]:
@@ -362,8 +366,8 @@ def _scaling_data(generator: tuple, n: int, trial_seed: int
                     .generate_state(1)[0])
     both = gen_multiclass(test_size + n, d, k, sep, flip, data_seed)
     pool, test, stats = _standardized(
-        both.subset(np.arange(test_size, test_size + n)),
-        both.subset(np.arange(test_size)))
+        both.subset(slice(test_size, test_size + n)),
+        both.subset(slice(test_size)))
     _read_only(pool, test)
     return pool, test, stats
 
@@ -439,7 +443,7 @@ def _run_stability_trial(config: ExperimentConfig,
     data_seed = int(np.random.SeedSequence(trial_seed).spawn(1)[0]
                     .generate_state(1)[0])
     data, theta = gen_logistic(n + 1, d, data_seed)
-    base = data.subset(np.arange(n))
+    base = data.subset(slice(n))
     extra = (data.features[n], int(data.labels[n]))
     out: list = [None] * len(rows)
     sigmas = {}

@@ -57,7 +57,7 @@ class Dataset:
     def dim(self) -> int:
         return self.features.shape[1]
 
-    def subset(self, idx: np.ndarray) -> "Dataset":
+    def subset(self, idx: np.ndarray | slice) -> "Dataset":
         return Dataset(self.features[idx], self.labels[idx], self.task,
                        self.n_classes)
 

@@ -1,5 +1,6 @@
 import logging
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpconformal.data import (CsvParseError, _read_table, _row_loop_table,
+from dpconformal.data import (_GEN_BLOCK_ROWS, CsvParseError, _read_table,
+                              _record_streams, _row_loop_table,
                               apply_standardizer, default_logistic_signal,
                               fit_standardizer, gen_logistic, gen_multiclass,
                               load_csv)
+from dpconformal.experiments import _scaling_data
 from dpconformal.models import Dataset
 
 
@@ -81,6 +84,42 @@ def test_gen_multiclass_prefix_stable():
     big = gen_multiclass(200, 10, 5, 0.6, 0.01, seed=11)
     np.testing.assert_array_equal(small.features, big.features[:64])
     np.testing.assert_array_equal(small.labels, big.labels[:64])
+    # Prefixes that end on either side of a block of the centroid addition.
+    big = gen_multiclass(2 * _GEN_BLOCK_ROWS + 3, 6, 4, 1.0, 0.05, seed=8)
+    for m in (_GEN_BLOCK_ROWS - 1, _GEN_BLOCK_ROWS + 1,
+              2 * _GEN_BLOCK_ROWS + 1):
+        small = gen_multiclass(m, 6, 4, 1.0, 0.05, seed=8)
+        assert small.features.tobytes() == big.features[:m].tobytes()
+        np.testing.assert_array_equal(small.labels, big.labels[:m])
+
+
+def _one_shot_multiclass(n, d, k, class_sep, flip_y, seed):
+    """gen_multiclass with the centroids added in one (n, d) sum, the
+    formula that the blocked in-place addition must reproduce."""
+    meta_rng, noise_rng = _record_streams(seed)
+    corners, seen = [], set()
+    while len(corners) < k:
+        c = tuple(meta_rng.choice([-1.0, 1.0], size=d).tolist())
+        if c not in seen:
+            seen.add(c)
+            corners.append(c)
+    centroids = np.asarray(corners) * class_sep
+    u = meta_rng.random((n, 3))
+    clusters = (u[:, 0] * k).astype(int)
+    x = centroids[clusters] + noise_rng.standard_normal((n, d))
+    labels = np.where(u[:, 1] < flip_y, (u[:, 2] * k).astype(int), clusters)
+    return x, labels
+
+
+@pytest.mark.parametrize("n", [1, _GEN_BLOCK_ROWS - 1, _GEN_BLOCK_ROWS,
+                               _GEN_BLOCK_ROWS + 1, 3 * _GEN_BLOCK_ROWS + 7])
+def test_gen_multiclass_equals_the_one_shot_formula(n):
+    for d, k, sep, flip, seed in [(10, 5, 0.6, 0.01, 11), (3, 8, 2.5, 0.3, 4)]:
+        data = gen_multiclass(n, d, k, sep, flip, seed)
+        x, labels = _one_shot_multiclass(n, d, k, sep, flip, seed)
+        assert data.features.shape == (n, d)
+        assert data.features.tobytes() == x.tobytes()
+        np.testing.assert_array_equal(data.labels, labels)
 
 
 def test_gen_multiclass_validation():
@@ -266,9 +305,7 @@ def test_load_csv_matches_the_row_loop(csv_path, file):
         assert table.tobytes() == expected.tobytes()
 
 
-def test_read_table_keeps_the_parsed_table_of_a_clean_file(tmp_path,
-                                                          monkeypatch):
-    # Only a file that drops a row pays for a copy of the table.
+def _capture_loadtxt(monkeypatch):
     parsed = []
     real_loadtxt = np.loadtxt
 
@@ -277,12 +314,35 @@ def test_read_table_keeps_the_parsed_table_of_a_clean_file(tmp_path,
         return parsed[-1]
 
     monkeypatch.setattr(np, "loadtxt", loadtxt)
+    return parsed
+
+
+def test_read_table_keeps_the_parsed_table_of_a_clean_file(tmp_path,
+                                                          monkeypatch):
+    # Only a file that drops a row pays for a copy of the table.
+    parsed = _capture_loadtxt(monkeypatch)
     path = tmp_path / "table.csv"
     path.write_text("a,b\n1,2\n3,4\n")
     assert _read_table(path, True) is parsed[-1]
     path.write_text("a,b\n1,2\n3,nan\n")
     kept = _read_table(path, True)
     assert kept is not parsed[-1] and kept.tolist() == [[1.0, 2.0]]
+
+
+@pytest.mark.parametrize("task", ["regression", "classification"])
+def test_load_csv_labels_do_not_keep_the_parsed_table(tmp_path, monkeypatch,
+                                                      task):
+    # A view of the label column would hold the whole (n, width) table
+    # alive for as long as the Dataset is kept.
+    parsed = _capture_loadtxt(monkeypatch)
+    path = tmp_path / "table.csv"
+    path.write_text("a,y,b\n1,0,2\n3,1,4\n5,2,6\n")
+    data = load_csv(path, label_column=1, task=task)
+    assert len(parsed) == 1
+    assert data.labels.base is None
+    assert not np.shares_memory(data.labels, parsed[0])
+    assert not np.shares_memory(data.features, parsed[0])
+    assert data.labels.tolist() == [0, 1, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -342,3 +402,69 @@ def test_standardizer_classification_leaves_labels():
     out = apply_standardizer(stats, data)
     np.testing.assert_array_equal(out.labels, data.labels)
     assert stats.target_sd == 1.0
+
+
+def _read_only_copy(data):
+    x, y = data.features.copy(), data.labels.copy()
+    x.flags.writeable = False
+    y.flags.writeable = False
+    return Dataset(x, y, data.task, data.n_classes)
+
+
+@pytest.mark.parametrize("task", ["regression", "classification"])
+def test_apply_standardizer_equals_the_formula_and_keeps_its_input(task):
+    if task == "regression":
+        data = regression_dataset(seed=4)
+        other = regression_dataset(seed=5)
+    else:
+        data = gen_multiclass(300, 6, 3, 1.5, 0.1, seed=2)
+        other = gen_multiclass(300, 6, 3, 1.5, 0.1, seed=3)
+    # A constant column takes the degenerate unit scale.
+    x = data.features.copy()
+    x[:, 0] = 7.0
+    data = Dataset(x, data.labels, data.task, data.n_classes)
+    stats = fit_standardizer(data)
+    for source in (data, other):
+        frozen = _read_only_copy(source)
+        out = apply_standardizer(stats, frozen)
+        expected_x = (source.features - stats.feature_mean) / stats.feature_sd
+        assert out.features.tobytes() == expected_x.tobytes()
+        if task == "regression":
+            expected_y = (source.labels - stats.target_mean) / stats.target_sd
+            assert out.labels.tobytes() == expected_y.tobytes()
+        else:
+            np.testing.assert_array_equal(out.labels, source.labels)
+        assert frozen.features.tobytes() == source.features.tobytes()
+        assert frozen.labels.tobytes() == source.labels.tobytes()
+        assert not np.shares_memory(out.features, frozen.features)
+        if task == "regression":
+            assert not np.shares_memory(out.labels, frozen.labels)
+
+
+def _distinct_nbytes(*arrays):
+    """Bytes of the buffers that the arrays keep alive, each counted once."""
+    owners = {}
+    for a in arrays:
+        owner = a if a.base is None else a.base
+        owners[id(owner)] = owner.nbytes
+    return sum(owners.values())
+
+
+def test_scaling_data_cell_builds_in_little_more_than_it_keeps():
+    # The generator adds the centroids into its noise matrix, the pool and
+    # test are row slices of it, and the standardizer divides in the array
+    # it subtracts into, so the traced peak is about the kept cell plus the
+    # generated matrix: under 2.5x the cell.
+    build = _scaling_data.__wrapped__  # bypass the per-process memo
+    generator = (10, 5, 0.6, 0.01, 2000)
+    build(generator, 50, 1)  # first-use imports stay out of the trace
+    tracemalloc.start()
+    try:
+        pool, test, _ = build(generator, 20_000, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kept = _distinct_nbytes(pool.features, pool.labels, test.features,
+                            test.labels)
+    assert kept == 22_000 * 8 + 22_000 * 10 * 8
+    assert peak <= 2.5 * kept
