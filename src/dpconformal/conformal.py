@@ -13,14 +13,15 @@ Methods:
   quantile (deliberately invalid; quantifies the cost of ignoring the
   in-sample shift).
 
-Every trial is a pure function of (pool, test, config, seed).
-``run_pipeline`` runs it in two stages: ``train_stage`` (split, DP-SGD,
-scores) and ``finish_stage`` (sigma_q, search or exact quantile,
-evaluation). ``train_target`` names the model a method trains, so methods
-with equal targets can finish from one train stage. Every model of a trial
-that trains on the same subset reads the same batches and noise, so
-``train_stages`` trains the targets of one subset in one lockstep DP-SGD
-call.
+Every trial is a pure function of (pool, test, config, seed) and runs in
+two stages: ``train_stages`` (split, sigma_sgd, DP-SGD, scores) and
+``finish_stage`` (sigma_q, search or exact quantile, evaluation).
+``run_pipeline`` takes one config through both. ``train_target`` names the
+model a method trains, so methods with equal targets finish from one stage.
+``train_stages`` trains the targets of configs that share a training subset
+in one lockstep DP-SGD call: each model is bit-equal to the one its config
+trains alone, and a config whose calibration, run or scoring fails fails
+alone.
 """
 
 from __future__ import annotations
@@ -41,8 +42,7 @@ from .quantile import (QuantileConfig, buffered_right_search,
 from .training import TrainConfig, TrainedModel, dp_sgd_train
 
 __all__ = ["EvalReport", "PipelineConfig", "METHODS", "TrainedStage",
-           "finish_stage", "run_pipeline", "train_stage", "train_stages",
-           "train_target"]
+           "finish_stage", "run_pipeline", "train_stages", "train_target"]
 
 METHODS = ("dpscp_f", "dpscp_a", "dp_split", "split_cp", "naive_full")
 
@@ -257,20 +257,9 @@ def _scored_stage(model: TrainedModel, config: PipelineConfig,
     )
 
 
-def train_stage(pool: Dataset, test: Dataset, config: PipelineConfig,
-                seed: int) -> TrainedStage:
-    """The split, sigma_sgd calibration, DP-SGD training and scoring of one
-    trial: everything that depends on ``train_target`` of the method. The
-    one-config case of ``train_stages``."""
-    (stage,) = train_stages(pool, test, [config], seed)
-    if isinstance(stage, Exception):
-        raise stage
-    return stage
-
-
 def finish_stage(stage: TrainedStage, config: PipelineConfig) -> EvalReport:
     """The sigma_q calibration, the private search (or the exact quantile)
-    and the evaluation of one method on a model ``train_stage`` trained."""
+    and the evaluation of one method on a model ``train_stages`` trained."""
     method = config.method
     budget = config.budget
     if train_target(method, budget) != stage.target:
@@ -317,4 +306,7 @@ def finish_stage(stage: TrainedStage, config: PipelineConfig) -> EvalReport:
 def run_pipeline(pool: Dataset, test: Dataset, config: PipelineConfig,
                  seed: int) -> EvalReport:
     """Run one trial of the configured method and evaluate on the test split."""
-    return finish_stage(train_stage(pool, test, config, seed), config)
+    (stage,) = train_stages(pool, test, [config], seed)
+    if isinstance(stage, Exception):
+        raise stage
+    return finish_stage(stage, config)

@@ -14,21 +14,15 @@ changes earlier rows, and grid cells sharing a trial index share their
 random draws (the generators are prefix-stable in n), which pairs the
 sweep's comparisons.
 
-The unit of work is one training subset: a (data cell, trial, training
-subset) task takes the standardized pool and test split, and trains every
-distinct ``train_target`` of its cells on that subset (the full pool, or
-the train half of the split) in one lockstep ``conformal.train_stages``
-call, since they share the trial's batches and noise and differ only in
-sigma_sgd. It then runs ``conformal.finish_stage`` for every cell from the
-model of its target (so ``dpscp_f`` and ``dpscp_a`` share a model, and
-``split_cp`` and ``naive_full`` train once per data cell and trial). A
-subset whose targets would stack more than ``_LOCKSTEP_ROWS`` batch rows in
-one step is split over several tasks. One stability task is one trial: its
-epsilon cells train in one lockstep ``coupled_train`` call. Quantile-demo
-cells are tasks of one cell. A scaling data cell, and a realdata trial's
-standardized split, is built once per process, and a realdata CSV is parsed
-once per process for each version of the file. Trial runners hand their
-series back as compact ``_SeriesBlock`` arrays, not per-step rows.
+A task is one training subset of one trial: it trains every distinct
+``train_target`` of its cells in one lockstep ``conformal.train_stages``
+call and finishes each cell from the model of its target, so ``dpscp_f``
+and ``dpscp_a`` share a model. A stability task trains every epsilon cell of
+a trial in one lockstep ``coupled_train`` call. A lockstep model is bit-equal
+to the one its cell trains alone, and a cell whose calibration, training or
+finish fails gets a failed row while the others are unchanged. Both CSVs are
+byte-identical for every worker count. A data cell is built, and a realdata
+CSV parsed, once per process.
 """
 
 from __future__ import annotations
@@ -39,7 +33,7 @@ import json
 import math
 import os
 from contextlib import ExitStack
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from itertools import product, repeat
 from pathlib import Path
@@ -166,31 +160,28 @@ class ExperimentConfig:
                                  f"{fraction!r}")
 
 
-_CONFIG_KEYS = {
-    "experiment", "trials", "seed", "alpha", "delta", "epsilons",
-    "sample_sizes", "allocations", "methods", "generator", "csv", "train",
-    "quantile", "output",
-}
+# The JSON config key of each ExperimentConfig field, in field order: its
+# name, except that csv_source is read from the "csv" key.
+_CONFIG_KEYS = {"csv" if f.name == "csv_source" else f.name: f
+                for f in fields(ExperimentConfig)}
 
 
 def load_config(path) -> ExperimentConfig:
     """Parse a JSON experiment config (schema documented in the README)."""
     with open(path) as fh:
         raw = json.load(fh)
-    unknown = set(raw) - _CONFIG_KEYS
+    unknown = set(raw) - set(_CONFIG_KEYS)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     kwargs = {}
-    for key in ("experiment", "trials", "seed", "alpha", "delta", "output"):
+    for key, f in _CONFIG_KEYS.items():
         if key in raw:
-            kwargs[key] = raw[key]
-    for key in ("epsilons", "sample_sizes", "allocations", "methods"):
-        if key in raw:
-            kwargs[key] = tuple(raw[key])
-    for src, dst in (("generator", "generator"), ("csv", "csv_source"),
-                     ("train", "train"), ("quantile", "quantile")):
-        if src in raw:
-            kwargs[dst] = dict(raw[src])
+            value = raw[key]
+            if isinstance(f.default, tuple):
+                value = tuple(value)
+            elif f.default_factory is dict:
+                value = dict(value)
+            kwargs[f.name] = value
     return ExperimentConfig(**kwargs)
 
 
@@ -240,26 +231,6 @@ def _quantile_template(config: ExperimentConfig, task: str) -> QuantileConfig:
         beta=float(q.get("beta", 0.05)),
         buffer_m=int(q.get("buffer", 10)),
     )
-
-
-def _cell_row(config: ExperimentConfig, cell: tuple, trial: int) -> dict:
-    """Result-row skeleton of one trial: the experiment, the method, epsilon,
-    n and p columns its grid cell fixes, the trial index and its seed."""
-    if config.experiment == "scaling":
-        epsilon, n, allocation, method = cell
-    elif config.experiment == "realdata":
-        # n is the pool size, known once the CSV has been read.
-        (epsilon, allocation, method), n = cell, ""
-    elif config.experiment == "stability":
-        (epsilon,), n = cell, int(config.sample_sizes[0])
-        allocation, method = "", "dpsgd_coupled"
-    else:
-        # The p column carries the quantile-demo fixture name.
-        allocation, method = cell
-        epsilon, n = "", len(_fixture(allocation)["scores"])
-    return {"experiment": config.experiment, "method": method,
-            "epsilon": epsilon, "n": n, "p": allocation, "trial": trial,
-            "seed": config.seed + trial}
 
 
 def _failed(row: dict, exc: Exception) -> tuple[dict, list]:
@@ -558,17 +529,30 @@ def _run_quantile_demo_trial(config: ExperimentConfig,
               "sigma_q": common["sigma_q"]}, series)]
 
 
-def _grid(config: ExperimentConfig) -> list[tuple]:
+def _grid(config: ExperimentConfig) -> list[dict]:
+    """Every grid cell as the skeleton of its result rows: the experiment,
+    method, epsilon, n and p columns that the cell fixes."""
     if config.experiment == "scaling":
-        return list(product(config.epsilons, config.sample_sizes,
-                            config.allocations, config.methods))
-    if config.experiment == "realdata":
-        return list(product(config.epsilons, config.allocations,
-                            config.methods))
-    if config.experiment == "stability":
-        return [(eps,) for eps in config.epsilons]
-    return list(product([f["name"] for f in s5_quantile_fixtures()],
-                        ("midpoint", "buffered_right")))
+        cells = [{"method": method, "epsilon": eps, "n": n, "p": allocation}
+                 for eps, n, allocation, method in product(
+                     config.epsilons, config.sample_sizes, config.allocations,
+                     config.methods)]
+    elif config.experiment == "realdata":
+        # n is the pool size, known once the CSV has been read.
+        cells = [{"method": method, "epsilon": eps, "n": "", "p": allocation}
+                 for eps, allocation, method in product(
+                     config.epsilons, config.allocations, config.methods)]
+    elif config.experiment == "stability":
+        cells = [{"method": "dpsgd_coupled", "epsilon": eps,
+                  "n": int(config.sample_sizes[0]), "p": ""}
+                 for eps in config.epsilons]
+    else:
+        # The p column carries the quantile-demo fixture name.
+        cells = [{"method": variant, "epsilon": "",
+                  "n": len(fixture["scores"]), "p": fixture["name"]}
+                 for fixture in s5_quantile_fixtures()
+                 for variant in ("midpoint", "buffered_right")]
+    return [{"experiment": config.experiment, **cell} for cell in cells]
 
 
 _TRIAL_RUNNERS = {
@@ -579,12 +563,13 @@ _TRIAL_RUNNERS = {
 }
 
 
-def _safe_trial(config: ExperimentConfig, cells: list[tuple],
+def _safe_trial(config: ExperimentConfig, cells: list[dict],
                 trial: int) -> list[tuple[dict, list]]:
     """Run one task: the grid cells of one trial that share a training
     subset (every cell for stability, one cell for the quantile demo). A
     failure that no single cell owns fails every cell of the task."""
-    rows = [_cell_row(config, cell, trial) for cell in cells]
+    rows = [{**cell, "trial": trial, "seed": config.seed + trial}
+            for cell in cells]
     try:
         return _TRIAL_RUNNERS[config.experiment](config, rows)
     except Exception as exc:  # a failed trial becomes failed rows
@@ -598,32 +583,16 @@ def _safe_trial(config: ExperimentConfig, cells: list[tuple],
 _LOCKSTEP_ROWS = 4096
 
 
-def _cell_target(config: ExperimentConfig, cell: tuple):
+def _cell_target(config: ExperimentConfig, cell: dict):
     """(n, ``train_target``) of a scaling or realdata cell; None for other
     cells and for an invalid budget."""
     if config.experiment not in ("scaling", "realdata"):
         return None
-    row = _cell_row(config, cell, 0)
     try:
-        budget = BudgetSpec(row["epsilon"], config.delta, row["p"])
-        return row["n"], train_target(row["method"], budget)
+        budget = BudgetSpec(cell["epsilon"], config.delta, cell["p"])
+        return cell["n"], train_target(cell["method"], budget)
     except (TypeError, ValueError):  # an invalid budget fails on its own
         return None
-
-
-def _share_key(config: ExperimentConfig, cell: tuple, index: int):
-    """Cells of one trial with equal keys share a training subset. Scaling
-    and realdata cells do when their data cell (n; the whole CSV for
-    realdata) and the split flag of ``train_target`` agree. Every stability
-    cell of a trial shares one task, which trains all of them in lockstep.
-    Any other cell is keyed by its own index and so runs alone."""
-    if config.experiment == "stability":
-        return "coupled"
-    target = _cell_target(config, cell)
-    if target is None:
-        return index
-    n, (split, _) = target
-    return n, split
 
 
 def _lockstep_runs(config: ExperimentConfig) -> int:
@@ -635,24 +604,32 @@ def _lockstep_runs(config: ExperimentConfig) -> int:
     return max(1, _LOCKSTEP_ROWS // max(batch, 1))
 
 
-def _tasks(config: ExperimentConfig, cells: list[tuple],
+def _tasks(config: ExperimentConfig, cells: list[dict],
            trials: int) -> list[tuple[list[int], int]]:
-    """(cell indices, trial) tasks, one per training subset of a trial and
-    per ``_lockstep_runs`` of its distinct targets, in the order of each
-    task's first row in the output."""
+    """(cell indices, trial) tasks, in the order of each task's first row in
+    the output. Scaling and realdata cells of a trial share a task when
+    their data cell (n; the whole CSV for realdata) and the split flag of
+    ``train_target`` agree, up to ``_lockstep_runs`` distinct targets per
+    task. Every stability cell of a trial shares one task, which trains all
+    of them in lockstep. Any other cell runs alone."""
+    targets = [_cell_target(config, cell) for cell in cells]
     groups: dict = {}
-    for t in range(trials):
-        for i, cell in enumerate(cells):
-            groups.setdefault((t, _share_key(config, cell, i)), []).append(i)
+    for i, target in enumerate(targets):
+        if config.experiment == "stability":
+            key = "coupled"
+        elif target is None:
+            key = i
+        else:
+            n, (split, _) = target
+            key = n, split
+        groups.setdefault(key, []).append(i)
     cap = _lockstep_runs(config)
     tasks = []
-    for (t, _), members in groups.items():
-        targets = [_cell_target(config, cells[i]) for i in members]
-        distinct = list(dict.fromkeys(targets))
+    for members in groups.values():
+        distinct = list(dict.fromkeys(targets[i] for i in members))
         for k in range(0, len(distinct), cap):
-            chunk = distinct[k:k + cap]
-            tasks.append(([i for i, target in zip(members, targets)
-                           if target in chunk], t))
+            chunk = [i for i in members if targets[i] in distinct[k:k + cap]]
+            tasks += [(chunk, t) for t in range(trials)]
     return sorted(tasks, key=lambda task: (task[0][0], task[1]))
 
 

@@ -244,6 +244,30 @@ def _multipliers(config: TrainConfig,
     return sigmas
 
 
+def _fail(outcome: list, failed: dict[int, str]) -> bool:
+    """Give each run that ``failed`` names for the first time the error of
+    its lowest failed row; returns whether every run has failed. A run is
+    live while its ``outcome`` is None. Row r of the stack belongs to run
+    r % len(outcome): a coupled call stacks the base trajectories above the
+    extra ones, and a run alone updates its base trajectory first."""
+    for row in sorted(failed):
+        r = row % len(outcome)
+        if outcome[r] is None:
+            outcome[r] = NumericFailureError(failed[row])
+    return None not in outcome
+
+
+def _result(outcome: list, noise_multipliers: Sequence[float] | None):
+    """What a trainer returns: the per-run list for ``noise_multipliers``,
+    else the one run's result, or its error raised."""
+    if noise_multipliers is not None:
+        return outcome
+    (result,) = outcome
+    if isinstance(result, NumericFailureError):
+        raise result
+    return result
+
+
 def dp_sgd_train(
     dataset: Dataset,
     spec: ModelSpec,
@@ -275,30 +299,19 @@ def dp_sgd_train(
     params = np.tile(init_params(spec, init_rng), (runs, 1))
     std = np.array(sigmas, dtype=float)[:, None] * config.clip_norm
     outcome: list = [None] * runs
-    # Row i of params is run live[i].
-    live = list(range(runs))
     for t, idx, noise in _draws(n, p, config, mask_rng, noise_rng):
         if idx.size == 0:
             continue
         params, failed = _batch_update(spec, params, x[idx], y[idx], noise,
                                        std, config, t, audit_hook)
-        if failed:
-            for i, msg in failed.items():
-                outcome[live[i]] = NumericFailureError(msg)
-            keep = [i for i in range(len(live)) if i not in failed]
-            params, std = params[keep], std[keep]
-            live = [live[i] for i in keep]
-            if not live:
-                break
-    for i, r in enumerate(live):
-        record = SgdAccountingRecord(sigmas[r], config.sampling_rate,
-                                     config.steps)
-        outcome[r] = TrainedModel(spec, params[i], record)
-    if noise_multipliers is None:
-        if isinstance(outcome[0], NumericFailureError):
-            raise outcome[0]
-        return outcome[0]
-    return outcome
+        if failed and _fail(outcome, failed):
+            break
+    for r in range(runs):
+        if outcome[r] is None:
+            record = SgdAccountingRecord(sigmas[r], config.sampling_rate,
+                                         config.steps)
+            outcome[r] = TrainedModel(spec, params[r], record)
+    return _result(outcome, noise_multipliers)
 
 
 def coupled_train(
@@ -350,57 +363,45 @@ def coupled_train(
     first_divergence: int | None = None
     outcome: list = [None] * runs
 
-    # Row i < a of theta is live run live[i] on base, row a + i the same
-    # run on base + extra_point.
-    live = list(range(runs))
+    # Row r < runs of theta is run r on base, row runs + r the same run on
+    # base + extra_point. A failed run's rows are garbage that no other row
+    # reads; its series stop at the step it failed.
     theta = np.tile(init, (2 * runs, 1))
     std = np.array(sigmas, dtype=float)[:, None] * config.clip_norm
     std_both = np.concatenate([std, std])
-    for t, idx, noise in _draws(n, p, config, mask_rng, noise_rng):
-        if extra_schedule is not None:
-            extra_in = bool(extra_schedule[t])
-        else:
-            extra_in = bool(extra_rng.random() < config.sampling_rate)
-        if extra_in and first_divergence is None:
-            first_divergence = t
-        a = len(live)
-        if not extra_in:
-            failed = {}
-            if idx.size > 0:
-                theta, failed = _batch_update(spec, theta, x[idx], y[idx],
-                                              noise, std_both, config, t)
-        else:
-            new_a, failed = theta[:a], {}
-            if idx.size > 0:
-                new_a, failed = _batch_update(spec, new_a, x[idx], y[idx],
-                                              noise, std, config, t)
-            new_b, failed_b = _batch_update(
-                spec, theta[a:], np.concatenate([x[idx], x_extra]),
-                np.concatenate([y[idx], y_extra]), noise, std, config, t)
-            theta = np.concatenate([new_a, new_b])
-            failed.update((a + i, msg) for i, msg in failed_b.items())
-        if failed:
-            # A run fails with its base trajectory's message first, as the
-            # base update runs first when it trains alone.
-            dead: dict[int, str] = {}
-            for row in sorted(failed):
-                dead.setdefault(row % a, failed[row])
-            for i, msg in dead.items():
-                outcome[live[i]] = NumericFailureError(msg)
-            keep = [i for i in range(a) if i not in dead]
-            theta = theta[keep + [a + i for i in keep]]
-            std = std[keep]
-            std_both = np.concatenate([std, std])
-            live = [live[i] for i in keep]
-            if not live:
+    # The gap and error norms may overflow; the scan below names the step.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, idx, noise in _draws(n, p, config, mask_rng, noise_rng):
+            if extra_schedule is not None:
+                extra_in = bool(extra_schedule[t])
+            else:
+                extra_in = bool(extra_rng.random() < config.sampling_rate)
+            if extra_in and first_divergence is None:
+                first_divergence = t
+            if not extra_in:
+                failed = {}
+                if idx.size > 0:
+                    theta, failed = _batch_update(spec, theta, x[idx], y[idx],
+                                                  noise, std_both, config, t)
+            else:
+                new_a, failed = theta[:runs], {}
+                if idx.size > 0:
+                    new_a, failed = _batch_update(spec, new_a, x[idx], y[idx],
+                                                  noise, std, config, t)
+                new_b, failed_b = _batch_update(
+                    spec, theta[runs:], np.concatenate([x[idx], x_extra]),
+                    np.concatenate([y[idx], y_extra]), noise, std, config, t)
+                theta = np.concatenate([new_a, new_b])
+                failed.update((runs + r, msg) for r, msg in failed_b.items())
+            if failed and _fail(outcome, failed):
                 break
-        gap_rows = theta[:len(live)] - theta[len(live):]
-        for i, r in enumerate(live):
-            gaps[r, t + 1] = _norm(gap_rows[i])
-        if errors is not None:
-            error_rows = theta[:len(live)] - theta_star
-            for i, r in enumerate(live):
-                errors[r, t + 1] = _norm(error_rows[i])
+            gap_rows = theta[:runs] - theta[runs:]
+            error_rows = None if errors is None else theta[:runs] - theta_star
+            for r in range(runs):
+                if outcome[r] is None:
+                    gaps[r, t + 1] = _norm(gap_rows[r])
+                    if error_rows is not None:
+                        errors[r, t + 1] = _norm(error_rows[r])
 
     # A norm can overflow while the iterate stays finite. Such a run fails at
     # the first step whose gap or error norm is not finite, which precedes
@@ -418,14 +419,12 @@ def coupled_train(
             outcome[r] = NumericFailureError(
                 f"non-finite {name} norm at step {step}")
 
-    traces = [CouplingTrace(
-        gap_series=gaps[r],
-        error_series=None if errors is None else errors[r],
-        diverged=first_divergence is not None,
-        first_divergence_step=first_divergence,
-    ) if outcome[r] is None else outcome[r] for r in range(runs)]
-    if noise_multipliers is None:
-        if isinstance(traces[0], NumericFailureError):
-            raise traces[0]
-        return traces[0]
-    return traces
+    for r in range(runs):
+        if outcome[r] is None:
+            outcome[r] = CouplingTrace(
+                gap_series=gaps[r],
+                error_series=None if errors is None else errors[r],
+                diverged=first_divergence is not None,
+                first_divergence_step=first_divergence,
+            )
+    return _result(outcome, noise_multipliers)

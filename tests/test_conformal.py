@@ -10,8 +10,8 @@ from dpconformal.accounting import (BudgetSpec, InfeasibleBudgetError,
                                     sgd_profile)
 from dpconformal.conformal import (PipelineConfig, _evaluate_fast,
                                    _in_sample_scores, _score_matrix,
-                                   finish_stage, run_pipeline, train_stage,
-                                   train_stages, train_target)
+                                   finish_stage, run_pipeline, train_stages,
+                                   train_target)
 from dpconformal.data import gen_multiclass
 from dpconformal.models import (Dataset, ModelSpec, param_count,
                                 predict_proba, predict_value)
@@ -328,12 +328,12 @@ def test_one_train_stage_finishes_every_method_that_shares_it(
     for methods in (("dpscp_f", "dpscp_a"), ("split_cp",), ("naive_full",),
                     ("dp_split",)):
         configs = [tiny_pipeline_config(m, pool.n) for m in methods]
-        stage = train_stage(pool, test, configs[0], seed=11)
+        (stage,) = train_stages(pool, test, configs[:1], seed=11)
         for cfg in configs:
             assert finish_stage(stage, cfg) == run_pipeline(pool, test, cfg,
                                                             seed=11)
-    stage = train_stage(pool, test, tiny_pipeline_config("dpscp_f", pool.n),
-                        seed=11)
+    (stage,) = train_stages(pool, test,
+                            [tiny_pipeline_config("dpscp_f", pool.n)], seed=11)
     for other in (tiny_pipeline_config("dp_split", pool.n),
                   tiny_pipeline_config("dpscp_a", pool.n, epsilon=2.0)):
         with pytest.raises(ValueError, match="trains another model"):
@@ -350,9 +350,9 @@ def test_train_stages_equal_one_train_stage_each(class_pool_test):
     stages = list(train_stages(pool, test, configs, seed=11))
     assert isinstance(stages[1], InfeasibleBudgetError)
     with pytest.raises(InfeasibleBudgetError):
-        train_stage(pool, test, configs[1], seed=11)
+        run_pipeline(pool, test, configs[1], seed=11)
     for i in (0, 2, 3):
-        alone = train_stage(pool, test, configs[i], seed=11)
+        (alone,) = train_stages(pool, test, [configs[i]], seed=11)
         assert stages[i].target == alone.target
         assert np.array_equal(stages[i].cal_scores, alone.cal_scores)
         assert np.array_equal(stages[i].test_scores, alone.test_scores)

@@ -253,13 +253,20 @@ def test_load_config_roundtrip(tmp_path):
         "generator": {"dim": 6, "classes": 3},
         "train": {"epochs": 2, "batch_size": 16},
         "quantile": {"steps": 10},
+        "csv": {"path": "data.csv"},
         "output": "out.csv",
     }
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(payload))
     cfg = load_config(path)
-    assert cfg.trials == 4 and cfg.epsilons == (0.5,)
-    assert cfg.generator["classes"] == 3
+    # Every field is read, lists as tuples and "csv" as csv_source.
+    assert cfg == ExperimentConfig(
+        experiment="scaling", trials=4, seed=77, alpha=0.1, delta=1e-5,
+        epsilons=(0.5,), sample_sizes=(500,), allocations=(0.5,),
+        methods=("dpscp_a",), generator={"dim": 6, "classes": 3},
+        csv_source={"path": "data.csv"}, train={"epochs": 2, "batch_size": 16},
+        quantile={"steps": 10}, output="out.csv")
+    assert len(payload) == len(dataclasses.fields(ExperimentConfig))
     payload["bogus"] = 1
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match="unknown config keys"):
@@ -763,7 +770,6 @@ def test_stability_cell_failures_stay_in_their_cell(tmp_path, monkeypatch):
         tmp_path / "ok_series.csv")
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.parametrize("radius", [None, 1e200],
                          ids=["no_projection", "projection"])
 def test_stability_norm_overflow_fails_the_cell(tmp_path, radius):

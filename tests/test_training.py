@@ -344,12 +344,36 @@ def test_lockstep_coupled_runs_equal_separate_runs(case):
         assert all(np.all(t.gap_series == 0.0) for t in traces)
 
 
+POSITIONS = dict(argvalues=[0, 1, 2], ids=["first", "middle", "last"])
+
+
+def with_failing_run(position, sigmas):
+    """The noise multipliers ``sigmas`` with a 1e308 run, which overflows its
+    noisy update at its first nonempty step, inserted at ``position``."""
+    return (*sigmas[:position], 1e308, *sigmas[position:])
+
+
+def count_steps(monkeypatch):
+    """A list that grows by one for each step a trainer draws."""
+    from dpconformal import training
+    steps = []
+    real = training.poisson_sample
+
+    def spy(*args):
+        steps.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(training, "poisson_sample", spy)
+    return steps
+
+
+@pytest.mark.parametrize("position", **POSITIONS)
 @pytest.mark.parametrize("extra_first", [False, True])
-def test_lockstep_failed_run_fails_alone(extra_first):
+def test_lockstep_failed_run_fails_alone(extra_first, position):
     # The 1e308 run overflows its noisy update at step 0, on the shared
     # batch or, when the extra point is in at step 0, on both batches.
     base, extra, spec, target = coupled_setup()
-    sigmas = (0.7, 1e308, 3.1)
+    sigmas = with_failing_run(position, (0.7, 3.1))
     steps = 60
     schedule = np.arange(steps) % 7 == 0 if extra_first else None
     cfg = TrainConfig(0.2, steps, 0.05, 1.0, seed=13)
@@ -361,18 +385,73 @@ def test_lockstep_failed_run_fails_alone(extra_first):
 
     traces = coupled_train(base, extra, spec, cfg, theta_star=target,
                            extra_schedule=schedule, noise_multipliers=sigmas)
-    failure = traces[1]
+    failure = traces[position]
     assert isinstance(failure, NumericFailureError)
     assert str(failure) == "non-finite gradient update at step 0"
     with pytest.raises(NumericFailureError) as single:
         alone(1e308)
     assert str(single.value) == str(failure)
-    for i in (0, 2):
-        assert traces[i].diverged
-        assert_traces_equal(traces[i], alone(sigmas[i]))
+    for i, sigma in enumerate(sigmas):
+        if i != position:
+            assert traces[i].diverged
+            assert_traces_equal(traces[i], alone(sigma))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_lockstep_coupled_run_fails_with_its_base_message_first():
+    # With the 1e200 extra point in at step 0, every run's extra trajectory
+    # has a non-finite gradient norm; the 1e308 run's base trajectory also
+    # overflows its noisy update, and that message, the one its own call
+    # raises first, is the run's.
+    base, extra, spec, target = coupled_setup()
+    huge = (np.full_like(extra[0], 1e200), extra[1])
+    cfg = TrainConfig(0.2, 10, 0.05, 1.0, seed=13)
+    schedule = np.ones(cfg.steps, dtype=bool)
+    traces = coupled_train(base, huge, spec, cfg, theta_star=target,
+                           extra_schedule=schedule,
+                           noise_multipliers=(0.7, 1e308))
+    assert [str(r) for r in traces] == [
+        "non-finite loss or gradient at step 0",
+        "non-finite gradient update at step 0"]
+    for sigma, trace in zip((0.7, 1e308), traces):
+        with pytest.raises(NumericFailureError) as single:
+            coupled_train(base, huge, spec,
+                          dataclasses.replace(cfg, noise_multiplier=sigma),
+                          theta_star=target, extra_schedule=schedule)
+        assert str(single.value) == str(trace)
+
+
+@pytest.mark.parametrize("trainer", ["coupled_train", "dp_sgd_train"])
+def test_lockstep_every_run_failed_ends_the_loop(trainer, monkeypatch):
+    # At learning rate 1e150 the 6000 run's projection norm overflows after
+    # some steps, while the 1e308 run fails at its first nonempty step. Each
+    # run fails with the message of its own call, and no step is drawn after
+    # the last run has failed.
+    base, extra, spec, target = coupled_setup()
+    sigmas = (6000.0, 1e308)
+    cfg = TrainConfig(1e150, 60, 0.05, 1.0, projection_radius=1e200, seed=13)
+
+    def train(config, **kwargs):
+        if trainer == "coupled_train":
+            return coupled_train(base, extra, spec, config, theta_star=target,
+                                 **kwargs)
+        return dp_sgd_train(base, spec, config, **kwargs)
+
+    messages = []
+    for sigma in sigmas:
+        with pytest.raises(NumericFailureError) as single:
+            train(dataclasses.replace(cfg, noise_multiplier=sigma))
+        messages.append(str(single.value))
+    assert messages[0].startswith("non-finite projection norm at step ")
+    assert messages[1].startswith("non-finite gradient update at step ")
+    last = int(messages[0].rsplit(" ", 1)[1])
+    assert last > int(messages[1].rsplit(" ", 1)[1])
+    steps = count_steps(monkeypatch)
+    outcome = train(cfg, noise_multipliers=sigmas)
+    assert all(isinstance(r, NumericFailureError) for r in outcome)
+    assert [str(r) for r in outcome] == messages
+    assert len(steps) == last + 1 < cfg.steps
+
+
 @pytest.mark.parametrize("radius", [None, 1e200],
                          ids=["no_projection", "projection"])
 def test_lockstep_norm_overflow_fails_its_run_alone(radius):
@@ -459,25 +538,25 @@ def test_lockstep_dp_sgd_runs_equal_separate_calls(spec, radius):
             pytest.approx(radius)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered",
-                            "ignore:invalid value encountered")
-def test_lockstep_dp_sgd_failed_run_fails_alone():
+@pytest.mark.parametrize("position", **POSITIONS)
+def test_lockstep_dp_sgd_failed_run_fails_alone(position):
     # The 1e308 run overflows its noisy update at the first nonempty step.
     data, _ = small_logistic()
     spec = ModelSpec("softmax_linear", data.dim, 2)
-    sigmas = (0.7, 1e308, 0.0)
+    sigmas = with_failing_run(position, (0.7, 0.0))
     cfg = TrainConfig(0.2, 60, 0.05, 1.0, seed=13)
     models = dp_sgd_train(data, spec, cfg, noise_multipliers=sigmas)
     with pytest.raises(NumericFailureError) as single:
         dp_sgd_train(data, spec, dataclasses.replace(cfg,
                                                      noise_multiplier=1e308))
     assert str(single.value).startswith("non-finite gradient update at step")
-    assert isinstance(models[1], NumericFailureError)
-    assert str(models[1]) == str(single.value)
-    for i in (0, 2):
-        alone = dp_sgd_train(data, spec, dataclasses.replace(
-            cfg, noise_multiplier=sigmas[i]))
-        assert np.array_equal(models[i].params, alone.params)
+    assert isinstance(models[position], NumericFailureError)
+    assert str(models[position]) == str(single.value)
+    for i, sigma in enumerate(sigmas):
+        if i != position:
+            alone = dp_sgd_train(data, spec, dataclasses.replace(
+                cfg, noise_multiplier=sigma))
+            assert np.array_equal(models[i].params, alone.params)
 
 
 @pytest.mark.parametrize("spec", [
