@@ -246,17 +246,25 @@ def fit_standardizer(train: Dataset) -> StandardizationStats:
     return StandardizationStats(mean, sd, t_mean, t_sd, degenerate)
 
 
-def apply_standardizer(stats: StandardizationStats, data: Dataset) -> Dataset:
+def apply_standardizer(stats: StandardizationStats, data: Dataset, *,
+                       out: Dataset | None = None) -> Dataset:
     """Transform features (and the target, for regression) with train stats.
 
-    Returns new arrays and never writes into ``data``; each result is
-    divided in the array its subtraction allocates.
+    Returns new arrays and never writes into ``data``, unless ``out`` is
+    given: a dataset of the same shape and task, ``data`` itself included,
+    whose arrays then receive the result, and which is returned. Each
+    result is divided in the array its subtraction writes, so the bits do
+    not depend on ``out``.
     """
-    x = data.features - stats.feature_mean
+    x = np.subtract(data.features, stats.feature_mean,
+                    out=None if out is None else out.features)
     x /= stats.feature_sd
     if data.task == REGRESSION:
-        y = data.labels - stats.target_mean
+        y = np.subtract(data.labels, stats.target_mean,
+                        out=None if out is None else out.labels)
         y /= stats.target_sd
-    else:
+    elif out is None:
         y = data.labels
-    return Dataset(x, y, data.task, data.n_classes)
+    else:
+        np.copyto(out.labels, data.labels)
+    return Dataset(x, y, data.task, data.n_classes) if out is None else out

@@ -247,9 +247,11 @@ def _read_only(*datasets: Dataset) -> None:
 
 def _standardized(pool: Dataset, test: Dataset
                   ) -> tuple[Dataset, Dataset, StandardizationStats]:
-    """Pool and test standardized with statistics fitted on the pool."""
+    """Pool and test standardized in their own arrays, which the caller
+    owns, with statistics fitted on the pool."""
     stats = fit_standardizer(pool)
-    return apply_standardizer(stats, pool), apply_standardizer(stats, test), stats
+    return (apply_standardizer(stats, pool, out=pool),
+            apply_standardizer(stats, test, out=test), stats)
 
 
 def _pipeline_group(config: ExperimentConfig, rows: list[dict], pool: Dataset,
@@ -319,9 +321,10 @@ def _pipeline_group(config: ExperimentConfig, rows: list[dict], pool: Dataset,
 # trials) data cells apart. 32 cells hold the desk grid (2 x 10) and every
 # trial of the paper's 30 at one n. A cell keeps (test_size + n) rows of d
 # standardized features and one label: 2.8 MB at n = 30000, test_size 2000
-# and d = 10, so 32 such cells keep about 90 MB. Building one peaks at about
-# twice what it keeps, since the pool and test are standardized out of row
-# slices of the one generated matrix.
+# and d = 10, so 32 such cells keep about 90 MB. The pool and test are
+# standardized in their row slices of the one generated matrix; building a
+# cell peaks at about 1.9x what it keeps, the rest being the pool-sized
+# deviations that the standard deviation's np.std allocates.
 @lru_cache(maxsize=32)
 def _scaling_data(generator: tuple, n: int, trial_seed: int
                   ) -> tuple[Dataset, Dataset, StandardizationStats]:
@@ -374,7 +377,8 @@ def _csv_key(src: dict) -> tuple:
 
 # Bounded as _scaling_data is: a trial has one task per training subset (two
 # unless the lockstep row cap splits a subset), and they lie up to (trials)
-# tasks apart.
+# tasks apart. The split is standardized in the rows it gathers, so a build
+# peaks at about 1.9x what it keeps, as a scaling cell does.
 @lru_cache(maxsize=32)
 def _realdata_split(csv_key: tuple, test_fraction: float, trial_seed: int
                     ) -> tuple[Dataset, Dataset, StandardizationStats]:

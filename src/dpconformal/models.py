@@ -14,7 +14,7 @@ import numpy as np
 
 __all__ = ["Dataset", "ModelSpec", "as_batch", "batch_loss_and_grads",
            "clip_scale", "clipped_grad_sum", "init_params", "loss_and_grad",
-           "param_count", "predict_proba", "predict_value"]
+           "param_count", "predict_proba", "predict_value", "sq_row_norms"]
 
 CLASSIFICATION = "classification"
 REGRESSION = "regression"
@@ -209,6 +209,17 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e
 
 
+def _class_delta(probs: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The cross-entropy delta ``probs`` minus the one-hot labels, made in
+    ``probs``. p - 0.0 is p, so subtracting the one-hot matrix changes only
+    the label entries, as a fancy-index update would, at a quarter the
+    cost."""
+    onehot = np.zeros(probs.shape[-2:])
+    onehot[np.arange(y.shape[0]), y] = 1.0
+    probs -= onehot
+    return probs
+
+
 def _loss_and_delta(spec: ModelSpec, out: np.ndarray, y: np.ndarray):
     """Per-sample losses (..., b) and the output delta d loss / d out
     (..., b, k): half squared error for regression heads, cross-entropy for
@@ -216,15 +227,9 @@ def _loss_and_delta(spec: ModelSpec, out: np.ndarray, y: np.ndarray):
     if _regression_head(spec):
         resid = out[..., 0] - y
         return 0.5 * resid**2, resid[..., None]
-    rows = np.arange(y.shape[0])
     probs = _softmax(out)
-    losses = -np.log(np.maximum(probs[..., rows, y], 1e-300))
-    # p - 0.0 is p, so subtracting the one-hot matrix changes only the label
-    # entries, as a fancy-index update would, at a quarter the cost.
-    onehot = np.zeros(probs.shape[-2:])
-    onehot[rows, y] = 1.0
-    probs -= onehot
-    return losses, probs
+    losses = -np.log(np.maximum(probs[..., np.arange(y.shape[0]), y], 1e-300))
+    return losses, _class_delta(probs, y)
 
 
 def _next_delta(delta: np.ndarray, w: np.ndarray,
@@ -293,10 +298,19 @@ def _scaled_norms(layers, acts, deltas) -> np.ndarray:
     return np.sqrt(sq)
 
 
+def sq_row_norms(x: np.ndarray) -> np.ndarray:
+    """Squared l2 norm of each row of ``x``, as ``clipped_grad_sum`` takes
+    them for its first layer. A row's value does not depend on the other
+    rows, so the norms of a training set, gathered by batch index, are bit
+    for bit those of the batch."""
+    return _sum_last(np.square(x))
+
+
 def clipped_grad_sum(
     spec: ModelSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray,
-    clip_norm: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    clip_norm: float, *, x_sq: np.ndarray | None = None,
+    with_losses: bool = True,
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Per-sample losses (b,), per-sample gradient l2 norms (b,) and the sum
     (P,) of the per-sample gradients each clipped to l2 norm ``clip_norm``,
     without forming the (b, P) gradients.
@@ -318,17 +332,32 @@ def clipped_grad_sum(
     bit-equal to a call with its own (P,) vector, as in
     ``batch_loss_and_grads``. The inputs are trusted: ``params`` of the
     spec's length, and ``x``, ``y`` as ``as_batch`` returns them.
+
+    Two keywords serve a trainer that calls this once per step; neither
+    changes a bit of what it returns. ``x_sq``, the ``sq_row_norms`` of
+    ``x``, spares the first layer's squares, and is only read.
+    ``with_losses=False`` lets a classifier head skip the cross-entropy and
+    return None for the losses: a finite norm implies a finite delta, hence
+    finite probabilities and a loss of at most -log(1e-300), about 690.8,
+    so a caller that only checks finiteness needs the norms alone. A
+    regression head returns its losses either way, since 1/2 r^2 can
+    overflow where the clipped norm is finite.
     """
     lead = params.shape[:-1]
     layers, acts = _forward(spec, params, x)
-    losses, delta = _loss_and_delta(spec, acts[-1], y)
+    if with_losses or _regression_head(spec):
+        losses, delta = _loss_and_delta(spec, acts[-1], y)
+    else:
+        losses, delta = None, _class_delta(_softmax(acts[-1]), y)
+    if x_sq is None:
+        x_sq = sq_row_norms(x)
     deltas = [None] * len(layers)
     sq_norms = 0.0
     for i in range(len(layers) - 1, -1, -1):
         w, bias = layers[i]
-        a_sq = _sum_last(np.square(acts[i]))
+        a_sq = x_sq if i == 0 else sq_row_norms(acts[i])
         if bias is not None:
-            a_sq += 1.0
+            a_sq = a_sq + 1.0  # not in place: x_sq is the caller's
         sq_norms = sq_norms + _sum_last(np.square(delta)) * a_sq
         deltas[i] = delta
         if i > 0:
@@ -344,7 +373,8 @@ def clipped_grad_sum(
         chunks.append((np.swapaxes(scaled, -1, -2) @ a).reshape(*lead, -1))
         if bias is not None:
             chunks.append(scaled.sum(axis=-2))
-    return losses, norms, np.concatenate(chunks, axis=-1)
+    grad_sum = chunks[0] if len(chunks) == 1 else np.concatenate(chunks, -1)
+    return losses, norms, grad_sum
 
 
 def loss_and_grad(

@@ -25,7 +25,7 @@ import numpy as np
 
 from .accounting import SgdAccountingRecord
 from .models import (Dataset, ModelSpec, as_batch, clip_scale, init_params,
-                     param_count)
+                     param_count, sq_row_norms)
 # The step's one gradient call, the ghost-norm kernel. It is bound under the
 # name by which the traced benchmark (bench/layers.py) wraps this module's
 # gradient call; models.batch_loss_and_grads, which forms the per-sample
@@ -92,8 +92,7 @@ def poisson_sample(n: int, rate_q: float, stream: np.random.Generator) -> np.nda
         raise ValueError("n must be >= 1")
     if not 0.0 <= rate_q <= 1.0:
         raise ValueError("rate_q must lie in [0, 1]")
-    mask = stream.random(n) < rate_q
-    return np.flatnonzero(mask)
+    return (stream.random(n) < rate_q).nonzero()[0]
 
 
 def stability_bound_universal(
@@ -161,17 +160,41 @@ def _draws(
         yield t, idx, noise_rng.standard_normal(p)
 
 
-def _norm(vec: np.ndarray) -> float:
-    """l2 norm of one run's vector as ``np.linalg.norm`` computes it for 1-D
-    input, sqrt of the BLAS dot, and not the per-row reduction of
-    ``norm(..., axis=-1)``, whose bits differ."""
-    return math.sqrt(vec.dot(vec))
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """l2 norm of each row of a C-contiguous (N, P) array, as
+    ``np.linalg.norm`` computes it for the row alone: the sqrt of its BLAS
+    dot, which the stacked (1, P) @ (P, 1) matmul makes once per row. The
+    per-row reduction of ``norm(..., axis=-1)`` differs in the last bit."""
+    return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None]))[:, 0, 0]
+
+
+# A coupled call takes the gap and error norms of a block of steps at once;
+# the block holds the 2R iterates of each step, at most this many floats.
+_NORM_BLOCK_FLOATS = 1 << 13
+
+
+def _record_norms(iterates: np.ndarray, t0: int, gaps: np.ndarray,
+                  errors: np.ndarray | None,
+                  theta_star: np.ndarray | None) -> None:
+    """Write the gap and error norms of ``iterates``, the (k, 2R, P) coupled
+    stacks after steps t0 to t0 + k - 1, into those steps' entries of the
+    (R, T + 1) series."""
+    k, rows, p = iterates.shape
+    runs = rows // 2
+    done = slice(t0 + 1, t0 + 1 + k)
+    base = iterates[:, :runs]
+    gaps[:, done] = _norms((base - iterates[:, runs:]).reshape(-1, p)).reshape(
+        k, runs).T
+    if errors is not None:
+        errors[:, done] = _norms((base - theta_star).reshape(-1, p)).reshape(
+            k, runs).T
 
 
 def _batch_update(
     spec: ModelSpec,
     params: np.ndarray,
     x_batch: np.ndarray,
+    x_sq: np.ndarray,
     y_batch: np.ndarray,
     noise_vec: np.ndarray,
     noise_std: np.ndarray,
@@ -183,50 +206,55 @@ def _batch_update(
     nonempty shared batch.
 
     ``params`` is (R, P) and ``noise_std`` (R, 1) holds each run's
-    noise_multiplier * clip_norm. Returns the new (R, P) stack and, for each
-    run that failed a finiteness check (a projected run's norm included),
-    the message of the first check it failed. A failed run's row is garbage;
+    noise_multiplier * clip_norm; ``x_sq`` holds the ``sq_row_norms`` of
+    the batch's features. Returns the new (R, P) stack and, for each run
+    that failed a finiteness check (a projected run's norm included), the
+    message of the first check it failed. A failed run's row is garbage;
     every other row is bit-equal to the step that run would take alone.
     ``audit_hook(step, clipped_norms)`` observes run 0; ``dp_sgd_train``,
     which rejects a hook when it trains more than one run, is its one
     caller. The batch is trusted: ``as_batch`` checked the features and
-    labels it is drawn from, once per training call.
+    labels it is drawn from, once per training call. A failing run may
+    overflow or make NaNs, so the caller ignores overflow and invalid
+    values (``np.errstate``) around its step loop; the checks here name
+    the failure.
     """
-    # A failing run may overflow or make NaNs; the checks below name it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        losses, norms, grad_sum = batch_loss_and_grads(
-            spec, params, x_batch, y_batch, config.clip_norm)
-        # A finite norm implies finite gradients.
-        grads_ok = (np.isfinite(losses).all(axis=-1)
-                    & np.isfinite(norms).all(axis=-1))
-        if audit_hook is not None and grads_ok[0]:
-            audit_hook(step, norms[0] * clip_scale(norms[0], config.clip_norm))
-        m = x_batch.shape[0]
-        update = (grad_sum + noise_std * noise_vec) / m
-        new = params - config.learning_rate * update
+    losses, norms, grad_sum = batch_loss_and_grads(
+        spec, params, x_batch, y_batch, config.clip_norm, x_sq=x_sq,
+        with_losses=False)
+    # A finite norm implies finite gradients and, for a classifier head, a
+    # finite loss, which is therefore not computed; a regression head's loss
+    # is checked, since it can overflow where the norm does not.
+    grads_ok = np.isfinite(norms).all(axis=-1)
+    if losses is not None:
+        grads_ok &= np.isfinite(losses).all(axis=-1)
+    if audit_hook is not None and grads_ok[0]:
+        audit_hook(step, norms[0] * clip_scale(norms[0], config.clip_norm))
+    m = x_batch.shape[0]
+    update = (grad_sum + noise_std * noise_vec) / m
+    new = params - config.learning_rate * update
+    # A non-finite update makes a non-finite iterate, projected or not.
+    ok = grads_ok & np.isfinite(new).all(axis=-1)
+    if config.projection_radius is not None:
+        radius = config.projection_radius
+        norm = _norms(new)
         # A finite row whose norm overflows would be projected onto 0.
-        bad_norm = ()
-        if config.projection_radius is not None:
-            bad_norm = []
-            for r, row in enumerate(new):
-                norm = _norm(row)
-                if not math.isfinite(norm):
-                    bad_norm.append(r)
-                if norm > config.projection_radius:
-                    new[r] = row * (config.projection_radius / norm)
-        # A non-finite update makes a non-finite iterate, projected or not.
-        new_ok = np.isfinite(new).all(axis=-1)
+        ok &= np.isfinite(norm)
+        over = norm > radius
+        if over.any():
+            new[over] *= (radius / norm[over])[:, None]
     failed = {}
-    if bad_norm or not (grads_ok.all() and new_ok.all()):
+    if not ok.all():
         update_ok = np.isfinite(update).all(axis=-1)
-        for r in range(len(new)):
+        new_ok = np.isfinite(new).all(axis=-1)
+        for r in np.flatnonzero(~ok).tolist():
             if not grads_ok[r]:
                 failed[r] = f"non-finite loss or gradient at step {step}"
             elif not update_ok[r]:
                 failed[r] = f"non-finite gradient update at step {step}"
             elif not new_ok[r]:
                 failed[r] = f"non-finite iterate at step {step}"
-            elif r in bad_norm:
+            else:
                 failed[r] = f"non-finite projection norm at step {step}"
     return new, failed
 
@@ -299,13 +327,17 @@ def dp_sgd_train(
     params = np.tile(init_params(spec, init_rng), (runs, 1))
     std = np.array(sigmas, dtype=float)[:, None] * config.clip_norm
     outcome: list = [None] * runs
-    for t, idx, noise in _draws(n, p, config, mask_rng, noise_rng):
-        if idx.size == 0:
-            continue
-        params, failed = _batch_update(spec, params, x[idx], y[idx], noise,
-                                       std, config, t, audit_hook)
-        if failed and _fail(outcome, failed):
-            break
+    # A failing run may overflow or make NaNs; _batch_update names it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_sq = sq_row_norms(x)
+        for t, idx, noise in _draws(n, p, config, mask_rng, noise_rng):
+            if idx.size == 0:
+                continue
+            params, failed = _batch_update(spec, params, x[idx], x_sq[idx],
+                                           y[idx], noise, std, config, t,
+                                           audit_hook)
+            if failed and _fail(outcome, failed):
+                break
     for r in range(runs):
         if outcome[r] is None:
             record = SgdAccountingRecord(sigmas[r], config.sampling_rate,
@@ -338,6 +370,12 @@ def coupled_train(
     alone returns, bit for bit, or the ``NumericFailureError`` that such a
     call raises; a failed run leaves the others unchanged. A run whose gap
     or error norm is not finite fails too, naming the first such step.
+
+    Each step's gap and error norms are the 1-D ``np.linalg.norm`` of the
+    run's difference vector, bit for bit; they are taken a block of steps at
+    a time, from the iterates the block holds (at most
+    ``_NORM_BLOCK_FLOATS`` floats), and a failed run's entries from its
+    failure step on are 0.
     """
     sigmas = _multipliers(config, noise_multipliers)
     x, y = as_batch(spec, base.features, base.labels)
@@ -359,18 +397,29 @@ def coupled_train(
         if theta_star.shape != (p,):
             raise ValueError("theta_star must live in the flat parameter space")
         errors = np.zeros((runs, config.steps + 1))
-        errors[:, 0] = _norm(init - theta_star)
+        errors[:, 0] = _norms((init - theta_star)[None])[0]
     first_divergence: int | None = None
     outcome: list = [None] * runs
+    # The step at which each run failed in the loop; its series stop there.
+    stop = [config.steps] * runs
 
     # Row r < runs of theta is run r on base, row runs + r the same run on
     # base + extra_point. A failed run's rows are garbage that no other row
-    # reads; its series stop at the step it failed.
+    # reads.
     theta = np.tile(init, (2 * runs, 1))
     std = np.array(sigmas, dtype=float)[:, None] * config.clip_norm
     std_both = np.concatenate([std, std])
-    # The gap and error norms may overflow; the scan below names the step.
+    # The iterates of the steps from t0 on, whose norms are taken together
+    # once the block is full.
+    block = np.empty((max(1, min(config.steps,
+                                 _NORM_BLOCK_FLOATS // (2 * runs * p))),
+                      2 * runs, p))
+    t0 = held = 0
+    # A failing run may overflow or make NaNs, and so may the gap and error
+    # norms; _batch_update and the scan below name the step.
     with np.errstate(over="ignore", invalid="ignore"):
+        x_sq = sq_row_norms(x)
+        extra_sq = sq_row_norms(x_extra)
         for t, idx, noise in _draws(n, p, config, mask_rng, noise_rng):
             if extra_schedule is not None:
                 extra_in = bool(extra_schedule[t])
@@ -381,32 +430,43 @@ def coupled_train(
             if not extra_in:
                 failed = {}
                 if idx.size > 0:
-                    theta, failed = _batch_update(spec, theta, x[idx], y[idx],
-                                                  noise, std_both, config, t)
+                    theta, failed = _batch_update(spec, theta, x[idx],
+                                                  x_sq[idx], y[idx], noise,
+                                                  std_both, config, t)
             else:
                 new_a, failed = theta[:runs], {}
                 if idx.size > 0:
-                    new_a, failed = _batch_update(spec, new_a, x[idx], y[idx],
-                                                  noise, std, config, t)
+                    new_a, failed = _batch_update(spec, new_a, x[idx],
+                                                  x_sq[idx], y[idx], noise,
+                                                  std, config, t)
                 new_b, failed_b = _batch_update(
                     spec, theta[runs:], np.concatenate([x[idx], x_extra]),
+                    np.concatenate([x_sq[idx], extra_sq]),
                     np.concatenate([y[idx], y_extra]), noise, std, config, t)
                 theta = np.concatenate([new_a, new_b])
                 failed.update((runs + r, msg) for r, msg in failed_b.items())
-            if failed and _fail(outcome, failed):
-                break
-            gap_rows = theta[:runs] - theta[runs:]
-            error_rows = None if errors is None else theta[:runs] - theta_star
-            for r in range(runs):
-                if outcome[r] is None:
-                    gaps[r, t + 1] = _norm(gap_rows[r])
-                    if error_rows is not None:
-                        errors[r, t + 1] = _norm(error_rows[r])
+            if failed:
+                every_run_failed = _fail(outcome, failed)
+                for r in range(runs):
+                    if outcome[r] is not None:
+                        stop[r] = min(stop[r], t)
+                if every_run_failed:
+                    break
+            block[held] = theta
+            held += 1
+            if held == len(block):
+                _record_norms(block, t0, gaps, errors, theta_star)
+                t0, held = t + 1, 0
+        _record_norms(block[:held], t0, gaps, errors, theta_star)
 
-    # A norm can overflow while the iterate stays finite. Such a run fails at
-    # the first step whose gap or error norm is not finite, which precedes
-    # any failure in the loop (a failed run's later entries stay 0). The
-    # series are scanned once here, not on every step.
+    # A failed run's entries from its failure step on stay 0. A norm can
+    # overflow while the iterate stays finite. Such a run fails at the first
+    # step whose gap or error norm is not finite, which precedes any failure
+    # in the loop. The series are scanned once here, not on every step.
+    for r in range(runs):
+        gaps[r, stop[r] + 1:] = 0.0
+        if errors is not None:
+            errors[r, stop[r] + 1:] = 0.0
     named = [("gap", gaps)] + ([] if errors is None else [("error", errors)])
     for r in range(runs):
         firsts = []

@@ -13,7 +13,8 @@ from dpconformal.data import (_GEN_BLOCK_ROWS, CsvParseError, _read_table,
                               apply_standardizer, default_logistic_signal,
                               fit_standardizer, gen_logistic, gen_multiclass,
                               load_csv)
-from dpconformal.experiments import _scaling_data
+from dpconformal.experiments import (_csv_key, _parsed_csv, _realdata_split,
+                                     _scaling_data)
 from dpconformal.models import Dataset
 
 
@@ -439,6 +440,19 @@ def test_apply_standardizer_equals_the_formula_and_keeps_its_input(task):
         assert not np.shares_memory(out.features, frozen.features)
         if task == "regression":
             assert not np.shares_memory(out.labels, frozen.labels)
+        # With out=, the same bits land in the arrays of out, which may be
+        # the input's own.
+        into = Dataset(np.zeros_like(source.features),
+                       np.zeros_like(source.labels), source.task,
+                       source.n_classes)
+        own = Dataset(source.features.copy(), source.labels.copy(),
+                      source.task, source.n_classes)
+        for target, given in ((into, frozen), (own, own)):
+            got = apply_standardizer(stats, given, out=target)
+            assert got is target
+            assert got.features.tobytes() == out.features.tobytes()
+            assert got.labels.tobytes() == out.labels.tobytes()
+        assert frozen.features.tobytes() == source.features.tobytes()
 
 
 def _distinct_nbytes(*arrays):
@@ -450,21 +464,45 @@ def _distinct_nbytes(*arrays):
     return sum(owners.values())
 
 
-def test_scaling_data_cell_builds_in_little_more_than_it_keeps():
-    # The generator adds the centroids into its noise matrix, the pool and
-    # test are row slices of it, and the standardizer divides in the array
-    # it subtracts into, so the traced peak is about the kept cell plus the
-    # generated matrix: under 2.5x the cell.
-    build = _scaling_data.__wrapped__  # bypass the per-process memo
-    generator = (10, 5, 0.6, 0.01, 2000)
-    build(generator, 50, 1)  # first-use imports stay out of the trace
+def _traced_build(build, *args):
+    """build(*args) and the peak of the memory traced while it runs."""
+    build(*args[:-1], args[-1] + 1)  # first-use imports stay out of the trace
     tracemalloc.start()
     try:
-        pool, test, _ = build(generator, 20_000, 1)
+        pool, test, _ = build(*args)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return (pool, test), peak
+
+
+# A data cell is standardized in the arrays it keeps. What a build holds
+# beyond them is at most the generated matrix (scaling cells, whose pool
+# and test are row slices of it) or the permutation (realdata splits), and
+# the (n, d) deviations that fit_standardizer's np.std makes of the pool:
+# about 0.86x the cell, and no more than 0.9x.
+def test_scaling_data_cell_builds_in_little_more_than_it_keeps():
+    # bypass the per-process memo
+    (pool, test), peak = _traced_build(_scaling_data.__wrapped__,
+                                       (10, 5, 0.6, 0.01, 2000), 20_000, 1)
     kept = _distinct_nbytes(pool.features, pool.labels, test.features,
                             test.labels)
     assert kept == 22_000 * 8 + 22_000 * 10 * 8
-    assert peak <= 2.5 * kept
+    assert peak <= 1.9 * kept
+
+
+def test_realdata_split_builds_in_little_more_than_it_keeps(tmp_path):
+    rng = np.random.default_rng(3)
+    path = tmp_path / "table.csv"
+    np.savetxt(path, rng.standard_normal((20_000, 9)), delimiter=",",
+               header=",".join(f"c{j}" for j in range(9)), comments="")
+    key = _csv_key({"path": str(path), "label_column": 8,
+                    "task": "regression", "has_header": True})
+    _parsed_csv(*key)  # parsed once per process, before the split
+    (pool, test), peak = _traced_build(_realdata_split.__wrapped__, key, 0.2,
+                                       1)
+    kept = _distinct_nbytes(pool.features, pool.labels, test.features,
+                            test.labels)
+    assert (pool.n, test.n) == (16_000, 4_000)
+    assert kept == 20_000 * 9 * 8
+    assert peak <= 1.9 * kept

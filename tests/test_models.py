@@ -11,7 +11,8 @@ from dpconformal import models
 from dpconformal.models import (Dataset, ModelSpec, as_batch,
                                 batch_loss_and_grads, clip_scale,
                                 clipped_grad_sum, init_params, loss_and_grad,
-                                param_count, predict_proba, predict_value)
+                                param_count, predict_proba, predict_value,
+                                sq_row_norms)
 
 RNG = np.random.default_rng(20260810)
 
@@ -331,6 +332,70 @@ def test_kernels_equal_the_per_row_reductions(spec, stack, monkeypatch):
     monkeypatch.setattr(models, "_sum_last", reduce_sum_last)
     monkeypatch.setattr(models, "_loss_and_delta", reduce_loss_and_delta)
     assert got == _kernel_bits(spec, params, x, y)
+
+
+@pytest.mark.parametrize("spec", KERNEL_SPECS, ids=KERNEL_IDS)
+@pytest.mark.parametrize("stack", [(), (4,)], ids=["P", "R4"])
+def test_trainer_keywords_change_no_bit_of_the_kernel(spec, stack):
+    # DP-SGD gathers each batch's input norms from those of the training
+    # set and asks a classifier head for no losses. The norms and the
+    # clipped sum keep their bits, a regression head keeps its losses, and
+    # the gathered norms are only read (the MLP adds its bias term out of
+    # place). The batch holds a row whose squares overflow and a NaN row.
+    rng = np.random.default_rng(67)
+    params = rng.standard_normal((*stack, param_count(spec))) * 3.0
+    features = rng.standard_normal((200, spec.input_dim)) * 2.0
+    features[5] = 1e160
+    features[6, 0] = np.nan
+    idx = np.concatenate([[5, 6], rng.choice(200, 31)])
+    x, y = as_batch(spec, features[idx],
+                    rng.standard_normal(33) if spec.output_dim == 1
+                    else rng.integers(0, spec.output_dim, 33))
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_sq = sq_row_norms(features)[idx]
+        kept = _bits(x_sq)
+        assert kept == _bits(sq_row_norms(x))
+        want = clipped_grad_sum(spec, params, x, y, 1.5)
+        got = clipped_grad_sum(spec, params, x, y, 1.5, x_sq=x_sq,
+                               with_losses=False)
+    assert [_bits(a) for a in got[1:]] == [_bits(a) for a in want[1:]]
+    if spec.output_dim == 1:
+        assert _bits(got[0]) == _bits(want[0])
+    else:
+        assert got[0] is None
+    assert _bits(x_sq) == kept
+
+
+@pytest.mark.parametrize("spec", [ModelSpec("softmax_linear", 1, 4),
+                                  ModelSpec("mlp", 2, 4, (3,))],
+                         ids=["softmax_linear", "mlp_classifier"])
+def test_a_finite_norm_implies_a_finite_classifier_loss(spec):
+    # Each of 400 runs has its own logits, drawn from +-1e308, +-inf, NaN
+    # and ordinary values: softmax_linear's weights times a feature of 1,
+    # or the MLP's output bias behind zero output weights. A classifier
+    # head's loss is finite, at most -log(1e-300), wherever its gradient
+    # norm is, so DP-SGD, which reads only the norms of such a head, fails
+    # the same runs as a check of both would.
+    rng = np.random.default_rng(71)
+    runs, k = 400, spec.output_dim
+    logits = rng.choice(EXTREME_LOGITS, size=(runs, k))
+    if spec.kind == "softmax_linear":
+        params = logits
+        x = np.array([[1.0], [1.0], [0.5]])
+    else:
+        params = rng.standard_normal((runs, param_count(spec)))
+        params[:, -k * 4:-k] = 0.0
+        params[:, -k:] = logits
+        x = rng.standard_normal((3, 2))
+    x, y = as_batch(spec, x, [0, 3, 1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        losses, norms, _ = clipped_grad_sum(spec, params, x, y, 1.0)
+    finite = np.isfinite(norms)
+    assert 0 < finite.sum() < finite.size
+    assert np.isfinite(losses[finite]).all()
+    assert losses[finite].max() <= -math.log(1e-300)
+    assert np.array_equal(finite.all(axis=-1),
+                          (finite & np.isfinite(losses)).all(axis=-1))
 
 
 def reference_forward(spec, params, x):

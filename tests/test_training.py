@@ -8,8 +8,10 @@ from dpconformal.data import gen_logistic
 from dpconformal.models import (Dataset, ModelSpec, as_batch,
                                batch_loss_and_grads, clipped_grad_sum,
                                param_count)
+from dpconformal import training
 from dpconformal.training import (NumericFailureError, TrainConfig,
-                                  _spawn_streams, coupled_train, dp_sgd_train,
+                                  _norms, _spawn_streams, coupled_train,
+                                  dp_sgd_train,
                                   poisson_sample, stability_bound_smooth,
                                   stability_bound_universal)
 
@@ -36,6 +38,25 @@ def test_poisson_sample_mean_batch():
     sizes = [poisson_sample(n, q, rng).size for _ in range(draws)]
     se = math.sqrt(n * q * (1 - q) / draws)
     assert abs(np.mean(sizes) - n * q) < 3 * se
+
+
+def test_batched_norms_equal_the_one_row_norm():
+    # The projection and the coupled series take each row's norm as the
+    # sqrt of its BLAS dot, as np.linalg.norm does for the row alone: rows
+    # whose squares overflow give inf, and NaN rows give NaN.
+    rng = np.random.default_rng(19)
+    scales = np.array([1e-3, 1.0, 10.0, 1e100, 1e154, 1e160, 1e200, 1.0,
+                       1.0])[:, None]
+    for p in (1, 2, 3, 7, 8, 31, 64, 65, 257, 1000):
+        rows = rng.standard_normal((9, p)) * scales
+        rows[7, 0] = np.inf
+        rows[8, -1] = np.nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _norms(rows)
+            want = np.array([math.sqrt(row.dot(row)) for row in rows])
+        assert np.array_equal(got, want, equal_nan=True)
+        assert got[6] == got[7] == np.inf and np.isnan(got[8])
+        assert got[1] == np.linalg.norm(rows[1])
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +246,33 @@ def test_overflowing_gradient_norm_fails_with_a_finite_loss():
     with pytest.raises(NumericFailureError) as err:
         dp_sgd_train(Dataset(x, y, task, k), spec, cfg)
     assert str(err.value) == "non-finite loss or gradient at step 0"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("spec", KIND_SPECS, ids=KIND_IDS)
+def test_a_feature_row_whose_squares_overflow_warns_nowhere(spec):
+    # Each trainer squares every feature row once per call, sampled or not;
+    # the squares of the 1e200 row overflow inside the trainer's errstate.
+    # A run that fails names a step, as its own call does.
+    x, y, task, k = kind_data(spec)
+    x[17] = 1e200
+    cfg = TrainConfig(0.1, 60, 0.05, 1.0, noise_multiplier=0.5, seed=5)
+    data = Dataset(x, y, task, k)
+    base = Dataset(x[:-1], y[:-1], task, k)
+    for train in (lambda **kw: dp_sgd_train(data, spec, cfg, **kw),
+                  lambda **kw: coupled_train(base, (x[-1], y[-1]), spec, cfg,
+                                             **kw)):
+        first, second = train(noise_multipliers=(0.5, 3.0))
+        for run in (first, second):
+            assert not isinstance(run, NumericFailureError) or str(
+                run).startswith("non-finite loss or gradient at step ")
+        try:
+            alone = train()
+        except NumericFailureError as exc:
+            assert str(exc) == str(first)
+        else:
+            assert not isinstance(first, NumericFailureError)
+            assert type(alone) is type(first)
 
 
 # ---------------------------------------------------------------------------
@@ -483,6 +531,42 @@ def test_lockstep_norm_overflow_fails_its_run_alone(radius):
     for i in (0, 2):
         assert np.isfinite(traces[i].error_series).all()
         assert_traces_equal(traces[i], alone(sigmas[i]))
+
+
+@pytest.mark.parametrize("block,steps", [(4, 10), (3, 10), (4, 6)],
+                         ids=["mid_block", "block_end", "final_step"])
+def test_coupled_failure_keeps_its_message_across_norm_blocks(
+        block, steps, monkeypatch):
+    # The gap and error norms are taken a block of steps at a time. The
+    # 1e308 run fails at its first nonempty step, 5: inside a block of 4, at
+    # the end of a block of 3, or at the final step. Its rows are not finite
+    # after that step, so a series entry left nonzero would rename its
+    # failure a norm failure. The other runs equal their own calls at the
+    # default block size, also where the block does not divide the steps.
+    base, extra, spec, target = coupled_setup()
+    cfg = TrainConfig(0.2, steps, 0.002, 1.0, seed=5)
+    mask_rng = _spawn_streams(cfg.seed)[0]
+    assert [poisson_sample(base.n, cfg.sampling_rate, mask_rng).size > 0
+            for _ in range(6)] == [False] * 5 + [True]
+    t = np.arange(steps)
+    schedule = (t > 5) & (t % 2 == 0)
+    sigmas = (0.7, 1e308, 3.1)
+
+    def train(**kwargs):
+        return coupled_train(base, extra, spec, cfg, theta_star=target,
+                             extra_schedule=schedule, **kwargs)
+
+    alone = [train(noise_multipliers=[sigma])[0] for sigma in sigmas]
+    assert str(alone[1]) == "non-finite gradient update at step 5"
+    monkeypatch.setattr(training, "_NORM_BLOCK_FLOATS",
+                        block * 2 * len(sigmas) * param_count(spec))
+    traces = train(noise_multipliers=sigmas)
+    assert isinstance(traces[1], NumericFailureError)
+    assert str(traces[1]) == str(alone[1])
+    for i in (0, 2):
+        assert_traces_equal(traces[i], alone[i])
+    if steps > 6:
+        assert traces[0].gap_series[-1] > 0.0
 
 
 def test_train_config_rejects_a_nan_noise_multiplier():
