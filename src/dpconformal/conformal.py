@@ -26,7 +26,6 @@ alone.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
@@ -42,7 +41,8 @@ from .quantile import (QuantileConfig, buffered_right_search,
 from .training import TrainConfig, TrainedModel, dp_sgd_train
 
 __all__ = ["EvalReport", "PipelineConfig", "METHODS", "TrainedStage",
-           "finish_stage", "run_pipeline", "train_stages", "train_target"]
+           "finish_stage", "run_pipeline", "split_train_size", "train_stages",
+           "train_target"]
 
 METHODS = ("dpscp_f", "dpscp_a", "dp_split", "split_cp", "naive_full")
 
@@ -55,7 +55,6 @@ class PipelineConfig:
     train_template: TrainConfig
     quantile_template: QuantileConfig
     alpha: float = 0.1
-    split_fraction: float = 0.5
     target_scale: float = 1.0
 
     def __post_init__(self) -> None:
@@ -63,8 +62,6 @@ class PipelineConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-        if not 0.0 < self.split_fraction < 1.0:
-            raise ValueError("split_fraction must lie in (0, 1)")
         if self.target_scale <= 0.0:
             raise ValueError("target_scale must be positive")
 
@@ -156,10 +153,16 @@ def _evaluate_fast(test_scores: np.ndarray, test: Dataset, q_hat: float,
     }
 
 
-def _split_indices(n: int, fraction: float,
+def split_train_size(n: int) -> int:
+    """The size of the train half of a pool of ``n`` rows, which a split
+    method trains on; the rest is its calibration half."""
+    return n // 2
+
+
+def _split_indices(n: int,
                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     perm = rng.permutation(n)
-    cut = int(math.floor(fraction * n))
+    cut = split_train_size(n)
     if cut < 1 or cut >= n:
         raise ValueError("split leaves an empty train or calibration half")
     return perm[:cut], perm[cut:]
@@ -183,9 +186,9 @@ def train_stages(pool: Dataset, test: Dataset,
         raise ValueError("pool and test must share schema")
     first = configs[0]
     split = train_target(first.method, first.budget)[0]
-    shared = (split, first.model, first.train_template, first.split_fraction)
-    if any((train_target(c.method, c.budget)[0], c.model, c.train_template,
-            c.split_fraction) != shared for c in configs):
+    shared = (split, first.model, first.train_template)
+    if any((train_target(c.method, c.budget)[0], c.model, c.train_template)
+           != shared for c in configs):
         raise ValueError("configs must share one training subset, model "
                          "and training template")
     ss = np.random.SeedSequence(seed).spawn(3)
@@ -194,8 +197,7 @@ def train_stages(pool: Dataset, test: Dataset,
 
     if split:
         split_rng = np.random.Generator(np.random.PCG64(ss[0]))
-        train_idx, cal_idx = _split_indices(pool.n, first.split_fraction,
-                                            split_rng)
+        train_idx, cal_idx = _split_indices(pool.n, split_rng)
         train_data = pool.subset(train_idx)
         cal_data = pool.subset(cal_idx)
     else:

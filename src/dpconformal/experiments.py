@@ -42,8 +42,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .accounting import BudgetSpec, calibrate_sigma_sgd
-from .conformal import (METHODS, PipelineConfig, finish_stage, train_stages,
-                        train_target)
+from .conformal import (METHODS, PipelineConfig, finish_stage,
+                        split_train_size, train_stages, train_target)
 # Not called here: bench/layers.py wraps experiments.run_pipeline by name.
 from .conformal import run_pipeline  # noqa: F401
 from .data import (StandardizationStats, apply_standardizer,
@@ -71,8 +71,8 @@ _SECTION_KEYS = {
     "generator": {"dim", "classes", "class_sep", "flip_y", "test_size"},
     "csv": {"path", "label_column", "task", "has_header", "test_fraction"},
     "train": {"model", "hidden", "epochs", "batch_size", "learning_rate",
-              "clip_norm", "split_fraction", "rate", "steps",
-              "projection_radius", "force_extra_off"},
+              "clip_norm", "rate", "steps", "projection_radius",
+              "force_extra_off"},
     "quantile": {"steps", "beta", "buffer", "range_hi", "sigma"},
 }
 
@@ -265,11 +265,10 @@ def _pipeline_group(config: ExperimentConfig, rows: list[dict], pool: Dataset,
     train = config.train
     epochs = int(train.get("epochs", 50))
     batch = int(train.get("batch_size", 32))
-    split_fraction = float(train.get("split_fraction", 0.5))
     budgets = [BudgetSpec(row["epsilon"], config.delta, row["p"])
                for row in rows]
     split, _ = train_target(rows[0]["method"], budgets[0])
-    n_train = int(math.floor(split_fraction * pool.n)) if split else pool.n
+    n_train = split_train_size(pool.n) if split else pool.n
     rate, steps = train_plan(n_train, epochs, batch)
     train_template = TrainConfig(
         learning_rate=float(train.get("learning_rate", 1e-3)),
@@ -286,7 +285,6 @@ def _pipeline_group(config: ExperimentConfig, rows: list[dict], pool: Dataset,
         train_template=train_template,
         quantile_template=_quantile_template(config, pool.task),
         alpha=config.alpha,
-        split_fraction=split_fraction,
         target_scale=stats.target_scale,
     ) for row, budget in zip(rows, budgets)]
     groups: dict = {}

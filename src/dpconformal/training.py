@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .accounting import SgdAccountingRecord
-from .models import (Dataset, ModelSpec, as_batch, clip_scale, init_params,
-                     param_count, sq_row_norms)
+from .models import (Dataset, ModelSpec, as_batch, init_params, param_count,
+                     sq_row_norms)
 # The step's one gradient call, the ghost-norm kernel. It is bound under the
 # name by which the traced benchmark (bench/layers.py) wraps this module's
 # gradient call; models.batch_loss_and_grads, which forms the per-sample
@@ -200,7 +200,6 @@ def _batch_update(
     noise_std: np.ndarray,
     config: TrainConfig,
     step: int,
-    audit_hook: Callable[[int, np.ndarray], None] | None = None,
 ) -> tuple[np.ndarray, dict[int, str]]:
     """One noisy clipped-mean gradient step of a stack of runs on one
     nonempty shared batch.
@@ -210,14 +209,12 @@ def _batch_update(
     the batch's features. Returns the new (R, P) stack and, for each run
     that failed a finiteness check (a projected run's norm included), the
     message of the first check it failed. A failed run's row is garbage;
-    every other row is bit-equal to the step that run would take alone.
-    ``audit_hook(step, clipped_norms)`` observes run 0; ``dp_sgd_train``,
-    which rejects a hook when it trains more than one run, is its one
-    caller. The batch is trusted: ``as_batch`` checked the features and
-    labels it is drawn from, once per training call. A failing run may
-    overflow or make NaNs, so the caller ignores overflow and invalid
-    values (``np.errstate``) around its step loop; the checks here name
-    the failure.
+    every other row is bit-equal to the step that run would take alone. The
+    batch is trusted: ``as_batch`` checked the features and labels it is
+    drawn from, once per training call. A failing run may overflow or make
+    NaNs, so the caller ignores overflow and invalid values
+    (``np.errstate``) around its step loop; the checks here name the
+    failure.
     """
     losses, norms, grad_sum = batch_loss_and_grads(
         spec, params, x_batch, y_batch, config.clip_norm, x_sq=x_sq,
@@ -228,8 +225,6 @@ def _batch_update(
     grads_ok = np.isfinite(norms).all(axis=-1)
     if losses is not None:
         grads_ok &= np.isfinite(losses).all(axis=-1)
-    if audit_hook is not None and grads_ok[0]:
-        audit_hook(step, norms[0] * clip_scale(norms[0], config.clip_norm))
     m = x_batch.shape[0]
     update = (grad_sum + noise_std * noise_vec) / m
     new = params - config.learning_rate * update
@@ -300,25 +295,19 @@ def dp_sgd_train(
     dataset: Dataset,
     spec: ModelSpec,
     config: TrainConfig,
-    audit_hook: Callable[[int, np.ndarray], None] | None = None,
     *,
     noise_multipliers: Sequence[float] | None = None,
 ) -> TrainedModel | list[TrainedModel | NumericFailureError]:
     """Train with DP-SGD; bit-reproducible for a fixed config.
-
-    ``audit_hook(step, clipped_norms)``, when given, observes the post-clip
-    per-sample gradient norms of every processed batch.
 
     With ``noise_multipliers``, one run per multiplier replaces the run at
     ``config.noise_multiplier``, all R advancing on each step's one mask and
     noise vector. The result is then a list holding, per multiplier, the
     model that a call with that multiplier alone returns, bit for bit, or
     the ``NumericFailureError`` that such a call raises; a failed run leaves
-    the others unchanged. ``audit_hook`` is rejected with more than one run.
+    the others unchanged.
     """
     sigmas = _multipliers(config, noise_multipliers)
-    if audit_hook is not None and len(sigmas) > 1:
-        raise ValueError("audit_hook observes a single run")
     x, y = as_batch(spec, dataset.features, dataset.labels)
     n = dataset.n
     p = param_count(spec)
@@ -334,8 +323,7 @@ def dp_sgd_train(
             if idx.size == 0:
                 continue
             params, failed = _batch_update(spec, params, x[idx], x_sq[idx],
-                                           y[idx], noise, std, config, t,
-                                           audit_hook)
+                                           y[idx], noise, std, config, t)
             if failed and _fail(outcome, failed):
                 break
     for r in range(runs):
@@ -361,7 +349,9 @@ def coupled_train(
     Both trajectories share the initialization, the inclusion masks of the n
     shared points, and the Gaussian noise vectors; the extra point gets an
     independent Bernoulli(q) inclusion stream (or the boolean
-    ``extra_schedule`` override, used by the tests to force exclusion).
+    ``extra_schedule`` override, used by the tests to force exclusion). Its
+    flags for every step are taken once per call, and the first step that
+    includes it is the first divergence step.
 
     With ``noise_multipliers``, one such pair runs per multiplier in place of
     ``config.noise_multiplier``, all 2R trajectories advancing on each step's
@@ -374,8 +364,7 @@ def coupled_train(
     Each step's gap and error norms are the 1-D ``np.linalg.norm`` of the
     run's difference vector, bit for bit; they are taken a block of steps at
     a time, from the iterates the block holds (at most
-    ``_NORM_BLOCK_FLOATS`` floats), and a failed run's entries from its
-    failure step on are 0.
+    ``_NORM_BLOCK_FLOATS`` floats).
     """
     sigmas = _multipliers(config, noise_multipliers)
     x, y = as_batch(spec, base.features, base.labels)
@@ -385,9 +374,13 @@ def coupled_train(
     mask_rng, noise_rng, extra_rng, init_rng = _spawn_streams(config.seed)
     init = init_params(spec, init_rng)
     if extra_schedule is not None:
-        extra_schedule = np.asarray(extra_schedule, dtype=bool)
-        if extra_schedule.shape != (config.steps,):
+        extra_flags = np.asarray(extra_schedule, dtype=bool)
+        if extra_flags.shape != (config.steps,):
             raise ValueError("extra_schedule must have one flag per step")
+    else:
+        extra_flags = extra_rng.random(config.steps) < config.sampling_rate
+    hits = np.flatnonzero(extra_flags)
+    first_divergence = int(hits[0]) if hits.size else None
 
     runs = len(sigmas)
     gaps = np.zeros((runs, config.steps + 1))
@@ -398,7 +391,6 @@ def coupled_train(
             raise ValueError("theta_star must live in the flat parameter space")
         errors = np.zeros((runs, config.steps + 1))
         errors[:, 0] = _norms((init - theta_star)[None])[0]
-    first_divergence: int | None = None
     outcome: list = [None] * runs
     # The step at which each run failed in the loop; its series stop there.
     stop = [config.steps] * runs
@@ -421,13 +413,7 @@ def coupled_train(
         x_sq = sq_row_norms(x)
         extra_sq = sq_row_norms(x_extra)
         for t, idx, noise in _draws(n, p, config, mask_rng, noise_rng):
-            if extra_schedule is not None:
-                extra_in = bool(extra_schedule[t])
-            else:
-                extra_in = bool(extra_rng.random() < config.sampling_rate)
-            if extra_in and first_divergence is None:
-                first_divergence = t
-            if not extra_in:
+            if not extra_flags[t]:
                 failed = {}
                 if idx.size > 0:
                     theta, failed = _batch_update(spec, theta, x[idx],
@@ -459,19 +445,15 @@ def coupled_train(
                 t0, held = t + 1, 0
         _record_norms(block[:held], t0, gaps, errors, theta_star)
 
-    # A failed run's entries from its failure step on stay 0. A norm can
-    # overflow while the iterate stays finite. Such a run fails at the first
-    # step whose gap or error norm is not finite, which precedes any failure
-    # in the loop. The series are scanned once here, not on every step.
-    for r in range(runs):
-        gaps[r, stop[r] + 1:] = 0.0
-        if errors is not None:
-            errors[r, stop[r] + 1:] = 0.0
+    # A norm can overflow while the iterate stays finite. Such a run fails at
+    # the first step whose gap or error norm is not finite, which precedes
+    # any failure in the loop; a failed run's series are scanned only up to
+    # its failure step. The series are scanned once here, not on every step.
     named = [("gap", gaps)] + ([] if errors is None else [("error", errors)])
     for r in range(runs):
         firsts = []
         for name, series in named:
-            bad = np.flatnonzero(~np.isfinite(series[r, 1:]))
+            bad = np.flatnonzero(~np.isfinite(series[r, 1:stop[r] + 1]))
             if bad.size:
                 firsts.append((int(bad[0]), name))
         if firsts:

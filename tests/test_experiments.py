@@ -275,14 +275,19 @@ def test_load_config_roundtrip(tmp_path):
 
 @pytest.mark.parametrize("section, key", [
     ("generator", "dims"), ("csv", "label"), ("train", "learning-rate"),
-    ("quantile", "sigmaa"),
+    ("quantile", "sigmaa"), ("train", "split_fraction"),
 ])
-def test_unknown_nested_config_keys_rejected(tmp_path, section, key):
+def test_unknown_nested_config_keys_rejected(tmp_path, section, key, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"experiment": "quantile_demo",
                                 section: {key: 100.0}}))
     with pytest.raises(ValueError, match=f"unknown {section} keys"):
         load_config(path)
+    with pytest.raises(SystemExit) as exc:
+        main(["quantile-demo", "--config", str(path),
+              "--out", str(tmp_path / "out.csv")])
+    assert exc.value.code == 2
+    assert f"unknown {section} keys" in capsys.readouterr().err
     field = "csv_source" if section == "csv" else section
     with pytest.raises(ValueError, match=repr(key)):
         ExperimentConfig(experiment="scaling", **{field: {key: 1}})
@@ -401,6 +406,32 @@ def test_each_distinct_model_trains_once_per_trial(tmp_path, monkeypatch):
     assert run_experiment(cfg, jobs=2) == rows
     assert (tmp_path / "results.csv").read_bytes() == results
     assert (tmp_path / "results_series.csv").read_bytes() == series
+
+
+# dp_split's search on a calibration half of 300 or 500 rows at epsilon 1
+# warns that it can end only at the range's upper end.
+@pytest.mark.filterwarnings("ignore:effective threshold")
+def test_split_methods_train_on_the_half_the_plan_is_sized_for(monkeypatch):
+    # The train stage splits the pool and the experiment sizes the training
+    # plan; both take the train half from conformal.split_train_size. On an
+    # odd pool, a plan sized for any other half would change the rate.
+    calls = []
+    real = conformal.dp_sgd_train
+
+    def train(dataset, spec, config, **kwargs):
+        calls.append((dataset.n, config.sampling_rate, config.steps))
+        return real(dataset, spec, config, **kwargs)
+
+    monkeypatch.setattr(conformal, "dp_sgd_train", train)
+    epochs, batch = 2, 32
+    cfg = tiny_scaling_config(
+        trials=1, sample_sizes=(601, 1001), methods=("dp_split", "split_cp"),
+        train={"model": "softmax_linear", "epochs": epochs,
+               "batch_size": batch, "learning_rate": 0.05, "clip_norm": 1.0})
+    rows = run_experiment(cfg)
+    assert sum(r["status"] == "ok" for r in rows) == 2 * 2
+    want = [(n // 2, *train_plan(n // 2, epochs, batch)) for n in (601, 1001)]
+    assert sorted(set(calls)) == want
 
 
 def test_infeasible_target_fails_alone_in_its_lockstep_task(tmp_path):

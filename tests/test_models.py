@@ -121,6 +121,28 @@ def test_clipped_grad_sum_matches_materialized_gradients(spec):
                     <= 1e-12 * np.linalg.norm(want_sum, axis=-1)).all()
 
 
+@pytest.mark.parametrize("spec", KERNEL_SPECS, ids=KERNEL_IDS)
+def test_clip_scale_bounds_every_per_sample_gradient(spec):
+    # The kernel test above applies clip_scale on both sides; this one checks
+    # the clip itself on the oracle's per-sample gradients: every clipped
+    # gradient has norm at most C, and one already within C is unchanged.
+    rng = np.random.default_rng(41)
+    for stack in ((), (3,)):
+        params = rng.standard_normal((*stack, param_count(spec)))
+        x, y = as_batch(spec, rng.standard_normal((33, spec.input_dim)),
+                        rng.standard_normal(33) if spec.output_dim == 1
+                        else rng.integers(0, spec.output_dim, 33))
+        _, grads = batch_loss_and_grads(spec, params, x, y)
+        norms = np.linalg.norm(grads, axis=-1)
+        for clip in (float(np.median(norms)), float(norms.min()) / 2,
+                     float(norms.max())):
+            clipped = grads * clip_scale(norms, clip)[..., None]
+            assert (np.linalg.norm(clipped, axis=-1)
+                    <= clip * (1 + 1e-12)).all()
+            within = norms <= clip
+            assert np.array_equal(clipped[within], grads[within])
+
+
 def _overflow_cases():
     # A feature row of 1e160 squares to inf. softmax_linear: run 0 makes the
     # softmax exactly one-hot, so the row's delta and gradient are exactly 0;

@@ -98,17 +98,6 @@ def test_dp_sgd_projection_radius_enforced():
     assert np.linalg.norm(trained.params) <= 0.3 + 1e-12
 
 
-def test_dp_sgd_clipping_audit_hook():
-    data, _ = small_logistic(n=200)
-    spec = ModelSpec("softmax_linear", data.dim, 2)
-    clip = 0.05
-    seen = []
-    cfg = TrainConfig(0.1, 40, 0.3, clip, noise_multiplier=1.0, seed=8)
-    dp_sgd_train(data, spec, cfg, audit_hook=lambda t, norms: seen.append(norms))
-    assert seen
-    assert all(np.all(norms <= clip * (1 + 1e-12)) for norms in seen)
-
-
 def test_dp_sgd_learns_on_logistic_data():
     """Average final estimation error beats the zero init over 30 seeds at a
     moderate noise level."""
@@ -392,6 +381,36 @@ def test_lockstep_coupled_runs_equal_separate_runs(case):
         assert all(np.all(t.gap_series == 0.0) for t in traces)
 
 
+@pytest.mark.parametrize("sigmas", [(1.0,), LOCKSTEP_SIGMAS],
+                         ids=["one_run", "three_runs"])
+def test_extra_flags_are_the_extra_stream_taken_once(sigmas):
+    # The extra point's flags are T uniforms of the third stream, the same
+    # doubles whether drawn one per step or all at once; passed back as the
+    # schedule they give the trace bit for bit.
+    base, extra, spec, target = coupled_setup()
+    cfg = TrainConfig(0.2, 150, 0.05, 1.0, seed=13)
+    flags = _spawn_streams(cfg.seed)[2].random(cfg.steps) < cfg.sampling_rate
+    stream = _spawn_streams(cfg.seed)[2]
+    assert np.array_equal(
+        flags, [stream.random() < cfg.sampling_rate for _ in flags])
+    assert flags.any() and not flags[0]
+
+    def train(schedule):
+        return coupled_train(base, extra, spec, cfg, theta_star=target,
+                             extra_schedule=schedule, noise_multipliers=sigmas)
+
+    drawn, given = train(None), train(flags)
+    for got, want in zip(given, drawn):
+        assert_traces_equal(got, want)
+        assert want.diverged
+        assert want.first_divergence_step == np.flatnonzero(flags)[0]
+    for schedule, first in ((np.arange(cfg.steps) == cfg.steps - 1,
+                             cfg.steps - 1),
+                            (np.arange(cfg.steps) % 40 == 7, 7)):
+        for trace in train(schedule):
+            assert trace.diverged and trace.first_divergence_step == first
+
+
 POSITIONS = dict(argvalues=[0, 1, 2], ids=["first", "middle", "last"])
 
 
@@ -540,8 +559,8 @@ def test_coupled_failure_keeps_its_message_across_norm_blocks(
     # The gap and error norms are taken a block of steps at a time. The
     # 1e308 run fails at its first nonempty step, 5: inside a block of 4, at
     # the end of a block of 3, or at the final step. Its rows are not finite
-    # after that step, so a series entry left nonzero would rename its
-    # failure a norm failure. The other runs equal their own calls at the
+    # after that step, so a series entry scanned past that step would rename
+    # its failure a norm failure. The other runs equal their own calls at the
     # default block size, also where the block does not divide the steps.
     base, extra, spec, target = coupled_setup()
     cfg = TrainConfig(0.2, steps, 0.002, 1.0, seed=5)
@@ -569,6 +588,36 @@ def test_coupled_failure_keeps_its_message_across_norm_blocks(
         assert traces[0].gap_series[-1] > 0.0
 
 
+def test_a_norm_failure_one_step_before_the_loop_failure_names_the_run():
+    # At learning rate 1e150 the 1e60 run's step 0 leaves a finite iterate
+    # near 1e208 whose gap norm overflows; at step 1 its regression loss
+    # overflows in the loop, as dp_sgd_train reports. A run's series are
+    # scanned up to its loop failure, so the step 0 norm names it.
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((21, 2))
+    y = x @ np.array([1.0, -0.5])
+    base = Dataset(x[:20], y[:20], "regression")
+    extra = (x[20], y[20])
+    spec = ModelSpec("linear_regression", 2)
+    cfg = TrainConfig(1e150, 5, 1.0, 1.0, noise_multiplier=1e60, seed=3)
+    with pytest.raises(NumericFailureError,
+                       match="^non-finite loss or gradient at step 1$"):
+        dp_sgd_train(base, spec, cfg)
+
+    def train(**kwargs):
+        return coupled_train(base, extra, spec, cfg, theta_star=np.zeros(2),
+                             **kwargs)
+
+    with pytest.raises(NumericFailureError,
+                       match="^non-finite gap norm at step 0$"):
+        train()
+    sigmas = (0.5, 1e60, 2.0)
+    traces = train(noise_multipliers=sigmas)
+    assert str(traces[1]) == "non-finite gap norm at step 0"
+    for i in (0, 2):
+        assert_traces_equal(traces[i], train(noise_multipliers=[sigmas[i]])[0])
+
+
 def test_train_config_rejects_a_nan_noise_multiplier():
     with pytest.raises(ValueError, match="noise_multiplier"):
         TrainConfig(0.1, 5, 0.5, 1.0, noise_multiplier=math.nan)
@@ -587,15 +636,6 @@ def test_lockstep_rejects_bad_multipliers(trainer):
     for bad in ((), (0.5, -1.0), (math.nan,)):
         with pytest.raises(ValueError, match="noise_multipliers"):
             train(noise_multipliers=bad)
-    if trainer == "dp_sgd_train":
-        # The hook observes one run; one lockstep run is still allowed.
-        with pytest.raises(ValueError, match="audit_hook"):
-            train(noise_multipliers=(0.5, 1.0),
-                  audit_hook=lambda t, norms: None)
-        seen = []
-        train(noise_multipliers=(0.5,),
-              audit_hook=lambda t, norms: seen.append(t))
-        assert seen
 
 
 @pytest.mark.parametrize("radius", [None, 0.1],
