@@ -16,17 +16,19 @@ from .accounting import (BudgetSpec, InfeasibleBudgetError,
                          SgdAccountingRecord, calibrate_sigma_q,
                          default_orders, gaussian_profile, rdp_compose,
                          rdp_to_eps, sgd_profile)
+from .conformal import METHODS
 from .experiments import ExperimentConfig, load_config, run_experiment
 
+# The presets hold only what differs from ExperimentConfig's defaults and
+# the section defaults in experiments._SECTION_DEFAULTS.
 _PAPER_SCALE = {
     "scaling": {
         "trials": 30,
         "epsilons": (0.5, 1.0, 2.0),
         "sample_sizes": (10000, 15000, 20000, 25000, 30000),
-        # At full scale the step count grows with n, so the protocol's slower
+        # At full scale the step count grows with n, so the default (slower)
         # schedule has room to train.
-        "train": {"model": "mlp", "hidden": [16, 16], "epochs": 50,
-                  "batch_size": 32, "learning_rate": 1e-3, "clip_norm": 1.0},
+        "train": {},
     },
     "stability": {"trials": 30, "epsilons": (0.5, 1.0, 2.0)},
     "realdata": {"trials": 30, "epsilons": (0.5, 1.0, 2.0)},
@@ -35,37 +37,16 @@ _PAPER_SCALE = {
 _DESK_DEFAULTS = {
     "scaling": dict(
         experiment="scaling",
-        trials=10,
-        epsilons=(0.5, 1.0),
-        sample_sizes=(2500, 5000),
-        methods=("dpscp_f", "dpscp_a", "dp_split", "split_cp", "naive_full"),
-        generator={"dim": 10, "classes": 5, "class_sep": 0.6, "flip_y": 0.01,
-                   "test_size": 2000},
+        methods=METHODS,
         # Desk scale shortens the step budget with n, so the schedule is
-        # faster than the full protocol's 1e-3.
-        train={"model": "mlp", "hidden": [16, 16], "epochs": 50,
-               "batch_size": 32, "learning_rate": 1e-2, "clip_norm": 1.0},
-        quantile={"steps": 20, "beta": 0.05, "buffer": 10},
+        # faster than the full protocol's.
+        train={"learning_rate": 1e-2},
     ),
-    "stability": dict(
-        experiment="stability",
-        trials=10,
-        epsilons=(0.5, 1.0, 2.0),
-        sample_sizes=(1000,),
-        generator={"dim": 10},
-        train={"rate": 0.02, "steps": 100, "learning_rate": 1e-3,
-               "clip_norm": 1.0},
-    ),
-    "quantile_demo": dict(experiment="quantile_demo", trials=1),
-    "realdata": dict(
-        experiment="realdata",
-        trials=10,
-        epsilons=(0.5, 1.0),
-        methods=("dpscp_f", "dpscp_a", "dp_split", "split_cp", "naive_full"),
-        train={"model": "mlp", "hidden": [32, 16], "epochs": 50,
-               "batch_size": 128, "learning_rate": 1e-3, "clip_norm": 1.0},
-        quantile={"steps": 20, "beta": 0.05, "buffer": 10},
-    ),
+    "stability": dict(experiment="stability", epsilons=(0.5, 1.0, 2.0),
+                      sample_sizes=(1000,)),
+    "quantile_demo": dict(experiment="quantile_demo"),
+    "realdata": dict(experiment="realdata", methods=METHODS,
+                     train={"hidden": [32, 16], "batch_size": 128}),
 }
 
 

@@ -65,16 +65,26 @@ _METRIC_COLUMNS = ("coverage", "efficiency", "informativeness", "q_hat",
 
 EXPERIMENTS = ("stability", "scaling", "quantile_demo", "realdata")
 
-# The keys each nested config section may hold: every key that some trial
-# runner reads from it, so that a misspelt key fails instead of being ignored.
-_SECTION_KEYS = {
-    "generator": {"dim", "classes", "class_sep", "flip_y", "test_size"},
-    "csv": {"path", "label_column", "task", "has_header", "test_fraction"},
-    "train": {"model", "hidden", "epochs", "batch_size", "learning_rate",
-              "clip_norm", "rate", "steps", "projection_radius",
-              "force_extra_off"},
-    "quantile": {"steps", "beta", "buffer", "range_hi", "sigma"},
+# Every key that a nested config section may hold, with the value a trial
+# runner reads when the config leaves it out. A key outside the table fails,
+# so that a misspelt key is not ignored. realdata needs a csv path.
+_SECTION_DEFAULTS = {
+    "generator": {"dim": 10, "classes": 5, "class_sep": 0.6, "flip_y": 0.01,
+                  "test_size": 2000},
+    "csv": {"path": None, "label_column": 0, "task": REGRESSION,
+            "has_header": True, "test_fraction": 0.2},
+    "train": {"model": "mlp", "hidden": (16, 16), "epochs": 50,
+              "batch_size": 32, "learning_rate": 1e-3, "clip_norm": 1.0,
+              "rate": 0.02, "steps": 100, "projection_radius": None,
+              "force_extra_off": False},
+    "quantile": {"steps": 20, "beta": 0.05, "buffer": 10, "range_hi": 10.0,
+                 "sigma": 3.0},
 }
+
+
+def _section(name: str, values: dict) -> dict:
+    """The config's values of section ``name`` laid over its defaults."""
+    return {**_SECTION_DEFAULTS[name], **values}
 
 
 def _fmt(value) -> str:
@@ -135,7 +145,7 @@ class ExperimentConfig:
         for name, section in (("generator", self.generator),
                               ("csv", self.csv_source), ("train", self.train),
                               ("quantile", self.quantile)):
-            unknown = set(section) - _SECTION_KEYS[name]
+            unknown = set(section) - set(_SECTION_DEFAULTS[name])
             if unknown:
                 raise ValueError(f"unknown {name} keys: {sorted(unknown)}")
         if self.experiment in ("scaling", "realdata"):
@@ -154,7 +164,7 @@ class ExperimentConfig:
                                  "section's 'path' key)")
             # At 0 or below the test split is one row; at 1 or above the
             # pool is empty. NaN fails the check as well.
-            fraction = self.csv_source.get("test_fraction", 0.2)
+            fraction = _section("csv", self.csv_source)["test_fraction"]
             if not 0.0 < float(fraction) < 1.0:
                 raise ValueError("csv test_fraction must lie in (0, 1), got "
                                  f"{fraction!r}")
@@ -203,8 +213,8 @@ def train_plan(n_train: int, epochs: int, batch_size: int) -> tuple[float, int]:
 
 
 def _mk_model(train: dict, task: str, dim: int, n_classes: int) -> ModelSpec:
-    kind = train.get("model", "mlp")
-    hidden = tuple(train.get("hidden", (16, 16)))
+    kind = train["model"]
+    hidden = tuple(train["hidden"])
     if kind == "mlp":
         out = n_classes if task == CLASSIFICATION else 1
         return ModelSpec("mlp", dim, out, hidden)
@@ -215,21 +225,21 @@ def _mk_model(train: dict, task: str, dim: int, n_classes: int) -> ModelSpec:
     raise ValueError(f"unknown model kind {kind!r}")
 
 
-def _quantile_template(config: ExperimentConfig, task: str) -> QuantileConfig:
-    q = config.quantile
+def _quantile_template(quantile: dict, alpha: float,
+                       task: str) -> QuantileConfig:
     if task == CLASSIFICATION:
         lo, hi = 0.0, 1.0
     else:
         # Conservative public score range on the standardized target scale.
-        lo, hi = 0.0, float(q.get("range_hi", 10.0))
+        lo, hi = 0.0, float(quantile["range_hi"])
     return QuantileConfig(
         range_lo=lo,
         range_hi=hi,
-        alpha=config.alpha,
-        steps_n=int(q.get("steps", 20)),
+        alpha=alpha,
+        steps_n=int(quantile["steps"]),
         sigma_q=0.0,
-        beta=float(q.get("beta", 0.05)),
-        buffer_m=int(q.get("buffer", 10)),
+        beta=float(quantile["beta"]),
+        buffer_m=int(quantile["buffer"]),
     )
 
 
@@ -262,28 +272,30 @@ def _pipeline_group(config: ExperimentConfig, rows: list[dict], pool: Dataset,
     finish every cell from the model of its target. A cell fails alone when
     its finish fails, and with the cells of its target when that target's
     calibration or run fails."""
-    train = config.train
-    epochs = int(train.get("epochs", 50))
-    batch = int(train.get("batch_size", 32))
+    train = _section("train", config.train)
+    epochs = int(train["epochs"])
+    batch = int(train["batch_size"])
     budgets = [BudgetSpec(row["epsilon"], config.delta, row["p"])
                for row in rows]
     split, _ = train_target(rows[0]["method"], budgets[0])
     n_train = split_train_size(pool.n) if split else pool.n
     rate, steps = train_plan(n_train, epochs, batch)
     train_template = TrainConfig(
-        learning_rate=float(train.get("learning_rate", 1e-3)),
+        learning_rate=float(train["learning_rate"]),
         steps=steps,
         sampling_rate=rate,
-        clip_norm=float(train.get("clip_norm", 1.0)),
+        clip_norm=float(train["clip_norm"]),
         noise_multiplier=0.0,
     )
     model = _mk_model(train, pool.task, pool.dim, pool.n_classes)
+    quantile_template = _quantile_template(
+        _section("quantile", config.quantile), config.alpha, pool.task)
     pipes = [PipelineConfig(
         method=row["method"],
         budget=budget,
         model=model,
         train_template=train_template,
-        quantile_template=_quantile_template(config, pool.task),
+        quantile_template=quantile_template,
         alpha=config.alpha,
         target_scale=stats.target_scale,
     ) for row, budget in zip(rows, budgets)]
@@ -346,11 +358,9 @@ def _scaling_data(generator: tuple, n: int, trial_seed: int
 
 def _run_scaling_trial(config: ExperimentConfig,
                        rows: list[dict]) -> list[tuple[dict, list]]:
-    gen = config.generator
-    generator = (int(gen.get("dim", 10)), int(gen.get("classes", 5)),
-                 float(gen.get("class_sep", 0.6)),
-                 float(gen.get("flip_y", 0.01)),
-                 int(gen.get("test_size", 2000)))
+    gen = _section("generator", config.generator)
+    generator = (int(gen["dim"]), int(gen["classes"]), float(gen["class_sep"]),
+                 float(gen["flip_y"]), int(gen["test_size"]))
     data = _scaling_data(generator, rows[0]["n"], rows[0]["seed"])
     return _pipeline_group(config, rows, *data)
 
@@ -366,11 +376,12 @@ def _parsed_csv(path: str, label_column: int, task: str, has_header: bool,
 def _csv_key(src: dict) -> tuple:
     """Memo key of the realdata CSV: its absolute path, the parse options
     and the file's version (mtime, size), so the CSV is parsed at most once
-    per process for each version of the file."""
+    per process for each version of the file. ``src`` is the resolved csv
+    section."""
     path = os.path.abspath(src["path"])
     st = os.stat(path)
-    return (path, int(src.get("label_column", 0)), src.get("task", REGRESSION),
-            bool(src.get("has_header", True)), (st.st_mtime_ns, st.st_size))
+    return (path, int(src["label_column"]), src["task"],
+            bool(src["has_header"]), (st.st_mtime_ns, st.st_size))
 
 
 # Bounded as _scaling_data is: a trial has one task per training subset (two
@@ -395,8 +406,8 @@ def _realdata_split(csv_key: tuple, test_fraction: float, trial_seed: int
 
 def _run_realdata_trial(config: ExperimentConfig,
                         rows: list[dict]) -> list[tuple[dict, list]]:
-    src = config.csv_source
-    data = _realdata_split(_csv_key(src), float(src.get("test_fraction", 0.2)),
+    src = _section("csv", config.csv_source)
+    data = _realdata_split(_csv_key(src), float(src["test_fraction"]),
                            rows[0]["seed"])
     return _pipeline_group(config, rows, *data)
 
@@ -409,10 +420,10 @@ def _run_stability_trial(config: ExperimentConfig,
     extra-point flags and differ only in sigma_sgd. A cell whose calibration
     or run fails fails alone."""
     trial_seed, n = rows[0]["seed"], rows[0]["n"]
-    d = int(config.generator.get("dim", 10))
-    train = config.train
-    rate = float(train.get("rate", 0.02))
-    steps = int(train.get("steps", 100))
+    d = int(_section("generator", config.generator)["dim"])
+    train = _section("train", config.train)
+    rate = float(train["rate"])
+    steps = int(train["steps"])
     data_seed = int(np.random.SeedSequence(trial_seed).spawn(1)[0]
                     .generate_state(1)[0])
     data, theta = gen_logistic(n + 1, d, data_seed)
@@ -429,12 +440,12 @@ def _run_stability_trial(config: ExperimentConfig,
     if not sigmas:
         return out
     try:
-        radius = train.get("projection_radius")
+        radius = train["projection_radius"]
         cfg = TrainConfig(
-            learning_rate=float(train.get("learning_rate", 1e-3)),
+            learning_rate=float(train["learning_rate"]),
             steps=steps,
             sampling_rate=rate,
-            clip_norm=float(train.get("clip_norm", 1.0)),
+            clip_norm=float(train["clip_norm"]),
             projection_radius=None if radius is None else float(radius),
             seed=trial_seed,
         )
@@ -443,7 +454,7 @@ def _run_stability_trial(config: ExperimentConfig,
         # parameterization (class margins +/- theta/2 reproduce the link).
         theta_flat = np.concatenate([-theta / 2.0, theta / 2.0])
         schedule = None
-        if train.get("force_extra_off"):
+        if train["force_extra_off"]:
             schedule = np.zeros(steps, dtype=bool)
         traces = coupled_train(base, extra, spec, cfg, theta_star=theta_flat,
                                extra_schedule=schedule,
@@ -498,7 +509,8 @@ def _run_quantile_demo_trial(config: ExperimentConfig,
     (row,) = rows
     fixture_name, variant = row["p"], row["method"]
     fixture = _fixture(fixture_name)
-    steps = int(config.quantile.get("steps", 20))
+    quantile = _section("quantile", config.quantile)
+    steps = int(quantile["steps"])
     noise = [0.0] * steps
     noise[0] = fixture["injection"]
     common = dict(
@@ -506,8 +518,8 @@ def _run_quantile_demo_trial(config: ExperimentConfig,
         range_hi=fixture["range"][1],
         alpha=fixture["alpha"],
         steps_n=steps,
-        sigma_q=float(config.quantile.get("sigma", 3.0)),
-        beta=float(config.quantile.get("beta", 0.05)),
+        sigma_q=float(quantile["sigma"]),
+        beta=float(quantile["beta"]),
         noise_override=tuple(noise),
     )
     if variant == "midpoint":
@@ -600,7 +612,7 @@ def _cell_target(config: ExperimentConfig, cell: dict):
 def _lockstep_runs(config: ExperimentConfig) -> int:
     """Most distinct targets that one task trains in lockstep."""
     try:
-        batch = int(config.train.get("batch_size", 32))
+        batch = int(_section("train", config.train)["batch_size"])
     except (TypeError, ValueError):  # the task fails on the bad value
         return 1
     return max(1, _LOCKSTEP_ROWS // max(batch, 1))
@@ -676,13 +688,14 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
     trials = 1 if config.experiment == "quantile_demo" else config.trials
     tasks = _tasks(config, cells, trials)
 
-    writer = _ResultWriter(config.output)
     all_rows: list[dict] = []
     cell_rows: list[dict] = []
     # Finished rows waiting for their turn, keyed by output position.
     waiting: dict[int, tuple[dict, list]] = {}
     position = 0
     with ExitStack() as stack:
+        writer = _ResultWriter(config.output)
+        stack.callback(writer.close)
         mapper = map
         if jobs > 1:
             # The pool pulls in multiprocessing and its dependencies, which
@@ -711,8 +724,6 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
                         writer.write_result(agg)
                     cell_rows = []
             writer.flush()
-
-    writer.close()
     return all_rows
 
 

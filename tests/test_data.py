@@ -177,6 +177,15 @@ def test_load_csv_rounds_near_integer_class_labels(tmp_path):
     assert data.n_classes == 4
 
 
+@pytest.mark.parametrize("label", ["10.00001", "50000.4"])
+def test_load_csv_rejects_labels_off_an_integer(tmp_path, label):
+    # The integer tolerance is absolute; a relative one grows with the label.
+    path = tmp_path / "off.csv"
+    path.write_text(f"x,label\n0.5,{label}\n1.5,1\n")
+    with pytest.raises(ValueError, match="must be integers"):
+        load_csv(path, label_column=1, task="classification")
+
+
 def test_load_csv_empty_after_filtering(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("a,b\n,\n")

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import json
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dpconformal import conformal, experiments
+from dpconformal import cli, conformal, experiments
 from dpconformal.cli import main
 from dpconformal.experiments import (ExperimentConfig, RESULT_COLUMNS,
                                      SERIES_COLUMNS, load_config,
@@ -215,6 +216,8 @@ def test_quantile_demo_outputs(tmp_path):
     cfg = ExperimentConfig(experiment="quantile_demo",
                            output=str(tmp_path / "demo.csv"))
     rows = run_experiment(cfg)
+    # One trial whatever config.trials says (10 here, as in the CLI preset).
+    assert {r["trial"] for r in rows if r["status"] == "ok"} == {"0"}
     ok = {(r["method"], r["p"]): r for r in rows if r["status"] == "ok"}
     assert float(ok[("midpoint", "tie_jump")]["q_hat"]) < 10.0
     assert float(ok[("buffered_right", "tie_jump")]["q_hat"]) >= 10.0
@@ -689,6 +692,97 @@ def test_realdata_without_a_csv_path_is_a_usage_error(tmp_path, capsys):
         assert not out.exists()
 
 
+def _preset(command, paper_scale=False):
+    args = argparse.Namespace(command=command, config=None, out=None,
+                              seed=None, trials=None, paper_scale=paper_scale)
+    return cli._build_config(args, argparse.ArgumentParser())
+
+
+def _runs_with(config):
+    """The grids of the config and every value of its resolved sections."""
+    flat = {name: getattr(config, name) for name in
+            ("trials", "epsilons", "sample_sizes", "allocations", "methods")}
+    for name, values in (("generator", config.generator),
+                         ("csv", config.csv_source), ("train", config.train),
+                         ("quantile", config.quantile)):
+        for key, value in experiments._section(name, values).items():
+            flat[f"{name}.{key}"] = (tuple(value) if isinstance(value, list)
+                                     else value)
+    return flat
+
+
+_GENERATOR = {"generator.dim": 10, "generator.classes": 5,
+              "generator.class_sep": 0.6, "generator.flip_y": 0.01,
+              "generator.test_size": 2000}
+_QUANTILE = {"quantile.steps": 20, "quantile.beta": 0.05,
+             "quantile.buffer": 10, "quantile.range_hi": 10.0}
+
+
+def _mlp(hidden, batch_size, learning_rate):
+    return {"train.model": "mlp", "train.hidden": hidden,
+            "train.epochs": 50, "train.batch_size": batch_size,
+            "train.learning_rate": learning_rate, "train.clip_norm": 1.0}
+
+
+def _stability(trials):
+    return {"trials": trials, "epsilons": (0.5, 1.0, 2.0),
+            "sample_sizes": (1000,), "generator.dim": 10,
+            "train.rate": 0.02, "train.steps": 100,
+            "train.learning_rate": 1e-3, "train.clip_norm": 1.0,
+            "train.projection_radius": None, "train.force_extra_off": False}
+
+
+@pytest.mark.parametrize("build, expected", [
+    (lambda: _preset("scaling"),
+     {"trials": 10, "epsilons": (0.5, 1.0), "sample_sizes": (2500, 5000),
+      "allocations": (0.5,), "methods": ALL_METHODS, **_GENERATOR,
+      **_mlp((16, 16), 32, 1e-2), **_QUANTILE}),
+    (lambda: _preset("scaling", paper_scale=True),
+     {"trials": 30, "epsilons": (0.5, 1.0, 2.0),
+      "sample_sizes": (10000, 15000, 20000, 25000, 30000),
+      "allocations": (0.5,), "methods": ALL_METHODS, **_GENERATOR,
+      **_mlp((16, 16), 32, 1e-3), **_QUANTILE}),
+    (lambda: _preset("stability"), _stability(10)),
+    (lambda: _preset("stability", paper_scale=True), _stability(30)),
+    (lambda: _preset("quantile-demo"),
+     {"quantile.steps": 20, "quantile.beta": 0.05, "quantile.sigma": 3.0}),
+    # Without a CSV path the realdata preset is a usage error, so it is
+    # checked here with one.
+    (lambda: ExperimentConfig(**cli._DESK_DEFAULTS["realdata"],
+                              csv_source={"path": "table.csv"}),
+     {"trials": 10, "epsilons": (0.5, 1.0), "allocations": (0.5,),
+      "methods": ALL_METHODS, **_mlp((32, 16), 128, 1e-3), **_QUANTILE,
+      "csv.label_column": 0, "csv.task": "regression",
+      "csv.has_header": True, "csv.test_fraction": 0.2}),
+], ids=["scaling", "scaling-paper", "stability", "stability-paper",
+        "quantile-demo", "realdata"])
+def test_cli_presets_run_with_the_protocol_values(build, expected):
+    got = _runs_with(build())
+    assert {key: got[key] for key in expected} == expected
+
+
+def test_result_files_closed_when_the_sweep_raises(tmp_path, monkeypatch):
+    writers = []
+    init = experiments._ResultWriter.__init__
+
+    def recording_init(self, output):
+        init(self, output)
+        writers.append(self)
+
+    def broken_trial(*args):
+        raise RuntimeError("worker lost")
+
+    monkeypatch.setattr(experiments._ResultWriter, "__init__",
+                        recording_init)
+    monkeypatch.setattr(experiments, "_safe_trial", broken_trial)
+    config = ExperimentConfig(experiment="quantile_demo",
+                              output=str(tmp_path / "demo.csv"))
+    with pytest.raises(RuntimeError, match="worker lost"):
+        run_experiment(config)
+    (writer,) = writers
+    assert writer._result_fh.closed and writer._series_fh.closed
+
+
 def test_series_writer_writes_what_csv_writer_writes(tmp_path):
     # The oracle is a csv.writer over the same rows, formatted by _fmt.
     blocks = [
@@ -875,7 +969,8 @@ def test_realdata_split_standardized_once_per_trial(tmp_path, monkeypatch):
     monkeypatch.undo()
 
     pool, test, _ = experiments._realdata_split(
-        experiments._csv_key(cfg.csv_source), 0.2, cfg.seed)
+        experiments._csv_key(experiments._section("csv", cfg.csv_source)),
+        0.2, cfg.seed)
     for array in (pool.features, pool.labels, test.features, test.labels):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
