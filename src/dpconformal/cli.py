@@ -3,7 +3,8 @@
 Subcommands mirror the experiments (``stability``, ``scaling``,
 ``quantile-demo``, ``realdata``) plus ``calibrate``, which exposes the
 quantile-noise calibration on its own. Desk-scale defaults run in minutes;
-``--paper-scale`` restores the full protocol sizes.
+``--paper-scale`` restores the full protocol sizes, and a ``--config`` file
+states its own.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ _PAPER_SCALE = {
         "train": {},
     },
     "stability": {"trials": 30, "epsilons": (0.5, 1.0, 2.0)},
-    "realdata": {"trials": 30, "epsilons": (0.5, 1.0, 2.0)},
 }
 
 _DESK_DEFAULTS = {
@@ -45,8 +45,8 @@ _DESK_DEFAULTS = {
     "stability": dict(experiment="stability", epsilons=(0.5, 1.0, 2.0),
                       sample_sizes=(1000,)),
     "quantile_demo": dict(experiment="quantile_demo"),
-    "realdata": dict(experiment="realdata", methods=METHODS,
-                     train={"hidden": [32, 16], "batch_size": 128}),
+    # No preset CSV: a realdata run takes its whole config from --config.
+    "realdata": dict(experiment="realdata"),
 }
 
 
@@ -82,17 +82,21 @@ def _experiment_parser(sub, name: str,
     p.add_argument("--trials", type=_positive_int,
                    help="trials per grid cell (>= 1)")
     p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="worker processes (>= 1)")
+                   help="worker processes (>= 1; at most one per task)")
     p.add_argument("--paper-scale", action="store_true",
-                   help="restore the full protocol sizes")
+                   help="restore the full protocol sizes (not with --config)")
     return p
 
 
 def _build_config(args, parser: argparse.ArgumentParser) -> ExperimentConfig:
     """The run's config. A config file that cannot be read, parsed or
     validated is a usage error (one line, exit code 2), as a bad flag is, and
-    so is a desk default that needs a config file (realdata's CSV)."""
+    so are a desk default that needs a config file (realdata's CSV) and
+    ``--paper-scale`` with a config file, whose values it would replace."""
     experiment = args.command.replace("-", "_")
+    if args.config and args.paper_scale:
+        parser.error("--paper-scale cannot be combined with --config; put "
+                     "the paper-scale values in the config file")
     if args.config:
         try:
             config = load_config(args.config)

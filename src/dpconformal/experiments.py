@@ -670,17 +670,40 @@ def _aggregate_rows(cell_rows: list[dict]) -> list[dict]:
     return out
 
 
+def _series_text(experiment: str, trial: int,
+                 blocks: list[_SeriesBlock]) -> str:
+    """The rows ``csv.writer`` would write for the blocks, byte for byte:
+    the text cells go through ``csv`` quoting once per block, and the
+    numbers never need it."""
+    head = _csv_prefix(experiment, trial)
+    parts = []
+    for metrics, steps, values in blocks:
+        names = [_csv_prefix(metric) for metric in metrics]
+        if isinstance(values, np.ndarray) and values.dtype == float:
+            # Python floats, whose repr is their _fmt.
+            parts.append("".join(f"{head}{step},{name}{value!r}\r\n"
+                                 for step, row in zip(steps, values.tolist())
+                                 for name, value in zip(names, row)))
+        else:
+            parts.append("".join(f"{head}{step},{name}{_fmt(value)}\r\n"
+                                 for step, row in zip(steps, values)
+                                 for name, value in zip(names, row)))
+    return "".join(parts)
+
+
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
     """Run the configured sweep; returns the formatted result rows and, when
     ``config.output`` is set, writes ``<output>`` plus ``<stem>_series.csv``.
 
     Each task trains the models of one training subset of one trial in
-    lockstep and finishes every grid cell that uses them; ``jobs`` worker
-    processes run the tasks.
+    lockstep and finishes every grid cell that uses them; up to ``jobs``
+    worker processes, and never more than there are tasks, run the tasks.
     Rows appear in deterministic (grid cell, trial) order with per-cell
     aggregate rows appended, regardless of worker count: a reorder buffer
-    holds each finished row until every row before it is out, and flushes
-    rows to disk as soon as their turn comes up.
+    holds each finished row until every row before it is out, and the rows
+    a task releases are flushed to disk before the next task's result is
+    taken. Every file the run opens is closed when the run ends, after an
+    error too, including an error opening a later file.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
@@ -694,15 +717,25 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
     waiting: dict[int, tuple[dict, list]] = {}
     position = 0
     with ExitStack() as stack:
-        writer = _ResultWriter(config.output)
-        stack.callback(writer.close)
+        series_fh = None
+        if config.output is not None:
+            out = Path(config.output)
+            out.parent.mkdir(parents=True, exist_ok=True)
+            result_fh = stack.enter_context(open(out, "w", newline=""))
+            series_fh = stack.enter_context(
+                open(out.with_name(out.stem + "_series.csv"), "w", newline=""))
+            result_csv = csv.writer(result_fh)
+            result_csv.writerow(RESULT_COLUMNS)
+            csv.writer(series_fh).writerow(SERIES_COLUMNS)
         mapper = map
-        if jobs > 1:
+        workers = min(jobs, len(tasks))
+        if workers > 1:
             # The pool pulls in multiprocessing and its dependencies, which
-            # no jobs=1 run needs.
+            # no one-worker run needs. It forks all its workers at the first
+            # submit, so it gets no more than there are tasks.
             from concurrent.futures import ProcessPoolExecutor
             mapper = stack.enter_context(
-                ProcessPoolExecutor(max_workers=jobs)).map
+                ProcessPoolExecutor(max_workers=workers)).map
         # Both maps yield in submission order.
         results = mapper(_safe_trial, repeat(config),
                          [[cells[i] for i in members] for members, _ in tasks],
@@ -710,69 +743,22 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
         for (members, t), group in zip(tasks, results):
             for i, result in zip(members, group):
                 waiting[i * trials + t] = result
+            released = len(all_rows)
             while position in waiting:
                 row, series = waiting.pop(position)
                 position += 1
                 formatted = _format_row(row)
                 cell_rows.append(formatted)
                 all_rows.append(formatted)
-                writer.write_result(formatted)
-                writer.write_series(row["experiment"], row["trial"], series)
+                if series_fh is not None:
+                    series_fh.write(_series_text(row["experiment"],
+                                                 row["trial"], series))
                 if len(cell_rows) == trials:
-                    for agg in _aggregate_rows(cell_rows):
-                        all_rows.append(agg)
-                        writer.write_result(agg)
+                    all_rows += _aggregate_rows(cell_rows)
                     cell_rows = []
-            writer.flush()
+            if series_fh is not None:
+                result_csv.writerows([row[col] for col in RESULT_COLUMNS]
+                                     for row in all_rows[released:])
+                result_fh.flush()
+                series_fh.flush()
     return all_rows
-
-
-class _ResultWriter:
-    def __init__(self, output: str | None):
-        self._result_fh = None
-        self._series_fh = None
-        if output is None:
-            return
-        out = Path(output)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        series = out.with_name(out.stem + "_series.csv")
-        self._result_fh = open(out, "w", newline="")
-        self._series_fh = open(series, "w", newline="")
-        self._result_writer = csv.writer(self._result_fh)
-        self._result_writer.writerow(RESULT_COLUMNS)
-        csv.writer(self._series_fh).writerow(SERIES_COLUMNS)
-
-    def write_result(self, row: dict) -> None:
-        if self._result_fh is not None:
-            self._result_writer.writerow([row[col] for col in RESULT_COLUMNS])
-
-    def write_series(self, experiment: str, trial: int,
-                     blocks: list[_SeriesBlock]) -> None:
-        """The rows ``csv.writer`` would write for the blocks, byte for
-        byte, as one string per block: the text cells go through ``csv``
-        quoting once per block, and the numbers never need it."""
-        if self._series_fh is None:
-            return
-        head = _csv_prefix(experiment, trial)
-        for metrics, steps, values in blocks:
-            names = [_csv_prefix(metric) for metric in metrics]
-            if isinstance(values, np.ndarray) and values.dtype == float:
-                # Python floats, whose repr is their _fmt.
-                text = "".join(f"{head}{step},{name}{value!r}\r\n"
-                               for step, row in zip(steps, values.tolist())
-                               for name, value in zip(names, row))
-            else:
-                text = "".join(f"{head}{step},{name}{_fmt(value)}\r\n"
-                               for step, row in zip(steps, values)
-                               for name, value in zip(names, row))
-            self._series_fh.write(text)
-
-    def flush(self) -> None:
-        if self._result_fh is not None:
-            self._result_fh.flush()
-            self._series_fh.flush()
-
-    def close(self) -> None:
-        if self._result_fh is not None:
-            self._result_fh.close()
-            self._series_fh.close()

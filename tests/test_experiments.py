@@ -1,6 +1,7 @@
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -747,11 +748,12 @@ def _stability(trials):
     (lambda: _preset("quantile-demo"),
      {"quantile.steps": 20, "quantile.beta": 0.05, "quantile.sigma": 3.0}),
     # Without a CSV path the realdata preset is a usage error, so it is
-    # checked here with one.
+    # checked here with one: it adds nothing to the defaults.
     (lambda: ExperimentConfig(**cli._DESK_DEFAULTS["realdata"],
                               csv_source={"path": "table.csv"}),
      {"trials": 10, "epsilons": (0.5, 1.0), "allocations": (0.5,),
-      "methods": ALL_METHODS, **_mlp((32, 16), 128, 1e-3), **_QUANTILE,
+      "methods": ("dpscp_f", "dpscp_a", "dp_split"),
+      **_mlp((16, 16), 32, 1e-3), **_QUANTILE,
       "csv.label_column": 0, "csv.task": "regression",
       "csv.has_header": True, "csv.test_fraction": 0.2}),
 ], ids=["scaling", "scaling-paper", "stability", "stability-paper",
@@ -761,29 +763,103 @@ def test_cli_presets_run_with_the_protocol_values(build, expected):
     assert {key: got[key] for key in expected} == expected
 
 
+def _spy_on_open(monkeypatch):
+    """Every file that experiments opens, in order."""
+    opened = []
+
+    def spy_open(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        opened.append(fh)
+        return fh
+
+    monkeypatch.setattr(experiments, "open", spy_open, raising=False)
+    return opened
+
+
+def test_paper_scale_with_a_config_file_is_a_usage_error(tmp_path, capsys):
+    # The presets would replace the file's train section and grids. The
+    # config is built, not run: a paper-scale sweep takes many minutes.
+    path = tmp_path / "config.json"
+    path.write_text('{"experiment": "scaling", "trials": 1}')
+    args = argparse.Namespace(command="scaling", config=str(path), out=None,
+                              seed=None, trials=None, paper_scale=True)
+    with pytest.raises(SystemExit) as exc:
+        cli._build_config(args, argparse.ArgumentParser())
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--paper-scale cannot be combined with --config" in err
+    assert "Traceback" not in err
+
+
 def test_result_files_closed_when_the_sweep_raises(tmp_path, monkeypatch):
-    writers = []
-    init = experiments._ResultWriter.__init__
-
-    def recording_init(self, output):
-        init(self, output)
-        writers.append(self)
-
     def broken_trial(*args):
         raise RuntimeError("worker lost")
 
-    monkeypatch.setattr(experiments._ResultWriter, "__init__",
-                        recording_init)
+    opened = _spy_on_open(monkeypatch)
     monkeypatch.setattr(experiments, "_safe_trial", broken_trial)
     config = ExperimentConfig(experiment="quantile_demo",
                               output=str(tmp_path / "demo.csv"))
     with pytest.raises(RuntimeError, match="worker lost"):
         run_experiment(config)
-    (writer,) = writers
-    assert writer._result_fh.closed and writer._series_fh.closed
+    assert [Path(fh.name).name for fh in opened] == ["demo.csv",
+                                                     "demo_series.csv"]
+    assert all(fh.closed for fh in opened)
 
 
-def test_series_writer_writes_what_csv_writer_writes(tmp_path):
+def test_a_failed_open_closes_the_files_opened_before_it(tmp_path,
+                                                         monkeypatch):
+    opened = _spy_on_open(monkeypatch)
+    (tmp_path / "demo_series.csv").mkdir()
+    config = ExperimentConfig(experiment="quantile_demo",
+                              output=str(tmp_path / "demo.csv"))
+    with pytest.raises(IsADirectoryError) as exc:
+        run_experiment(config)
+    # exc holds the traceback, and every frame on it, here.
+    assert exc.value.filename == str(tmp_path / "demo_series.csv")
+    (results,) = opened
+    assert Path(results.name).name == "demo.csv" and results.closed
+
+
+class _InProcessPool:
+    """A stand-in for ProcessPoolExecutor that records its size and runs
+    the tasks in this process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("make, jobs, workers", [
+    # Four tasks: one per fixture and search variant.
+    (lambda: ExperimentConfig(experiment="quantile_demo"), 6, [4]),
+    (lambda: ExperimentConfig(experiment="quantile_demo"), 2, [2]),
+    # One stability task per trial: one task runs in this process.
+    (lambda: tiny_stability_config(trials=1), 3, []),
+    (lambda: tiny_stability_config(trials=2), 3, [2]),
+], ids=["demo-6", "demo-2", "stability-1-trial", "stability-2-trials"])
+def test_jobs_start_at_most_one_worker_per_task(make, jobs, workers,
+                                                monkeypatch):
+    import concurrent.futures
+    config = make()
+    rows = run_experiment(config)
+    monkeypatch.setattr(_InProcessPool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        _InProcessPool)
+    assert run_experiment(config, jobs=jobs) == rows
+    assert _InProcessPool.sizes == workers
+
+
+def test_series_writer_writes_what_csv_writer_writes():
     # The oracle is a csv.writer over the same rows, formatted by _fmt.
     blocks = [
         experiments._SeriesBlock(
@@ -795,24 +871,20 @@ def test_series_writer_writes_what_csv_writer_writes(tmp_path):
             [(np.float64(0.25),), (np.int64(3),)]),
         experiments._SeriesBlock(("count", "moved"), (5,), [(2, 1.0)]),
     ]
-    writer = experiments._ResultWriter(str(tmp_path / "results.csv"))
-    writer.write_series("stab,ility", 3, blocks)
-    writer.write_series("stability", 4, blocks[1:])
-    writer.close()
-    with open(tmp_path / "want.csv", "w", newline="") as fh:
-        want = csv.writer(fh)
-        want.writerow(SERIES_COLUMNS)
-        for experiment, trial, trial_blocks in (("stab,ility", 3, blocks),
-                                                ("stability", 4, blocks[1:])):
-            for metrics, steps, values in trial_blocks:
-                for step, row in zip(steps, values):
-                    for metric, value in zip(metrics, row):
-                        want.writerow([experiments._fmt(cell) for cell in
-                                       (experiment, trial, step, metric,
-                                        value)])
-    got = (tmp_path / "results_series.csv").read_bytes()
-    assert got == (tmp_path / "want.csv").read_bytes()
-    assert b'"quote ""me"", twice\nplease"' in got and b"-0.0" in got
+    trials = (("stab,ility", 3, blocks), ("stability", 4, blocks[1:]))
+    got = "".join(experiments._series_text(*trial) for trial in trials)
+    want = io.StringIO()
+    writer = csv.writer(want)
+    for experiment, trial, trial_blocks in trials:
+        for metrics, steps, values in trial_blocks:
+            for step, row in zip(steps, values):
+                for metric, value in zip(metrics, row):
+                    writer.writerow([experiments._fmt(cell) for cell in
+                                     (experiment, trial, step, metric,
+                                      value)])
+    assert got == want.getvalue()
+    assert '"quote ""me"", twice\nplease"' in got and "-0.0" in got
+    assert "mixed,3\r\n" in got
 
 
 def tiny_stability_config(tmp_path=None, **kw):
