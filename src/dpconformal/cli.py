@@ -3,8 +3,8 @@
 Subcommands mirror the experiments (``stability``, ``scaling``,
 ``quantile-demo``, ``realdata``) plus ``calibrate``, which exposes the
 quantile-noise calibration on its own. Desk-scale defaults run in minutes;
-``--paper-scale`` restores the full protocol sizes, and a ``--config`` file
-states its own.
+``--paper-scale`` restores the full protocol sizes of ``stability`` and
+``scaling``, and a ``--config`` file states its own.
 """
 
 from __future__ import annotations
@@ -79,12 +79,16 @@ def _experiment_parser(sub, name: str,
     p.add_argument("--out", help="results CSV path")
     p.add_argument("--seed", type=_nonnegative_int,
                    help="base seed (>= 0; trial t adds t)")
-    p.add_argument("--trials", type=_positive_int,
-                   help="trials per grid cell (>= 1)")
+    # The demo runs once; only the studies in _PAPER_SCALE have a preset.
+    p.set_defaults(trials=None, paper_scale=False)
+    if name != "quantile-demo":
+        p.add_argument("--trials", type=_positive_int,
+                       help="trials per grid cell (>= 1)")
     p.add_argument("--jobs", type=_positive_int, default=1,
                    help="worker processes (>= 1; at most one per task)")
-    p.add_argument("--paper-scale", action="store_true",
-                   help="restore the full protocol sizes (not with --config)")
+    if name in _PAPER_SCALE:
+        p.add_argument("--paper-scale", action="store_true", help="restore "
+                       "the full protocol sizes (not with --config)")
     return p
 
 
@@ -111,7 +115,7 @@ def _build_config(args, parser: argparse.ArgumentParser) -> ExperimentConfig:
         except ValueError as exc:  # realdata has no desk-default CSV
             parser.error(f"{exc}; pass one with --config")
     overrides = {}
-    if args.paper_scale and experiment in _PAPER_SCALE:
+    if args.paper_scale:
         overrides.update(_PAPER_SCALE[experiment])
     if args.trials is not None:
         overrides["trials"] = args.trials
@@ -135,7 +139,8 @@ def _cmd_experiment(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    budget = BudgetSpec(args.epsilon, args.delta, args.allocation)
+    # calibrate_sigma_q does not read the budget's allocation p.
+    budget = BudgetSpec(args.epsilon, args.delta)
     orders = default_orders()
     # Zero steps give the zero profile: no training stage.
     record = SgdAccountingRecord(args.sgd_sigma, args.sgd_rate, args.sgd_steps)
@@ -172,7 +177,6 @@ def main(argv=None) -> int:
                          help="calibrate quantile noise against a budget")
     cal.add_argument("--epsilon", type=_positive_float, required=True)
     cal.add_argument("--delta", type=_open_unit_float, default=1e-5)
-    cal.add_argument("--allocation", type=_open_unit_float, default=0.5)
     cal.add_argument("--queries", type=_positive_int, default=20)
     cal.add_argument("--sgd-sigma", type=_nonnegative_float, default=1.0,
                      help="training noise multiplier")

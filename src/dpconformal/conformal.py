@@ -179,12 +179,15 @@ def train_stages(pool: Dataset, test: Dataset,
     to its own call. Yields, per config in order, its ``TrainedStage`` or
     the exception that its calibration, training or scoring raised; a stage
     is scored only when it is asked for, so one stage's score arrays are
-    held at a time. An error that no single config owns (the schema, the
-    split) is raised.
+    held at a time. An error that no single config owns (the schema, a
+    model head that does not serve the pool's task, the split) is raised
+    before any calibration or training.
     """
     if pool.task != test.task or pool.dim != test.dim:
         raise ValueError("pool and test must share schema")
     first = configs[0]
+    if first.model.task != pool.task:
+        raise ValueError(f"the model has no {pool.task} head")
     split = train_target(first.method, first.budget)[0]
     shared = (split, first.model, first.train_template)
     if any((train_target(c.method, c.budget)[0], c.model, c.train_template)

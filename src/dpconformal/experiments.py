@@ -212,19 +212,6 @@ def train_plan(n_train: int, epochs: int, batch_size: int) -> tuple[float, int]:
 # Per-trial workers (module-level for picklability)
 
 
-def _mk_model(train: dict, task: str, dim: int, n_classes: int) -> ModelSpec:
-    kind = train["model"]
-    hidden = tuple(train["hidden"])
-    if kind == "mlp":
-        out = n_classes if task == CLASSIFICATION else 1
-        return ModelSpec("mlp", dim, out, hidden)
-    if kind == "softmax_linear":
-        return ModelSpec("softmax_linear", dim, n_classes)
-    if kind == "linear_regression":
-        return ModelSpec("linear_regression", dim, 1)
-    raise ValueError(f"unknown model kind {kind!r}")
-
-
 def _quantile_template(quantile: dict, alpha: float,
                        task: str) -> QuantileConfig:
     if task == CLASSIFICATION:
@@ -287,7 +274,9 @@ def _pipeline_group(config: ExperimentConfig, rows: list[dict], pool: Dataset,
         clip_norm=float(train["clip_norm"]),
         noise_multiplier=0.0,
     )
-    model = _mk_model(train, pool.task, pool.dim, pool.n_classes)
+    kind = train["model"]
+    model = ModelSpec(kind, pool.dim, pool.n_classes or 1,
+                      tuple(train["hidden"]) if kind == "mlp" else ())
     quantile_template = _quantile_template(
         _section("quantile", config.quantile), config.alpha, pool.task)
     pipes = [PipelineConfig(

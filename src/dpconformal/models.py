@@ -64,7 +64,10 @@ class Dataset:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Architecture description; output_dim == 1 means a regression head."""
+    """Architecture description. The parameter layout is each of
+    ``layer_dims()``'s (fan_in, fan_out) weight matrices, then its bias if
+    ``biased`` (every mlp layer; not the one layer of the linear kinds).
+    ``task`` is the task the head serves."""
 
     kind: str
     input_dim: int
@@ -79,19 +82,30 @@ class ModelSpec:
         if self.kind == "mlp":
             if len(self.hidden) == 0 or any(h < 1 for h in self.hidden):
                 raise ValueError("mlp needs a nonempty sequence of widths")
+        elif len(self.hidden):
+            raise ValueError(f"{self.kind} has no hidden layers")
+        if self.kind == "linear_regression" and self.output_dim != 1:
+            raise ValueError("linear_regression has one output")
         object.__setattr__(self, "hidden", tuple(self.hidden))
 
     def layer_dims(self) -> list[tuple[int, int]]:
         dims = [self.input_dim, *self.hidden, self.output_dim]
         return list(zip(dims[:-1], dims[1:]))
 
+    @property
+    def biased(self) -> bool:
+        return self.kind == "mlp"
+
+    @property
+    def task(self) -> str:
+        if self.kind != "softmax_linear" and self.output_dim == 1:
+            return REGRESSION
+        return CLASSIFICATION
+
 
 def param_count(spec: ModelSpec) -> int:
-    if spec.kind == "linear_regression":
-        return spec.input_dim
-    if spec.kind == "softmax_linear":
-        return spec.output_dim * spec.input_dim
-    return sum((fan_in + 1) * fan_out for fan_in, fan_out in spec.layer_dims())
+    return sum((fan_in + spec.biased) * fan_out
+               for fan_in, fan_out in spec.layer_dims())
 
 
 def init_params(spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
@@ -107,20 +121,19 @@ def init_params(spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
 
 
 def _layers(spec: ModelSpec, params: np.ndarray):
-    """(W, b) views per layer, b None for the bias-free linear models; a
-    leading run axis of ``params`` is kept."""
+    """(W, b) views per layer, b None where the spec has no bias; a leading
+    run axis of ``params`` is kept."""
     lead = params.shape[:-1]
-    if spec.kind != "mlp":
-        out = 1 if spec.kind == "linear_regression" else spec.output_dim
-        return [(params.reshape(*lead, out, spec.input_dim), None)]
     layers = []
     pos = 0
     for fan_in, fan_out in spec.layer_dims():
         w = params[..., pos:pos + fan_in * fan_out].reshape(*lead, fan_out,
                                                             fan_in)
         pos += fan_in * fan_out
-        b = params[..., pos:pos + fan_out]
-        pos += fan_out
+        b = None
+        if spec.biased:
+            b = params[..., pos:pos + fan_out]
+            pos += fan_out
         layers.append((w, b))
     return layers
 
@@ -139,11 +152,6 @@ def _check_params(spec: ModelSpec, params: np.ndarray,
     return params
 
 
-def _regression_head(spec: ModelSpec) -> bool:
-    return spec.kind == "linear_regression" or (
-        spec.kind == "mlp" and spec.output_dim == 1)
-
-
 def _check_features(spec: ModelSpec, x: np.ndarray) -> np.ndarray:
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[1] != spec.input_dim:
@@ -157,7 +165,7 @@ def as_batch(spec: ModelSpec, x: np.ndarray,
     labels as the (b,) float targets or int classes that the head reads.
     Float 2-D features come back as the same array."""
     x = _check_features(spec, x)
-    dtype = float if _regression_head(spec) else int
+    dtype = float if spec.task == REGRESSION else int
     return x, np.asarray(y, dtype=dtype).reshape(x.shape[0])
 
 
@@ -224,7 +232,7 @@ def _loss_and_delta(spec: ModelSpec, out: np.ndarray, y: np.ndarray):
     """Per-sample losses (..., b) and the output delta d loss / d out
     (..., b, k): half squared error for regression heads, cross-entropy for
     classifier heads."""
-    if _regression_head(spec):
+    if spec.task == REGRESSION:
         resid = out[..., 0] - y
         return 0.5 * resid**2, resid[..., None]
     probs = _softmax(out)
@@ -345,7 +353,7 @@ def clipped_grad_sum(
     """
     lead = params.shape[:-1]
     layers, acts = _forward(spec, params, x)
-    if with_losses or _regression_head(spec):
+    if with_losses or spec.task == REGRESSION:
         losses, delta = _loss_and_delta(spec, acts[-1], y)
     else:
         losses, delta = None, _class_delta(_softmax(acts[-1]), y)
@@ -388,28 +396,23 @@ def loss_and_grad(
     return float(losses[0]), grads[0]
 
 
+def _head_output(spec: ModelSpec, params: np.ndarray, x: np.ndarray,
+                 task: str) -> np.ndarray:
+    """The (b, output_dim) output of the forward pass that trains the model,
+    on a (b, d) batch, once the head is checked to serve ``task``."""
+    if spec.task != task:
+        raise ValueError(f"{spec.kind} with output_dim {spec.output_dim} has "
+                         f"no {task} head")
+    _, acts = _forward(spec, _check_params(spec, params),
+                       _check_features(spec, x))
+    return acts[-1]
+
+
 def predict_value(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Regression predictions on a (b, d) batch."""
-    params = _check_params(spec, params)
-    x = _check_features(spec, x)
-    if spec.kind == "linear_regression":
-        return x @ params
-    if spec.kind == "mlp" and spec.output_dim == 1:
-        _, acts = _forward(spec, params, x)
-        return acts[-1][:, 0]
-    raise ValueError(f"{spec.kind} with output_dim {spec.output_dim} has no "
-                     "regression head")
+    return _head_output(spec, params, x, REGRESSION)[:, 0]
 
 
 def predict_proba(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Class probabilities on a (b, d) batch."""
-    params = _check_params(spec, params)
-    x = _check_features(spec, x)
-    if spec.kind == "softmax_linear":
-        w = params.reshape(spec.output_dim, spec.input_dim)
-        return _softmax(x @ w.T)
-    if spec.kind == "mlp" and spec.output_dim > 1:
-        _, acts = _forward(spec, params, x)
-        return _softmax(acts[-1])
-    raise ValueError(f"{spec.kind} with output_dim {spec.output_dim} has no "
-                     "classifier head")
+    return _softmax(_head_output(spec, params, x, CLASSIFICATION))

@@ -2,12 +2,12 @@
 Gaussian noise, and optional l2-ball projection, plus the synchronized
 coupling that trains two runs on adjacent datasets in lockstep.
 
-Randomness discipline: one root seed expands into three named streams
-(shared inclusion masks, Gaussian noise, extra-point inclusions). The
-standalone trainer and the coupled runner read the first two streams through
-one per-step source, so a coupled run sees exactly the batches and noise of
-the standalone run, and its two trajectories are bitwise equal until the
-extra point is sampled for the first time.
+Randomness discipline: one root seed expands into four named streams
+(shared inclusion masks, Gaussian noise, extra-point inclusions, the mlp's
+initial parameters). The standalone trainer and the coupled runner read the
+first two streams through one per-step source, so a coupled run sees exactly
+the batches and noise of the standalone run, and its two trajectories are
+bitwise equal until the extra point is sampled for the first time.
 
 One step function advances a stack of runs that differ only in their noise
 multiplier on one shared batch, so a standalone call can carry R runs and a

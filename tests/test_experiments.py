@@ -313,6 +313,28 @@ def test_bad_seed_and_trials_are_usage_errors(tmp_path, args, message,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args, flag", [
+    (["calibrate", "--epsilon", "1", "--allocation", "0.5"], "--allocation"),
+    (["quantile-demo", "--paper-scale"], "--paper-scale"),
+    (["quantile-demo", "--trials", "2"], "--trials"),
+    (["realdata", "--paper-scale"], "--paper-scale"),
+    (["realdata", "--paper-scale", "--config", "realdata.json"],
+     "--paper-scale"),
+])
+def test_flags_that_no_run_reads_are_usage_errors(tmp_path, args, flag,
+                                                  capsys):
+    # The sigma_q calibration does not read the allocation, the quantile
+    # demo runs once, and only stability and scaling have paper-scale sizes.
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(args if args[0] == "calibrate" else [*args, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {flag}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(experiment="nope")
@@ -549,6 +571,44 @@ def test_realdata_csv_parsed_once_per_file_version(tmp_path, monkeypatch):
     rows = run_experiment(cfg)
     assert {r["status"] for r in rows if r["seed"]} == {
         "failed:CsvParseError"}
+
+
+@pytest.mark.filterwarnings("ignore:effective threshold")
+@pytest.mark.parametrize("model, task", [
+    ("linear_regression", "classification"),
+    ("softmax_linear", "regression"),
+])
+def test_a_head_that_cannot_serve_the_task_fails_before_training(
+        tmp_path, monkeypatch, model, task):
+    # The head is checked before any training: every trial row fails with a
+    # ValueError, and no training subset is trained.
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((300, 3))
+    labels = (x[:, 0] > 0).astype(int) + (x[:, 1] > 1).astype(int)
+    path = tmp_path / "classes.csv"
+    np.savetxt(path, np.column_stack([x, labels]), delimiter=",",
+               fmt="%.6f", header="f0,f1,f2,label", comments="")
+    cfg = ExperimentConfig(
+        experiment="realdata", trials=2, seed=5, epsilons=(1.0,),
+        allocations=(0.5,), methods=("dpscp_f", "dp_split", "split_cp"),
+        csv_source={"path": str(path), "label_column": 3, "task": task},
+        train={"model": model, "epochs": 2, "batch_size": 32,
+               "learning_rate": 0.05, "clip_norm": 1.0},
+    )
+    trains = counting(monkeypatch, conformal, "dp_sgd_train")
+    rows = run_experiment(cfg)
+    assert not trains
+    assert [(r["method"], r["trial"], r["status"]) for r in rows] == [
+        (method, trial, status) for method in cfg.methods
+        for trial, status in (("0", "failed:ValueError"),
+                              ("1", "failed:ValueError"),
+                              ("mean", "aggregate"), ("sd", "aggregate"))]
+    # The data are sound: an mlp, whose head follows the task, trains both
+    # subsets of both trials and scores them.
+    served = dataclasses.replace(cfg, train={**cfg.train, "model": "mlp"})
+    assert {r["status"] for r in run_experiment(served) if r["seed"]} == {
+        "ok"}
+    assert len(trains) == 2 * 2
 
 
 def test_jobs_below_one_rejected(tmp_path, capsys):

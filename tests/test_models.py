@@ -36,6 +36,63 @@ def test_param_counts():
         10 * 16 + 16 + 16 * 16 + 16 + 16 * 5 + 5)
 
 
+@pytest.mark.parametrize("args", [
+    ("softmax_linear", 3, 2, (4,)),
+    ("linear_regression", 3, 1, (4,)),
+    ("linear_regression", 3, 2),
+], ids=["softmax_hidden", "regression_hidden", "regression_two_outputs"])
+def test_model_spec_rejects_shapes_no_layout_has(args):
+    # A linear kind is one bias-free layer, and linear regression has one
+    # output; any other shape would make param_count and the layers disagree
+    # with what the kind trains.
+    with pytest.raises(ValueError):
+        ModelSpec(*args)
+
+
+ALL_KIND_SPECS = [
+    ModelSpec("linear_regression", 7),
+    ModelSpec("softmax_linear", 7, 3),
+    ModelSpec("softmax_linear", 7, 1),
+    ModelSpec("mlp", 7, 1, (5,)),
+    ModelSpec("mlp", 7, 4, (6, 3)),
+]
+ALL_KIND_IDS = ["linear_regression", "softmax_linear", "softmax_one_class",
+                "mlp_regression", "mlp_classifier"]
+
+
+@pytest.mark.parametrize("spec", ALL_KIND_SPECS, ids=ALL_KIND_IDS)
+@pytest.mark.parametrize("stack", [(), (3,)], ids=["P", "R3"])
+def test_param_count_is_the_size_of_the_layer_views(spec, stack):
+    # The layer views tile the parameter vector in order, with no gap and no
+    # overlap, so their total size is param_count.
+    params = np.arange(np.prod(stack, dtype=int) * param_count(spec),
+                       dtype=float).reshape(*stack, param_count(spec))
+    views = [v for layer in models._layers(spec, params) for v in layer
+             if v is not None]
+    assert sum(v.size for v in views) == params.size
+    flat = np.concatenate([v.reshape(*stack, -1) for v in views], axis=-1)
+    assert np.array_equal(flat, params)
+    assert all(np.shares_memory(v, params) for v in views)
+
+
+@pytest.mark.parametrize("spec, task", [
+    (ModelSpec("linear_regression", 3), "regression"),
+    (ModelSpec("mlp", 3, 1, (4,)), "regression"),
+    (ModelSpec("softmax_linear", 3, 1), "classification"),
+    (ModelSpec("softmax_linear", 3, 4), "classification"),
+    (ModelSpec("mlp", 3, 2, (4,)), "classification"),
+])
+def test_the_head_serves_its_task_and_no_other(spec, task):
+    params = np.zeros(param_count(spec))
+    x = np.ones((2, 3))
+    assert spec.task == task
+    serves, refuses = ((predict_value, predict_proba) if task == "regression"
+                       else (predict_proba, predict_value))
+    assert serves(spec, params, x).shape[0] == 2
+    with pytest.raises(ValueError, match="head"):
+        refuses(spec, params, x)
+
+
 def test_linear_regression_at_zero_params():
     spec = ModelSpec("linear_regression", 4)
     x = np.array([1.0, -2.0, 0.5, 3.0])
@@ -243,7 +300,7 @@ def reduce_sum_last(v):
 
 
 def reduce_loss_and_delta(spec, out, y):
-    if models._regression_head(spec):
+    if spec.task == "regression":
         resid = out[..., 0] - y
         return 0.5 * resid**2, resid[..., None]
     rows = np.arange(y.shape[0])
@@ -474,7 +531,7 @@ def test_forward_equals_the_out_of_place_formula(spec, stack):
 
 def _model_bits(spec, params, x, y):
     """Bits of both kernels and of the head's predictions for every run."""
-    predict = predict_value if models._regression_head(spec) else predict_proba
+    predict = predict_value if spec.task == "regression" else predict_proba
     return _kernel_bits(spec, params, x, y) + [
         _bits(predict(spec, row, x)) for row in params]
 
@@ -501,6 +558,38 @@ def test_kernels_and_predictions_equal_the_out_of_place_forward(
     want, old_warns = _warned(_model_bits, spec, params, x, y)
     assert got == want
     assert old_warns or not new_warns
+
+
+# The linear kinds' predictions as they were made before every kind
+# predicted through _forward; the oracle the forward pass must equal bit for
+# bit.
+def linear_predict_value(spec, params, x):
+    return x @ params
+
+
+def linear_predict_proba(spec, params, x):
+    w = params.reshape(spec.output_dim, spec.input_dim)
+    return models._softmax(x @ w.T)
+
+
+@pytest.mark.parametrize("d", [1, 6, 8, 9, 10, 33])
+@pytest.mark.parametrize("kind", ["linear_regression", "softmax_linear"])
+def test_linear_predictions_equal_the_linear_formulas(kind, d):
+    # BLAS may take a matrix-vector and a matrix-matrix product down
+    # different kernels; these batch sizes and widths cover the blocked and
+    # the tail paths of both.
+    rng = np.random.default_rng(79 + d)
+    if kind == "linear_regression":
+        spec, predict, oracle = (ModelSpec(kind, d), predict_value,
+                                 linear_predict_value)
+    else:
+        spec, predict, oracle = (ModelSpec(kind, d, 5), predict_proba,
+                                 linear_predict_proba)
+    params = rng.standard_normal(param_count(spec))
+    for b in (1, 7, 300, 2000, 4001):
+        x = rng.standard_normal((b, d)) * 2.0
+        assert _bits(predict(spec, params, x)) == _bits(
+            oracle(spec, params, x))
 
 
 def test_predict_value_allocates_one_array_per_layer():
