@@ -8,7 +8,9 @@ forming them; ``batch_loss_and_grads`` forms them and is its oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -102,6 +104,27 @@ class ModelSpec:
             return REGRESSION
         return CLASSIFICATION
 
+    @cached_property
+    def _layout(self) -> tuple[tuple[slice, tuple[int, int], slice | None],
+                               ...]:
+        """Per layer, the weight's slice of the parameter vector, its
+        (fan_out, fan_in) shape and the bias's slice (None without a
+        bias); taken once per spec."""
+        layout = []
+        pos = 0
+        for fan_in, fan_out in self.layer_dims():
+            w_at = slice(pos, pos + fan_in * fan_out)
+            pos = w_at.stop + self.biased * fan_out
+            b_at = slice(w_at.stop, pos) if self.biased else None
+            layout.append((w_at, (fan_out, fan_in), b_at))
+        return tuple(layout)
+
+    @cached_property
+    def _onehot(self) -> np.ndarray | None:
+        """The identity whose row y is class y's one-hot label; None for a
+        regression head."""
+        return None if self.task == REGRESSION else np.eye(self.output_dim)
+
 
 def param_count(spec: ModelSpec) -> int:
     return sum((fan_in + spec.biased) * fan_out
@@ -124,18 +147,9 @@ def _layers(spec: ModelSpec, params: np.ndarray):
     """(W, b) views per layer, b None where the spec has no bias; a leading
     run axis of ``params`` is kept."""
     lead = params.shape[:-1]
-    layers = []
-    pos = 0
-    for fan_in, fan_out in spec.layer_dims():
-        w = params[..., pos:pos + fan_in * fan_out].reshape(*lead, fan_out,
-                                                            fan_in)
-        pos += fan_in * fan_out
-        b = None
-        if spec.biased:
-            b = params[..., pos:pos + fan_out]
-            pos += fan_out
-        layers.append((w, b))
-    return layers
+    return [(params[..., w_at].reshape(lead + shape),
+             None if b_at is None else params[..., b_at])
+            for w_at, shape, b_at in spec._layout]
 
 
 def _check_params(spec: ModelSpec, params: np.ndarray,
@@ -189,55 +203,58 @@ def _forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray):
     return layers, acts
 
 
-def _sum_last(v: np.ndarray) -> np.ndarray:
-    """``v.sum(axis=-1)``, bit for bit. numpy adds fewer than 8 entries
-    left to right from +0.0, one short reduction per row; adding the columns
-    in that order does the same sums in a few calls over all rows."""
+def _sum_nonneg(v: np.ndarray) -> np.ndarray:
+    """``v.sum(axis=-1)``, bit for bit, for ``v`` with no -0.0 entry (such
+    as squares and exps); a one-column ``v`` gives a view of its column.
+    numpy adds fewer than 8 entries left to right from +0.0, one short
+    reduction per row. +0.0 + v is v for any v but -0.0, so adding the
+    columns in that order from the first does the same sums in a few calls
+    over all rows."""
     k = v.shape[-1]
     if k >= 8:
         return v.sum(axis=-1)
-    total = v[..., 0] + 0.0
-    for j in range(1, k):
+    if k == 1:
+        return v[..., 0]
+    total = v[..., 0] + v[..., 1]
+    for j in range(2, k):
         total += v[..., j]
     return total
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    """Softmax over the class axis, bit-equal to the per-row reductions
-    ``z - z.max(-1)`` and ``e / e.sum(-1)``: the max is exact in any order
-    (a +-0 tie changes ``z - top`` only at a zero, where exp gives 1; a NaN
-    row stays NaN, though its sign bit may differ), and ``_sum_last`` keeps
-    numpy's order."""
-    top = z[..., 0].copy()
-    for j in range(1, z.shape[-1]):
+    """Softmax over the class axis, made in ``z``, bit-equal to the per-row
+    reductions ``z - z.max(-1)`` and ``e / e.sum(-1)``: the max is exact in
+    any order (a +-0 tie changes ``z - top`` only at a zero, where exp gives
+    1; a NaN row stays NaN, though its sign bit may differ), and
+    ``_sum_nonneg`` keeps numpy's order."""
+    k = z.shape[-1]
+    top = z[..., 0] if k == 1 else np.maximum(z[..., 0], z[..., 1])
+    for j in range(2, k):
         np.maximum(top, z[..., j], out=top)
-    e = z - top[..., None]
-    np.exp(e, out=e)
-    e /= _sum_last(e)[..., None]
-    return e
+    z -= top[..., None]
+    np.exp(z, out=z)
+    z /= _sum_nonneg(z)[..., None]
+    return z
 
 
-def _class_delta(probs: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The cross-entropy delta ``probs`` minus the one-hot labels, made in
-    ``probs``. p - 0.0 is p, so subtracting the one-hot matrix changes only
-    the label entries, as a fancy-index update would, at a quarter the
-    cost."""
-    onehot = np.zeros(probs.shape[-2:])
-    onehot[np.arange(y.shape[0]), y] = 1.0
-    probs -= onehot
-    return probs
-
-
-def _loss_and_delta(spec: ModelSpec, out: np.ndarray, y: np.ndarray):
+def _loss_and_delta(spec: ModelSpec, out: np.ndarray, y: np.ndarray,
+                    with_losses: bool = True):
     """Per-sample losses (..., b) and the output delta d loss / d out
     (..., b, k): half squared error for regression heads, cross-entropy for
-    classifier heads."""
+    classifier heads, whose delta is made in ``out``. Without
+    ``with_losses`` a classifier head's losses are None."""
     if spec.task == REGRESSION:
         resid = out[..., 0] - y
         return 0.5 * resid**2, resid[..., None]
     probs = _softmax(out)
-    losses = -np.log(np.maximum(probs[..., np.arange(y.shape[0]), y], 1e-300))
-    return losses, _class_delta(probs, y)
+    losses = None
+    if with_losses:
+        losses = -np.log(np.maximum(probs[..., np.arange(y.shape[0]), y],
+                                    1e-300))
+    # p - 0.0 is p, so subtracting the one-hot rows changes only the label
+    # entries, as a fancy-index update would, at a fraction of the cost.
+    probs -= spec._onehot.take(y, 0)
+    return losses, probs
 
 
 def _next_delta(delta: np.ndarray, w: np.ndarray,
@@ -281,8 +298,9 @@ def batch_loss_and_grads(
 
 def clip_scale(norms: np.ndarray, clip_norm: float) -> np.ndarray:
     """The factor min(1, C / norm) that clips each per-sample gradient to
-    l2 norm ``clip_norm``."""
-    return np.minimum(1.0, clip_norm / np.maximum(norms, 1e-300))
+    l2 norm ``clip_norm``, as C / max(norm, C): exactly 1 where norm <= C,
+    and C / norm, which rounds to at most 1, above it."""
+    return clip_norm / np.maximum(norms, clip_norm)
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:
@@ -311,7 +329,7 @@ def sq_row_norms(x: np.ndarray) -> np.ndarray:
     them for its first layer. A row's value does not depend on the other
     rows, so the norms of a training set, gathered by batch index, are bit
     for bit those of the batch."""
-    return _sum_last(np.square(x))
+    return _sum_nonneg(np.square(x))
 
 
 def clipped_grad_sum(
@@ -334,7 +352,8 @@ def clipped_grad_sum(
     sqrt(max float), about 1.3e154, even where the gradient's norm is
     finite; such a norm is taken again from rescaled rows
     (``_scaled_norms``), so it is not finite only where the gradient's own
-    norm overflows.
+    norm overflows. Whether any norm is not finite is one test of their
+    sum: a sum is finite only if every term is.
 
     With (R, P) params the results are (R, b), (R, b) and (R, P), each run
     bit-equal to a call with its own (P,) vector, as in
@@ -353,32 +372,31 @@ def clipped_grad_sum(
     """
     lead = params.shape[:-1]
     layers, acts = _forward(spec, params, x)
-    if with_losses or spec.task == REGRESSION:
-        losses, delta = _loss_and_delta(spec, acts[-1], y)
-    else:
-        losses, delta = None, _class_delta(_softmax(acts[-1]), y)
+    losses, delta = _loss_and_delta(spec, acts[-1], y, with_losses)
     if x_sq is None:
         x_sq = sq_row_norms(x)
+    last = len(layers) - 1
     deltas = [None] * len(layers)
-    sq_norms = 0.0
-    for i in range(len(layers) - 1, -1, -1):
+    for i in range(last, -1, -1):
         w, bias = layers[i]
         a_sq = x_sq if i == 0 else sq_row_norms(acts[i])
         if bias is not None:
             a_sq = a_sq + 1.0  # not in place: x_sq is the caller's
-        sq_norms = sq_norms + _sum_last(np.square(delta)) * a_sq
+        term = _sum_nonneg(np.square(delta)) * a_sq
+        sq_norms = term if i == last else sq_norms + term
         deltas[i] = delta
         if i > 0:
             delta = _next_delta(delta, w, acts[i])
-    norms = np.sqrt(sq_norms)
-    bad = ~np.isfinite(norms)
-    if bad.any():
-        norms = np.where(bad, _scaled_norms(layers, acts, deltas), norms)
+    norms = np.sqrt(sq_norms, out=sq_norms)
+    if not math.isfinite(np.add.reduce(norms, None)):
+        bad = ~np.isfinite(norms)
+        if bad.any():
+            norms = np.where(bad, _scaled_norms(layers, acts, deltas), norms)
     scale = clip_scale(norms, clip_norm)[..., None]
     chunks = []
-    for (_, bias), a, delta in zip(layers, acts, deltas):
-        scaled = delta * scale
-        chunks.append((np.swapaxes(scaled, -1, -2) @ a).reshape(*lead, -1))
+    for (_, bias), a, scaled in zip(layers, acts, deltas):
+        scaled *= scale
+        chunks.append((scaled.swapaxes(-1, -2) @ a).reshape(*lead, -1))
         if bias is not None:
             chunks.append(scaled.sum(axis=-2))
     grad_sum = chunks[0] if len(chunks) == 1 else np.concatenate(chunks, -1)

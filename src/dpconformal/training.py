@@ -53,19 +53,24 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be positive")
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
+        # Written so that NaN fails every check: a NaN radius would never
+        # project, and a NaN or infinite step size or clip norm would fail
+        # at the first step instead of here.
+        for name in ("learning_rate", "clip_norm", "projection_radius"):
+            value = getattr(self, name)
+            if name == "projection_radius" and value is None:
+                continue
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got "
+                                 f"{value}")
+        if not isinstance(self.steps, (int, np.integer)) or self.steps < 1:
+            raise ValueError(f"steps must be an integer >= 1, got "
+                             f"{self.steps!r}")
         if not 0.0 < self.sampling_rate <= 1.0:
             raise ValueError("sampling_rate must lie in (0, 1]")
-        if self.clip_norm <= 0.0:
-            raise ValueError("clip_norm must be positive")
         if not self.noise_multiplier >= 0.0:
             raise ValueError("noise_multiplier must be nonnegative, got "
                              f"{self.noise_multiplier}")
-        if self.projection_radius is not None and self.projection_radius <= 0.0:
-            raise ValueError("projection_radius must be positive")
 
 
 @dataclass(frozen=True)
@@ -200,58 +205,71 @@ def _batch_update(
     noise_std: np.ndarray,
     config: TrainConfig,
     step: int,
-) -> tuple[np.ndarray, dict[int, str]]:
+) -> dict[int, str]:
     """One noisy clipped-mean gradient step of a stack of runs on one
-    nonempty shared batch.
+    nonempty shared batch, made in place in ``params``.
 
     ``params`` is (R, P) and ``noise_std`` (R, 1) holds each run's
     noise_multiplier * clip_norm; ``x_sq`` holds the ``sq_row_norms`` of
-    the batch's features. Returns the new (R, P) stack and, for each run
-    that failed a finiteness check (a projected run's norm included), the
-    message of the first check it failed. A failed run's row is garbage;
-    every other row is bit-equal to the step that run would take alone. The
-    batch is trusted: ``as_batch`` checked the features and labels it is
-    drawn from, once per training call. A failing run may overflow or make
-    NaNs, so the caller ignores overflow and invalid values
-    (``np.errstate``) around its step loop; the checks here name the
-    failure.
+    the batch's features. Returns, for each run that failed a finiteness
+    check (a projected run's norm included), the message of the first check
+    it failed. A failed run's row is garbage; every other row is bit-equal
+    to the step that run would take alone. The batch is trusted:
+    ``as_batch`` checked the features and labels it is drawn from, once per
+    training call. A failing run may overflow or make NaNs, so the caller
+    ignores overflow and invalid values (``np.errstate``) around its step
+    loop; the checks here name the failure.
     """
-    losses, norms, grad_sum = batch_loss_and_grads(
+    losses, norms, update = batch_loss_and_grads(
         spec, params, x_batch, y_batch, config.clip_norm, x_sq=x_sq,
         with_losses=False)
-    # A finite norm implies finite gradients and, for a classifier head, a
-    # finite loss, which is therefore not computed; a regression head's loss
-    # is checked, since it can overflow where the norm does not.
+    update += noise_std * noise_vec
+    update /= x_batch.shape[0]
+    params -= config.learning_rate * update
+    # Every check passes when one sum of what they check is finite, since a
+    # sum is finite only if every term is: the norms (a finite norm implies
+    # finite gradients and, for a classifier head, a finite loss, which is
+    # therefore not computed), a regression head's losses (which can
+    # overflow where the norm does not), and the iterates, or a projected
+    # run's norm, which is finite only if its iterate is. A non-finite
+    # update makes a non-finite iterate. Only when the sum is not finite are
+    # the runs checked one by one.
+    total = np.add.reduce(norms, None)
+    if losses is not None:
+        total += np.add.reduce(losses, None)
+    if config.projection_radius is None:
+        total += np.add.reduce(params, None)
+    else:
+        radius = config.projection_radius
+        norm = _norms(params)
+        total += np.add.reduce(norm, None)
+        # A finite row whose norm overflows would be projected onto 0.
+        over = norm > radius
+        if over.any():
+            params[over] *= (radius / norm[over])[:, None]
+    if math.isfinite(total):
+        return {}
+    # Projection keeps a row finite or not, so the iterates are checked
+    # after it.
     grads_ok = np.isfinite(norms).all(axis=-1)
     if losses is not None:
         grads_ok &= np.isfinite(losses).all(axis=-1)
-    m = x_batch.shape[0]
-    update = (grad_sum + noise_std * noise_vec) / m
-    new = params - config.learning_rate * update
-    # A non-finite update makes a non-finite iterate, projected or not.
-    ok = grads_ok & np.isfinite(new).all(axis=-1)
+    update_ok = np.isfinite(update).all(axis=-1)
+    new_ok = np.isfinite(params).all(axis=-1)
+    ok = grads_ok & new_ok
     if config.projection_radius is not None:
-        radius = config.projection_radius
-        norm = _norms(new)
-        # A finite row whose norm overflows would be projected onto 0.
         ok &= np.isfinite(norm)
-        over = norm > radius
-        if over.any():
-            new[over] *= (radius / norm[over])[:, None]
     failed = {}
-    if not ok.all():
-        update_ok = np.isfinite(update).all(axis=-1)
-        new_ok = np.isfinite(new).all(axis=-1)
-        for r in np.flatnonzero(~ok).tolist():
-            if not grads_ok[r]:
-                failed[r] = f"non-finite loss or gradient at step {step}"
-            elif not update_ok[r]:
-                failed[r] = f"non-finite gradient update at step {step}"
-            elif not new_ok[r]:
-                failed[r] = f"non-finite iterate at step {step}"
-            else:
-                failed[r] = f"non-finite projection norm at step {step}"
-    return new, failed
+    for r in np.flatnonzero(~ok).tolist():
+        if not grads_ok[r]:
+            failed[r] = f"non-finite loss or gradient at step {step}"
+        elif not update_ok[r]:
+            failed[r] = f"non-finite gradient update at step {step}"
+        elif not new_ok[r]:
+            failed[r] = f"non-finite iterate at step {step}"
+        else:
+            failed[r] = f"non-finite projection norm at step {step}"
+    return failed
 
 
 def _multipliers(config: TrainConfig,
@@ -322,8 +340,9 @@ def dp_sgd_train(
         for t, idx, noise in _draws(n, p, config, mask_rng, noise_rng):
             if idx.size == 0:
                 continue
-            params, failed = _batch_update(spec, params, x[idx], x_sq[idx],
-                                           y[idx], noise, std, config, t)
+            failed = _batch_update(spec, params, x.take(idx, 0),
+                                   x_sq.take(idx), y.take(idx), noise, std,
+                                   config, t)
             if failed and _fail(outcome, failed):
                 break
     for r in range(runs):
@@ -413,23 +432,22 @@ def coupled_train(
         x_sq = sq_row_norms(x)
         extra_sq = sq_row_norms(x_extra)
         for t, idx, noise in _draws(n, p, config, mask_rng, noise_rng):
+            failed = {}
             if not extra_flags[t]:
-                failed = {}
                 if idx.size > 0:
-                    theta, failed = _batch_update(spec, theta, x[idx],
-                                                  x_sq[idx], y[idx], noise,
-                                                  std_both, config, t)
+                    failed = _batch_update(spec, theta, x.take(idx, 0),
+                                           x_sq.take(idx), y.take(idx), noise,
+                                           std_both, config, t)
             else:
-                new_a, failed = theta[:runs], {}
+                # The two halves step apart, each in its own rows of theta.
+                xb, sqb, yb = x.take(idx, 0), x_sq.take(idx), y.take(idx)
                 if idx.size > 0:
-                    new_a, failed = _batch_update(spec, new_a, x[idx],
-                                                  x_sq[idx], y[idx], noise,
-                                                  std, config, t)
-                new_b, failed_b = _batch_update(
-                    spec, theta[runs:], np.concatenate([x[idx], x_extra]),
-                    np.concatenate([x_sq[idx], extra_sq]),
-                    np.concatenate([y[idx], y_extra]), noise, std, config, t)
-                theta = np.concatenate([new_a, new_b])
+                    failed = _batch_update(spec, theta[:runs], xb, sqb, yb,
+                                           noise, std, config, t)
+                failed_b = _batch_update(
+                    spec, theta[runs:], np.concatenate([xb, x_extra]),
+                    np.concatenate([sqb, extra_sq]),
+                    np.concatenate([yb, y_extra]), noise, std, config, t)
                 failed.update((runs + r, msg) for r, msg in failed_b.items())
             if failed:
                 every_run_failed = _fail(outcome, failed)

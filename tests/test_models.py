@@ -295,10 +295,6 @@ def reduce_softmax(z):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def reduce_sum_last(v):
-    return v.sum(axis=-1)
-
-
 def reduce_loss_and_delta(spec, out, y):
     if spec.task == "regression":
         resid = out[..., 0] - y
@@ -308,6 +304,40 @@ def reduce_loss_and_delta(spec, out, y):
     losses = -np.log(np.clip(probs[..., rows, y], 1e-300, None))
     probs[..., rows, y] -= 1.0
     return losses, probs
+
+
+def reduce_clipped_grad_sum(spec, params, x, y, clip_norm):
+    """The ghost-norm kernel from the formulas it stands for: the
+    out-of-place forward pass, the per-row reductions, the norm sum started
+    from 0.0, each norm checked for finiteness, and the clip scale
+    min(1, C / max(norm, 1e-300)); the oracle of ``clipped_grad_sum``."""
+    layers, acts = reference_forward(spec, params, x)
+    losses, delta = reduce_loss_and_delta(spec, acts[-1], y)
+    deltas = [None] * len(layers)
+    sq_norms = 0.0
+    for i in range(len(layers) - 1, -1, -1):
+        w, bias = layers[i]
+        a_sq = np.square(acts[i]).sum(axis=-1)
+        if bias is not None:
+            a_sq = a_sq + 1.0
+        sq_norms = sq_norms + np.square(delta).sum(axis=-1) * a_sq
+        deltas[i] = delta
+        if i > 0:
+            delta = (delta @ w) * (acts[i] > 0.0)
+    norms = np.sqrt(sq_norms)
+    bad = ~np.isfinite(norms)
+    if bad.any():
+        norms = np.where(bad, models._scaled_norms(layers, acts, deltas),
+                         norms)
+    scale = np.minimum(1.0, clip_norm / np.maximum(norms, 1e-300))[..., None]
+    chunks = []
+    for (_, bias), a, delta in zip(layers, acts, deltas):
+        scaled = delta * scale
+        chunks.append((np.swapaxes(scaled, -1, -2) @ a).reshape(
+            *params.shape[:-1], -1))
+        if bias is not None:
+            chunks.append(scaled.sum(axis=-2))
+    return losses, norms, np.concatenate(chunks, axis=-1)
 
 
 def _bits(a):
@@ -345,30 +375,39 @@ def test_class_axis_reductions_equal_the_per_row_reductions(z):
     # path relies on that order, so this holds it on every numpy version
     # the suite runs on. The column path may warn only where the per-row
     # reductions do.
-    got, new_warns = _warned(models._softmax, z)
+    got, new_warns = _warned(models._softmax, z.copy())
     want, old_warns = _warned(reduce_softmax, z)
     assert _bits(got) == _bits(want)
     assert old_warns or not new_warns
     with np.errstate(over="ignore"):
         squares = np.square(z)
-    for v in (z, squares):
-        got, new_warns = _warned(models._sum_last, v)
-        want, old_warns = _warned(reduce_sum_last, v)
+    for v in (np.abs(z), squares):
+        got, new_warns = _warned(models._sum_nonneg, v)
+        want, old_warns = _warned(np.sum, v, -1)
         assert _bits(got) == _bits(want)
         assert old_warns or not new_warns
     y = np.arange(z.shape[-2]) % z.shape[-1]
     spec = ModelSpec("softmax_linear", 1, z.shape[-1])
-    got, new_warns = _warned(models._loss_and_delta, spec, z, y)
+    got, new_warns = _warned(models._loss_and_delta, spec, z.copy(), y)
     want, old_warns = _warned(reduce_loss_and_delta, spec, z, y)
     assert [_bits(a) for a in got] == [_bits(a) for a in want]
     assert old_warns or not new_warns
 
 
-def test_sum_last_keeps_the_sign_of_a_zero_sum():
-    # numpy's sum starts from +0.0, so a row of -0.0 sums to +0.0.
-    for k in (1, 3, 8):
-        v = np.full((2, k), -0.0)
-        assert _bits(models._sum_last(v)) == _bits(v.sum(axis=-1))
+def test_nonneg_sum_equals_the_numpy_sum():
+    # numpy's sum starts from +0.0, which changes a sum only where it is
+    # -0.0; exps and squares never are. Rows mix +0.0, subnormals, the
+    # largest floats (whose sums overflow), inf and NaN, and values of many
+    # magnitudes, whose rounding shows the order of the additions.
+    rng = np.random.default_rng(29)
+    entries = np.array([0.0, 5e-324, 2.2e-308, 1e-300, 1.0, 1.7e308, np.inf,
+                        np.nan])
+    for k in range(1, 13):
+        special = rng.choice(entries, size=(200, k))
+        spread = rng.random((200, k)) * 10.0 ** rng.integers(-8, 8, (200, k))
+        for v in (special, spread, np.zeros((3, k))):
+            with np.errstate(over="ignore"):
+                assert _bits(models._sum_nonneg(v)) == _bits(v.sum(axis=-1))
 
 
 finite_or_not = st.floats(allow_nan=True, allow_infinity=True)
@@ -382,13 +421,14 @@ def test_class_axis_reductions_equal_the_per_row_reductions_on_any_floats(
         rows):
     z = np.array(rows, dtype=float)
     with np.errstate(all="ignore"):
-        assert _bits(models._softmax(z)) == _bits(reduce_softmax(z))
-        assert _bits(models._sum_last(z)) == _bits(reduce_sum_last(z))
+        assert _bits(models._softmax(z.copy())) == _bits(reduce_softmax(z))
+        v = np.abs(z)
+        assert _bits(models._sum_nonneg(v)) == _bits(v.sum(axis=-1))
 
 
-def _kernel_bits(spec, params, x, y):
+def _kernel_bits(spec, params, x, y, kernel=clipped_grad_sum):
     outs = [*batch_loss_and_grads(spec, params, x, y),
-            *clipped_grad_sum(spec, params, x, y, 1.5)]
+            *kernel(spec, params, x, y, 1.5)]
     if params.ndim == 1 and spec.output_dim > 1:
         outs.append(predict_proba(spec, params, x))
     return [_bits(a) for a in outs]
@@ -399,8 +439,10 @@ def _kernel_bits(spec, params, x, y):
                          ids=KERNEL_IDS + ["mlp_12_classes"])
 @pytest.mark.parametrize("stack", [(), (1,), (4,)], ids=["P", "R1", "R4"])
 def test_kernels_equal_the_per_row_reductions(spec, stack, monkeypatch):
-    # Swapping the reduce formulas back in gives the kernels as they were
-    # before the class axis was reduced column by column.
+    # The oracle's softmax and loss, swapped into the formed-gradient path
+    # and the predictions, and the reduce form of the clipped-sum kernel
+    # give the kernels as they were before the class axis was reduced
+    # column by column.
     rng = np.random.default_rng(61)
     params = rng.standard_normal((*stack, param_count(spec))) * 3.0
     x, y = as_batch(spec, rng.standard_normal((33, spec.input_dim)) * 2.0,
@@ -408,9 +450,8 @@ def test_kernels_equal_the_per_row_reductions(spec, stack, monkeypatch):
                     else rng.integers(0, spec.output_dim, 33))
     got = _kernel_bits(spec, params, x, y)
     monkeypatch.setattr(models, "_softmax", reduce_softmax)
-    monkeypatch.setattr(models, "_sum_last", reduce_sum_last)
     monkeypatch.setattr(models, "_loss_and_delta", reduce_loss_and_delta)
-    assert got == _kernel_bits(spec, params, x, y)
+    assert got == _kernel_bits(spec, params, x, y, reduce_clipped_grad_sum)
 
 
 @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=KERNEL_IDS)
@@ -529,10 +570,10 @@ def test_forward_equals_the_out_of_place_formula(spec, stack):
     assert old_warns or not new_warns
 
 
-def _model_bits(spec, params, x, y):
+def _model_bits(spec, params, x, y, kernel=clipped_grad_sum):
     """Bits of both kernels and of the head's predictions for every run."""
     predict = predict_value if spec.task == "regression" else predict_proba
-    return _kernel_bits(spec, params, x, y) + [
+    return _kernel_bits(spec, params, x, y, kernel) + [
         _bits(predict(spec, row, x)) for row in params]
 
 
@@ -555,7 +596,8 @@ def test_kernels_and_predictions_equal_the_out_of_place_forward(
                     else rng.integers(0, spec.output_dim, 33))
     got, new_warns = _warned(_model_bits, spec, params, x, y)
     monkeypatch.setattr(models, "_forward", reference_forward)
-    want, old_warns = _warned(_model_bits, spec, params, x, y)
+    want, old_warns = _warned(_model_bits, spec, params, x, y,
+                              reduce_clipped_grad_sum)
     assert got == want
     assert old_warns or not new_warns
 

@@ -7,7 +7,7 @@ import pytest
 from dpconformal.data import gen_logistic
 from dpconformal.models import (Dataset, ModelSpec, as_batch,
                                batch_loss_and_grads, clipped_grad_sum,
-                               param_count)
+                               init_params, param_count, sq_row_norms)
 from dpconformal import training
 from dpconformal.training import (NumericFailureError, TrainConfig,
                                   _norms, _spawn_streams, coupled_train,
@@ -621,6 +621,229 @@ def test_a_norm_failure_one_step_before_the_loop_failure_names_the_run():
 def test_train_config_rejects_a_nan_noise_multiplier():
     with pytest.raises(ValueError, match="noise_multiplier"):
         TrainConfig(0.1, 5, 0.5, 1.0, noise_multiplier=math.nan)
+
+
+@pytest.mark.parametrize("field,value", [
+    *[(field, value)
+      for field in ("learning_rate", "clip_norm", "projection_radius")
+      for value in (math.nan, math.inf, -math.inf, 0.0)],
+    ("steps", 2.5), ("steps", 2.0), ("steps", "3"), ("steps", 0)])
+def test_train_config_rejects_values_no_run_can_use(field, value):
+    # A NaN radius would never project (norm > nan is never true), a NaN or
+    # infinite step size or clip norm would fail at step 0, and a fractional
+    # step count would fail inside range(); each is refused when the config
+    # is built.
+    kwargs = dict(learning_rate=0.1, steps=5, sampling_rate=0.5,
+                  clip_norm=1.0, projection_radius=1.0)
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=field):
+        TrainConfig(**kwargs)
+    assert TrainConfig(0.1, np.int64(5), 0.5, 1.0).steps == 5
+
+
+def per_run_batch_update(spec, params, x_batch, x_sq, y_batch, noise_vec,
+                         noise_std, config, step):
+    """The DP-SGD step with every run checked one by one, each iterate made
+    out of place and then written into ``params``: the oracle of
+    ``training._batch_update``, which checks one sum of the checked values
+    and checks the runs one by one only when that sum is not finite."""
+    losses, norms, grad_sum = clipped_grad_sum(
+        spec, params, x_batch, y_batch, config.clip_norm, x_sq=x_sq,
+        with_losses=False)
+    grads_ok = np.isfinite(norms).all(axis=-1)
+    if losses is not None:
+        grads_ok &= np.isfinite(losses).all(axis=-1)
+    update = (grad_sum + noise_std * noise_vec) / x_batch.shape[0]
+    new = params - config.learning_rate * update
+    ok = grads_ok & np.isfinite(new).all(axis=-1)
+    if config.projection_radius is not None:
+        norm = _norms(new)
+        ok &= np.isfinite(norm)
+        over = norm > config.projection_radius
+        new[over] *= (config.projection_radius / norm[over])[:, None]
+    params[...] = new
+    failed = {}
+    for r in np.flatnonzero(~ok).tolist():
+        if not grads_ok[r]:
+            failed[r] = f"non-finite loss or gradient at step {step}"
+        elif not np.isfinite(update[r]).all():
+            failed[r] = f"non-finite gradient update at step {step}"
+        elif not np.isfinite(new[r]).all():
+            failed[r] = f"non-finite iterate at step {step}"
+        else:
+            failed[r] = f"non-finite projection norm at step {step}"
+    return failed
+
+
+def _huge_residual_setup():
+    # Features near 1e-3 and labels of +-1e154: each half squared residual
+    # is about 5e307, so the losses of a batch sum past max float while
+    # every loss and gradient norm (about 1e151) is finite.
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((301, 4)) * 1e-3
+    y = rng.choice([-1.0, 1.0], 301) * 1e154
+    return (Dataset(x[:300], y[:300], "regression"), (x[300], y[300]),
+            ModelSpec("linear_regression", 4), np.zeros(4))
+
+
+def _regression_setup():
+    # No reference parameter: the error norm of a run near 1e199 would
+    # overflow, and fail it, before its loss does.
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((301, 4))
+    y = x @ np.array([1.0, -0.5, 0.3, 2.0])
+    return (Dataset(x[:300], y[:300], "regression"), (x[300], y[300]),
+            ModelSpec("linear_regression", 4), None)
+
+
+# case -> (setup, config keywords, noise multipliers, the failing run's
+# message without its step, or None where no run fails).
+ONE_SUM_CASES = {
+    "sum_overflows": (_huge_residual_setup, dict(learning_rate=0.2),
+                      (0.0, 0.7, 3.1), None),
+    "sum_overflows_projected": (_huge_residual_setup,
+                                dict(learning_rate=0.2,
+                                     projection_radius=0.3),
+                                (0.0, 0.7, 3.1), None),
+    # The 1e200 run's iterate reaches about 1e199, so its next half squared
+    # residual overflows where its gradient norm does not.
+    "loss": (_regression_setup, dict(learning_rate=0.2), (0.7, 1e200, 3.1),
+             "non-finite loss or gradient"),
+    "update": (coupled_setup, dict(learning_rate=0.2), (0.7, 1e308, 3.1),
+               "non-finite gradient update"),
+    # A finite update of about 1e299 times the 1e10 learning rate.
+    "iterate": (coupled_setup, dict(learning_rate=1e10), (0.7, 1e300, 3.1),
+                "non-finite iterate"),
+    # At learning rate 1e150 the 6000 run's norm passes sqrt(max float).
+    "projection_norm": (coupled_setup,
+                        dict(learning_rate=1e150, projection_radius=1e200),
+                        (0.7, 6000.0, 3.1), "non-finite projection norm"),
+}
+
+
+@pytest.mark.parametrize("case", list(ONE_SUM_CASES))
+@pytest.mark.parametrize("trainer", ["coupled_train", "dp_sgd_train"])
+def test_one_sum_check_fails_the_runs_the_per_run_checks_fail(
+        trainer, case, monkeypatch):
+    # Both directions of the one-sum check: a sum that overflows while every
+    # checked value is finite fails no run and changes no bit, and one run's
+    # non-finite norm, loss, update, iterate or projection norm fails that
+    # run alone with the message of the per-run checks.
+    setup, keywords, sigmas, message = ONE_SUM_CASES[case]
+    base, extra, spec, target = setup()
+    cfg = TrainConfig(steps=40, sampling_rate=0.05, clip_norm=1.0, seed=13,
+                      **keywords)
+    if case.startswith("sum_overflows"):
+        x, y = as_batch(spec, base.features[:20], base.labels[:20])
+        losses, norms, _ = clipped_grad_sum(spec, np.zeros((3, 4)), x, y, 1.0)
+        assert np.isfinite(losses).all() and np.isfinite(norms).all()
+        with np.errstate(over="ignore"):
+            assert np.add.reduce(losses, None) == np.inf
+
+    def train():
+        if trainer == "coupled_train":
+            return coupled_train(base, extra, spec, cfg, theta_star=target,
+                                 noise_multipliers=sigmas)
+        return dp_sgd_train(base, spec, cfg, noise_multipliers=sigmas)
+
+    got = train()
+    monkeypatch.setattr(training, "_batch_update", per_run_batch_update)
+    want = train()
+    for i, (g, w) in enumerate(zip(got, want)):
+        assert type(g) is type(w)
+        if isinstance(w, NumericFailureError):
+            assert str(g) == str(w)
+            assert i == 1 and str(w).startswith(f"{message} at step ")
+        elif trainer == "coupled_train":
+            assert_traces_equal(g, w)
+        else:
+            assert np.array_equal(g.params, w.params)
+    assert (message is None) == all(
+        not isinstance(w, NumericFailureError) for w in want)
+
+
+def test_a_stack_whose_sum_overflows_fails_no_run():
+    # Iterates of 1e308 and -1e308 are finite, but their sum is not, so the
+    # runs are checked one by one, and none fails; the step is the per-run
+    # step bit for bit.
+    spec = ModelSpec("linear_regression", 4)
+    params = np.full((3, 4), 1e308)
+    params[:2, 0] = -1e308
+    x, y = as_batch(spec, np.full((5, 4), 1e-300), np.zeros(5))
+    cfg = TrainConfig(1e-3, 10, 0.5, 1.0)
+    want = params.copy()
+    args = (x, sq_row_norms(x), y, np.ones(4), np.ones((3, 1)), cfg, 7)
+    with np.errstate(over="ignore"):
+        assert np.add.reduce(params, None) == np.inf
+        assert training._batch_update(spec, params, *args) == {}
+    assert per_run_batch_update(spec, want, *args) == {}
+    assert np.array_equal(params, want) and np.isfinite(params).all()
+
+
+def concatenated_coupled_series(base, extra, spec, config, theta_star,
+                                schedule, sigmas):
+    """The gap and error series of a lockstep ``coupled_train`` call, with
+    each step's halves advanced out of place and concatenated into a new
+    stack: the oracle of its in-place update of the stack's rows."""
+    x, y = as_batch(spec, base.features, base.labels)
+    x_extra, y_extra = as_batch(spec, extra[0], [extra[1]])
+    mask_rng, noise_rng, _, init_rng = _spawn_streams(config.seed)
+    runs = len(sigmas)
+    theta = np.tile(init_params(spec, init_rng), (2 * runs, 1))
+    std = np.array(sigmas)[:, None] * config.clip_norm
+
+    def stepped(params, xb, yb, noise_std):
+        new = params.copy()
+        assert not per_run_batch_update(spec, new, xb, sq_row_norms(xb), yb,
+                                        noise, noise_std, config, t)
+        return new
+
+    stacks = [theta]
+    for t in range(config.steps):
+        idx = poisson_sample(base.n, config.sampling_rate, mask_rng)
+        noise = noise_rng.standard_normal(theta.shape[1])
+        if not schedule[t]:
+            if idx.size:
+                theta = stepped(theta, x[idx], y[idx],
+                                np.concatenate([std, std]))
+        else:
+            new_a = theta[:runs]
+            if idx.size:
+                new_a = stepped(new_a, x[idx], y[idx], std)
+            new_b = stepped(theta[runs:], np.concatenate([x[idx], x_extra]),
+                            np.concatenate([y[idx], y_extra]), std)
+            theta = np.concatenate([new_a, new_b])
+        stacks.append(theta)
+    gaps = [[np.linalg.norm(s[r] - s[runs + r]) for s in stacks]
+            for r in range(runs)]
+    errors = [[np.linalg.norm(s[r] - theta_star) for s in stacks]
+              for r in range(runs)]
+    return np.array(gaps), np.array(errors), np.array(stacks)
+
+
+@pytest.mark.parametrize("radius", [None, 0.3],
+                         ids=["no_projection", "projection"])
+@pytest.mark.parametrize("every", [1, 2], ids=["every_step", "every_other"])
+def test_in_place_coupled_update_equals_the_concatenated_stack(every,
+                                                               radius):
+    # With the extra point in at every step, or every other one, each step
+    # updates the two halves of the stack as views in place; the series are
+    # those of halves made out of place and concatenated back.
+    base, extra, spec, target = coupled_setup()
+    sigmas = LOCKSTEP_SIGMAS
+    cfg = TrainConfig(0.2, 60, 0.05, 1.0, projection_radius=radius, seed=13)
+    schedule = np.arange(cfg.steps) % every == 0
+    traces = coupled_train(base, extra, spec, cfg, theta_star=target,
+                           extra_schedule=schedule, noise_multipliers=sigmas)
+    gaps, errors, stacks = concatenated_coupled_series(
+        base, extra, spec, cfg, target, schedule, sigmas)
+    for r, trace in enumerate(traces):
+        assert np.array_equal(trace.gap_series, gaps[r])
+        assert np.array_equal(trace.error_series, errors[r])
+        assert trace.gap_series[-1] > 0.0
+    if radius is not None:
+        norms = np.linalg.norm(stacks, axis=-1)
+        assert np.isclose(norms, radius, rtol=1e-12).any()
 
 
 @pytest.mark.parametrize("trainer", ["coupled_train", "dp_sgd_train"])
