@@ -13,21 +13,20 @@ Methods:
   quantile (deliberately invalid; quantifies the cost of ignoring the
   in-sample shift).
 
-Every trial is a pure function of (pool, test, config, seed) and runs in
-two stages: ``train_stages`` (split, sigma_sgd, DP-SGD, scores) and
-``finish_stage`` (sigma_q, search or exact quantile, evaluation).
-``run_pipeline`` takes one config through both. ``train_target`` names the
-model a method trains, so methods with equal targets finish from one stage.
-``train_stages`` trains the targets of configs that share a training subset
-in one lockstep DP-SGD call: each model is bit-equal to the one its config
-trains alone, and a config whose calibration, run or scoring fails fails
-alone.
+Every trial is a pure function of (pool, test, config, seed).
+``train_target`` names the model a method trains, and ``run_pipelines``
+runs the configs of one training subset: it calibrates sigma_sgd, trains
+(one lockstep DP-SGD call) and scores each distinct target once, each model
+bit-equal to the one its config trains alone, and finishes every config
+(sigma_q, search or exact quantile, evaluation) from its target's model. A
+failed calibration or scoring fails its target's configs and a failed finish
+its own config; the others are unchanged. ``run_pipeline`` runs one config.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -40,9 +39,8 @@ from .quantile import (QuantileConfig, buffered_right_search,
                        exact_conformal_quantile, target_rank)
 from .training import TrainConfig, TrainedModel, dp_sgd_train
 
-__all__ = ["EvalReport", "PipelineConfig", "METHODS", "TrainedStage",
-           "finish_stage", "run_pipeline", "split_train_size", "train_stages",
-           "train_target"]
+__all__ = ["EvalReport", "PipelineConfig", "METHODS", "run_pipeline",
+           "run_pipelines", "split_train_size", "train_target"]
 
 METHODS = ("dpscp_f", "dpscp_a", "dp_split", "split_cp", "naive_full")
 
@@ -82,7 +80,7 @@ def train_target(method: str,
     split, and its epsilon_train target (None for non-private training).
 
     Methods with equal targets train the same model from the same pool and
-    trial seed, so one train stage serves them all.
+    trial seed, so ``run_pipelines`` trains it once for them all.
     """
     if method in ("dpscp_f", "dpscp_a"):
         return False, budget.allocation_p * budget.epsilon_target
@@ -93,20 +91,6 @@ def train_target(method: str,
     if method == "naive_full":
         return False, None
     raise ValueError(f"unknown method {method!r}")
-
-
-@dataclass(frozen=True)
-class TrainedStage:
-    """What the train stage hands the finish stage: the calibration scores,
-    the test split and its scores, and the training spend."""
-
-    target: tuple[bool, float | None]
-    cal_scores: np.ndarray
-    test: Dataset
-    test_scores: np.ndarray
-    train_profile: RdpProfile | None
-    eps_train_spent: float
-    quant_seed: int
 
 
 def _score_matrix(model: TrainedModel, data: Dataset) -> np.ndarray:
@@ -168,20 +152,22 @@ def _split_indices(n: int,
     return perm[:cut], perm[cut:]
 
 
-def train_stages(pool: Dataset, test: Dataset,
-                 configs: Sequence[PipelineConfig], seed: int
-                 ) -> Iterator[TrainedStage | Exception]:
-    """The split, sigma_sgd calibrations, DP-SGD training and scoring of one
-    trial for configs that train on one subset (``train_target(...)[0]``)
-    with one model spec and training template.
+def run_pipelines(pool: Dataset, test: Dataset,
+                  configs: Sequence[PipelineConfig], seed: int
+                  ) -> list[EvalReport | Exception]:
+    """One trial of every config, each model trained once: the configs
+    train on one subset (``train_target(...)[0]``) with one delta, model
+    spec and training template, and each distinct ``train_target`` is
+    calibrated, trained and scored once, every target in one lockstep
+    ``dp_sgd_train`` call and each model bit-equal to its own call.
 
-    The models train in one lockstep ``dp_sgd_train`` call, each bit-equal
-    to its own call. Yields, per config in order, its ``TrainedStage`` or
-    the exception that its calibration, training or scoring raised; a stage
-    is scored only when it is asked for, so one stage's score arrays are
-    held at a time. An error that no single config owns (the schema, a
-    model head that does not serve the pool's task, the split) is raised
-    before any calibration or training.
+    Returns, per config in order, its report or the exception that failed
+    it: a target's calibration or scoring fails that target's configs, the
+    lockstep call every calibrated target, and a finish its own config. One
+    target's score arrays are held at a time. An error that no single
+    config owns (the schema, a model head that does not serve the pool's
+    task, the configs' mix, the split) is raised before any calibration or
+    training.
     """
     if pool.task != test.task or pool.dim != test.dim:
         raise ValueError("pool and test must share schema")
@@ -189,11 +175,16 @@ def train_stages(pool: Dataset, test: Dataset,
     if first.model.task != pool.task:
         raise ValueError(f"the model has no {pool.task} head")
     split = train_target(first.method, first.budget)[0]
-    shared = (split, first.model, first.train_template)
-    if any((train_target(c.method, c.budget)[0], c.model, c.train_template)
-           != shared for c in configs):
-        raise ValueError("configs must share one training subset, model "
-                         "and training template")
+    shared = (split, first.budget.delta_target, first.model,
+              first.train_template)
+    if any((train_target(c.method, c.budget)[0], c.budget.delta_target,
+            c.model, c.train_template) != shared for c in configs):
+        raise ValueError("configs must share one training subset, delta, "
+                         "model and training template")
+    targets: dict = {}  # each distinct target's config indices
+    for i, config in enumerate(configs):
+        targets.setdefault(train_target(config.method, config.budget),
+                           []).append(i)
     ss = np.random.SeedSequence(seed).spawn(3)
     train_seed = int(ss[1].generate_state(1)[0])
     quant_seed = int(ss[2].generate_state(1)[0])
@@ -208,15 +199,14 @@ def train_stages(pool: Dataset, test: Dataset,
         cal_data = pool
 
     tmpl = first.train_template
+    delta = first.budget.delta_target
     sigmas: list = []
-    for config in configs:
-        eps_train_target = train_target(config.method, config.budget)[1]
+    for _, eps_train in targets:
         try:
-            sigmas.append(0.0 if eps_train_target is None else
+            sigmas.append(0.0 if eps_train is None else
                           calibrate_sigma_sgd(tmpl.sampling_rate, tmpl.steps,
-                                              eps_train_target,
-                                              config.budget.delta_target))
-        except Exception as exc:  # fails this config alone
+                                              eps_train, delta))
+        except Exception as exc:  # fails this target's configs alone
             sigmas.append(exc)
     calibrated = [s for s in sigmas if not isinstance(s, Exception)]
     models: list = []
@@ -229,47 +219,49 @@ def train_stages(pool: Dataset, test: Dataset,
             models = [exc] * len(calibrated)
     runs = iter(models)
 
-    for config, sigma in zip(configs, sigmas):
-        stage = sigma if isinstance(sigma, Exception) else next(runs)
-        if isinstance(stage, TrainedModel):
+    reports: list = [None] * len(configs)
+    for ((_, eps_train), indices), sigma in zip(targets.items(), sigmas):
+        scores = sigma if isinstance(sigma, Exception) else next(runs)
+        if isinstance(scores, TrainedModel):
             try:
-                stage = _scored_stage(stage, config, cal_data, test,
-                                      quant_seed)
-            except Exception as exc:  # a scoring failure fails this config
-                stage = exc
-        yield stage
+                scores = _target_scores(scores, eps_train, delta, cal_data,
+                                        test)
+            except Exception as exc:  # fails this target's configs
+                scores = exc
+        for i in indices:
+            if isinstance(scores, Exception):
+                reports[i] = scores
+                continue
+            try:
+                reports[i] = _finish(configs[i], test, quant_seed, *scores)
+            except Exception as exc:  # a failed finish fails this config
+                reports[i] = exc
+    return reports
 
 
-def _scored_stage(model: TrainedModel, config: PipelineConfig,
-                  cal_data: Dataset, test: Dataset,
-                  quant_seed: int) -> TrainedStage:
-    """The training spend and the scores of one config's trained model."""
-    target = train_target(config.method, config.budget)
-    if target[1] is None:
+def _target_scores(model: TrainedModel, eps_train: float | None,
+                   delta: float, cal_data: Dataset, test: Dataset
+                   ) -> tuple[np.ndarray, np.ndarray, RdpProfile | None,
+                              float]:
+    """The calibration scores, the test scores, and the training profile
+    and spend of one target's model."""
+    if eps_train is None:
         train_profile, eps_train_spent = None, 0.0
     else:
         train_profile = sgd_profile(model.accounting, default_orders())
-        eps_train_spent = rdp_to_eps(train_profile,
-                                     config.budget.delta_target)
-    return TrainedStage(
-        target=target,
-        cal_scores=_in_sample_scores(model, cal_data),
-        test=test,
-        test_scores=_score_matrix(model, test),
-        train_profile=train_profile,
-        eps_train_spent=float(eps_train_spent),
-        quant_seed=quant_seed,
-    )
+        eps_train_spent = rdp_to_eps(train_profile, delta)
+    return (_in_sample_scores(model, cal_data), _score_matrix(model, test),
+            train_profile, float(eps_train_spent))
 
 
-def finish_stage(stage: TrainedStage, config: PipelineConfig) -> EvalReport:
+def _finish(config: PipelineConfig, test: Dataset, quant_seed: int,
+            cal_scores: np.ndarray, test_scores: np.ndarray,
+            train_profile: RdpProfile | None,
+            eps_train_spent: float) -> EvalReport:
     """The sigma_q calibration, the private search (or the exact quantile)
-    and the evaluation of one method on a model ``train_stages`` trained."""
+    and the evaluation of one config on the scores of its target's model."""
     method = config.method
     budget = config.budget
-    if train_target(method, budget) != stage.target:
-        raise ValueError(f"{method!r} at this budget trains another model")
-    cal_scores = stage.cal_scores
     qt = config.quantile_template
 
     if method in ("split_cp", "naive_full"):
@@ -277,9 +269,7 @@ def finish_stage(stage: TrainedStage, config: PipelineConfig) -> EvalReport:
         q_hat = exact_conformal_quantile(cal_scores, rank)
         sigma_q = 0.0
     else:
-        if method in ("dpscp_f", "dpscp_a"):
-            train_profile = stage.train_profile
-        else:
+        if method == "dp_split":
             # Disjoint calibration half: account the search in isolation.
             train_profile = RdpProfile.zeros(default_orders())
         sigma_q = calibrate_sigma_q(train_profile, qt.steps_n, budget)
@@ -293,25 +283,25 @@ def finish_stage(stage: TrainedStage, config: PipelineConfig) -> EvalReport:
             buffer_m, tau_override = 0, None
         search_config = replace(qt, sigma_q=sigma_q, buffer_m=buffer_m,
                                 tau_override=tau_override, alpha=config.alpha,
-                                seed=stage.quant_seed)
+                                seed=quant_seed)
         q_hat = buffered_right_search(cal_scores, search_config).q_hat
 
-    metrics = _evaluate_fast(stage.test_scores, stage.test, q_hat,
-                             config.target_scale)
+    metrics = _evaluate_fast(test_scores, test, q_hat, config.target_scale)
     return EvalReport(
         coverage=metrics["coverage"],
         efficiency=metrics["efficiency"],
         informativeness=metrics["informativeness"],
         q_hat=float(q_hat),
         sigma_q=float(sigma_q),
-        eps_train_spent=stage.eps_train_spent,
+        eps_train_spent=eps_train_spent,
     )
 
 
 def run_pipeline(pool: Dataset, test: Dataset, config: PipelineConfig,
                  seed: int) -> EvalReport:
-    """Run one trial of the configured method and evaluate on the test split."""
-    (stage,) = train_stages(pool, test, [config], seed)
-    if isinstance(stage, Exception):
-        raise stage
-    return finish_stage(stage, config)
+    """Run one trial of the configured method and evaluate on the test
+    split; raises what failed it."""
+    (report,) = run_pipelines(pool, test, [config], seed)
+    if isinstance(report, Exception):
+        raise report
+    return report

@@ -14,10 +14,10 @@ changes earlier rows, and grid cells sharing a trial index share their
 random draws (the generators are prefix-stable in n), which pairs the
 sweep's comparisons.
 
-A task is one training subset of one trial: it trains every distinct
-``train_target`` of its cells in one lockstep ``conformal.train_stages``
-call and finishes each cell from the model of its target, so ``dpscp_f``
-and ``dpscp_a`` share a model. A stability task trains every epsilon cell of
+A task is one training subset of one trial: one ``conformal.run_pipelines``
+call trains every distinct ``train_target`` of its cells in lockstep and
+finishes each cell from the model of its target, so ``dpscp_f`` and
+``dpscp_a`` share a model. A stability task trains every epsilon cell of
 a trial in one lockstep ``coupled_train`` call. A lockstep model is bit-equal
 to the one its cell trains alone, and a cell whose calibration, training or
 finish fails gets a failed row while the others are unchanged. Both CSVs are
@@ -42,8 +42,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .accounting import BudgetSpec, calibrate_sigma_sgd
-from .conformal import (METHODS, PipelineConfig, finish_stage,
-                        split_train_size, train_stages, train_target)
+from .conformal import (METHODS, PipelineConfig, run_pipelines,
+                        split_train_size, train_target)
 # Not called here: bench/layers.py wraps experiments.run_pipeline by name.
 from .conformal import run_pipeline  # noqa: F401
 from .data import (StandardizationStats, apply_standardizer,
@@ -254,11 +254,9 @@ def _standardized(pool: Dataset, test: Dataset
 def _pipeline_group(config: ExperimentConfig, rows: list[dict], pool: Dataset,
                     test: Dataset, stats: StandardizationStats
                     ) -> list[tuple[dict, list]]:
-    """Train the distinct targets of the rows' cells, which share one
-    training subset, in one lockstep call on the standardized pool, and
-    finish every cell from the model of its target. A cell fails alone when
-    its finish fails, and with the cells of its target when that target's
-    calibration or run fails."""
+    """The rows of the cells, which share one training subset, from one
+    ``run_pipelines`` call on the standardized pool: a cell that it fails
+    gets a failed row."""
     train = _section("train", config.train)
     epochs = int(train["epochs"])
     batch = int(train["batch_size"])
@@ -288,30 +286,14 @@ def _pipeline_group(config: ExperimentConfig, rows: list[dict], pool: Dataset,
         alpha=config.alpha,
         target_scale=stats.target_scale,
     ) for row, budget in zip(rows, budgets)]
-    groups: dict = {}
-    for i, (pipe, budget) in enumerate(zip(pipes, budgets)):
-        groups.setdefault(train_target(pipe.method, budget), []).append(i)
-    stages = train_stages(pool, test, [pipes[m[0]] for m in groups.values()],
-                          rows[0]["seed"])
-    out: list = [None] * len(rows)
-    for members, stage in zip(groups.values(), stages):
-        for i in members:
-            row = rows[i]
-            if isinstance(stage, Exception):
-                out[i] = _failed(row, stage)
-                continue
-            try:
-                report = finish_stage(stage, pipes[i])
-            except Exception as exc:  # a failed cell becomes a failed row
-                out[i] = _failed(row, exc)
-                continue
-            out[i] = ({**row, "n": pool.n, "status": "ok",
-                       "coverage": report.coverage,
-                       "efficiency": report.efficiency,
-                       "informativeness": report.informativeness,
-                       "q_hat": report.q_hat, "sigma_q": report.sigma_q,
-                       "eps_train": report.eps_train_spent}, [])
-    return out
+    reports = run_pipelines(pool, test, pipes, rows[0]["seed"])
+    return [_failed(row, report) if isinstance(report, Exception) else
+            ({**row, "n": pool.n, "status": "ok",
+              "coverage": report.coverage, "efficiency": report.efficiency,
+              "informativeness": report.informativeness,
+              "q_hat": report.q_hat, "sigma_q": report.sigma_q,
+              "eps_train": report.eps_train_spent}, [])
+            for row, report in zip(rows, reports)]
 
 
 # An (n, trial) has one task per training subset, two in all unless the

@@ -312,16 +312,17 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
 
 
 def _scaled_norms(layers, acts, deltas) -> np.ndarray:
-    """Per-sample gradient norms as sqrt(sum of (|delta| |a|)^2) over the
-    layers, from overflow-free row norms: slower than squaring the norms
-    apart, and not finite only where some layer's gradient norm overflows."""
-    sq = 0.0
+    """Per-sample gradient norms as the hypot of the layers' |delta| |a|,
+    from overflow-free row norms: slower than squaring the norms apart, and
+    not finite only where the gradient's own norm overflows."""
+    norms = None
     for (_, bias), a, delta in zip(layers, acts, deltas):
         a_norm = _row_norms(a)
         if bias is not None:
             a_norm = np.hypot(a_norm, 1.0)
-        sq = sq + np.square(_row_norms(delta) * a_norm)
-    return np.sqrt(sq)
+        layer = _row_norms(delta) * a_norm
+        norms = layer if norms is None else np.hypot(norms, layer)
+    return norms
 
 
 def sq_row_norms(x: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,10 +9,10 @@ from dpconformal.accounting import (BudgetSpec, InfeasibleBudgetError,
                                     calibrate_sigma_sgd, default_orders,
                                     gaussian_profile, rdp_compose, rdp_to_eps,
                                     sgd_profile)
+from dpconformal import conformal
 from dpconformal.conformal import (PipelineConfig, _evaluate_fast,
                                    _in_sample_scores, _score_matrix,
-                                   finish_stage, run_pipeline, train_stages,
-                                   train_target)
+                                   run_pipeline, run_pipelines, train_target)
 from dpconformal.data import gen_multiclass
 from dpconformal.models import (Dataset, ModelSpec, param_count,
                                 predict_proba, predict_value)
@@ -322,44 +323,105 @@ def test_train_target_names_the_shared_model():
         train_target("nope", budget)
 
 
-def test_one_train_stage_finishes_every_method_that_shares_it(
+def test_run_pipelines_finishes_every_method_from_its_target(
         class_pool_test):
+    # Each subset's methods in one call, dpscp_f and dpscp_a sharing one
+    # model: every report equals its config's own run.
     pool, test = class_pool_test
-    for methods in (("dpscp_f", "dpscp_a"), ("split_cp",), ("naive_full",),
-                    ("dp_split",)):
+    for methods in (("dpscp_f", "dpscp_a", "naive_full"),
+                    ("dp_split", "split_cp")):
         configs = [tiny_pipeline_config(m, pool.n) for m in methods]
-        (stage,) = train_stages(pool, test, configs[:1], seed=11)
-        for cfg in configs:
-            assert finish_stage(stage, cfg) == run_pipeline(pool, test, cfg,
-                                                            seed=11)
-    (stage,) = train_stages(pool, test,
-                            [tiny_pipeline_config("dpscp_f", pool.n)], seed=11)
-    for other in (tiny_pipeline_config("dp_split", pool.n),
-                  tiny_pipeline_config("dpscp_a", pool.n, epsilon=2.0)):
-        with pytest.raises(ValueError, match="trains another model"):
-            finish_stage(stage, other)
+        assert run_pipelines(pool, test, configs, seed=11) == [
+            run_pipeline(pool, test, cfg, seed=11) for cfg in configs]
 
 
-def test_train_stages_equal_one_train_stage_each(class_pool_test):
-    # Three dpscp targets and naive_full train on the full pool in one
-    # lockstep call; no sigma_sgd meets the epsilon 0.04 target.
+def test_run_pipelines_equal_one_run_each(class_pool_test):
+    # Three dpscp_f targets and naive_full train on the full pool in one
+    # lockstep call; no sigma_sgd meets the epsilon 0.04 target, which fails
+    # its dpscp_f and dpscp_a configs alone.
     pool, test = class_pool_test
     configs = [tiny_pipeline_config("dpscp_f", pool.n, epsilon=eps)
                for eps in (0.5, 0.04, 2.0)]
     configs.append(tiny_pipeline_config("naive_full", pool.n))
-    stages = list(train_stages(pool, test, configs, seed=11))
-    assert isinstance(stages[1], InfeasibleBudgetError)
-    with pytest.raises(InfeasibleBudgetError):
-        run_pipeline(pool, test, configs[1], seed=11)
+    configs.append(tiny_pipeline_config("dpscp_a", pool.n, epsilon=0.04))
+    reports = run_pipelines(pool, test, configs, seed=11)
+    for i in (1, 4):
+        assert isinstance(reports[i], InfeasibleBudgetError)
+        with pytest.raises(InfeasibleBudgetError):
+            run_pipeline(pool, test, configs[i], seed=11)
     for i in (0, 2, 3):
-        (alone,) = train_stages(pool, test, [configs[i]], seed=11)
-        assert stages[i].target == alone.target
-        assert np.array_equal(stages[i].cal_scores, alone.cal_scores)
-        assert np.array_equal(stages[i].test_scores, alone.test_scores)
-        assert stages[i].eps_train_spent == alone.eps_train_spent
-        assert finish_stage(stages[i], configs[i]) == finish_stage(
-            alone, configs[i])
-    assert not np.array_equal(stages[0].cal_scores, stages[2].cal_scores)
+        assert reports[i] == run_pipeline(pool, test, configs[i], seed=11)
+    assert reports[0] != reports[2]
+
+
+def test_run_pipelines_refuses_configs_it_cannot_train_together(
+        class_pool_test):
+    # Configs on two subsets, or with two deltas (which train_target does
+    # not name), are refused before any calibration.
+    pool, test = class_pool_test
+    first = tiny_pipeline_config("dpscp_f", pool.n)
     split = tiny_pipeline_config("dp_split", pool.n)
-    with pytest.raises(ValueError, match="one training subset"):
-        list(train_stages(pool, test, [configs[0], split], seed=11))
+    other_delta = replace(first, budget=BudgetSpec(1.0, 1e-6, 0.5))
+    assert (train_target(other_delta.method, other_delta.budget)
+            == train_target(first.method, first.budget))
+    for pair in ([first, split], [first, other_delta]):
+        with pytest.raises(ValueError, match="one training subset, delta"):
+            run_pipelines(pool, test, pair, seed=11)
+
+
+def count_calls(monkeypatch, name, fail_when=lambda *args: False):
+    """Wrap ``conformal.<name>`` to record its calls, raising a
+    RuntimeError on those that ``fail_when`` selects."""
+    calls = []
+    inner = getattr(conformal, name)
+
+    def wrapped(*args, **kwargs):
+        calls.append(args)
+        if fail_when(*args):
+            raise RuntimeError(f"{name} failed")
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(conformal, name, wrapped)
+    return calls
+
+
+def four_configs_over_three_targets(n):
+    return [tiny_pipeline_config("dpscp_f", n),
+            tiny_pipeline_config("dpscp_a", n),
+            tiny_pipeline_config("dpscp_f", n, epsilon=2.0),
+            tiny_pipeline_config("naive_full", n)]
+
+
+def test_run_pipelines_trains_and_scores_each_target_once(
+        class_pool_test, monkeypatch):
+    pool, test = class_pool_test
+    configs = four_configs_over_three_targets(pool.n)
+    alone = [run_pipeline(pool, test, cfg, seed=11) for cfg in configs]
+    trained = count_calls(monkeypatch, "dp_sgd_train")
+    scored = count_calls(monkeypatch, "_in_sample_scores")
+    assert run_pipelines(pool, test, configs, seed=11) == alone
+    assert len(trained) == 1
+    assert len(scored) == 3
+
+
+def test_run_pipelines_fails_a_scoring_or_finish_failure_alone(
+        class_pool_test, monkeypatch):
+    # naive_full's model has noise multiplier 0: failing its scoring fails
+    # that target alone. dpscp_f alone searches with a stability buffer:
+    # failing that search fails dpscp_f but not dpscp_a, which shares its
+    # model.
+    pool, test = class_pool_test
+    configs = four_configs_over_three_targets(pool.n)
+    alone = [run_pipeline(pool, test, cfg, seed=11) for cfg in configs]
+    count_calls(monkeypatch, "_in_sample_scores",
+                lambda model, data: model.accounting.noise_multiplier == 0.0)
+    reports = run_pipelines(pool, test, configs, seed=11)
+    assert str(reports[3]) == "_in_sample_scores failed"
+    assert reports[:3] == alone[:3]
+    count_calls(monkeypatch, "buffered_right_search",
+                lambda scores, config: config.buffer_m > 0)
+    reports = run_pipelines(pool, test, configs, seed=11)
+    assert [str(r) for r in (reports[0], reports[2], reports[3])] == [
+        "buffered_right_search failed", "buffered_right_search failed",
+        "_in_sample_scores failed"]
+    assert reports[1] == alone[1]

@@ -243,6 +243,50 @@ def test_clipped_grad_sum_norms_survive_overflowing_squares(case):
             assert np.array_equal(got, want[r])
 
 
+def exact_norms(grads):
+    """l2 norms of the rows of ``grads``, each row rescaled by an exact power
+    of two before it is squared, so that no square overflows."""
+    _, e = np.frexp(np.abs(grads).max(axis=-1, keepdims=True))
+    return np.ldexp(np.linalg.norm(np.ldexp(grads, -e), axis=-1), e[..., 0])
+
+
+def _finite_norm_cases():
+    # softmax_linear at zero parameters: feature rows of norm 1e307 and 2e200
+    # with deltas of norm sqrt(1/2). mlp classifier: weights of 1e100 make
+    # the 1e100 row's hidden units about 1e200 and its logits about 1e300,
+    # so both layers' gradient norms are about 1.4e200.
+    soft = ModelSpec("softmax_linear", 2, 2)
+    mlp = ModelSpec("mlp", 2, 3, (2,))
+    mlp_params = np.zeros(param_count(mlp))
+    (w1, _), (w2, _) = models._layers(mlp, mlp_params)
+    w1[:] = 1e100 * np.eye(2)
+    w2[:2] = 1e100 * np.eye(2)
+    return [(soft, np.zeros(param_count(soft)), [[1e307, 0.0], [0.0, 2e200]],
+             [0, 1]),
+            (mlp, mlp_params, [[1e100, 0.5], [0.5, -1.0]], [1, 2])]
+
+
+@pytest.mark.parametrize("case", _finite_norm_cases(),
+                         ids=["softmax_linear", "mlp_classifier"])
+def test_clipped_grad_sum_norms_are_finite_up_to_max_float(case):
+    # A gradient norm between sqrt(max float) and max float is finite: the
+    # layers' rescaled norms are combined by hypot, not squared. The oracle
+    # takes each per-sample gradient's norm after an exact rescale by a
+    # power of two.
+    spec, params, x, y = case
+    x, y = as_batch(spec, x, y)
+    _, grads = batch_loss_and_grads(spec, params, x, y)
+    want_norms = exact_norms(grads)
+    assert np.isfinite(want_norms).all() and want_norms.max() > 1e200
+    want_sum = (grads * clip_scale(want_norms, 1.0)[..., None]).sum(axis=-2)
+    # The squares of the large rows overflow in sq_row_norms.
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, norms, grad_sum = clipped_grad_sum(spec, params, x, y, 1.0)
+    np.testing.assert_allclose(norms, want_norms, rtol=1e-12)
+    assert (np.linalg.norm(grad_sum - want_sum)
+            <= 1e-12 * np.linalg.norm(want_sum))
+
+
 def test_as_batch_converts_once():
     spec = ModelSpec("mlp", 3, 4, (5,))
     x = np.arange(6.0).reshape(2, 3)

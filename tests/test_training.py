@@ -152,6 +152,13 @@ def kind_data(spec, n=200, seed=3):
         spec.output_dim
 
 
+def exact_norms(grads):
+    """l2 norms of the rows of ``grads``, each row rescaled by an exact power
+    of two before it is squared, so that no square overflows."""
+    _, e = np.frexp(np.abs(grads).max(axis=-1, keepdims=True))
+    return np.ldexp(np.linalg.norm(np.ldexp(grads, -e), axis=-1), e[..., 0])
+
+
 def first_batch_with(row, n, cfg):
     """The first step whose Poisson batch over ``n`` rows holds ``row``,
     replayed from the trainer's mask stream."""
@@ -199,11 +206,13 @@ def test_nan_feature_row_fails_its_first_batch(spec):
 @pytest.mark.filterwarnings("ignore:overflow encountered",
                             "ignore:invalid value encountered")
 @pytest.mark.parametrize("spec,learning_rate", [
-    (KIND_SPECS[0], 1e200), (KIND_SPECS[2], 1e100), (KIND_SPECS[3], 1e100),
+    (KIND_SPECS[0], 1e200), (KIND_SPECS[2], 1e120), (KIND_SPECS[3], 1e100),
 ], ids=["linear_regression", "mlp_classifier", "mlp_regression"])
 def test_overflowing_parameters_fail_the_next_step(spec, learning_rate):
     # Step 0 moves the parameters to about the learning rate; step 1's
-    # forward or backward pass overflows.
+    # forward or backward pass overflows. The classifier's three layers make
+    # logits of about the cube of its rate, so 1e120 overflows them, while
+    # at 1e100 every gradient norm is about 1e200 and finite.
     x, y, task, k = kind_data(spec)
     data = Dataset(x, y, task, k)
     cfg = TrainConfig(learning_rate, 30, 0.1, 1.0, noise_multiplier=0.5,
@@ -223,10 +232,11 @@ def test_overflowing_parameters_fail_the_next_step(spec, learning_rate):
                             "ignore:invalid value encountered")
 def test_overflowing_gradient_norm_fails_with_a_finite_loss():
     # At the zero init the softmax loss is log 3 on every row, but the row of
-    # 1e160 features has a gradient norm past the float range.
+    # 1.5e308 features has a gradient norm past the float range (about
+    # 0.82 x 3.4e308), though every gradient entry is finite.
     spec = KIND_SPECS[1]
     x, y, task, k = kind_data(spec)
-    x[17] = 1e160
+    x[17] = 1.5e308
     cfg = TrainConfig(0.1, 60, 0.05, 1.0, noise_multiplier=0.5, seed=0)
     assert first_batch_with(17, len(y), cfg) == 0
     losses, _ = batch_loss_and_grads(spec, np.zeros(param_count(spec)),
@@ -235,6 +245,27 @@ def test_overflowing_gradient_norm_fails_with_a_finite_loss():
     with pytest.raises(NumericFailureError) as err:
         dp_sgd_train(Dataset(x, y, task, k), spec, cfg)
     assert str(err.value) == "non-finite loss or gradient at step 0"
+
+
+@pytest.mark.parametrize("spec", KIND_SPECS[:2], ids=KIND_IDS[:2])
+def test_a_finite_gradient_norm_past_sqrt_max_float_takes_its_step(spec):
+    # At the zero init the 1e200 row's squares overflow, but its gradient
+    # norm is about 1e200, so a one-step, full-batch run clips it and takes
+    # the step. The oracle clips
+    # the per-sample gradients by norms taken after an exact rescale.
+    x, y, task, k = kind_data(spec)
+    x[17] = 1e200
+    cfg = TrainConfig(0.1, 1, 1.0, 1.0, seed=5)
+    model = dp_sgd_train(Dataset(x, y, task, k), spec, cfg)
+    theta = init_params(spec, _spawn_streams(cfg.seed)[3])
+    _, grads = batch_loss_and_grads(spec, theta, x, y)
+    norms = exact_norms(grads)
+    assert np.isfinite(norms).all() and norms.max() > 1e199
+    clipped = grads * (cfg.clip_norm / np.maximum(norms, cfg.clip_norm))[
+        :, None]
+    np.testing.assert_allclose(
+        model.params, theta - cfg.learning_rate * clipped.mean(axis=0),
+        rtol=1e-12, atol=1e-15)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -465,12 +496,12 @@ def test_lockstep_failed_run_fails_alone(extra_first, position):
 
 
 def test_lockstep_coupled_run_fails_with_its_base_message_first():
-    # With the 1e200 extra point in at step 0, every run's extra trajectory
+    # With the 1e308 extra point in at step 0, every run's extra trajectory
     # has a non-finite gradient norm; the 1e308 run's base trajectory also
     # overflows its noisy update, and that message, the one its own call
     # raises first, is the run's.
     base, extra, spec, target = coupled_setup()
-    huge = (np.full_like(extra[0], 1e200), extra[1])
+    huge = (np.full_like(extra[0], 1e308), extra[1])
     cfg = TrainConfig(0.2, 10, 0.05, 1.0, seed=13)
     schedule = np.ones(cfg.steps, dtype=bool)
     traces = coupled_train(base, huge, spec, cfg, theta_star=target,
