@@ -108,10 +108,6 @@ class RdpProfile:
         return cls(tuple(float(a) for a in orders), (0.0,) * len(orders))
 
 
-def _log_binom(n: int, k: int) -> float:
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-
-
 def _two_sigma_sq(sigma: float) -> float:
     """2 sigma^2; +inf where sigma^2 overflows, which Python raises on."""
     try:
@@ -146,11 +142,16 @@ def _sigma_free_grid(orders: tuple[int, ...], rate_q: float
     """
     log_q = math.log(rate_q)
     log_1mq = math.log1p(-rate_q)
-    base = np.array([_log_binom(a, k) + k * log_q + (a - k) * log_1mq
-                     for a in orders for k in range(a + 1)])
-    k = np.concatenate([np.arange(a + 1, dtype=float) for a in orders])
+    # log m! for m = 0..max order; log C(a, k) is (log a! - log k!)
+    # - log (a - k)!, in that order.
+    log_fact = np.array([math.lgamma(m + 1) for m in range(max(orders) + 1)])
     sizes = np.array(orders) + 1
-    grid = (base, k * k - k, np.cumsum(sizes) - sizes, sizes,
+    starts = np.cumsum(sizes) - sizes
+    a = np.repeat(np.array(orders), sizes)
+    k = np.arange(a.size) - np.repeat(starts, sizes)
+    base = (((log_fact[a] - log_fact[k]) - log_fact[a - k]) + k * log_q
+            + (a - k) * log_1mq)
+    grid = (base, (k * k - k).astype(float), starts, sizes,
             np.array(orders, dtype=float) - 1.0)
     for array in grid:
         array.flags.writeable = False

@@ -296,16 +296,15 @@ def _pipeline_group(config: ExperimentConfig, rows: list[dict], pool: Dataset,
             for row, report in zip(rows, reports)]
 
 
-# An (n, trial) has one task per training subset, two in all unless the
-# lockstep row cap splits a subset's targets. Tasks run each subset for every
-# trial in turn, so the tasks of one (n, trial) lie up to (sample sizes x
-# trials) data cells apart. 32 cells hold the desk grid (2 x 10) and every
-# trial of the paper's 30 at one n. A cell keeps (test_size + n) rows of d
-# standardized features and one label: 2.8 MB at n = 30000, test_size 2000
-# and d = 10, so 32 such cells keep about 90 MB. The pool and test are
-# standardized in their row slices of the one generated matrix; building a
-# cell peaks at about 1.9x what it keeps, the rest being the pool-sized
-# deviations that the standard deviation's np.std allocates.
+# An (n, trial) has one task per training subset, two in all. Tasks run each
+# subset for every trial in turn, so the tasks of one (n, trial) lie up to
+# (sample sizes x trials) data cells apart. 32 cells hold the desk grid (2 x
+# 10) and every trial of the paper's 30 at one n. A cell keeps (test_size + n)
+# rows of d standardized features and one label: 2.8 MB at n = 30000,
+# test_size 2000 and d = 10, so 32 such cells keep about 90 MB. The pool and
+# test are standardized in their row slices of the one generated matrix;
+# building a cell peaks at about 1.9x what it keeps, the rest being the
+# pool-sized deviations that the standard deviation's np.std allocates.
 @lru_cache(maxsize=32)
 def _scaling_data(generator: tuple, n: int, trial_seed: int
                   ) -> tuple[Dataset, Dataset, StandardizationStats]:
@@ -356,9 +355,9 @@ def _csv_key(src: dict) -> tuple:
 
 
 # Bounded as _scaling_data is: a trial has one task per training subset (two
-# unless the lockstep row cap splits a subset), and they lie up to (trials)
-# tasks apart. The split is standardized in the rows it gathers, so a build
-# peaks at about 1.9x what it keeps, as a scaling cell does.
+# in all), and they lie up to (trials) tasks apart. The split is standardized
+# in the rows it gathers, so a build peaks at about 1.9x what it keeps, as a
+# scaling cell does.
 @lru_cache(maxsize=32)
 def _realdata_split(csv_key: tuple, test_fraction: float, trial_seed: int
                     ) -> tuple[Dataset, Dataset, StandardizationStats]:
@@ -561,32 +560,17 @@ def _safe_trial(config: ExperimentConfig, cells: list[dict],
         return [_failed(row, exc) for row in rows]
 
 
-# At most this many rows (lockstep runs x batch size) in one training call.
-# A subset's targets beyond it go to further tasks, so that the (runs, batch,
-# width) activations of large batches stay small and the tasks balance on a
-# few workers: batch 2000 trains 2 runs per call, batch 32 up to 128.
-_LOCKSTEP_ROWS = 4096
-
-
-def _cell_target(config: ExperimentConfig, cell: dict):
-    """(n, ``train_target``) of a scaling or realdata cell; None for other
-    cells and for an invalid budget."""
+def _training_subset(config: ExperimentConfig, cell: dict):
+    """(n, split flag of ``train_target``) of a scaling or realdata cell: the
+    training subset its task trains; None for other cells and for an invalid
+    budget."""
     if config.experiment not in ("scaling", "realdata"):
         return None
     try:
         budget = BudgetSpec(cell["epsilon"], config.delta, cell["p"])
-        return cell["n"], train_target(cell["method"], budget)
+        return cell["n"], train_target(cell["method"], budget)[0]
     except (TypeError, ValueError):  # an invalid budget fails on its own
         return None
-
-
-def _lockstep_runs(config: ExperimentConfig) -> int:
-    """Most distinct targets that one task trains in lockstep."""
-    try:
-        batch = int(_section("train", config.train)["batch_size"])
-    except (TypeError, ValueError):  # the task fails on the bad value
-        return 1
-    return max(1, _LOCKSTEP_ROWS // max(batch, 1))
 
 
 def _tasks(config: ExperimentConfig, cells: list[dict],
@@ -594,27 +578,17 @@ def _tasks(config: ExperimentConfig, cells: list[dict],
     """(cell indices, trial) tasks, in the order of each task's first row in
     the output. Scaling and realdata cells of a trial share a task when
     their data cell (n; the whole CSV for realdata) and the split flag of
-    ``train_target`` agree, up to ``_lockstep_runs`` distinct targets per
-    task. Every stability cell of a trial shares one task, which trains all
-    of them in lockstep. Any other cell runs alone."""
-    targets = [_cell_target(config, cell) for cell in cells]
+    ``train_target`` agree: one task per training subset and trial, which
+    trains every distinct target of the subset in one lockstep call at any
+    batch size. Every stability cell of a trial shares one task, which
+    trains all of them in lockstep. Any other cell runs alone."""
     groups: dict = {}
-    for i, target in enumerate(targets):
-        if config.experiment == "stability":
-            key = "coupled"
-        elif target is None:
-            key = i
-        else:
-            n, (split, _) = target
-            key = n, split
-        groups.setdefault(key, []).append(i)
-    cap = _lockstep_runs(config)
-    tasks = []
-    for members in groups.values():
-        distinct = list(dict.fromkeys(targets[i] for i in members))
-        for k in range(0, len(distinct), cap):
-            chunk = [i for i in members if targets[i] in distinct[k:k + cap]]
-            tasks += [(chunk, t) for t in range(trials)]
+    for i, cell in enumerate(cells):
+        key = ("coupled" if config.experiment == "stability"
+               else _training_subset(config, cell))
+        groups.setdefault(i if key is None else key, []).append(i)
+    tasks = [(members, t) for members in groups.values()
+             for t in range(trials)]
     return sorted(tasks, key=lambda task: (task[0][0], task[1]))
 
 

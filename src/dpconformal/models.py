@@ -24,7 +24,8 @@ REGRESSION = "regression"
 
 @dataclass(frozen=True)
 class Dataset:
-    """Feature matrix plus labels (class indices or real targets)."""
+    """Feature matrix plus labels (class indices or real targets). A class
+    label must be an exact integer, which a float such as 1.0 is."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -38,7 +39,12 @@ class Dataset:
         if self.task not in (CLASSIFICATION, REGRESSION):
             raise ValueError(f"unknown task {self.task!r}")
         if self.task == CLASSIFICATION:
-            y = np.asarray(self.labels, dtype=int)
+            y = np.asarray(self.labels)
+            if y.dtype.kind not in "biu":
+                y = y.astype(float)
+                if not np.all(np.isfinite(y) & (y == np.trunc(y))):
+                    raise ValueError("class labels must be integers")
+            y = y.astype(int, copy=False)
             k = self.n_classes if self.n_classes else int(y.max()) + 1
             if y.min() < 0 or y.max() >= k:
                 raise ValueError("class indices must lie in [0, n_classes)")

@@ -379,20 +379,42 @@ def test_calibrate_sigma_q_equals_the_scalar_search(monkeypatch):
                     assert probe(s) == eps_total(s)
 
 
-def test_calibration_computes_each_binomial_term_once_per_rate(monkeypatch):
-    calls = {}
+def log_binom(n, k):
+    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
-    def counting(n, k):
-        calls[n, k] = calls.get((n, k), 0) + 1
-        return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+
+@pytest.mark.parametrize("rate", [1e-6, 0.0064, 0.1, 0.5, 0.9, 1 - 1e-6])
+def test_sigma_free_grid_bit_equal_to_the_scalar_binomial_loop(rate):
+    # Oracle: every term from the scalar formula, one term at a time.
+    orders = default_orders()
+    log_q, log_1mq = math.log(rate), math.log1p(-rate)
+    base = [log_binom(a, k) + k * log_q + (a - k) * log_1mq
+            for a in orders for k in range(a + 1)]
+    k = np.concatenate([np.arange(a + 1, dtype=float) for a in orders])
+    sizes = np.array(orders) + 1
+    want = (np.array(base), k * k - k, np.cumsum(sizes) - sizes, sizes,
+            np.array(orders, dtype=float) - 1.0)
+    got = accounting._sigma_free_grid.__wrapped__(orders, rate)
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+def test_calibration_computes_each_binomial_term_once_per_rate(monkeypatch):
+    # Every log C(a, k) of a rate's grid comes from one table of log m!.
+    calls = {}
+    real = math.lgamma
+
+    def counting(x):
+        calls[x] = calls.get(x, 0) + 1
+        return real(x)
 
     calibrate_sigma_sgd.cache_clear()
     accounting._sigma_free_grid.cache_clear()
-    monkeypatch.setattr(accounting, "_log_binom", counting)
+    monkeypatch.setattr(math, "lgamma", counting)
     try:
-        every_term = {(a, k) for a in default_orders() for k in range(a + 1)}
+        every_factorial = set(range(1, max(default_orders()) + 2))
         calibrate_sigma_sgd(0.1, 10, 0.5, 1e-5)
-        assert set(calls) == every_term
+        assert set(calls) == every_factorial
         assert max(calls.values()) == 1
         # Another target at the same rate reuses every term.
         calibrate_sigma_sgd(0.1, 10, 1.5, 1e-5)

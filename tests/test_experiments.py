@@ -493,22 +493,29 @@ def test_infeasible_target_fails_alone_in_its_lockstep_task(tmp_path):
     assert feasible == alone
 
 
-def test_row_cap_splits_a_subset_into_lockstep_tasks(tmp_path):
-    # Batch 2048 (full-batch steps on 600 rows) trains at most
-    # 4096 // 2048 = 2 runs per call: the full pool's 4 dpscp targets and
-    # naive_full take 3 tasks per trial, the train half's 3 targets 2.
+def test_a_subset_trains_in_one_lockstep_task_at_any_batch_size(
+        tmp_path, monkeypatch):
+    # Batch 2048 (full-batch steps on 600 rows): per trial, one task trains
+    # the full pool's 4 dpscp targets and naive_full, and one the train
+    # half's 3 targets, each in one lockstep call.
     cfg = tiny_scaling_config(
         tmp_path, methods=ALL_METHODS, epsilons=(0.5, 1.0),
         allocations=(0.3, 0.5),
         train={"model": "softmax_linear", "epochs": 8, "batch_size": 2048,
                "learning_rate": 0.05, "clip_norm": 1.0})
-    cells = experiments._grid(cfg)
-    tasks = experiments._tasks(cfg, cells, cfg.trials)
-    assert len(tasks) == 2 * (3 + 2)
-    for members, _ in tasks:
-        targets = {experiments._cell_target(cfg, cells[i]) for i in members}
-        assert len(targets) <= 2
+    tasks = experiments._tasks(cfg, experiments._grid(cfg), cfg.trials)
+    assert len(tasks) == 2 * 2
+    runs = []
+    real = conformal.dp_sgd_train
+
+    def train(*args, noise_multipliers, **kwargs):
+        runs.append(len(noise_multipliers))
+        return real(*args, noise_multipliers=noise_multipliers, **kwargs)
+
+    monkeypatch.setattr(conformal, "dp_sgd_train", train)
     rows = run_experiment(cfg)
+    monkeypatch.undo()
+    assert sorted(runs) == [3, 3, 5, 5]
     assert sum(r["status"] == "ok" for r in rows) == 2 * 2 * 5 * 2
     results = (tmp_path / "results.csv").read_bytes()
     series = (tmp_path / "results_series.csv").read_bytes()

@@ -331,6 +331,23 @@ def test_dataset_validation():
     assert data.n_classes == 3 and data.n == 4 and data.dim == 2
 
 
+@pytest.mark.parametrize("labels", [[0.5, 1.7], [0.0, 1.0 + 1e-9],
+                                    [0.0, math.nan], [0.0, math.inf],
+                                    ["0", "1.5"]])
+def test_dataset_rejects_class_labels_that_are_not_integers(labels):
+    with pytest.raises(ValueError, match="class labels must be integers"):
+        Dataset(np.zeros((2, 2)), labels, "classification")
+
+
+def test_dataset_takes_integral_float_class_labels():
+    data = Dataset(np.zeros((3, 2)), [0.0, 2.0, 1.0], "classification")
+    assert data.labels.dtype == int and data.labels.tolist() == [0, 2, 1]
+    assert data.n_classes == 3
+    # Regression targets stay real.
+    assert Dataset(np.zeros((2, 2)), [0.5, 1.7], "regression"
+                   ).labels.tolist() == [0.5, 1.7]
+
+
 # The per-row reductions that the column-by-column class-axis code replaces;
 # they are the oracle the kernels must equal bit for bit.
 def reduce_softmax(z):
