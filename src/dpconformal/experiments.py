@@ -609,6 +609,9 @@ def _aggregate_rows(cell_rows: list[dict]) -> list[dict]:
                 agg[col] = ""
             elif stat == "mean":
                 agg[col] = float(np.mean(vals))
+            elif min(vals) == max(vals):
+                # np.std would subtract a mean rounded off the common value.
+                agg[col] = 0.0
             else:
                 agg[col] = float(np.std(vals, ddof=1))
         out.append(_format_row(agg))

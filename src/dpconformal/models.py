@@ -44,10 +44,15 @@ class Dataset:
                 y = y.astype(float)
                 if not np.all(np.isfinite(y) & (y == np.trunc(y))):
                     raise ValueError("class labels must be integers")
+            # Checked before the cast, which would turn a label beyond the
+            # int64 range into a garbage index.
+            k = self.n_classes if self.n_classes else min(
+                int(y.max()) + 1, 2 ** 63)
+            out = (y < 0) | (y >= k)
+            if out.any():
+                raise ValueError("class indices must lie in [0, n_classes); "
+                                 f"got label {y[out][0].item()!r}")
             y = y.astype(int, copy=False)
-            k = self.n_classes if self.n_classes else int(y.max()) + 1
-            if y.min() < 0 or y.max() >= k:
-                raise ValueError("class indices must lie in [0, n_classes)")
         else:
             y = np.asarray(self.labels, dtype=float)
             k = 0

@@ -7,7 +7,10 @@ Randomness discipline: one root seed expands into four named streams
 initial parameters). The standalone trainer and the coupled runner read the
 first two streams through one per-step source, so a coupled run sees exactly
 the batches and noise of the standalone run, and its two trajectories are
-bitwise equal until the extra point is sampled for the first time.
+bitwise equal until the extra point is sampled for the first time. That
+source draws a block of steps at a time: the block's Poisson inclusions by
+geometric gaps, in time proportional to its batch rows rather than to n per
+step, and its noise vectors as one matrix.
 
 One step function advances a stack of runs that differ only in their noise
 multiplier on one shared batch, so a standalone call can carry R runs and a
@@ -92,12 +95,53 @@ class CouplingTrace:
 
 
 def poisson_sample(n: int, rate_q: float, stream: np.random.Generator) -> np.ndarray:
-    """Indices included by i.i.d. Bernoulli(rate_q) draws from the stream."""
+    """Indices, ascending, included by i.i.d. Bernoulli(rate_q) draws: one
+    step of the trainers' block sampler (``_poisson_block``) on the
+    stream."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0.0 <= rate_q <= 1.0:
         raise ValueError("rate_q must lie in [0, 1]")
-    return (stream.random(n) < rate_q).nonzero()[0]
+    return _poisson_block(n, rate_q, 1, stream)[0]
+
+
+def _poisson_block(n: int, rate_q: float, steps: int,
+                   stream: np.random.Generator) -> tuple[np.ndarray, list[int]]:
+    """The Poisson batches of ``steps`` consecutive steps over ``n`` rows:
+    their row indices, each step's ascending, concatenated step by step, and
+    the steps + 1 offsets that cut them into steps.
+
+    The block's steps * n (step, row) inclusion trials are laid out step-major
+    and its successes found by geometric(rate_q) gaps between them (Devroye
+    1986, "Non-Uniform Random Variate Generation"), so a block costs time in
+    proportion to the rows it includes. The successes of a Bernoulli(rate_q)
+    trial sequence are the running sums of i.i.d. geometric gaps, so the law
+    is the per-row draw's up to floating-point rounding, as a uniform
+    compared with rate_q is; by memorylessness a block may start a fresh gap
+    sequence, discarding the gaps that overrun it.
+    """
+    trials = steps * n
+    if rate_q == 0.0:  # geometric rejects p = 0
+        return np.empty(0, dtype=np.intp), [0] * (steps + 1)
+    mean = trials * rate_q
+    chunk = int(mean + 4.0 * math.sqrt(mean)) + 8
+
+    def ends() -> np.ndarray:
+        # A gap past the block is clipped to one past it: numpy returns
+        # INT64_MAX for a tiny rate, whose running sum would wrap negative.
+        gaps = stream.geometric(rate_q, chunk)
+        return np.minimum(gaps, trials + 1, out=gaps).cumsum(out=gaps)
+
+    # The 1-based trial number of each success, drawn until one overruns.
+    hits = ends()
+    while hits[-1] <= trials:
+        more = ends()
+        more += hits[-1]
+        hits = np.concatenate([hits, more])
+    pos = hits[:np.searchsorted(hits, trials, "right")]
+    pos -= 1
+    bounds = np.searchsorted(pos, np.arange(0, trials + 1, n)).tolist()
+    return np.remainder(pos, n, out=pos), bounds
 
 
 def stability_bound_universal(
@@ -149,20 +193,54 @@ def _spawn_streams(seed: int) -> tuple[np.random.Generator, ...]:
     return tuple(np.random.Generator(np.random.PCG64(s)) for s in root.spawn(4))
 
 
+# A block of steps has its Poisson batches drawn and gathered together: it
+# expects about _BATCH_BLOCK_ROWS batch rows in all, and holds at most that
+# many steps. Its noise vectors are drawn at most _NOISE_BLOCK_FLOATS floats
+# (256 KiB) at a time, which bounds the memory of small batches on a large
+# model and changes no bit of them.
+_BATCH_BLOCK_ROWS = 1 << 10
+_NOISE_BLOCK_FLOATS = 1 << 15
+
+
 def _draws(
-    n: int,
+    x: np.ndarray,
+    x_sq: np.ndarray,
+    y: np.ndarray,
     p: int,
     config: TrainConfig,
     mask_rng: np.random.Generator,
     noise_rng: np.random.Generator,
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Each step's Poisson batch indices over ``n`` rows and its standard
-    normal noise vector of length ``p``, one mask draw and one noise draw per
-    step. An empty batch is yielded as is: the accounting assumes plain
-    Poisson sampling at ``config.sampling_rate``, so it is never redrawn."""
-    for t in range(config.steps):
-        idx = poisson_sample(n, config.sampling_rate, mask_rng)
-        yield t, idx, noise_rng.standard_normal(p)
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray,
+                    np.ndarray]]:
+    """Each step's Poisson batch over the rows of ``x``, as ``(t, idx,
+    x_batch, sq_batch, y_batch, noise)``: its row indices, ascending, the
+    rows' features, ``x_sq`` (their ``sq_row_norms``) and labels, and the
+    step's standard normal noise vector of length ``p``.
+
+    The steps come a block at a time: the block's batches from one
+    ``_poisson_block`` draw on ``mask_rng``, its rows gathered with one
+    ``take`` per array, and its noise as (steps, p) draws on ``noise_rng``,
+    bit-equal to one (p,) draw per step. Each step gets contiguous views of
+    them. The blocks depend on n and the sampling rate alone, so a run's
+    batches are the first ones of any longer run. An empty batch is yielded
+    as is: the accounting assumes plain Poisson sampling at
+    ``config.sampling_rate``, so it is never redrawn."""
+    n = x.shape[0]
+    rate = config.sampling_rate
+    per_block = max(1, int(min(_BATCH_BLOCK_ROWS / (rate * n),
+                               _BATCH_BLOCK_ROWS)))
+    noise_rows = max(1, _NOISE_BLOCK_FLOATS // p)
+    for t0 in range(0, config.steps, per_block):
+        steps = min(per_block, config.steps - t0)
+        rows, bounds = _poisson_block(n, rate, steps, mask_rng)
+        xs, sqs, ys = x.take(rows, 0), x_sq.take(rows), y.take(rows)
+        for i in range(steps):
+            if i % noise_rows == 0:
+                noise = noise_rng.standard_normal(
+                    (min(noise_rows, steps - i), p))
+            a, b = bounds[i], bounds[i + 1]
+            yield (t0 + i, rows[a:b], xs[a:b], sqs[a:b], ys[a:b],
+                   noise[i % noise_rows])
 
 
 def _norms(rows: np.ndarray) -> np.ndarray:
@@ -327,7 +405,6 @@ def dp_sgd_train(
     """
     sigmas = _multipliers(config, noise_multipliers)
     x, y = as_batch(spec, dataset.features, dataset.labels)
-    n = dataset.n
     p = param_count(spec)
     mask_rng, noise_rng, _, init_rng = _spawn_streams(config.seed)
     runs = len(sigmas)
@@ -336,12 +413,11 @@ def dp_sgd_train(
     outcome: list = [None] * runs
     # A failing run may overflow or make NaNs; _batch_update names it.
     with np.errstate(over="ignore", invalid="ignore"):
-        x_sq = sq_row_norms(x)
-        for t, idx, noise in _draws(n, p, config, mask_rng, noise_rng):
+        for t, idx, xb, sqb, yb, noise in _draws(
+                x, sq_row_norms(x), y, p, config, mask_rng, noise_rng):
             if idx.size == 0:
                 continue
-            failed = _batch_update(spec, params, x.take(idx, 0),
-                                   x_sq.take(idx), y.take(idx), noise, std,
+            failed = _batch_update(spec, params, xb, sqb, yb, noise, std,
                                    config, t)
             if failed and _fail(outcome, failed):
                 break
@@ -387,7 +463,6 @@ def coupled_train(
     """
     sigmas = _multipliers(config, noise_multipliers)
     x, y = as_batch(spec, base.features, base.labels)
-    n = base.n
     p = param_count(spec)
     x_extra, y_extra = as_batch(spec, extra_point[0], [extra_point[1]])
     mask_rng, noise_rng, extra_rng, init_rng = _spawn_streams(config.seed)
@@ -429,18 +504,16 @@ def coupled_train(
     # A failing run may overflow or make NaNs, and so may the gap and error
     # norms; _batch_update and the scan below name the step.
     with np.errstate(over="ignore", invalid="ignore"):
-        x_sq = sq_row_norms(x)
         extra_sq = sq_row_norms(x_extra)
-        for t, idx, noise in _draws(n, p, config, mask_rng, noise_rng):
+        for t, idx, xb, sqb, yb, noise in _draws(
+                x, sq_row_norms(x), y, p, config, mask_rng, noise_rng):
             failed = {}
             if not extra_flags[t]:
                 if idx.size > 0:
-                    failed = _batch_update(spec, theta, x.take(idx, 0),
-                                           x_sq.take(idx), y.take(idx), noise,
+                    failed = _batch_update(spec, theta, xb, sqb, yb, noise,
                                            std_both, config, t)
             else:
                 # The two halves step apart, each in its own rows of theta.
-                xb, sqb, yb = x.take(idx, 0), x_sq.take(idx), y.take(idx)
                 if idx.size > 0:
                     failed = _batch_update(spec, theta[:runs], xb, sqb, yb,
                                            noise, std, config, t)

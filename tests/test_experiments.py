@@ -96,6 +96,23 @@ def test_aggregates_recomputable_from_per_trial_rows(tmp_path):
             assert abs(float(sd_row[col]) - np.std(vals, ddof=1)) < 1e-12
 
 
+def test_sd_of_identical_trial_values_is_exactly_zero():
+    # np.std of ten copies of 0.3 is 5.9e-17, from the rounding of their
+    # mean; the sd row of a constant column reads 0.
+    trials = [{"experiment": "scaling", "method": "dpscp_f", "epsilon": 1.0,
+               "n": 100, "p": 0.5, "trial": t, "coverage": 0.8 + t / 100,
+               "efficiency": 2.0, "informativeness": 0.5, "q_hat": 0.3,
+               "sigma_q": 4.0, "eps_train": 0.3, "seed": t, "status": "ok"}
+              for t in range(10)]
+    assert np.std([0.3] * 10, ddof=1) > 0.0
+    mean, sd = experiments._aggregate_rows(
+        [experiments._format_row(r) for r in trials])
+    assert float(mean["eps_train"]) == pytest.approx(0.3)
+    assert sd["eps_train"] == sd["q_hat"] == sd["efficiency"] == "0.0"
+    assert float(sd["coverage"]) == pytest.approx(np.std(
+        [0.8 + t / 100 for t in range(10)], ddof=1))
+
+
 def test_seed_discipline_prefix(tmp_path):
     short = run_experiment(tiny_scaling_config(tmp_path, trials=2))
     longer = run_experiment(tiny_scaling_config(tmp_path, trials=3))

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -337,6 +338,20 @@ def test_dataset_validation():
 def test_dataset_rejects_class_labels_that_are_not_integers(labels):
     with pytest.raises(ValueError, match="class labels must be integers"):
         Dataset(np.zeros((2, 2)), labels, "classification")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("labels,n_classes,bad", [
+    ([0.0, 1e300], 0, "1e+300"), ([0.0, 2.0 ** 63], 0, "9.223372036854776e+18"),
+    ([0.0, -1e300], 0, "-1e+300"), ([0.0, 1e300], 3, "1e+300"),
+    ([0, 1, 5], 3, "5")])
+def test_dataset_names_a_class_label_out_of_range(labels, n_classes, bad):
+    # The range is checked before the cast to int, which would turn a label
+    # beyond int64 into a garbage index with a RuntimeWarning.
+    with pytest.raises(ValueError, match=rf"\[0, n_classes\); got label "
+                                         rf"{re.escape(bad)}$"):
+        Dataset(np.zeros((len(labels), 2)), labels, "classification",
+                n_classes=n_classes)
 
 
 def test_dataset_takes_integral_float_class_labels():

@@ -1,8 +1,10 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from dpconformal.data import gen_logistic
 from dpconformal.models import (Dataset, ModelSpec, as_batch,
@@ -27,9 +29,16 @@ def small_logistic(n=400, d=6, seed=12):
 
 
 def test_poisson_sample_extremes():
+    # A rate of 0 draws nothing (numpy's geometric rejects p = 0), and a
+    # rate of 1 includes every row, also in every step of a block.
     rng = np.random.default_rng(0)
     assert poisson_sample(50, 0.0, rng).size == 0
     np.testing.assert_array_equal(poisson_sample(50, 1.0, rng), np.arange(50))
+    rows, bounds = training._poisson_block(9, 0.0, 4, rng)
+    assert rows.size == 0 and bounds == [0] * 5
+    cfg = TrainConfig(0.1, 300, 1.0, 1.0, seed=2)
+    for _, idx, *_ in replay_draws(7, cfg):
+        np.testing.assert_array_equal(idx, np.arange(7))
 
 
 def test_poisson_sample_mean_batch():
@@ -38,6 +47,110 @@ def test_poisson_sample_mean_batch():
     sizes = [poisson_sample(n, q, rng).size for _ in range(draws)]
     se = math.sqrt(n * q * (1 - q) / draws)
     assert abs(np.mean(sizes) - n * q) < 3 * se
+
+
+@pytest.mark.parametrize("rate", [5e-324, 1e-300, 1e-12])
+def test_tiny_rates_draw_empty_batches_without_overflow(rate):
+    # numpy's geometric returns INT64_MAX at a rate of 1e-300, whose running
+    # sum would wrap negative; the sampler clips each gap to one past its
+    # block first. At 5e-324 a block's expected step count, 1024 / (q n),
+    # is inf and is capped before it becomes an int. Every batch is empty
+    # and nothing warns.
+    cfg = TrainConfig(0.1, 3000, rate, 1.0, seed=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert poisson_sample(50, rate, np.random.default_rng(3)).size == 0
+        rows, bounds = training._poisson_block(10 ** 6, rate, 1024,
+                                               np.random.default_rng(3))
+        assert rows.size == 0 and bounds == [0] * 1025
+        assert all(idx.size == 0 for _, idx, *_ in replay_draws(50, cfg))
+
+
+def law_draws(n, q, steps, seed):
+    """Each step's batch indices of a replayed trainer over ``n`` rows."""
+    cfg = TrainConfig(0.1, steps, q, 1.0, seed=seed)
+    return [idx for _, idx, *_ in replay_draws(n, cfg)]
+
+
+def test_batch_sizes_and_inclusions_follow_the_bernoulli_law():
+    # Chi-square tests of the batch sizes against Binomial(n, q), with the
+    # tails pooled where fewer than 5 are expected, and of each row's
+    # inclusion count against Binomial(steps, q). Each batch is ascending
+    # without repeats.
+    n, q, steps = 40, 0.1, 20000
+    batches = law_draws(n, q, steps, seed=8)
+    assert all(np.all(np.diff(idx) > 0) for idx in batches)
+    sizes = np.array([idx.size for idx in batches])
+    expected = steps * stats.binom.pmf(np.arange(n + 1), n, q)
+    lo, hi = np.flatnonzero(expected >= 5)[[0, -1]]
+    observed = np.bincount(np.clip(sizes, lo, hi), minlength=n + 1)[lo:hi + 1]
+    pooled = expected[lo:hi + 1].copy()
+    pooled[0] += expected[:lo].sum()
+    pooled[-1] += expected[hi + 1:].sum()
+    assert stats.chisquare(observed, pooled).pvalue > 1e-3
+    counts = np.bincount(np.concatenate(batches), minlength=n)
+    z = (counts - steps * q) / math.sqrt(steps * q * (1 - q))
+    assert stats.chi2.sf(np.sum(z ** 2), n) > 1e-3
+
+
+def test_inclusions_are_independent_across_a_block_boundary(monkeypatch):
+    # With blocks of 2 steps, a row is in both the last batch of one block
+    # and the first of the next with probability q^2, as it is in two steps
+    # of one block; a block that reused its predecessor's gaps would repeat
+    # its batches.
+    n, q, steps = 100, 0.1, 6000
+    monkeypatch.setattr(training, "_BATCH_BLOCK_ROWS", 2 * n * q)
+    batches = law_draws(n, q, steps, seed=9)
+    for first in (1, 0):  # across a boundary, then within a block
+        pairs = range(first, steps - 1, 2)
+        joint = sum(np.intersect1d(batches[t], batches[t + 1]).size
+                    for t in pairs)
+        trials = len(pairs) * n
+        sd = math.sqrt(trials * q * q * (1 - q * q))
+        assert abs(joint - trials * q * q) < 4 * sd
+
+
+@pytest.mark.parametrize("n,q", [(50, 0.1), (1000, 0.02), (7, 1.0)])
+def test_poisson_sample_is_the_first_step_of_the_block_sampler(n, q):
+    cfg = TrainConfig(0.1, 100, q, 1.0, seed=4)
+    first = next(replay_draws(n, cfg))[1]
+    got = poisson_sample(n, q, _spawn_streams(cfg.seed)[0])
+    np.testing.assert_array_equal(got, first)
+
+
+@pytest.mark.parametrize("q", [0.05, 0.5], ids=["one_block", "two_blocks"])
+def test_a_shorter_run_draws_the_first_batches_of_a_longer_one(q):
+    short = law_draws(60, q, 37, seed=5)
+    longer = law_draws(60, q, 300, seed=5)
+    assert all(np.array_equal(a, b) for a, b in zip(short, longer))
+
+
+@pytest.mark.parametrize("noise_floats", [None, 21],
+                         ids=["default", "three_rows"])
+def test_draws_gather_each_batch_and_its_sequential_noise(noise_floats,
+                                                          monkeypatch):
+    # Each step's rows are views of the block's one gather, equal to the
+    # indexed rows, and its noise is bit-equal to one (p,) draw per step,
+    # also when the noise comes in chunks of 3 rows that do not divide a
+    # block.
+    if noise_floats is not None:
+        monkeypatch.setattr(training, "_NOISE_BLOCK_FLOATS", noise_floats)
+    n, p = 60, 7
+    rng = np.random.default_rng(10)
+    x, y = rng.standard_normal((n, 3)), rng.integers(0, 4, n)
+    x_sq = sq_row_norms(x)
+    cfg = TrainConfig(0.1, 500, 0.05, 1.0, seed=6)
+    mask_rng, noise_rng = _spawn_streams(cfg.seed)[:2]
+    sequential = _spawn_streams(cfg.seed)[1]
+    steps = 0
+    for t, idx, xb, sqb, yb, noise in training._draws(
+            x, x_sq, y, p, cfg, mask_rng, noise_rng):
+        assert t == steps
+        assert xb.flags.c_contiguous and np.array_equal(xb, x[idx])
+        assert np.array_equal(sqb, x_sq[idx]) and np.array_equal(yb, y[idx])
+        assert np.array_equal(noise, sequential.standard_normal(p))
+        steps += 1
+    assert steps == cfg.steps
 
 
 def test_batched_norms_equal_the_one_row_norm():
@@ -159,12 +272,20 @@ def exact_norms(grads):
     return np.ldexp(np.linalg.norm(np.ldexp(grads, -e), axis=-1), e[..., 0])
 
 
+def replay_draws(n, cfg):
+    """The trainers' per-step draws over ``n`` rows, replayed from their
+    streams through ``training._draws``; each row's one feature is its
+    index. The batches do not depend on the noise length, here 1."""
+    mask_rng, noise_rng = _spawn_streams(cfg.seed)[:2]
+    x = np.arange(n, dtype=float)[:, None]
+    return training._draws(x, sq_row_norms(x), np.zeros(n), 1, cfg, mask_rng,
+                           noise_rng)
+
+
 def first_batch_with(row, n, cfg):
     """The first step whose Poisson batch over ``n`` rows holds ``row``,
     replayed from the trainer's mask stream."""
-    mask_rng = _spawn_streams(cfg.seed)[0]
-    return next(t for t in range(cfg.steps)
-                if row in poisson_sample(n, cfg.sampling_rate, mask_rng))
+    return next(t for t, idx, *_ in replay_draws(n, cfg) if row in idx)
 
 
 def failures(traces):
@@ -236,11 +357,13 @@ def test_overflowing_gradient_norm_fails_with_a_finite_loss():
     # 0.82 x 3.4e308), though every gradient entry is finite.
     spec = KIND_SPECS[1]
     x, y, task, k = kind_data(spec)
-    x[17] = 1.5e308
     cfg = TrainConfig(0.1, 60, 0.05, 1.0, noise_multiplier=0.5, seed=0)
-    assert first_batch_with(17, len(y), cfg) == 0
+    # A row of step 0's batch, so that the step sees the zero init.
+    row = next(replay_draws(len(y), cfg))[1][0]
+    assert first_batch_with(row, len(y), cfg) == 0
+    x[row] = 1.5e308
     losses, _ = batch_loss_and_grads(spec, np.zeros(param_count(spec)),
-                                     x[17:18], y[17:18])
+                                     x[row:row + 1], y[row:row + 1])
     assert losses[0] == pytest.approx(math.log(3))
     with pytest.raises(NumericFailureError) as err:
         dp_sgd_train(Dataset(x, y, task, k), spec, cfg)
@@ -452,16 +575,17 @@ def with_failing_run(position, sigmas):
 
 
 def count_steps(monkeypatch):
-    """A list that grows by one for each step a trainer draws."""
-    from dpconformal import training
+    """A list that grows by one for each step a trainer takes from its
+    per-step source."""
     steps = []
-    real = training.poisson_sample
+    real = training._draws
 
     def spy(*args):
-        steps.append(1)
-        return real(*args)
+        for draw in real(*args):
+            steps.append(1)
+            yield draw
 
-    monkeypatch.setattr(training, "poisson_sample", spy)
+    monkeypatch.setattr(training, "_draws", spy)
     return steps
 
 
@@ -520,12 +644,12 @@ def test_lockstep_coupled_run_fails_with_its_base_message_first():
 
 @pytest.mark.parametrize("trainer", ["coupled_train", "dp_sgd_train"])
 def test_lockstep_every_run_failed_ends_the_loop(trainer, monkeypatch):
-    # At learning rate 1e150 the 6000 run's projection norm overflows after
+    # At learning rate 1e150 the 7000 run's projection norm overflows after
     # some steps, while the 1e308 run fails at its first nonempty step. Each
     # run fails with the message of its own call, and no step is drawn after
     # the last run has failed.
     base, extra, spec, target = coupled_setup()
-    sigmas = (6000.0, 1e308)
+    sigmas = (7000.0, 1e308)
     cfg = TrainConfig(1e150, 60, 0.05, 1.0, projection_radius=1e200, seed=13)
 
     def train(config, **kwargs):
@@ -553,11 +677,11 @@ def test_lockstep_every_run_failed_ends_the_loop(trainer, monkeypatch):
 @pytest.mark.parametrize("radius", [None, 1e200],
                          ids=["no_projection", "projection"])
 def test_lockstep_norm_overflow_fails_its_run_alone(radius):
-    # At learning rate 1e150 the 6000 run's iterate stays finite while its
+    # At learning rate 1e150 the 7000 run's iterate stays finite while its
     # norm grows past sqrt(max float), about 1.3e154, after some steps; the
     # others stay near 1e150.
     base, extra, spec, target = coupled_setup()
-    sigmas = (0.7, 6000.0, 3.1)
+    sigmas = (0.7, 7000.0, 3.1)
     cfg = TrainConfig(1e150, 60, 0.05, 1.0, projection_radius=radius, seed=13)
 
     def alone(sigma, steps=60):
@@ -574,40 +698,43 @@ def test_lockstep_norm_overflow_fails_its_run_alone(radius):
     step = int(str(failure)[len(prefix):])
     assert step > 0
     with pytest.raises(NumericFailureError) as single:
-        alone(6000.0)
+        alone(7000.0)
     assert str(single.value) == str(failure)
     # The named step is the first bad one: the run stopped before it is ok.
-    assert np.isfinite(alone(6000.0, steps=step).error_series).all()
+    assert np.isfinite(alone(7000.0, steps=step).error_series).all()
     for i in (0, 2):
         assert np.isfinite(traces[i].error_series).all()
         assert_traces_equal(traces[i], alone(sigmas[i]))
 
 
-@pytest.mark.parametrize("block,steps", [(4, 10), (3, 10), (4, 6)],
-                         ids=["mid_block", "block_end", "final_step"])
+@pytest.mark.parametrize("where", ["mid_block", "block_end", "final_step"])
 def test_coupled_failure_keeps_its_message_across_norm_blocks(
-        block, steps, monkeypatch):
-    # The gap and error norms are taken a block of steps at a time. The
-    # 1e308 run fails at its first nonempty step, 5: inside a block of 4, at
-    # the end of a block of 3, or at the final step. Its rows are not finite
-    # after that step, so a series entry scanned past that step would rename
-    # its failure a norm failure. The other runs equal their own calls at the
-    # default block size, also where the block does not divide the steps.
+        where, monkeypatch):
+    # The gap and error norms are taken a block of steps at a time. The run
+    # of infinite noise fails its noisy update at its first nonempty step,
+    # replayed from the mask stream (a 1e308 run would overflow only where
+    # some noise entry exceeds 1.8 in size): inside a block, at the end of a
+    # block, or at the final step. Its rows are not finite after that step,
+    # so a series entry scanned past that step would rename its failure a
+    # norm failure. The other runs equal their own calls at the default
+    # block size, also where the block does not divide the steps.
     base, extra, spec, target = coupled_setup()
-    cfg = TrainConfig(0.2, steps, 0.002, 1.0, seed=5)
-    mask_rng = _spawn_streams(cfg.seed)[0]
-    assert [poisson_sample(base.n, cfg.sampling_rate, mask_rng).size > 0
-            for _ in range(6)] == [False] * 5 + [True]
+    cfg = TrainConfig(0.2, 10, 0.002, 1.0, seed=5)
+    first = next(t for t, idx, *_ in replay_draws(base.n, cfg) if idx.size)
+    block, steps = {"mid_block": (first + 2, first + 5),
+                    "block_end": (first + 1, first + 5),
+                    "final_step": (first + 2, first + 1)}[where]
+    cfg = dataclasses.replace(cfg, steps=steps)
     t = np.arange(steps)
-    schedule = (t > 5) & (t % 2 == 0)
-    sigmas = (0.7, 1e308, 3.1)
+    schedule = (t > first) & (t % 2 == 0)
+    sigmas = (0.7, math.inf, 3.1)
 
     def train(**kwargs):
         return coupled_train(base, extra, spec, cfg, theta_star=target,
                              extra_schedule=schedule, **kwargs)
 
     alone = [train(noise_multipliers=[sigma])[0] for sigma in sigmas]
-    assert str(alone[1]) == "non-finite gradient update at step 5"
+    assert str(alone[1]) == f"non-finite gradient update at step {first}"
     monkeypatch.setattr(training, "_NORM_BLOCK_FLOATS",
                         block * 2 * len(sigmas) * param_count(spec))
     traces = train(noise_multipliers=sigmas)
@@ -615,7 +742,7 @@ def test_coupled_failure_keeps_its_message_across_norm_blocks(
     assert str(traces[1]) == str(alone[1])
     for i in (0, 2):
         assert_traces_equal(traces[i], alone[i])
-    if steps > 6:
+    if where != "final_step":
         assert traces[0].gap_series[-1] > 0.0
 
 
@@ -745,10 +872,10 @@ ONE_SUM_CASES = {
     # A finite update of about 1e299 times the 1e10 learning rate.
     "iterate": (coupled_setup, dict(learning_rate=1e10), (0.7, 1e300, 3.1),
                 "non-finite iterate"),
-    # At learning rate 1e150 the 6000 run's norm passes sqrt(max float).
+    # At learning rate 1e150 the 7000 run's norm passes sqrt(max float).
     "projection_norm": (coupled_setup,
                         dict(learning_rate=1e150, projection_radius=1e200),
-                        (0.7, 6000.0, 3.1), "non-finite projection norm"),
+                        (0.7, 7000.0, 3.1), "non-finite projection norm"),
 }
 
 
@@ -830,9 +957,9 @@ def concatenated_coupled_series(base, extra, spec, config, theta_star,
         return new
 
     stacks = [theta]
-    for t in range(config.steps):
-        idx = poisson_sample(base.n, config.sampling_rate, mask_rng)
-        noise = noise_rng.standard_normal(theta.shape[1])
+    for t, idx, *_, noise in training._draws(x, sq_row_norms(x), y,
+                                             theta.shape[1], config, mask_rng,
+                                             noise_rng):
         if not schedule[t]:
             if idx.size:
                 theta = stepped(theta, x[idx], y[idx],
