@@ -9,9 +9,10 @@ integer-order moment bound (binomial expansion; Mironov, Talwar & Zhang
 orders, so the accountant is reproducible without any external library.
 
 The bound is evaluated in one place, ``_subsampled_values``: one numpy
-log-sum-exp pass over the whole order grid. ``rdp_subsampled_gaussian``
-evaluates one order with it, ``sgd_profile`` the grid times the step count,
-and each ``calibrate_sigma_sgd`` probe the same grid. RDP converts to
+log-sum-exp pass over the whole order grid. ``sgd_profile`` evaluates it
+on an order grid times the step count (a one-step profile at one order is
+the bound of one subsampled Gaussian release), and each
+``calibrate_sigma_sgd`` probe on the same grid. RDP converts to
 (epsilon, delta) in one place too, ``_eps``, which ``rdp_to_eps`` and both
 calibration probes call. So a recorded spend and the probe that calibrated
 its sigma read the same floats; their last bits follow numpy's ``exp``.
@@ -40,7 +41,6 @@ __all__ = [
     "gdp_compose",
     "rdp_compose",
     "rdp_gaussian",
-    "rdp_subsampled_gaussian",
     "rdp_to_eps",
     "sgd_profile",
 ]
@@ -207,21 +207,6 @@ def rdp_gaussian(order: float, sigma: float) -> float:
     return order / two_s2
 
 
-def rdp_subsampled_gaussian(order: int, sigma: float, rate_q: float) -> float:
-    """Integer-order RDP bound for the Poisson-subsampled Gaussian mechanism.
-
-    Evaluates log E_{k~Bin(order, q)}[exp((k^2 - k) / (2 sigma^2))] / (order - 1),
-    the classical moment bound, which is exact for the Renyi divergence of the
-    subsampled mixture against the base Gaussian at integer orders.
-    """
-    a = _integer_order(order)
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if not 0.0 <= rate_q <= 1.0:
-        raise ValueError(f"rate_q must lie in [0, 1], got {rate_q}")
-    return float(_subsampled_values((a,), sigma, rate_q)[0])
-
-
 def gaussian_profile(
     sigma: float,
     orders: Sequence[float] | None = None,
@@ -263,7 +248,8 @@ def sgd_profile(
 
     A zero noise multiplier gives +inf at every order (no privacy), except
     when the run took no steps or sampled nothing. Otherwise every order
-    must be an integer >= 2, as ``rdp_subsampled_gaussian`` requires.
+    must be an integer >= 2. Each step adds the integer-order moment bound
+    log E_{k~Bin(order, q)}[exp((k^2 - k) / (2 sigma^2))] / (order - 1).
     """
     orders = default_orders() if orders is None else tuple(orders)
     if record.steps == 0 or record.sampling_rate == 0.0:

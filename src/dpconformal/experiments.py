@@ -138,6 +138,12 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
+        # A JSON config may give 2.5, 300.0 or true where a count belongs.
+        for name, value in (("trials", self.trials), ("seed", self.seed),
+                            *(("sample_sizes", n) for n in self.sample_sizes)):
+            integral = isinstance(value, (int, np.integer))
+            if not integral or isinstance(value, bool):
+                raise ValueError(f"{name} takes integers, got {value!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.seed < 0:

@@ -22,6 +22,25 @@ CLASSIFICATION = "classification"
 REGRESSION = "regression"
 
 
+def _class_indices(labels: np.ndarray, k: int) -> tuple[np.ndarray, int]:
+    """Class labels, exact integers, as int indices in [0, k), and k; with
+    k = 0, k is one more than the largest label."""
+    y = np.asarray(labels)
+    if y.dtype.kind not in "biu":
+        y = y.astype(float)
+        if not np.all(np.isfinite(y) & (y == np.trunc(y))):
+            raise ValueError("class labels must be integers")
+    # Checked before the cast, which would turn a label beyond the int64
+    # range into a garbage index, and by min and max, which make no n-sized
+    # temporary on the training path.
+    k = k or min(int(y.max()) + 1, 2 ** 63)
+    if y.size and not 0 <= y.min() <= y.max() < k:
+        bad = y[(y < 0) | (y >= k)][0]
+        raise ValueError("class indices must lie in [0, n_classes); "
+                         f"got label {bad.item()!r}")
+    return y.astype(int, copy=False), k
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Feature matrix plus labels (class indices or real targets). A class
@@ -39,20 +58,7 @@ class Dataset:
         if self.task not in (CLASSIFICATION, REGRESSION):
             raise ValueError(f"unknown task {self.task!r}")
         if self.task == CLASSIFICATION:
-            y = np.asarray(self.labels)
-            if y.dtype.kind not in "biu":
-                y = y.astype(float)
-                if not np.all(np.isfinite(y) & (y == np.trunc(y))):
-                    raise ValueError("class labels must be integers")
-            # Checked before the cast, which would turn a label beyond the
-            # int64 range into a garbage index.
-            k = self.n_classes if self.n_classes else min(
-                int(y.max()) + 1, 2 ** 63)
-            out = (y < 0) | (y >= k)
-            if out.any():
-                raise ValueError("class indices must lie in [0, n_classes); "
-                                 f"got label {y[out][0].item()!r}")
-            y = y.astype(int, copy=False)
+            y, k = _class_indices(self.labels, self.n_classes)
         else:
             y = np.asarray(self.labels, dtype=float)
             k = 0
@@ -187,11 +193,12 @@ def _check_features(spec: ModelSpec, x: np.ndarray) -> np.ndarray:
 def as_batch(spec: ModelSpec, x: np.ndarray,
              y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Features as a float (b, d) matrix with d == ``spec.input_dim``, and
-    labels as the (b,) float targets or int classes that the head reads.
-    Float 2-D features come back as the same array."""
+    labels as the (b,) float targets or int classes in [0, output_dim) that
+    the head reads. Float 2-D features come back as the same array."""
     x = _check_features(spec, x)
-    dtype = float if spec.task == REGRESSION else int
-    return x, np.asarray(y, dtype=dtype).reshape(x.shape[0])
+    if spec.task == REGRESSION:
+        return x, np.asarray(y, dtype=float).reshape(x.shape[0])
+    return x, _class_indices(y, spec.output_dim)[0].reshape(x.shape[0])
 
 
 def _forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray):

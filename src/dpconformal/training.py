@@ -12,17 +12,17 @@ source draws a block of steps at a time: the block's Poisson inclusions by
 geometric gaps, in time proportional to its batch rows rather than to n per
 step, and its noise vectors as one matrix.
 
-One step function advances a stack of runs that differ only in their noise
-multiplier on one shared batch, so a standalone call can carry R runs and a
-coupled call R pairs in lockstep; every run keeps the bits it has when
-trained alone.
+Both trainers run one step loop, ``_lockstep``, which advances a stack of
+runs that differ only in their noise multiplier on one shared batch, so a
+standalone call can carry R runs and a coupled call R pairs in lockstep;
+every run keeps the bits it has when trained alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .models import clipped_grad_sum as batch_loss_and_grads
 
 __all__ = ["CouplingTrace", "NumericFailureError", "TrainConfig",
            "TrainedModel", "coupled_train", "dp_sgd_train", "poisson_sample",
-           "stability_bound_smooth", "stability_bound_universal"]
+           "stability_bound_smooth"]
 
 
 class NumericFailureError(RuntimeError):
@@ -144,21 +144,6 @@ def _poisson_block(n: int, rate_q: float, steps: int,
     return np.remainder(pos, n, out=pos), bounds
 
 
-def stability_bound_universal(
-    rate_q: float, steps_t: int, radius_r: float
-) -> tuple[float, float]:
-    """Divergence-probability and expected-gap bounds that use only the
-    projection radius and the subsampling law."""
-    if not 0.0 <= rate_q <= 1.0:
-        raise ValueError("rate_q must lie in [0, 1]")
-    if steps_t < 0:
-        raise ValueError("steps_t must be nonnegative")
-    if radius_r <= 0.0:
-        raise ValueError("radius_r must be positive")
-    prob = 1.0 - (1.0 - rate_q) ** steps_t
-    return prob, radius_r * prob
-
-
 def stability_bound_smooth(
     n: int,
     rate_q: float,
@@ -261,16 +246,18 @@ def _record_norms(iterates: np.ndarray, t0: int, gaps: np.ndarray,
                   theta_star: np.ndarray | None) -> None:
     """Write the gap and error norms of ``iterates``, the (k, 2R, P) coupled
     stacks after steps t0 to t0 + k - 1, into those steps' entries of the
-    (R, T + 1) series."""
+    (R, T + 1) series. A norm may overflow, or be NaN on a failed run's
+    garbage rows; ``coupled_train`` scans the series for it."""
     k, rows, p = iterates.shape
     runs = rows // 2
     done = slice(t0 + 1, t0 + 1 + k)
     base = iterates[:, :runs]
-    gaps[:, done] = _norms((base - iterates[:, runs:]).reshape(-1, p)).reshape(
-        k, runs).T
-    if errors is not None:
-        errors[:, done] = _norms((base - theta_star).reshape(-1, p)).reshape(
-            k, runs).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        gaps[:, done] = _norms((base - iterates[:, runs:]).reshape(-1, p)
+                               ).reshape(k, runs).T
+        if errors is not None:
+            errors[:, done] = _norms((base - theta_star).reshape(-1, p)
+                                     ).reshape(k, runs).T
 
 
 def _batch_update(
@@ -363,17 +350,69 @@ def _multipliers(config: TrainConfig,
     return sigmas
 
 
-def _fail(outcome: list, failed: dict[int, str]) -> bool:
-    """Give each run that ``failed`` names for the first time the error of
-    its lowest failed row; returns whether every run has failed. A run is
-    live while its ``outcome`` is None. Row r of the stack belongs to run
-    r % len(outcome): a coupled call stacks the base trajectories above the
-    extra ones, and a run alone updates its base trajectory first."""
+def _fail(outcome: list, failed: dict[int, str], step: int) -> bool:
+    """Give each run that ``failed`` names for the first time the ``step``
+    and the error of its lowest failed row; returns whether every run has
+    failed. A run is live while its ``outcome`` is None. Row r of the stack
+    belongs to run r % len(outcome): a coupled call stacks the base
+    trajectories above the extra ones, and a run alone updates its base
+    trajectory first."""
     for row in sorted(failed):
         r = row % len(outcome)
         if outcome[r] is None:
-            outcome[r] = NumericFailureError(failed[row])
+            outcome[r] = (step, NumericFailureError(failed[row]))
     return None not in outcome
+
+
+def _lockstep(spec: ModelSpec, x: np.ndarray, y: np.ndarray,
+              config: TrainConfig, sigmas: list[float], init: np.ndarray,
+              mask_rng: np.random.Generator, noise_rng: np.random.Generator,
+              extra: tuple | None = None,
+              on_step: Callable | None = None) -> tuple[np.ndarray, list]:
+    """The DP-SGD step loop of both trainers: one run per noise multiplier
+    in ``sigmas``, each from the parameters ``init``, all advancing on each
+    step's one Poisson batch of (``x``, ``y``) and one noise vector.
+
+    Returns the stack of final iterates and, per run, None or the (step,
+    ``NumericFailureError``) of its first failed check; a failed run's rows
+    are garbage that no other row reads, and the loop stops once every run
+    has failed. With ``extra`` = (x_extra, y_extra, flags) the stack is 2R
+    rows: row r is run r on the batches of (``x``, ``y``), and row R + r the
+    same run with the extra rows added to each step whose flag is set, on
+    which the two halves step apart. ``on_step(t, stack)`` sees the stack
+    after each step t the loop completes."""
+    runs = len(sigmas)
+    stack = np.tile(init, (runs if extra is None else 2 * runs, 1))
+    std = np.array(sigmas, dtype=float)[:, None] * config.clip_norm
+    std_all = std if extra is None else np.concatenate([std, std])
+    outcome: list = [None] * runs
+    # A failing run may overflow or make NaNs; _batch_update names it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if extra is not None:
+            x_extra, y_extra, flags = extra
+            sq_extra = sq_row_norms(x_extra)
+        for t, idx, xb, sqb, yb, noise in _draws(
+                x, sq_row_norms(x), y, stack.shape[1], config, mask_rng,
+                noise_rng):
+            failed = {}
+            if extra is None or not flags[t]:
+                if idx.size > 0:
+                    failed = _batch_update(spec, stack, xb, sqb, yb, noise,
+                                           std_all, config, t)
+            else:
+                if idx.size > 0:
+                    failed = _batch_update(spec, stack[:runs], xb, sqb, yb,
+                                           noise, std, config, t)
+                failed_b = _batch_update(
+                    spec, stack[runs:], np.concatenate([xb, x_extra]),
+                    np.concatenate([sqb, sq_extra]),
+                    np.concatenate([yb, y_extra]), noise, std, config, t)
+                failed.update((runs + r, msg) for r, msg in failed_b.items())
+            if failed and _fail(outcome, failed, t):
+                break
+            if on_step is not None:
+                on_step(t, stack)
+    return stack, outcome
 
 
 def _result(outcome: list, noise_multipliers: Sequence[float] | None):
@@ -405,28 +444,16 @@ def dp_sgd_train(
     """
     sigmas = _multipliers(config, noise_multipliers)
     x, y = as_batch(spec, dataset.features, dataset.labels)
-    p = param_count(spec)
     mask_rng, noise_rng, _, init_rng = _spawn_streams(config.seed)
-    runs = len(sigmas)
-    params = np.tile(init_params(spec, init_rng), (runs, 1))
-    std = np.array(sigmas, dtype=float)[:, None] * config.clip_norm
-    outcome: list = [None] * runs
-    # A failing run may overflow or make NaNs; _batch_update names it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t, idx, xb, sqb, yb, noise in _draws(
-                x, sq_row_norms(x), y, p, config, mask_rng, noise_rng):
-            if idx.size == 0:
-                continue
-            failed = _batch_update(spec, params, xb, sqb, yb, noise, std,
-                                   config, t)
-            if failed and _fail(outcome, failed):
-                break
-    for r in range(runs):
-        if outcome[r] is None:
-            record = SgdAccountingRecord(sigmas[r], config.sampling_rate,
-                                         config.steps)
-            outcome[r] = TrainedModel(spec, params[r], record)
-    return _result(outcome, noise_multipliers)
+    params, failures = _lockstep(spec, x, y, config, sigmas,
+                                 init_params(spec, init_rng), mask_rng,
+                                 noise_rng)
+    return _result([
+        TrainedModel(spec, params[r], SgdAccountingRecord(
+            sigma, config.sampling_rate, config.steps))
+        if failure is None else failure[1]
+        for r, (sigma, failure) in enumerate(zip(sigmas, failures))],
+        noise_multipliers)
 
 
 def coupled_train(
@@ -485,79 +512,48 @@ def coupled_train(
             raise ValueError("theta_star must live in the flat parameter space")
         errors = np.zeros((runs, config.steps + 1))
         errors[:, 0] = _norms((init - theta_star)[None])[0]
-    outcome: list = [None] * runs
-    # The step at which each run failed in the loop; its series stop there.
-    stop = [config.steps] * runs
 
-    # Row r < runs of theta is run r on base, row runs + r the same run on
-    # base + extra_point. A failed run's rows are garbage that no other row
-    # reads.
-    theta = np.tile(init, (2 * runs, 1))
-    std = np.array(sigmas, dtype=float)[:, None] * config.clip_norm
-    std_both = np.concatenate([std, std])
     # The iterates of the steps from t0 on, whose norms are taken together
     # once the block is full.
     block = np.empty((max(1, min(config.steps,
                                  _NORM_BLOCK_FLOATS // (2 * runs * p))),
                       2 * runs, p))
     t0 = held = 0
-    # A failing run may overflow or make NaNs, and so may the gap and error
-    # norms; _batch_update and the scan below name the step.
-    with np.errstate(over="ignore", invalid="ignore"):
-        extra_sq = sq_row_norms(x_extra)
-        for t, idx, xb, sqb, yb, noise in _draws(
-                x, sq_row_norms(x), y, p, config, mask_rng, noise_rng):
-            failed = {}
-            if not extra_flags[t]:
-                if idx.size > 0:
-                    failed = _batch_update(spec, theta, xb, sqb, yb, noise,
-                                           std_both, config, t)
-            else:
-                # The two halves step apart, each in its own rows of theta.
-                if idx.size > 0:
-                    failed = _batch_update(spec, theta[:runs], xb, sqb, yb,
-                                           noise, std, config, t)
-                failed_b = _batch_update(
-                    spec, theta[runs:], np.concatenate([xb, x_extra]),
-                    np.concatenate([sqb, extra_sq]),
-                    np.concatenate([yb, y_extra]), noise, std, config, t)
-                failed.update((runs + r, msg) for r, msg in failed_b.items())
-            if failed:
-                every_run_failed = _fail(outcome, failed)
-                for r in range(runs):
-                    if outcome[r] is not None:
-                        stop[r] = min(stop[r], t)
-                if every_run_failed:
-                    break
-            block[held] = theta
-            held += 1
-            if held == len(block):
-                _record_norms(block, t0, gaps, errors, theta_star)
-                t0, held = t + 1, 0
-        _record_norms(block[:held], t0, gaps, errors, theta_star)
+
+    def on_step(t: int, theta: np.ndarray) -> None:
+        nonlocal t0, held
+        block[held] = theta
+        held += 1
+        if held == len(block):
+            _record_norms(block, t0, gaps, errors, theta_star)
+            t0, held = t + 1, 0
+
+    _, failures = _lockstep(spec, x, y, config, sigmas, init, mask_rng,
+                            noise_rng, (x_extra, y_extra, extra_flags),
+                            on_step)
+    _record_norms(block[:held], t0, gaps, errors, theta_star)
 
     # A norm can overflow while the iterate stays finite. Such a run fails at
     # the first step whose gap or error norm is not finite, which precedes
     # any failure in the loop; a failed run's series are scanned only up to
     # its failure step. The series are scanned once here, not on every step.
     named = [("gap", gaps)] + ([] if errors is None else [("error", errors)])
-    for r in range(runs):
+    outcome = []
+    for r, failure in enumerate(failures):
+        stop = config.steps if failure is None else failure[0]
         firsts = []
         for name, series in named:
-            bad = np.flatnonzero(~np.isfinite(series[r, 1:stop[r] + 1]))
+            bad = np.flatnonzero(~np.isfinite(series[r, 1:stop + 1]))
             if bad.size:
                 firsts.append((int(bad[0]), name))
         if firsts:
             step, name = min(firsts, key=lambda f: f[0])  # gap wins a tie
-            outcome[r] = NumericFailureError(
-                f"non-finite {name} norm at step {step}")
-
-    for r in range(runs):
-        if outcome[r] is None:
-            outcome[r] = CouplingTrace(
-                gap_series=gaps[r],
-                error_series=None if errors is None else errors[r],
-                diverged=first_divergence is not None,
-                first_divergence_step=first_divergence,
-            )
+            failure = (step, NumericFailureError(
+                f"non-finite {name} norm at step {step}"))
+        outcome.append(CouplingTrace(
+            gap_series=gaps[r],
+            error_series=None if errors is None else errors[r],
+            diverged=first_divergence is not None,
+            first_divergence_step=first_divergence,
+        ) if failure is None else failure[1])
     return _result(outcome, noise_multipliers)

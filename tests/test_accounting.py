@@ -15,9 +15,15 @@ from dpconformal.accounting import (BudgetSpec, GridMismatchError,
                                     UnsupportedOrderError, calibrate_sigma_q,
                                     calibrate_sigma_sgd, default_orders,
                                     gaussian_profile, gdp_compose,
-                                    rdp_compose, rdp_gaussian,
-                                    rdp_subsampled_gaussian, rdp_to_eps,
+                                    rdp_compose, rdp_gaussian, rdp_to_eps,
                                     sgd_profile)
+
+
+def rdp_subsampled_gaussian(order, sigma, rate_q):
+    """The subsampled-Gaussian bound at one order: one step's profile."""
+    record = SgdAccountingRecord(sigma, rate_q, 1)
+    return sgd_profile(record, (order,)).values[0]
+
 
 # ---------------------------------------------------------------------------
 # GDP
@@ -56,7 +62,7 @@ def test_rdp_gaussian_values():
     for order, sigma in [(1.0, 1.0), (2.0, math.nan), (math.nan, 1.0)]:
         with pytest.raises(ValueError):
             rdp_gaussian(order, sigma)
-    with pytest.raises(ValueError, match="sigma"):
+    with pytest.raises(ValueError, match="noise_multiplier"):
         rdp_subsampled_gaussian(2, math.nan, 0.1)
 
 

@@ -352,7 +352,7 @@ def test_flags_that_no_run_reads_are_usage_errors(tmp_path, args, flag,
     assert not out.exists()
 
 
-def test_config_validation():
+def test_config_validation(tmp_path, capsys):
     with pytest.raises(ValueError):
         ExperimentConfig(experiment="nope")
     with pytest.raises(ValueError):
@@ -366,6 +366,25 @@ def test_config_validation():
     for sizes in ((), (50, 400)):
         with pytest.raises(ValueError, match="one sample size"):
             ExperimentConfig(experiment="stability", sample_sizes=sizes)
+    # Counts are integers, not floats or bools, also where they are whole.
+    # From a config file, 2.5 trials exited 1 with a traceback, a 1.5 seed
+    # or a 300.0 sample size failed every row, and true ran one trial; each
+    # is now a usage error.
+    path, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+    for name, value in (("trials", 2.5), ("trials", True), ("seed", 1.5),
+                        ("seed", 2.0), ("sample_sizes", [300.0]),
+                        ("sample_sizes", [300, False])):
+        with pytest.raises(ValueError, match=f"{name} takes integers"):
+            ExperimentConfig(experiment="scaling", **{name: value})
+        path.write_text(json.dumps({"experiment": "scaling", name: value}))
+        with pytest.raises(SystemExit) as exc:
+            main(["scaling", "--config", str(path), "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{name} takes integers" in err and "Traceback" not in err
+        assert not out.exists()
+    assert ExperimentConfig(experiment="scaling", trials=np.int64(2),
+                            sample_sizes=(np.int64(300),)).trials == 2
 
 
 @pytest.mark.parametrize("fraction", [0.0, -0.5, 1.0, 1.5, math.nan])

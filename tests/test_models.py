@@ -297,6 +297,14 @@ def test_as_batch_converts_once():
     assert xb.shape == (1, 3) and yb.dtype == float
     with pytest.raises(ValueError, match="feature dim"):
         as_batch(spec, np.zeros((2, 4)), [0, 1])
+    # Classes are checked as Dataset checks them, against the head's
+    # output_dim: -1 is no class (not the last one), 0.7 is not cut to 0,
+    # and the 4-class head has no class 4.
+    for labels, message in (([1, -1], "got label -1$"),
+                            ([1, 0.7], "must be integers"),
+                            ([1, 4], "got label 4$")):
+        with pytest.raises(ValueError, match=message):
+            as_batch(spec, x, labels)
 
 
 def test_init_params():

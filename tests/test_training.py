@@ -14,8 +14,7 @@ from dpconformal import training
 from dpconformal.training import (NumericFailureError, TrainConfig,
                                   _norms, _spawn_streams, coupled_train,
                                   dp_sgd_train,
-                                  poisson_sample, stability_bound_smooth,
-                                  stability_bound_universal)
+                                  poisson_sample, stability_bound_smooth)
 
 RNG = np.random.default_rng(77)
 
@@ -453,7 +452,9 @@ def test_coupling_gap_zero_until_first_inclusion():
 
 
 def test_coupled_base_run_matches_standalone():
-    """The n-point side of the coupling is bitwise the standalone run."""
+    """The n-point side of the coupling is bitwise the standalone run, also
+    for each run of a lockstep call, for an mlp (whose runs start from the
+    init stream's draw) and with a forced schedule."""
     base, extra, spec, _ = coupled_setup()
     cfg = TrainConfig(0.05, 60, 0.08, 1.0, noise_multiplier=1.0, seed=31)
     standalone = dp_sgd_train(base, spec, cfg)
@@ -461,6 +462,40 @@ def test_coupled_base_run_matches_standalone():
                           theta_star=standalone.params)
     # error series tracks the n-point trajectory; at T it must hit zero
     assert trace.error_series[-1] == 0.0
+    for spec in (spec, ModelSpec("mlp", spec.input_dim, 2, (5,))):
+        for schedule in (None, np.arange(cfg.steps) % 9 == 4):
+            for r, sigma in enumerate(LOCKSTEP_SIGMAS):
+                standalone = dp_sgd_train(base, spec, dataclasses.replace(
+                    cfg, noise_multiplier=sigma))
+                traces = coupled_train(base, extra, spec, cfg,
+                                       theta_star=standalone.params,
+                                       extra_schedule=schedule,
+                                       noise_multipliers=LOCKSTEP_SIGMAS)
+                assert traces[r].diverged
+                assert traces[r].error_series[-1] == 0.0
+
+
+@pytest.mark.parametrize("label, message", [
+    (-1, "got label -1$"), (0.7, "must be integers"), (2, "got label 2$"),
+    (None, "got label 4$")], ids=["negative", "fraction", "past_head",
+                                  "five_class_pool"])
+def test_trainers_check_labels_against_the_head_before_any_step(
+        label, message, monkeypatch):
+    # The head has two classes. An extra point labelled -1 would train as
+    # class 1 (an index from the end) and one labelled 0.7 as class 0; a
+    # five-class pool (label None) would fail mid-loop on an index.
+    base, extra, spec, _ = coupled_setup()
+    cfg = TrainConfig(0.05, 20, 0.5, 1.0, seed=31)
+    steps = count_steps(monkeypatch)
+    with pytest.raises(ValueError, match=message):
+        if label is None:
+            labels = base.labels.copy()
+            labels[-1] = 4
+            dp_sgd_train(Dataset(base.features, labels, "classification"),
+                         spec, cfg)
+        else:
+            coupled_train(base, (extra[0], label), spec, cfg)
+    assert steps == []
 
 
 def test_coupling_projection_caps_gap():
@@ -1103,14 +1138,6 @@ def test_stacked_batch_grads_equal_per_run_calls(spec):
 
 # ---------------------------------------------------------------------------
 # Closed-form bounds
-
-
-def test_stability_bound_universal_values():
-    assert stability_bound_universal(0.0, 100, 1.0) == (0.0, 0.0)
-    assert stability_bound_universal(1.0, 5, 2.0) == (1.0, 2.0)
-    prob, gap = stability_bound_universal(0.01, 100, 1.0)
-    assert prob == pytest.approx(0.6339676587267709, abs=1e-12)
-    assert gap == pytest.approx(prob)
 
 
 def test_stability_bound_smooth_values():
