@@ -14,13 +14,15 @@ Methods:
   in-sample shift).
 
 Every trial is a pure function of (pool, test, config, seed).
-``train_target`` names the model a method trains, and ``run_pipelines``
-runs the configs of one training subset: it calibrates sigma_sgd, trains
-(one lockstep DP-SGD call) and scores each distinct target once, each model
-bit-equal to the one its config trains alone, and finishes every config
-(sigma_q, search or exact quantile, evaluation) from its target's model. A
-failed calibration or scoring fails its target's configs and a failed finish
-its own config; the others are unchanged. ``run_pipeline`` runs one config.
+The ``SPLIT_METHODS`` train on one half of the pool and calibrate on the
+other, ``train_target`` names a method's epsilon_train target, and
+``run_pipelines`` runs the configs of one training subset: it calibrates
+sigma_sgd, trains (one lockstep DP-SGD call) and scores each distinct target
+once, each model bit-equal to the one its config trains alone, and finishes
+every config (sigma_q, search or exact quantile, evaluation) from its
+target's model. A failed calibration or scoring fails its target's configs
+and a failed finish its own config; the others are unchanged.
+``run_pipeline`` runs one config.
 """
 
 from __future__ import annotations
@@ -39,10 +41,13 @@ from .quantile import (QuantileConfig, buffered_right_search,
                        exact_conformal_quantile, target_rank)
 from .training import TrainConfig, TrainedModel, dp_sgd_train
 
-__all__ = ["EvalReport", "PipelineConfig", "METHODS", "run_pipeline",
-           "run_pipelines", "split_train_size", "train_target"]
+__all__ = ["EvalReport", "PipelineConfig", "METHODS", "SPLIT_METHODS",
+           "run_pipeline", "run_pipelines", "split_train_size", "train_target"]
 
 METHODS = ("dpscp_f", "dpscp_a", "dp_split", "split_cp", "naive_full")
+# Train on the train half of a split (split_train_size) and calibrate on the
+# rest; the other methods train and calibrate on the whole pool.
+SPLIT_METHODS = ("dp_split", "split_cp")
 
 
 @dataclass(frozen=True)
@@ -74,22 +79,16 @@ class EvalReport:
     eps_train_spent: float
 
 
-def train_target(method: str,
-                 budget: BudgetSpec) -> tuple[bool, float | None]:
-    """What ``method`` trains on: whether it trains on the train half of a
-    split, and its epsilon_train target (None for non-private training).
-
-    Methods with equal targets train the same model from the same pool and
-    trial seed, so ``run_pipelines`` trains it once for them all.
-    """
+def train_target(method: str, budget: BudgetSpec) -> float | None:
+    """The epsilon_train target of ``method`` (None for non-private
+    training). Methods with equal targets on one subset train the same model
+    from the same pool and trial seed, so ``run_pipelines`` trains it once."""
     if method in ("dpscp_f", "dpscp_a"):
-        return False, budget.allocation_p * budget.epsilon_target
+        return budget.allocation_p * budget.epsilon_target
     if method == "dp_split":
-        return True, budget.epsilon_target
-    if method == "split_cp":
-        return True, None
-    if method == "naive_full":
-        return False, None
+        return budget.epsilon_target
+    if method in ("split_cp", "naive_full"):
+        return None
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -156,8 +155,8 @@ def run_pipelines(pool: Dataset, test: Dataset,
                   configs: Sequence[PipelineConfig], seed: int
                   ) -> list[EvalReport | Exception]:
     """One trial of every config, each model trained once: the configs
-    train on one subset (``train_target(...)[0]``) with one delta, model
-    spec and training template, and each distinct ``train_target`` is
+    train on one subset (all or none in ``SPLIT_METHODS``) with one delta,
+    model spec and training template, and each distinct ``train_target`` is
     calibrated, trained and scored once, every target in one lockstep
     ``dp_sgd_train`` call and each model bit-equal to its own call.
 
@@ -174,14 +173,14 @@ def run_pipelines(pool: Dataset, test: Dataset,
     first = configs[0]
     if first.model.task != pool.task:
         raise ValueError(f"the model has no {pool.task} head")
-    split = train_target(first.method, first.budget)[0]
+    split = first.method in SPLIT_METHODS
     shared = (split, first.budget.delta_target, first.model,
               first.train_template)
-    if any((train_target(c.method, c.budget)[0], c.budget.delta_target,
-            c.model, c.train_template) != shared for c in configs):
+    if any((c.method in SPLIT_METHODS, c.budget.delta_target, c.model,
+            c.train_template) != shared for c in configs):
         raise ValueError("configs must share one training subset, delta, "
                          "model and training template")
-    targets: dict = {}  # each distinct target's config indices
+    targets: dict = {}  # each distinct epsilon_train's config indices
     for i, config in enumerate(configs):
         targets.setdefault(train_target(config.method, config.budget),
                            []).append(i)
@@ -201,7 +200,7 @@ def run_pipelines(pool: Dataset, test: Dataset,
     tmpl = first.train_template
     delta = first.budget.delta_target
     sigmas: list = []
-    for _, eps_train in targets:
+    for eps_train in targets:
         try:
             sigmas.append(0.0 if eps_train is None else
                           calibrate_sigma_sgd(tmpl.sampling_rate, tmpl.steps,
@@ -220,7 +219,7 @@ def run_pipelines(pool: Dataset, test: Dataset,
     runs = iter(models)
 
     reports: list = [None] * len(configs)
-    for ((_, eps_train), indices), sigma in zip(targets.items(), sigmas):
+    for (eps_train, indices), sigma in zip(targets.items(), sigmas):
         scores = sigma if isinstance(sigma, Exception) else next(runs)
         if isinstance(scores, TrainedModel):
             try:
@@ -269,7 +268,7 @@ def _finish(config: PipelineConfig, test: Dataset, quant_seed: int,
         q_hat = exact_conformal_quantile(cal_scores, rank)
         sigma_q = 0.0
     else:
-        if method == "dp_split":
+        if method in SPLIT_METHODS:
             # Disjoint calibration half: account the search in isolation.
             train_profile = RdpProfile.zeros(default_orders())
         sigma_q = calibrate_sigma_q(train_profile, qt.steps_n, budget)

@@ -14,15 +14,16 @@ changes earlier rows, and grid cells sharing a trial index share their
 random draws (the generators are prefix-stable in n), which pairs the
 sweep's comparisons.
 
-A task is one training subset of one trial: one ``conformal.run_pipelines``
-call trains every distinct ``train_target`` of its cells in lockstep and
-finishes each cell from the model of its target, so ``dpscp_f`` and
-``dpscp_a`` share a model. A stability task trains every epsilon cell of
-a trial in one lockstep ``coupled_train`` call. A lockstep model is bit-equal
-to the one its cell trains alone, and a cell whose calibration, training or
-finish fails gets a failed row while the others are unchanged. Both CSVs are
-byte-identical for every worker count. A data cell is built, and a realdata
-CSV parsed, once per process.
+A task is one training subset (the pool, or the train half for the
+``SPLIT_METHODS``) of one trial: one ``conformal.run_pipelines`` call trains
+every distinct ``train_target`` of its cells in lockstep and finishes each
+cell from the model of its target, so ``dpscp_f`` and ``dpscp_a`` share a
+model. A stability task trains every epsilon cell of a trial in one lockstep
+``coupled_train`` call. A lockstep model is bit-equal to the one its cell
+trains alone. Every cell's budget is checked when the config is read; a cell
+whose calibration, training or finish fails gets a failed row while the
+others are unchanged. Both CSVs are byte-identical for every worker count. A
+data cell is built, and a realdata CSV parsed, once per process.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .accounting import BudgetSpec, calibrate_sigma_sgd
-from .conformal import (METHODS, PipelineConfig, run_pipelines,
-                        split_train_size, train_target)
+from .conformal import (METHODS, SPLIT_METHODS, PipelineConfig,
+                        run_pipelines, split_train_size)
 # Not called here: bench/layers.py wraps experiments.run_pipeline by name.
 from .conformal import run_pipeline  # noqa: F401
 from .data import (StandardizationStats, apply_standardizer,
@@ -139,15 +140,18 @@ class ExperimentConfig:
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         # A JSON config may give 2.5, 300.0 or true where a count belongs.
-        for name, value in (("trials", self.trials), ("seed", self.seed),
-                            *(("sample_sizes", n) for n in self.sample_sizes)):
+        for name, value, least in (
+                ("trials", self.trials, 1), ("seed", self.seed, 0),
+                *(("sample_sizes", n, 1) for n in self.sample_sizes)):
             integral = isinstance(value, (int, np.integer))
             if not integral or isinstance(value, bool):
                 raise ValueError(f"{name} takes integers, got {value!r}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
+        if not 0.0 < self.alpha < 1.0:  # NaN fails the comparison as well
+            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
+        if not isinstance(self.output, (str, os.PathLike, type(None))):
+            raise ValueError(f"output takes a path, got {self.output!r}")
         for name, section in (("generator", self.generator),
                               ("csv", self.csv_source), ("train", self.train),
                               ("quantile", self.quantile)):
@@ -160,12 +164,17 @@ class ExperimentConfig:
                 raise ValueError(f"unknown methods {bad}")
             if not self.methods or not self.epsilons or not self.allocations:
                 raise ValueError("grid lists must be nonempty")
+        if self.experiment != "quantile_demo":
+            # BudgetSpec's checks for every cell (stability reads no p and may
+            # list none); an infeasible epsilon fails its cells at run time.
+            for epsilon, p in product(self.epsilons, self.allocations or (0.5,)):
+                BudgetSpec(epsilon, self.delta, p)
         if self.experiment == "scaling" and not self.sample_sizes:
             raise ValueError("scaling needs a sample size")
         if self.experiment == "stability" and len(self.sample_sizes) != 1:
             raise ValueError("stability takes exactly one sample size")
         if self.experiment == "realdata":
-            if "path" not in self.csv_source:
+            if not isinstance(self.csv_source.get("path"), (str, os.PathLike)):
                 raise ValueError("realdata needs a csv path (the csv "
                                  "section's 'path' key)")
             # At 0 or below the test split is one row; at 1 or above the
@@ -266,9 +275,7 @@ def _pipeline_group(config: ExperimentConfig, rows: list[dict], pool: Dataset,
     train = _section("train", config.train)
     epochs = int(train["epochs"])
     batch = int(train["batch_size"])
-    budgets = [BudgetSpec(row["epsilon"], config.delta, row["p"])
-               for row in rows]
-    split, _ = train_target(rows[0]["method"], budgets[0])
+    split = rows[0]["method"] in SPLIT_METHODS
     n_train = split_train_size(pool.n) if split else pool.n
     rate, steps = train_plan(n_train, epochs, batch)
     train_template = TrainConfig(
@@ -285,13 +292,13 @@ def _pipeline_group(config: ExperimentConfig, rows: list[dict], pool: Dataset,
         _section("quantile", config.quantile), config.alpha, pool.task)
     pipes = [PipelineConfig(
         method=row["method"],
-        budget=budget,
+        budget=BudgetSpec(row["epsilon"], config.delta, row["p"]),
         model=model,
         train_template=train_template,
         quantile_template=quantile_template,
         alpha=config.alpha,
         target_scale=stats.target_scale,
-    ) for row, budget in zip(rows, budgets)]
+    ) for row in rows]
     reports = run_pipelines(pool, test, pipes, rows[0]["seed"])
     return [_failed(row, report) if isinstance(report, Exception) else
             ({**row, "n": pool.n, "status": "ok",
@@ -411,7 +418,7 @@ def _run_stability_trial(config: ExperimentConfig,
         try:
             sigmas[i] = calibrate_sigma_sgd(rate, steps, row["epsilon"],
                                             config.delta)
-        except Exception as exc:  # an invalid epsilon fails its cell alone
+        except Exception as exc:  # an infeasible epsilon fails alone
             out[i] = _failed(row, exc)
     if not sigmas:
         return out
@@ -566,33 +573,24 @@ def _safe_trial(config: ExperimentConfig, cells: list[dict],
         return [_failed(row, exc) for row in rows]
 
 
-def _training_subset(config: ExperimentConfig, cell: dict):
-    """(n, split flag of ``train_target``) of a scaling or realdata cell: the
-    training subset its task trains; None for other cells and for an invalid
-    budget."""
-    if config.experiment not in ("scaling", "realdata"):
-        return None
-    try:
-        budget = BudgetSpec(cell["epsilon"], config.delta, cell["p"])
-        return cell["n"], train_target(cell["method"], budget)[0]
-    except (TypeError, ValueError):  # an invalid budget fails on its own
-        return None
-
-
 def _tasks(config: ExperimentConfig, cells: list[dict],
            trials: int) -> list[tuple[list[int], int]]:
     """(cell indices, trial) tasks, in the order of each task's first row in
     the output. Scaling and realdata cells of a trial share a task when
-    their data cell (n; the whole CSV for realdata) and the split flag of
-    ``train_target`` agree: one task per training subset and trial, which
-    trains every distinct target of the subset in one lockstep call at any
-    batch size. Every stability cell of a trial shares one task, which
-    trains all of them in lockstep. Any other cell runs alone."""
+    their data cell (n; the whole CSV for realdata) agrees and their methods
+    are all or none in ``SPLIT_METHODS``: one task per training subset and
+    trial, which trains every distinct target of the subset in one lockstep
+    call at any batch size. Every stability cell of a trial shares one task,
+    which trains all of them in lockstep. A quantile-demo cell runs alone."""
     groups: dict = {}
     for i, cell in enumerate(cells):
-        key = ("coupled" if config.experiment == "stability"
-               else _training_subset(config, cell))
-        groups.setdefault(i if key is None else key, []).append(i)
+        if config.experiment == "stability":
+            key = "coupled"
+        elif config.experiment == "quantile_demo":
+            key = i
+        else:
+            key = cell["n"], cell["method"] in SPLIT_METHODS
+        groups.setdefault(key, []).append(i)
     tasks = [(members, t) for members in groups.values()
              for t in range(trials)]
     return sorted(tasks, key=lambda task: (task[0][0], task[1]))

@@ -10,9 +10,10 @@ from dpconformal.accounting import (BudgetSpec, InfeasibleBudgetError,
                                     gaussian_profile, rdp_compose, rdp_to_eps,
                                     sgd_profile)
 from dpconformal import conformal
-from dpconformal.conformal import (PipelineConfig, _evaluate_fast,
-                                   _in_sample_scores, _score_matrix,
-                                   run_pipeline, run_pipelines, train_target)
+from dpconformal.conformal import (METHODS, SPLIT_METHODS, PipelineConfig,
+                                   _evaluate_fast, _in_sample_scores,
+                                   _score_matrix, run_pipeline, run_pipelines,
+                                   split_train_size, train_target)
 from dpconformal.data import gen_multiclass
 from dpconformal.models import (Dataset, ModelSpec, param_count,
                                 predict_proba, predict_value)
@@ -203,8 +204,7 @@ def test_evaluate_fast_regression_width_rescaled():
 
 def tiny_pipeline_config(method, n_pool, epsilon=1.0, allocation=0.5,
                          steps=300, batch=32):
-    n_train = n_pool if method in ("dpscp_f", "dpscp_a", "naive_full") \
-        else n_pool // 2
+    n_train = split_train_size(n_pool) if method in SPLIT_METHODS else n_pool
     return PipelineConfig(
         method=method,
         budget=BudgetSpec(epsilon, 1e-5, allocation),
@@ -313,14 +313,53 @@ def test_regression_pipeline_widths_on_original_scale():
 
 
 def test_train_target_names_the_shared_model():
+    # The epsilon_train target alone: SPLIT_METHODS says which methods train
+    # on the train half of a split.
     budget = BudgetSpec(2.0, 1e-5, 0.25)
-    assert train_target("dpscp_f", budget) == (False, 0.5)
-    assert train_target("dpscp_a", budget) == (False, 0.5)
-    assert train_target("dp_split", budget) == (True, 2.0)
-    assert train_target("split_cp", budget) == (True, None)
-    assert train_target("naive_full", budget) == (False, None)
+    assert {method: train_target(method, budget) for method in METHODS} == {
+        "dpscp_f": 0.5, "dpscp_a": 0.5, "dp_split": 2.0, "split_cp": None,
+        "naive_full": None}
+    assert SPLIT_METHODS == ("dp_split", "split_cp")
     with pytest.raises(ValueError):
         train_target("nope", budget)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_split_methods_are_the_methods_that_split(method, class_pool_test,
+                                                  monkeypatch):
+    # On an odd pool, a method trains on split_train_size(n) rows and
+    # calibrates on the other rows exactly when it is in SPLIT_METHODS, and
+    # otherwise trains and calibrates on the whole pool.
+    pool, test = class_pool_test
+    pool = pool.subset(np.arange(601))
+    trained, calibrated = [], []
+    real_train, real_scores = conformal.dp_sgd_train, _in_sample_scores
+
+    def train(data, *args, **kwargs):
+        trained.append(data)
+        return real_train(data, *args, **kwargs)
+
+    def scores(model, data):
+        calibrated.append(data)
+        return real_scores(model, data)
+
+    monkeypatch.setattr(conformal, "dp_sgd_train", train)
+    monkeypatch.setattr(conformal, "_in_sample_scores", scores)
+    run_pipeline(pool, test, tiny_pipeline_config(method, pool.n, steps=20),
+                 seed=3)
+    (train_data,), (cal_data,) = trained, calibrated
+    if method not in SPLIT_METHODS:
+        assert train_data is pool and cal_data is pool
+        return
+    assert train_data.n == split_train_size(pool.n) == 300
+    assert cal_data.n == pool.n - 300
+
+    def rows(*datasets):
+        return sorted((*x, y) for data in datasets
+                      for x, y in zip(data.features.tolist(),
+                                      data.labels.tolist()))
+
+    assert rows(train_data, cal_data) == rows(pool)
 
 
 def test_run_pipelines_finishes_every_method_from_its_target(

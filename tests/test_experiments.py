@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 from dpconformal import cli, conformal, experiments
+from dpconformal.accounting import InfeasibleBudgetError
 from dpconformal.cli import main
+from dpconformal.conformal import SPLIT_METHODS
 from dpconformal.experiments import (ExperimentConfig, RESULT_COLUMNS,
                                      SERIES_COLUMNS, load_config,
                                      run_experiment, s5_quantile_fixtures,
@@ -50,6 +52,22 @@ def write_regression_csv(path, rows=400, seed=12):
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def assert_usage_error(tmp_path, capsys, raw, message):
+    """The JSON config ``raw`` fails ``load_config`` with ``message``, and
+    the CLI given it exits 2 with that message, no traceback and no CSV."""
+    path, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+    # json.dumps writes nan as NaN, which json.load reads back.
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ValueError, match=message):
+        load_config(path)
+    with pytest.raises(SystemExit) as exc:
+        main([raw["experiment"], "--config", str(path), "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_train_plan():
@@ -385,6 +403,24 @@ def test_config_validation(tmp_path, capsys):
         assert not out.exists()
     assert ExperimentConfig(experiment="scaling", trials=np.int64(2),
                             sample_sizes=(np.int64(300),)).trials == 2
+    # Values that failed every row at run time (or, for output, the run) are
+    # usage errors too: a sample size below 1, alpha outside (0, 1), an
+    # output that is not a path and a realdata csv path that is not a path.
+    for experiment, name, value, message in (
+            ("scaling", "sample_sizes", [0], "sample_sizes must be >= 1"),
+            ("scaling", "sample_sizes", [300, -1], "sample_sizes must be"),
+            ("scaling", "alpha", 1.5, "alpha must lie in"),
+            ("scaling", "alpha", 0.0, "alpha must lie in"),
+            ("stability", "alpha", math.nan, "alpha must lie in"),
+            ("scaling", "output", 5, "output takes a path"),
+            ("realdata", "csv", {"path": None}, "needs a csv path"),
+            ("realdata", "csv", {"path": 3, "label_column": 3},
+             "needs a csv path")):
+        raw = {"experiment": experiment, name: value}
+        if experiment == "stability":
+            raw["sample_sizes"] = [50]
+        assert_usage_error(tmp_path, capsys, raw, message)
+    assert ExperimentConfig(experiment="scaling", output=out).output == out
 
 
 @pytest.mark.parametrize("fraction", [0.0, -0.5, 1.0, 1.5, math.nan])
@@ -527,6 +563,32 @@ def test_infeasible_target_fails_alone_in_its_lockstep_task(tmp_path):
         *run_experiment(dataclasses.replace(cfg, epsilons=(1.0,),
                                             output=None))]
     assert feasible == alone
+
+
+@pytest.mark.parametrize("methods", [
+    ("split_cp", "dpscp_a", "dp_split", "naive_full", "dpscp_f"),
+    ALL_METHODS[::-1],
+    ("split_cp", "dp_split"),
+], ids=["split_first", "reversed", "one_subset"])
+def test_tasks_follow_the_methods_subset_in_any_order(methods):
+    # Each (cell, trial) runs in exactly one task, a task's cells share n and
+    # whether their methods split, there is one task per training subset and
+    # trial, and tasks come in the order of their first output row.
+    cfg = tiny_scaling_config(methods=methods, sample_sizes=(300, 601),
+                              allocations=(0.3, 0.5))
+    cells = experiments._grid(cfg)
+    tasks = experiments._tasks(cfg, cells, cfg.trials)
+    assert sorted((i, t) for members, t in tasks for i in members) == [
+        (i, t) for i in range(len(cells)) for t in range(cfg.trials)]
+
+    def subset(i):
+        return cells[i]["n"], cells[i]["method"] in SPLIT_METHODS
+
+    assert all(len({subset(i) for i in members}) == 1
+               for members, _ in tasks)
+    assert len(tasks) == len(set(map(subset, range(len(cells))))) * cfg.trials
+    first_rows = [members[0] * cfg.trials + t for members, t in tasks]
+    assert first_rows == sorted(first_rows)
 
 
 def test_a_subset_trains_in_one_lockstep_task_at_any_batch_size(
@@ -730,16 +792,30 @@ def test_calibrate_bad_arguments_are_usage_errors(args, message, capsys):
     assert "Traceback" not in err
 
 
-def test_nan_epsilon_fails_its_scaling_cells_alone():
-    # NaN passes no budget check: its cells fail with a ValueError, and the
-    # other cells give the rows they give without it.
-    methods = ("dpscp_f", "dp_split", "split_cp")
-    rows = run_experiment(tiny_scaling_config(
-        trials=1, epsilons=(math.nan, 1.0), methods=methods))
-    assert [r["status"] for r in rows if r["seed"] and r["epsilon"] == "nan"
-            ] == ["failed:ValueError"] * 3
-    assert [r for r in rows if r["epsilon"] == "1.0"] == run_experiment(
-        tiny_scaling_config(trials=1, epsilons=(1.0,), methods=methods))
+def test_invalid_budget_is_a_usage_error(tmp_path, capsys):
+    # Every cell's budget passes BudgetSpec's checks when the config is read:
+    # a NaN or non-positive epsilon, or a delta or p outside (0, 1), which
+    # failed its cells at run time (exit 1), is a usage error (exit 2) that
+    # writes no CSV. An infeasible epsilon still fails its cell alone
+    # (test_infeasible_target_fails_alone_in_its_lockstep_task).
+    data = tmp_path / "data.csv"
+    write_regression_csv(data, rows=50)
+    for experiment, name, value, message in (
+            ("scaling", "epsilons", [math.nan, 1.0], "epsilon_target"),
+            ("scaling", "epsilons", [1.0, 0.0], "epsilon_target"),
+            ("realdata", "epsilons", [-1.0], "epsilon_target"),
+            ("stability", "epsilons", [0.5, math.nan], "epsilon_target"),
+            ("scaling", "delta", 1.0, "delta_target"),
+            ("stability", "delta", 0.0, "delta_target"),
+            ("scaling", "allocations", [0.5, 1.0], "allocation_p"),
+            ("realdata", "allocations", [math.nan], "allocation_p")):
+        raw = {"experiment": experiment, name: value}
+        if experiment == "stability":
+            # Stability reads no allocation, so an empty list hides nothing.
+            raw.update(sample_sizes=[50], allocations=[])
+        if experiment == "realdata":
+            raw["csv"] = {"path": str(data), "label_column": 3}
+        assert_usage_error(tmp_path, capsys, raw, message)
 
 
 def test_calibrate_with_an_overflowing_sgd_sigma_runs(capsys):
@@ -1042,14 +1118,16 @@ def test_stability_trial_trains_its_cells_in_one_lockstep_call(
 
 
 def test_stability_cell_failures_stay_in_their_cell(tmp_path, monkeypatch):
-    # -1 and NaN fail their calibration; the 1e308 noise multiplier, handed
-    # to the epsilon = 2 cell, overflows its run. The other cells run as if
-    # alone.
+    # The calibrations of epsilon 0.25 and 4 fail, as an infeasible target
+    # fails; the 1e308 noise multiplier, handed to the epsilon = 2 cell,
+    # overflows its run. The other cells run as if alone.
     cfg = tiny_stability_config(tmp_path,
-                                epsilons=(0.5, -1.0, math.nan, 1.0, 2.0))
+                                epsilons=(0.5, 0.25, 4.0, 1.0, 2.0))
     real = experiments.calibrate_sigma_sgd
 
     def calibrate(rate, steps, epsilon, delta):
+        if epsilon in (0.25, 4.0):
+            raise InfeasibleBudgetError(f"no sigma meets epsilon {epsilon}")
         return 1e308 if epsilon == 2.0 else real(rate, steps, epsilon, delta)
 
     monkeypatch.setattr(experiments, "calibrate_sigma_sgd", calibrate)
@@ -1060,7 +1138,8 @@ def test_stability_cell_failures_stay_in_their_cell(tmp_path, monkeypatch):
     for r in rows:
         if r["seed"]:
             status.setdefault(r["epsilon"], []).append(r["status"])
-    assert status["-1.0"] == status["nan"] == ["failed:ValueError"] * 2
+    assert (status["0.25"] == status["4.0"]
+            == ["failed:InfeasibleBudgetError"] * 2)
     assert status["2.0"] == ["failed:NumericFailureError"] * 2
     assert cell_series(series, 2.0) == []
     ok = run_experiment(dataclasses.replace(
