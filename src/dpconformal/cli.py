@@ -21,7 +21,7 @@ from .conformal import METHODS
 from .experiments import ExperimentConfig, load_config, run_experiment
 
 # The presets hold only what differs from ExperimentConfig's defaults and
-# the section defaults in experiments._SECTION_DEFAULTS.
+# the section defaults in experiments.EXPERIMENTS.
 _PAPER_SCALE = {
     "scaling": {
         "trials": 30,
@@ -35,18 +35,10 @@ _PAPER_SCALE = {
 }
 
 _DESK_DEFAULTS = {
-    "scaling": dict(
-        experiment="scaling",
-        methods=METHODS,
-        # Desk scale shortens the step budget with n, so the schedule is
-        # faster than the full protocol's.
-        train={"learning_rate": 1e-2},
-    ),
-    "stability": dict(experiment="stability", epsilons=(0.5, 1.0, 2.0),
-                      sample_sizes=(1000,)),
-    "quantile_demo": dict(experiment="quantile_demo"),
-    # No preset CSV: a realdata run takes its whole config from --config.
-    "realdata": dict(experiment="realdata"),
+    # Desk scale shortens the step budget with n, so the schedule is faster
+    # than the full protocol's.
+    "scaling": dict(methods=METHODS, train={"learning_rate": 1e-2}),
+    "stability": dict(epsilons=(0.5, 1.0, 2.0), sample_sizes=(1000,)),
 }
 
 
@@ -111,7 +103,8 @@ def _build_config(args, parser: argparse.ArgumentParser) -> ExperimentConfig:
                          f"{experiment!r}")
     else:
         try:
-            config = ExperimentConfig(**_DESK_DEFAULTS[experiment])
+            config = ExperimentConfig(experiment,
+                                      **_DESK_DEFAULTS.get(experiment, {}))
         except ValueError as exc:  # realdata has no desk-default CSV
             parser.error(f"{exc}; pass one with --config")
     overrides = {}

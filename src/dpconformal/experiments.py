@@ -38,7 +38,7 @@ from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from itertools import product, repeat
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -63,29 +63,6 @@ RESULT_COLUMNS = ("experiment", "method", "epsilon", "n", "p", "trial",
 SERIES_COLUMNS = ("experiment", "trial", "step", "metric", "value")
 _METRIC_COLUMNS = ("coverage", "efficiency", "informativeness", "q_hat",
                    "sigma_q", "eps_train")
-
-EXPERIMENTS = ("stability", "scaling", "quantile_demo", "realdata")
-
-# Every key that a nested config section may hold, with the value a trial
-# runner reads when the config leaves it out. A key outside the table fails,
-# so that a misspelt key is not ignored. realdata needs a csv path.
-_SECTION_DEFAULTS = {
-    "generator": {"dim": 10, "classes": 5, "class_sep": 0.6, "flip_y": 0.01,
-                  "test_size": 2000},
-    "csv": {"path": None, "label_column": 0, "task": REGRESSION,
-            "has_header": True, "test_fraction": 0.2},
-    "train": {"model": "mlp", "hidden": (16, 16), "epochs": 50,
-              "batch_size": 32, "learning_rate": 1e-3, "clip_norm": 1.0,
-              "rate": 0.02, "steps": 100, "projection_radius": None,
-              "force_extra_off": False},
-    "quantile": {"steps": 20, "beta": 0.05, "buffer": 10, "range_hi": 10.0,
-                 "sigma": 3.0},
-}
-
-
-def _section(name: str, values: dict) -> dict:
-    """The config's values of section ``name`` laid over its defaults."""
-    return {**_SECTION_DEFAULTS[name], **values}
 
 
 def _fmt(value) -> str:
@@ -137,8 +114,23 @@ class ExperimentConfig:
     output: str | None = None
 
     def __post_init__(self) -> None:
-        if self.experiment not in EXPERIMENTS:
+        spec = EXPERIMENTS.get(self.experiment)
+        if spec is None:
             raise ValueError(f"unknown experiment {self.experiment!r}")
+        # An experiment accepts only what it reads: a section key outside its
+        # table (a misspelt one too) or a field that it does not read, set
+        # away from its default, is refused rather than ignored. An unread
+        # field therefore holds its default, which the checks below pass.
+        for key, f in _CONFIG_KEYS.items():
+            value = getattr(self, f.name)
+            if f.default_factory is dict:
+                unread = sorted(set(value) - set(spec.sections.get(key, ())))
+                if unread:
+                    raise ValueError(f"{self.experiment} does not read {key} "
+                                     f"keys {unread}")
+            elif (key not in ("experiment", *spec.fields)
+                  and value != f.default):
+                raise ValueError(f"{self.experiment} does not read {key}")
         # A JSON config may give 2.5, 300.0 or true where a count belongs.
         for name, value, least in (
                 ("trials", self.trials, 1), ("seed", self.seed, 0),
@@ -152,34 +144,27 @@ class ExperimentConfig:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
         if not isinstance(self.output, (str, os.PathLike, type(None))):
             raise ValueError(f"output takes a path, got {self.output!r}")
-        for name, section in (("generator", self.generator),
-                              ("csv", self.csv_source), ("train", self.train),
-                              ("quantile", self.quantile)):
-            unknown = set(section) - set(_SECTION_DEFAULTS[name])
-            if unknown:
-                raise ValueError(f"unknown {name} keys: {sorted(unknown)}")
-        if self.experiment in ("scaling", "realdata"):
-            bad = [m for m in self.methods if m not in METHODS]
-            if bad:
-                raise ValueError(f"unknown methods {bad}")
-            if not self.methods or not self.epsilons or not self.allocations:
-                raise ValueError("grid lists must be nonempty")
-        if self.experiment != "quantile_demo":
-            # BudgetSpec's checks for every cell (stability reads no p and may
-            # list none); an infeasible epsilon fails its cells at run time.
-            for epsilon, p in product(self.epsilons, self.allocations or (0.5,)):
-                BudgetSpec(epsilon, self.delta, p)
-        if self.experiment == "scaling" and not self.sample_sizes:
-            raise ValueError("scaling needs a sample size")
+        bad = [m for m in self.methods if m not in METHODS]
+        if bad:
+            raise ValueError(f"unknown methods {bad}")
         if self.experiment == "stability" and len(self.sample_sizes) != 1:
             raise ValueError("stability takes exactly one sample size")
+        for name in ("epsilons", "sample_sizes", "allocations", "methods"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must be nonempty")
+        # BudgetSpec checks each cell; an infeasible epsilon fails at run time.
+        for epsilon, p in product(self.epsilons, self.allocations):
+            BudgetSpec(epsilon, self.delta, p)
+        if ("hidden" in self.train
+                and _section(self, "train")["model"] != "mlp"):
+            raise ValueError("train hidden is read by the mlp model only")
         if self.experiment == "realdata":
             if not isinstance(self.csv_source.get("path"), (str, os.PathLike)):
                 raise ValueError("realdata needs a csv path (the csv "
                                  "section's 'path' key)")
             # At 0 or below the test split is one row; at 1 or above the
             # pool is empty. NaN fails the check as well.
-            fraction = _section("csv", self.csv_source)["test_fraction"]
+            fraction = _section(self, "csv")["test_fraction"]
             if not 0.0 < float(fraction) < 1.0:
                 raise ValueError("csv test_fraction must lie in (0, 1), got "
                                  f"{fraction!r}")
@@ -189,6 +174,13 @@ class ExperimentConfig:
 # name, except that csv_source is read from the "csv" key.
 _CONFIG_KEYS = {"csv" if f.name == "csv_source" else f.name: f
                 for f in fields(ExperimentConfig)}
+
+
+def _section(config: ExperimentConfig, name: str) -> dict:
+    """The config's values of section ``name`` laid over the defaults that
+    its experiment's table gives them."""
+    return {**EXPERIMENTS[config.experiment].sections[name],
+            **getattr(config, _CONFIG_KEYS[name].name)}
 
 
 def load_config(path) -> ExperimentConfig:
@@ -227,24 +219,6 @@ def train_plan(n_train: int, epochs: int, batch_size: int) -> tuple[float, int]:
 # Per-trial workers (module-level for picklability)
 
 
-def _quantile_template(quantile: dict, alpha: float,
-                       task: str) -> QuantileConfig:
-    if task == CLASSIFICATION:
-        lo, hi = 0.0, 1.0
-    else:
-        # Conservative public score range on the standardized target scale.
-        lo, hi = 0.0, float(quantile["range_hi"])
-    return QuantileConfig(
-        range_lo=lo,
-        range_hi=hi,
-        alpha=alpha,
-        steps_n=int(quantile["steps"]),
-        sigma_q=0.0,
-        beta=float(quantile["beta"]),
-        buffer_m=int(quantile["buffer"]),
-    )
-
-
 def _failed(row: dict, exc: Exception) -> tuple[dict, list]:
     return {**row, "status": f"failed:{type(exc).__name__}"}, []
 
@@ -272,7 +246,7 @@ def _pipeline_group(config: ExperimentConfig, rows: list[dict], pool: Dataset,
     """The rows of the cells, which share one training subset, from one
     ``run_pipelines`` call on the standardized pool: a cell that it fails
     gets a failed row."""
-    train = _section("train", config.train)
+    train = _section(config, "train")
     epochs = int(train["epochs"])
     batch = int(train["batch_size"])
     split = rows[0]["method"] in SPLIT_METHODS
@@ -288,8 +262,14 @@ def _pipeline_group(config: ExperimentConfig, rows: list[dict], pool: Dataset,
     kind = train["model"]
     model = ModelSpec(kind, pool.dim, pool.n_classes or 1,
                       tuple(train["hidden"]) if kind == "mlp" else ())
-    quantile_template = _quantile_template(
-        _section("quantile", config.quantile), config.alpha, pool.task)
+    quantile = _section(config, "quantile")
+    # Classification scores lie in [0, 1]; regression scores get a
+    # conservative public range on the standardized target scale.
+    quantile_template = QuantileConfig(
+        range_lo=0.0, range_hi=1.0 if pool.task == CLASSIFICATION
+        else float(quantile["range_hi"]), alpha=config.alpha,
+        steps_n=int(quantile["steps"]), sigma_q=0.0,
+        beta=float(quantile["beta"]), buffer_m=int(quantile["buffer"]))
     pipes = [PipelineConfig(
         method=row["method"],
         budget=BudgetSpec(row["epsilon"], config.delta, row["p"]),
@@ -341,7 +321,7 @@ def _scaling_data(generator: tuple, n: int, trial_seed: int
 
 def _run_scaling_trial(config: ExperimentConfig,
                        rows: list[dict]) -> list[tuple[dict, list]]:
-    gen = _section("generator", config.generator)
+    gen = _section(config, "generator")
     generator = (int(gen["dim"]), int(gen["classes"]), float(gen["class_sep"]),
                  float(gen["flip_y"]), int(gen["test_size"]))
     data = _scaling_data(generator, rows[0]["n"], rows[0]["seed"])
@@ -389,7 +369,7 @@ def _realdata_split(csv_key: tuple, test_fraction: float, trial_seed: int
 
 def _run_realdata_trial(config: ExperimentConfig,
                         rows: list[dict]) -> list[tuple[dict, list]]:
-    src = _section("csv", config.csv_source)
+    src = _section(config, "csv")
     data = _realdata_split(_csv_key(src), float(src["test_fraction"]),
                            rows[0]["seed"])
     return _pipeline_group(config, rows, *data)
@@ -403,8 +383,8 @@ def _run_stability_trial(config: ExperimentConfig,
     extra-point flags and differ only in sigma_sgd. A cell whose calibration
     or run fails fails alone."""
     trial_seed, n = rows[0]["seed"], rows[0]["n"]
-    d = int(_section("generator", config.generator)["dim"])
-    train = _section("train", config.train)
+    d = int(_section(config, "generator")["dim"])
+    train = _section(config, "train")
     rate = float(train["rate"])
     steps = int(train["steps"])
     data_seed = int(np.random.SeedSequence(trial_seed).spawn(1)[0]
@@ -436,11 +416,7 @@ def _run_stability_trial(config: ExperimentConfig,
         # Embed the logistic signal symmetrically into the two-class softmax
         # parameterization (class margins +/- theta/2 reproduce the link).
         theta_flat = np.concatenate([-theta / 2.0, theta / 2.0])
-        schedule = None
-        if train["force_extra_off"]:
-            schedule = np.zeros(steps, dtype=bool)
         traces = coupled_train(base, extra, spec, cfg, theta_star=theta_flat,
-                               extra_schedule=schedule,
                                noise_multipliers=list(sigmas.values()))
     except Exception as exc:  # a failure shared by every calibrated cell
         traces = [exc] * len(sigmas)
@@ -483,16 +459,13 @@ def s5_quantile_fixtures() -> list[dict]:
     ]
 
 
-def _fixture(name: str) -> dict:
-    return next(f for f in s5_quantile_fixtures() if f["name"] == name)
-
-
 def _run_quantile_demo_trial(config: ExperimentConfig,
                              rows: list[dict]) -> list[tuple[dict, list]]:
     (row,) = rows
     fixture_name, variant = row["p"], row["method"]
-    fixture = _fixture(fixture_name)
-    quantile = _section("quantile", config.quantile)
+    fixture = next(f for f in s5_quantile_fixtures()
+                   if f["name"] == fixture_name)
+    quantile = _section(config, "quantile")
     steps = int(quantile["steps"])
     noise = [0.0] * steps
     noise[0] = fixture["injection"]
@@ -552,11 +525,45 @@ def _grid(config: ExperimentConfig) -> list[dict]:
     return [{"experiment": config.experiment, **cell} for cell in cells]
 
 
-_TRIAL_RUNNERS = {
-    "scaling": _run_scaling_trial,
-    "realdata": _run_realdata_trial,
-    "stability": _run_stability_trial,
-    "quantile_demo": _run_quantile_demo_trial,
+class _Experiment(NamedTuple):
+    """An experiment's trial runner and all that ``ExperimentConfig`` accepts
+    for it: the top-level fields that it reads, and each section that it
+    reads with the section's keys and their defaults."""
+
+    runner: Callable
+    fields: tuple[str, ...]
+    sections: dict
+
+
+_SWEEP = ("trials", "seed", "alpha", "delta", "epsilons", "allocations",
+          "methods", "output")
+_NET_TRAIN = {"model": "mlp", "hidden": (16, 16), "epochs": 50,
+              "batch_size": 32, "learning_rate": 1e-3, "clip_norm": 1.0}
+_SEARCH = {"steps": 20, "beta": 0.05, "buffer": 10}
+
+EXPERIMENTS = {
+    "stability": _Experiment(
+        _run_stability_trial,
+        ("trials", "seed", "delta", "epsilons", "sample_sizes", "output"),
+        {"generator": {"dim": 10},
+         "train": {"rate": 0.02, "steps": 100, "learning_rate": 1e-3,
+                   "clip_norm": 1.0, "projection_radius": None}}),
+    # Classification only: its scores lie in [0, 1], so no range_hi.
+    "scaling": _Experiment(
+        _run_scaling_trial, (*_SWEEP, "sample_sizes"),
+        {"generator": {"dim": 10, "classes": 5, "class_sep": 0.6,
+                       "flip_y": 0.01, "test_size": 2000},
+         "train": _NET_TRAIN, "quantile": _SEARCH}),
+    # One run on fixed fixtures, each with its own alpha and search range.
+    "quantile_demo": _Experiment(
+        _run_quantile_demo_trial, ("seed", "output"),
+        {"quantile": {"steps": 20, "beta": 0.05, "sigma": 3.0}}),
+    # The pool is the CSV, whose path is required.
+    "realdata": _Experiment(
+        _run_realdata_trial, _SWEEP,
+        {"csv": {"path": None, "label_column": 0, "task": REGRESSION,
+                 "has_header": True, "test_fraction": 0.2},
+         "train": _NET_TRAIN, "quantile": {**_SEARCH, "range_hi": 10.0}}),
 }
 
 
@@ -568,7 +575,7 @@ def _safe_trial(config: ExperimentConfig, cells: list[dict],
     rows = [{**cell, "trial": trial, "seed": config.seed + trial}
             for cell in cells]
     try:
-        return _TRIAL_RUNNERS[config.experiment](config, rows)
+        return EXPERIMENTS[config.experiment].runner(config, rows)
     except Exception as exc:  # a failed trial becomes failed rows
         return [_failed(row, exc) for row in rows]
 

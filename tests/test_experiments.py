@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -234,20 +235,6 @@ def test_stability_series_layout(tmp_path):
     assert first1 == first2
 
 
-def test_stability_forced_extra_off_zeroes_gap_column(tmp_path):
-    cfg = ExperimentConfig(
-        experiment="stability", trials=2, seed=3, epsilons=(1.0,),
-        sample_sizes=(200,), generator={"dim": 5},
-        train={"rate": 0.05, "steps": 30, "learning_rate": 0.05,
-               "clip_norm": 1.0, "force_extra_off": True},
-        output=str(tmp_path / "stab.csv"),
-    )
-    run_experiment(cfg)
-    series = read_rows(tmp_path / "stab_series.csv")
-    gaps = [float(r["value"]) for r in series if r["metric"].startswith("gap")]
-    assert gaps and all(g == 0.0 for g in gaps)
-
-
 def test_quantile_demo_outputs(tmp_path):
     cfg = ExperimentConfig(experiment="quantile_demo",
                            output=str(tmp_path / "demo.csv"))
@@ -285,29 +272,34 @@ def test_jobs_1_sweep_does_not_import_the_process_pool():
 
 
 def test_load_config_roundtrip(tmp_path):
-    payload = {
-        "experiment": "scaling", "trials": 4, "seed": 77, "alpha": 0.1,
-        "delta": 1e-5, "epsilons": [0.5], "sample_sizes": [500],
-        "allocations": [0.5], "methods": ["dpscp_a"],
+    scaling = {
+        "experiment": "scaling", "trials": 4, "seed": 77, "alpha": 0.2,
+        "delta": 1e-6, "epsilons": [0.5], "sample_sizes": [500],
+        "allocations": [0.4], "methods": ["dpscp_a"],
         "generator": {"dim": 6, "classes": 3},
         "train": {"epochs": 2, "batch_size": 16},
         "quantile": {"steps": 10},
-        "csv": {"path": "data.csv"},
         "output": "out.csv",
     }
+    realdata = {"experiment": "realdata", "csv": {"path": "data.csv"}}
+    # Together the two set every config key.
+    assert set(scaling) | set(realdata) == set(experiments._CONFIG_KEYS)
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(payload))
-    cfg = load_config(path)
-    # Every field is read, lists as tuples and "csv" as csv_source.
-    assert cfg == ExperimentConfig(
-        experiment="scaling", trials=4, seed=77, alpha=0.1, delta=1e-5,
-        epsilons=(0.5,), sample_sizes=(500,), allocations=(0.5,),
-        methods=("dpscp_a",), generator={"dim": 6, "classes": 3},
-        csv_source={"path": "data.csv"}, train={"epochs": 2, "batch_size": 16},
-        quantile={"steps": 10}, output="out.csv")
-    assert len(payload) == len(dataclasses.fields(ExperimentConfig))
-    payload["bogus"] = 1
-    path.write_text(json.dumps(payload))
+    # Every key is read, lists as tuples and "csv" as csv_source.
+    for payload, want in (
+            (scaling, ExperimentConfig(
+                experiment="scaling", trials=4, seed=77, alpha=0.2,
+                delta=1e-6, epsilons=(0.5,), sample_sizes=(500,),
+                allocations=(0.4,), methods=("dpscp_a",),
+                generator={"dim": 6, "classes": 3},
+                train={"epochs": 2, "batch_size": 16},
+                quantile={"steps": 10}, output="out.csv")),
+            (realdata, ExperimentConfig(experiment="realdata",
+                                        csv_source={"path": "data.csv"}))):
+        path.write_text(json.dumps(payload))
+        assert load_config(path) == want
+    scaling["bogus"] = 1
+    path.write_text(json.dumps(scaling))
     with pytest.raises(ValueError, match="unknown config keys"):
         load_config(path)
 
@@ -317,19 +309,165 @@ def test_load_config_roundtrip(tmp_path):
     ("quantile", "sigmaa"), ("train", "split_fraction"),
 ])
 def test_unknown_nested_config_keys_rejected(tmp_path, section, key, capsys):
+    # Each section in an experiment that reads it: a misspelt key is refused
+    # as a key the experiment does not read.
+    experiment = {"generator": "scaling", "csv": "realdata",
+                  "train": "scaling", "quantile": "quantile_demo"}[section]
+    message = f"{experiment} does not read {section} keys [{key!r}]"
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"experiment": "quantile_demo",
+    path.write_text(json.dumps({"experiment": experiment,
                                 section: {key: 100.0}}))
-    with pytest.raises(ValueError, match=f"unknown {section} keys"):
+    with pytest.raises(ValueError, match=re.escape(message)):
         load_config(path)
     with pytest.raises(SystemExit) as exc:
-        main(["quantile-demo", "--config", str(path),
+        main([experiment.replace("_", "-"), "--config", str(path),
               "--out", str(tmp_path / "out.csv")])
     assert exc.value.code == 2
-    assert f"unknown {section} keys" in capsys.readouterr().err
-    field = "csv_source" if section == "csv" else section
-    with pytest.raises(ValueError, match=repr(key)):
-        ExperimentConfig(experiment="scaling", **{field: {key: 1}})
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def write_class_csv(path, rows=1250, seed=4):
+    """Three features and an integer label column, without a text header:
+    it parses for either task, and its first row is data when has_header
+    is false."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((rows, 3))
+    label = np.digitize(x @ np.array([1.0, -0.5, 0.3]), [-0.5, 0.5])
+    path.write_text("".join(",".join(f"{v:.6f}" for v in row) + f",{c}\n"
+                            for row, c in zip(x, label)))
+
+
+# Per experiment, a small config in which every key that it reads acts.
+def _acting_base(experiment, tmp_path):
+    # At epsilon 4 the private search's threshold sits well below n, so
+    # the scores, and every key that moves them, reach q_hat.
+    sweep = {"trials": 1, "seed": 5, "epsilons": [4.0],
+             "methods": ["dpscp_f"]}
+    net = {"epochs": 1, "learning_rate": 0.01}
+    if experiment == "scaling":
+        return {**sweep, "sample_sizes": [1000],
+                "generator": {"test_size": 200}, "train": net}
+    if experiment == "realdata":
+        write_class_csv(tmp_path / "table.csv")
+        return {**sweep, "train": net,
+                "csv": {"path": str(tmp_path / "table.csv"),
+                        "label_column": 3}}
+    if experiment == "stability":
+        return {"trials": 1, "seed": 5, "epsilons": [1.0],
+                "sample_sizes": [200], "train": {"steps": 30}}
+    # A small sigma_q lets the noise correction, and so beta, act.
+    return {"seed": 5, "quantile": {"sigma": 0.8}}
+
+
+# A value for every config key, away from its default and from the values
+# of the configs above.
+_MOVED = {
+    "trials": 2, "seed": 9, "alpha": 0.2, "delta": 1e-6, "epsilons": [2.0],
+    "sample_sizes": [250], "allocations": [0.3], "methods": ["split_cp"],
+    "output": None,
+    "generator.dim": 4, "generator.classes": 3, "generator.class_sep": 1.5,
+    "generator.flip_y": 0.2, "generator.test_size": 150,
+    "csv.path": "other.csv", "csv.label_column": 0,
+    "csv.task": "classification", "csv.has_header": False,
+    "csv.test_fraction": 0.35,
+    "train.model": "softmax_linear", "train.hidden": [8], "train.epochs": 2,
+    "train.batch_size": 16, "train.learning_rate": 0.05,
+    "train.clip_norm": 0.1, "train.rate": 0.1, "train.steps": 40,
+    "train.projection_radius": 0.01,
+    "quantile.steps": 12, "quantile.beta": 0.3, "quantile.buffer": 3,
+    "quantile.range_hi": 4.0, "quantile.sigma": 1.0,
+}
+# A regression head, so that the moved realdata model trains.
+_MOVED_REALDATA = {"train.model": "linear_regression"}
+
+
+def _with(raw, key, value):
+    """A copy of the JSON config ``raw`` with the dotted ``key`` set."""
+    raw = {**raw, **{name: dict(section) for name, section in raw.items()
+                     if isinstance(section, dict)}}
+    section, _, name = key.rpartition(".")
+    (raw.setdefault(section, {}) if section else raw)[name] = value
+    return raw
+
+
+def _accepted_keys():
+    return [(experiment, key)
+            for experiment, spec in experiments.EXPERIMENTS.items()
+            for key in (*spec.fields, *(f"{name}.{k}" for name, keys in
+                                        spec.sections.items() for k in keys))]
+
+
+def test_each_experiment_accepts_63_values_in_all():
+    # 136 before each experiment's table: every one of 34 keys for each.
+    counts = {}
+    for experiment, _ in _accepted_keys():
+        counts[experiment] = counts.get(experiment, 0) + 1
+    assert counts == {"stability": 12, "scaling": 23, "quantile_demo": 5,
+                      "realdata": 23}
+
+
+@pytest.mark.parametrize("experiment, key", _accepted_keys(),
+                         ids=lambda v: v)
+def test_every_accepted_key_changes_the_results(tmp_path, experiment, key):
+    def outcome(raw):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"experiment": experiment, **raw}))
+        config = load_config(path)
+        rows = run_experiment(config)
+        if config.output is None:
+            return rows, None
+        return rows, (tmp_path / "out_series.csv").read_bytes()
+
+    base = {**_acting_base(experiment, tmp_path),
+            "output": str(tmp_path / "out.csv")}
+    value = {**_MOVED, **(_MOVED_REALDATA if experiment == "realdata"
+                          else {})}[key]
+    if key == "csv.path":
+        write_class_csv(tmp_path / value, seed=8)
+        value = str(tmp_path / value)
+    assert outcome(base) != outcome(_with(base, key, value))
+
+
+def _unread_keys():
+    every = {key for _, key in _accepted_keys()}
+    return [(experiment, key) for experiment in experiments.EXPERIMENTS
+            for key in sorted(every - {k for e, k in _accepted_keys()
+                                       if e == experiment})]
+
+
+@pytest.mark.parametrize("experiment, key", _unread_keys(), ids=lambda v: v)
+def test_every_unread_key_is_a_usage_error(tmp_path, experiment, key,
+                                           capsys):
+    # The smallest config that the experiment accepts, plus the key.
+    raw = {"experiment": experiment}
+    if experiment == "stability":
+        raw["sample_sizes"] = [50]
+    if experiment == "realdata":
+        raw["csv"] = {"path": "table.csv"}
+    section, _, name = key.rpartition(".")
+    message = (f"{experiment} does not read {section} keys [{name!r}]"
+               if section else f"{experiment} does not read {key}")
+    path, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+    path.write_text(json.dumps(_with(raw, key, _MOVED[key])))
+    with pytest.raises(SystemExit) as exc:
+        main([experiment.replace("_", "-"), "--config", str(path),
+              "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(message + "\n") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_hidden_layers_with_a_linear_model_are_a_usage_error(tmp_path,
+                                                            capsys):
+    for model in ("softmax_linear", "linear_regression"):
+        raw = {"experiment": "scaling",
+               "train": {"model": model, "hidden": [8]}}
+        assert_usage_error(tmp_path, capsys, raw,
+                           "train hidden is read by the mlp model only")
+    assert ExperimentConfig(experiment="scaling",
+                            train={"model": "mlp", "hidden": [8]})
 
 
 @pytest.mark.parametrize("args, message", [
@@ -411,7 +549,7 @@ def test_config_validation(tmp_path, capsys):
             ("scaling", "sample_sizes", [300, -1], "sample_sizes must be"),
             ("scaling", "alpha", 1.5, "alpha must lie in"),
             ("scaling", "alpha", 0.0, "alpha must lie in"),
-            ("stability", "alpha", math.nan, "alpha must lie in"),
+            ("realdata", "alpha", math.nan, "alpha must lie in"),
             ("scaling", "output", 5, "output takes a path"),
             ("realdata", "csv", {"path": None}, "needs a csv path"),
             ("realdata", "csv", {"path": 3, "label_column": 3},
@@ -811,8 +949,7 @@ def test_invalid_budget_is_a_usage_error(tmp_path, capsys):
             ("realdata", "allocations", [math.nan], "allocation_p")):
         raw = {"experiment": experiment, name: value}
         if experiment == "stability":
-            # Stability reads no allocation, so an empty list hides nothing.
-            raw.update(sample_sizes=[50], allocations=[])
+            raw["sample_sizes"] = [50]
         if experiment == "realdata":
             raw["csv"] = {"path": str(data), "label_column": 3}
         assert_usage_error(tmp_path, capsys, raw, message)
@@ -882,10 +1019,8 @@ def _runs_with(config):
     """The grids of the config and every value of its resolved sections."""
     flat = {name: getattr(config, name) for name in
             ("trials", "epsilons", "sample_sizes", "allocations", "methods")}
-    for name, values in (("generator", config.generator),
-                         ("csv", config.csv_source), ("train", config.train),
-                         ("quantile", config.quantile)):
-        for key, value in experiments._section(name, values).items():
+    for name in experiments.EXPERIMENTS[config.experiment].sections:
+        for key, value in experiments._section(config, name).items():
             flat[f"{name}.{key}"] = (tuple(value) if isinstance(value, list)
                                      else value)
     return flat
@@ -895,7 +1030,7 @@ _GENERATOR = {"generator.dim": 10, "generator.classes": 5,
               "generator.class_sep": 0.6, "generator.flip_y": 0.01,
               "generator.test_size": 2000}
 _QUANTILE = {"quantile.steps": 20, "quantile.beta": 0.05,
-             "quantile.buffer": 10, "quantile.range_hi": 10.0}
+             "quantile.buffer": 10}
 
 
 def _mlp(hidden, batch_size, learning_rate):
@@ -909,7 +1044,7 @@ def _stability(trials):
             "sample_sizes": (1000,), "generator.dim": 10,
             "train.rate": 0.02, "train.steps": 100,
             "train.learning_rate": 1e-3, "train.clip_norm": 1.0,
-            "train.projection_radius": None, "train.force_extra_off": False}
+            "train.projection_radius": None}
 
 
 @pytest.mark.parametrize("build, expected", [
@@ -926,13 +1061,12 @@ def _stability(trials):
     (lambda: _preset("stability", paper_scale=True), _stability(30)),
     (lambda: _preset("quantile-demo"),
      {"quantile.steps": 20, "quantile.beta": 0.05, "quantile.sigma": 3.0}),
-    # Without a CSV path the realdata preset is a usage error, so it is
-    # checked here with one: it adds nothing to the defaults.
-    (lambda: ExperimentConfig(**cli._DESK_DEFAULTS["realdata"],
-                              csv_source={"path": "table.csv"}),
+    # realdata has no preset (a run without a CSV path is a usage error), so
+    # its defaults are checked here with a path.
+    (lambda: ExperimentConfig("realdata", csv_source={"path": "table.csv"}),
      {"trials": 10, "epsilons": (0.5, 1.0), "allocations": (0.5,),
       "methods": ("dpscp_f", "dpscp_a", "dp_split"),
-      **_mlp((16, 16), 32, 1e-3), **_QUANTILE,
+      **_mlp((16, 16), 32, 1e-3), **_QUANTILE, "quantile.range_hi": 10.0,
       "csv.label_column": 0, "csv.task": "regression",
       "csv.has_header": True, "csv.test_fraction": 0.2}),
 ], ids=["scaling", "scaling-paper", "stability", "stability-paper",
@@ -1110,12 +1244,6 @@ def test_stability_trial_trains_its_cells_in_one_lockstep_call(
     assert (tmp_path / "results.csv").read_bytes() == results
     assert (tmp_path / "results_series.csv").read_bytes() == series_bytes
 
-    run_experiment(dataclasses.replace(
-        cfg, train={**cfg.train, "force_extra_off": True}))
-    gaps = [float(r["value"]) for r in read_rows(
-        tmp_path / "results_series.csv") if r["metric"].startswith("gap/")]
-    assert len(gaps) == 3 * 2 * 41 and all(g == 0.0 for g in gaps)
-
 
 def test_stability_cell_failures_stay_in_their_cell(tmp_path, monkeypatch):
     # The calibrations of epsilon 0.25 and 4 fail, as an infeasible target
@@ -1223,7 +1351,7 @@ def test_realdata_split_standardized_once_per_trial(tmp_path, monkeypatch):
     monkeypatch.undo()
 
     pool, test, _ = experiments._realdata_split(
-        experiments._csv_key(experiments._section("csv", cfg.csv_source)),
+        experiments._csv_key(experiments._section(cfg, "csv")),
         0.2, cfg.seed)
     for array in (pool.features, pool.labels, test.features, test.labels):
         with pytest.raises(ValueError, match="read-only"):
