@@ -17,18 +17,20 @@ Every trial is a pure function of (pool, test, config, seed).
 The ``SPLIT_METHODS`` train on one half of the pool and calibrate on the
 other, ``train_target`` names a method's epsilon_train target, and
 ``run_pipelines`` runs the configs of one training subset: it calibrates
-sigma_sgd, trains (one lockstep DP-SGD call) and scores each distinct target
-once, each model bit-equal to the one its config trains alone, and finishes
-every config (sigma_q, search or exact quantile, evaluation) from its
-target's model. A failed calibration or scoring fails its target's configs
-and a failed finish its own config; the others are unchanged.
-``run_pipeline`` runs one config.
+sigma_sgd and trains (one lockstep DP-SGD call) through
+``_calibrated_runs``, which the stability study shares, scores each distinct
+target once, each model bit-equal to the one its config trains alone, and
+finishes every config (sigma_q, search or exact quantile, evaluation) from
+its target's model. A failed calibration or scoring fails its target's
+configs and a failed finish its own config; the others are unchanged.
+``run_pipeline`` runs one config. Only the pipeline sets a trial's noise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass, fields, replace
+from itertools import repeat
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -63,10 +65,23 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
         if self.target_scale <= 0.0:
             raise ValueError("target_scale must be positive")
+        # The pipeline sets a trial's noise, seeds and search rule, and the
+        # search's alpha is the config's: a template value that the pipeline
+        # would overwrite or ignore is refused.
+        for name, keys in (("train_template", ("noise_multiplier", "seed")),
+                           ("quantile_template", (
+                               "alpha", "sigma_q", "seed", "tau_override",
+                               "noise_override", "variant",
+                               "precision_delta"))):
+            for f in fields(getattr(self, name)):
+                keep = self.alpha if f.name == "alpha" else f.default
+                value = getattr(getattr(self, name), f.name)
+                if f.name in keys and (value is not None if keep is None
+                                       else value != keep):
+                    raise ValueError(f"{name}.{f.name} is set by the "
+                                     f"pipeline and must be {keep!r}")
 
 
 @dataclass(frozen=True)
@@ -90,6 +105,31 @@ def train_target(method: str, budget: BudgetSpec) -> float | None:
     if method in ("split_cp", "naive_full"):
         return None
     raise ValueError(f"unknown method {method!r}")
+
+
+def _calibrated_runs(targets: Sequence, calibrate: Callable,
+                     train: Callable) -> list:
+    """Per target in order, (sigma, run), or the exception that failed it.
+    ``calibrate(target)`` gives a target's sigma, and its failure fails that
+    target alone. ``train(sigmas)`` makes one lockstep call over the sigmas
+    of the calibrated targets in order, which returns each one's run or the
+    exception that failed that run alone; a failed call fails every
+    calibrated target, and with none calibrated it is not made."""
+    sigmas: list = []
+    for target in targets:
+        try:
+            sigmas.append(calibrate(target))
+        except Exception as exc:  # fails this target alone
+            sigmas.append(exc)
+    calibrated = [s for s in sigmas if not isinstance(s, Exception)]
+    try:
+        runs = iter(train(calibrated) if calibrated else ())
+    except Exception as exc:  # a failure shared by every calibrated run
+        runs = repeat(exc)
+    pairs = [(s, s if isinstance(s, Exception) else next(runs))
+             for s in sigmas]
+    return [run if isinstance(run, Exception) else (s, run)
+            for s, run in pairs]
 
 
 def _score_matrix(model: TrainedModel, data: Dataset) -> np.ndarray:
@@ -188,42 +228,32 @@ def run_pipelines(pool: Dataset, test: Dataset,
     train_seed = int(ss[1].generate_state(1)[0])
     quant_seed = int(ss[2].generate_state(1)[0])
 
+    train_data = cal_data = pool
     if split:
         split_rng = np.random.Generator(np.random.PCG64(ss[0]))
         train_idx, cal_idx = _split_indices(pool.n, split_rng)
-        train_data = pool.subset(train_idx)
-        cal_data = pool.subset(cal_idx)
-    else:
-        train_data = pool
-        cal_data = pool
+        train_data, cal_data = pool.subset(train_idx), pool.subset(cal_idx)
 
     tmpl = first.train_template
     delta = first.budget.delta_target
-    sigmas: list = []
-    for eps_train in targets:
-        try:
-            sigmas.append(0.0 if eps_train is None else
-                          calibrate_sigma_sgd(tmpl.sampling_rate, tmpl.steps,
-                                              eps_train, delta))
-        except Exception as exc:  # fails this target's configs alone
-            sigmas.append(exc)
-    calibrated = [s for s in sigmas if not isinstance(s, Exception)]
-    models: list = []
-    if calibrated:
-        try:
-            models = dp_sgd_train(train_data, first.model,
-                                  replace(tmpl, seed=train_seed),
-                                  noise_multipliers=calibrated)
-        except Exception as exc:  # a failure shared by every calibrated run
-            models = [exc] * len(calibrated)
-    runs = iter(models)
+
+    def calibrate(eps_train: float | None) -> float:
+        return (0.0 if eps_train is None else
+                calibrate_sigma_sgd(tmpl.sampling_rate, tmpl.steps, eps_train,
+                                    delta))
+
+    def train(sigmas: list) -> list:
+        return dp_sgd_train(train_data, first.model,
+                            replace(tmpl, seed=train_seed),
+                            noise_multipliers=sigmas)
 
     reports: list = [None] * len(configs)
-    for (eps_train, indices), sigma in zip(targets.items(), sigmas):
-        scores = sigma if isinstance(sigma, Exception) else next(runs)
-        if isinstance(scores, TrainedModel):
+    for (eps_train, indices), run in zip(
+            targets.items(), _calibrated_runs(targets, calibrate, train)):
+        scores = run
+        if not isinstance(run, Exception):
             try:
-                scores = _target_scores(scores, eps_train, delta, cal_data,
+                scores = _target_scores(run[1], eps_train, delta, cal_data,
                                         test)
             except Exception as exc:  # fails this target's configs
                 scores = exc
@@ -281,19 +311,13 @@ def _finish(config: PipelineConfig, test: Dataset, quant_seed: int,
             # half needs no stability buffer.
             buffer_m, tau_override = 0, None
         search_config = replace(qt, sigma_q=sigma_q, buffer_m=buffer_m,
-                                tau_override=tau_override, alpha=config.alpha,
-                                seed=quant_seed)
+                                tau_override=tau_override, seed=quant_seed)
         q_hat = buffered_right_search(cal_scores, search_config).q_hat
 
-    metrics = _evaluate_fast(test_scores, test, q_hat, config.target_scale)
     return EvalReport(
-        coverage=metrics["coverage"],
-        efficiency=metrics["efficiency"],
-        informativeness=metrics["informativeness"],
-        q_hat=float(q_hat),
-        sigma_q=float(sigma_q),
-        eps_train_spent=eps_train_spent,
-    )
+        **_evaluate_fast(test_scores, test, q_hat, config.target_scale),
+        q_hat=float(q_hat), sigma_q=float(sigma_q),
+        eps_train_spent=eps_train_spent)
 
 
 def run_pipeline(pool: Dataset, test: Dataset, config: PipelineConfig,

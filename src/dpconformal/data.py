@@ -219,10 +219,6 @@ class StandardizationStats:
     target_sd: float = 1.0
     degenerate_features: tuple[int, ...] = ()
 
-    @property
-    def target_scale(self) -> float:
-        return self.target_sd
-
 
 _DEGENERATE_SD = 1e-12
 

@@ -44,7 +44,7 @@ import numpy as np
 
 from .accounting import BudgetSpec, calibrate_sigma_sgd
 from .conformal import (METHODS, SPLIT_METHODS, PipelineConfig,
-                        run_pipelines, split_train_size)
+                        _calibrated_runs, run_pipelines, split_train_size)
 # Not called here: bench/layers.py wraps experiments.run_pipeline by name.
 from .conformal import run_pipeline  # noqa: F401
 from .data import (StandardizationStats, apply_standardizer,
@@ -253,12 +253,8 @@ def _pipeline_group(config: ExperimentConfig, rows: list[dict], pool: Dataset,
     n_train = split_train_size(pool.n) if split else pool.n
     rate, steps = train_plan(n_train, epochs, batch)
     train_template = TrainConfig(
-        learning_rate=float(train["learning_rate"]),
-        steps=steps,
-        sampling_rate=rate,
-        clip_norm=float(train["clip_norm"]),
-        noise_multiplier=0.0,
-    )
+        learning_rate=float(train["learning_rate"]), steps=steps,
+        sampling_rate=rate, clip_norm=float(train["clip_norm"]))
     kind = train["model"]
     model = ModelSpec(kind, pool.dim, pool.n_classes or 1,
                       tuple(train["hidden"]) if kind == "mlp" else ())
@@ -268,17 +264,14 @@ def _pipeline_group(config: ExperimentConfig, rows: list[dict], pool: Dataset,
     quantile_template = QuantileConfig(
         range_lo=0.0, range_hi=1.0 if pool.task == CLASSIFICATION
         else float(quantile["range_hi"]), alpha=config.alpha,
-        steps_n=int(quantile["steps"]), sigma_q=0.0,
-        beta=float(quantile["beta"]), buffer_m=int(quantile["buffer"]))
+        steps_n=int(quantile["steps"]), beta=float(quantile["beta"]),
+        buffer_m=int(quantile["buffer"]))
     pipes = [PipelineConfig(
         method=row["method"],
         budget=BudgetSpec(row["epsilon"], config.delta, row["p"]),
-        model=model,
-        train_template=train_template,
-        quantile_template=quantile_template,
-        alpha=config.alpha,
-        target_scale=stats.target_scale,
-    ) for row in rows]
+        model=model, train_template=train_template,
+        quantile_template=quantile_template, alpha=config.alpha,
+        target_scale=stats.target_sd) for row in rows]
     reports = run_pipelines(pool, test, pipes, rows[0]["seed"])
     return [_failed(row, report) if isinstance(report, Exception) else
             ({**row, "n": pool.n, "status": "ok",
@@ -289,16 +282,14 @@ def _pipeline_group(config: ExperimentConfig, rows: list[dict], pool: Dataset,
             for row, report in zip(rows, reports)]
 
 
-# An (n, trial) has one task per training subset, two in all. Tasks run each
-# subset for every trial in turn, so the tasks of one (n, trial) lie up to
-# (sample sizes x trials) data cells apart. 32 cells hold the desk grid (2 x
-# 10) and every trial of the paper's 30 at one n. A cell keeps (test_size + n)
-# rows of d standardized features and one label: 2.8 MB at n = 30000,
-# test_size 2000 and d = 10, so 32 such cells keep about 90 MB. The pool and
-# test are standardized in their row slices of the one generated matrix;
-# building a cell peaks at about 1.9x what it keeps, the rest being the
-# pool-sized deviations that the standard deviation's np.std allocates.
-@lru_cache(maxsize=32)
+# An (n, trial) has one task per training subset, two in all, and _tasks
+# runs them back to back, so one data cell is kept. A cell keeps (test_size +
+# n) rows of d standardized features and one label: 2.8 MB at n = 30000,
+# test_size 2000 and d = 10. The pool and test are standardized in their row
+# slices of the one generated matrix; building a cell peaks at about 1.9x
+# what it keeps, the rest being the pool-sized deviations that the standard
+# deviation's np.std allocates.
+@lru_cache(maxsize=1)
 def _scaling_data(generator: tuple, n: int, trial_seed: int
                   ) -> tuple[Dataset, Dataset, StandardizationStats]:
     """Standardized pool and test for one (n, trial), with the statistics.
@@ -347,11 +338,11 @@ def _csv_key(src: dict) -> tuple:
             bool(src["has_header"]), (st.st_mtime_ns, st.st_size))
 
 
-# Bounded as _scaling_data is: a trial has one task per training subset (two
-# in all), and they lie up to (trials) tasks apart. The split is standardized
-# in the rows it gathers, so a build peaks at about 1.9x what it keeps, as a
-# scaling cell does.
-@lru_cache(maxsize=32)
+# One split is kept, as one scaling cell is: a trial has one task per
+# training subset (two in all), which run back to back. The split is
+# standardized in the rows it gathers, so a build peaks at about 1.9x what
+# it keeps, as a scaling cell does.
+@lru_cache(maxsize=1)
 def _realdata_split(csv_key: tuple, test_fraction: float, trial_seed: int
                     ) -> tuple[Dataset, Dataset, StandardizationStats]:
     """Standardized pool and test of one trial's permuted split of the CSV,
@@ -378,10 +369,11 @@ def _run_realdata_trial(config: ExperimentConfig,
 def _run_stability_trial(config: ExperimentConfig,
                          rows: list[dict]) -> list[tuple[dict, list]]:
     """Every epsilon cell of one stability trial: one data draw, sigma_sgd
-    per cell, and one lockstep ``coupled_train`` over the calibrated cells.
-    The cells share the trial seed, so they share masks, noise and
-    extra-point flags and differ only in sigma_sgd. A cell whose calibration
-    or run fails fails alone."""
+    per cell, and one lockstep ``coupled_train`` over the calibrated cells,
+    both through ``conformal._calibrated_runs``. The cells share the trial
+    seed, so they share masks, noise and extra-point flags and differ only
+    in sigma_sgd. A cell whose calibration fails fails alone, and a failed
+    lockstep call fails every calibrated cell."""
     trial_seed, n = rows[0]["seed"], rows[0]["n"]
     d = int(_section(config, "generator")["dim"])
     train = _section(config, "train")
@@ -392,46 +384,37 @@ def _run_stability_trial(config: ExperimentConfig,
     data, theta = gen_logistic(n + 1, d, data_seed)
     base = data.subset(slice(n))
     extra = (data.features[n], int(data.labels[n]))
-    out: list = [None] * len(rows)
-    sigmas = {}
-    for i, row in enumerate(rows):
-        try:
-            sigmas[i] = calibrate_sigma_sgd(rate, steps, row["epsilon"],
-                                            config.delta)
-        except Exception as exc:  # an infeasible epsilon fails alone
-            out[i] = _failed(row, exc)
-    if not sigmas:
-        return out
-    try:
+
+    def calibrate(row: dict) -> float:
+        return calibrate_sigma_sgd(rate, steps, row["epsilon"], config.delta)
+
+    def run_cells(sigmas: list) -> list:
         radius = train["projection_radius"]
         cfg = TrainConfig(
-            learning_rate=float(train["learning_rate"]),
-            steps=steps,
-            sampling_rate=rate,
-            clip_norm=float(train["clip_norm"]),
+            learning_rate=float(train["learning_rate"]), steps=steps,
+            sampling_rate=rate, clip_norm=float(train["clip_norm"]),
             projection_radius=None if radius is None else float(radius),
-            seed=trial_seed,
-        )
+            seed=trial_seed)
         spec = ModelSpec("softmax_linear", d, 2)
         # Embed the logistic signal symmetrically into the two-class softmax
         # parameterization (class margins +/- theta/2 reproduce the link).
         theta_flat = np.concatenate([-theta / 2.0, theta / 2.0])
-        traces = coupled_train(base, extra, spec, cfg, theta_star=theta_flat,
-                               noise_multipliers=list(sigmas.values()))
-    except Exception as exc:  # a failure shared by every calibrated cell
-        traces = [exc] * len(sigmas)
+        return coupled_train(base, extra, spec, cfg, theta_star=theta_flat,
+                             noise_multipliers=sigmas)
+
+    out = []
     step_index = range(steps + 1)
-    for (i, sigma_sgd), trace in zip(sigmas.items(), traces):
-        row = rows[i]
-        if isinstance(trace, Exception):
-            out[i] = _failed(row, trace)
+    for row, run in zip(rows, _calibrated_runs(rows, calibrate, run_cells)):
+        if isinstance(run, Exception):
+            out.append(_failed(row, run))
             continue
+        sigma_sgd, trace = run
         epsilon = row["epsilon"]
         block = _SeriesBlock(
             (f"gap/eps={epsilon:g}", f"error/eps={epsilon:g}"), step_index,
             np.column_stack([trace.gap_series, trace.error_series]))
-        out[i] = ({**row, "status": "ok", "sigma_q": sigma_sgd,
-                   "eps_train": epsilon}, [block])
+        out.append(({**row, "status": "ok", "sigma_q": sigma_sgd,
+                     "eps_train": epsilon}, [block]))
     return out
 
 
@@ -582,25 +565,21 @@ def _safe_trial(config: ExperimentConfig, cells: list[dict],
 
 def _tasks(config: ExperimentConfig, cells: list[dict],
            trials: int) -> list[tuple[list[int], int]]:
-    """(cell indices, trial) tasks, in the order of each task's first row in
-    the output. Scaling and realdata cells of a trial share a task when
-    their data cell (n; the whole CSV for realdata) agrees and their methods
-    are all or none in ``SPLIT_METHODS``: one task per training subset and
-    trial, which trains every distinct target of the subset in one lockstep
-    call at any batch size. Every stability cell of a trial shares one task,
-    which trains all of them in lockstep. A quantile-demo cell runs alone."""
-    groups: dict = {}
+    """(cell indices, trial) tasks, in (data cell, trial, first cell) order,
+    so the tasks that read one data cell (n and trial; the trial's split of
+    the CSV for realdata) run back to back. Cells of a trial share a task
+    when their data cell agrees and their methods are all or none in
+    ``SPLIT_METHODS``: one task per training subset and trial, which trains
+    every distinct target of the subset in one lockstep call at any batch
+    size (every stability cell of a trial, in one ``coupled_train`` call). A
+    quantile-demo cell runs alone."""
+    subsets: dict = {}  # each data cell's training subsets' cells
     for i, cell in enumerate(cells):
-        if config.experiment == "stability":
-            key = "coupled"
-        elif config.experiment == "quantile_demo":
-            key = i
-        else:
-            key = cell["n"], cell["method"] in SPLIT_METHODS
-        groups.setdefault(key, []).append(i)
-    tasks = [(members, t) for members in groups.values()
-             for t in range(trials)]
-    return sorted(tasks, key=lambda task: (task[0][0], task[1]))
+        data_cell = i if config.experiment == "quantile_demo" else cell["n"]
+        subsets.setdefault(data_cell, {}).setdefault(
+            cell["method"] in SPLIT_METHODS, []).append(i)
+    return [(members, t) for groups in subsets.values() for t in range(trials)
+            for members in groups.values()]
 
 
 def _format_row(row: dict) -> dict:

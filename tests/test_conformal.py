@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from dataclasses import replace
 
@@ -464,3 +465,181 @@ def test_run_pipelines_fails_a_scoring_or_finish_failure_alone(
         "buffered_right_search failed", "buffered_right_search failed",
         "_in_sample_scores failed"]
     assert reports[1] == alone[1]
+
+
+# ---------------------------------------------------------------------------
+# What a PipelineConfig accepts
+
+
+def settable_values(config):
+    """The dotted names of every value a PipelineConfig sets, its templates'
+    and specs' fields included."""
+    names = []
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if dataclasses.is_dataclass(value):
+            names += [f"{f.name}.{g.name}" for g in dataclasses.fields(value)]
+        else:
+            names.append(f.name)
+    return names
+
+
+# The template values that the pipeline sets itself, each set away from the
+# value it must keep.
+REFUSED = {
+    "train_template.noise_multiplier": 7.0,
+    "train_template.seed": 5,
+    "quantile_template.alpha": 0.3,
+    "quantile_template.sigma_q": 9.0,
+    "quantile_template.seed": 4,
+    "quantile_template.tau_override": 0.0,
+    "quantile_template.noise_override": (0.0,) * 20,
+    "quantile_template.variant": "midpoint",
+    "quantile_template.precision_delta": 1e-4,
+}
+
+
+def with_value(config, name, value):
+    """``config`` with the value at the dotted ``name`` replaced, built
+    through each dataclass's own checks."""
+    outer, _, inner = name.partition(".")
+    if inner:
+        value = replace(getattr(config, outer), **{inner: value})
+    return replace(config, **{outer: value})
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED))
+def test_templates_refuse_what_the_pipeline_sets(name):
+    # A template value that the pipeline would overwrite or ignore is a
+    # usage error, among them a fixed noise sequence that would replace the
+    # calibrated search noise.
+    config = tiny_pipeline_config("dpscp_f", 1000)
+    with pytest.raises(ValueError, match=name.replace(".", r"\.")):
+        with_value(config, name, REFUSED[name])
+
+
+def test_an_alpha_no_search_can_take_is_refused():
+    # The search's alpha must lie in (0, 1) and equal the config's.
+    for alpha in (0.0, 1.5, math.nan):
+        with pytest.raises(ValueError, match=r"quantile_template\.alpha"):
+            replace(tiny_pipeline_config("split_cp", 1000), alpha=alpha)
+
+
+def test_the_pipeline_configs_of_the_studies_construct():
+    # Criterion 8's config, and a config as the experiments build it (every
+    # value that the pipeline sets left at its default).
+    PipelineConfig(method="split_cp", budget=BudgetSpec(1.0, 1e-5),
+                   model=ModelSpec("softmax_linear", 10, 5),
+                   train_template=TrainConfig(0.05, 300, 32 / 1000, 1.0),
+                   quantile_template=QuantileConfig(0.0, 1.0, 0.1, 20),
+                   alpha=0.1)
+    PipelineConfig(method="dpscp_f", budget=BudgetSpec(0.5, 1e-5, 0.3),
+                   model=ModelSpec("mlp", 10, 5, (16, 16)),
+                   train_template=TrainConfig(1e-3, 100, 0.05, 1.0),
+                   quantile_template=QuantileConfig(
+                       range_lo=0.0, range_hi=1.0, alpha=0.2, steps_n=20,
+                       beta=0.05, buffer_m=10),
+                   alpha=0.2, target_scale=3.0)
+
+
+# Each value that a PipelineConfig accepts, set away from the base config's:
+# either some method's report moves, or the data refuses the config.
+ACCEPTED = {
+    "method": "split_cp",
+    "budget.epsilon_target": 4.0,
+    "budget.delta_target": 1e-3,
+    "budget.allocation_p": 0.3,
+    "model.kind": "linear_regression",
+    "model.input_dim": 4,
+    "model.output_dim": 2,
+    "model.hidden": (5,),
+    "train_template.learning_rate": 0.2,
+    "train_template.steps": 45,
+    "train_template.sampling_rate": 0.3,
+    "train_template.clip_norm": 0.3,
+    "train_template.projection_radius": 0.05,
+    "quantile_template.range_lo": -1.0,
+    "quantile_template.range_hi": 4.0,
+    "quantile_template.steps_n": 12,
+    "quantile_template.beta": 0.2,
+    "quantile_template.buffer_m": 6,
+    "alpha": 0.2,
+    "target_scale": 3.0,
+}
+
+
+@pytest.fixture(scope="module")
+def regression_pool_test():
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((1300, 3))
+    y = x @ np.array([1.0, -0.5, 0.25]) + 0.3 * rng.standard_normal(1300)
+    return (Dataset(x[:1000], y[:1000], "regression"),
+            Dataset(x[1000:], y[1000:], "regression"))
+
+
+def test_every_accepted_value_acts(regression_pool_test):
+    pool, test = regression_pool_test
+    base = PipelineConfig(
+        method="dpscp_f",
+        budget=BudgetSpec(8.0, 1e-5, 0.5),
+        model=ModelSpec("mlp", 3, 1, (4,)),
+        train_template=TrainConfig(0.05, 30, 0.05, 1.0),
+        quantile_template=QuantileConfig(0.0, 6.0, 0.1, 20, buffer_m=2),
+        alpha=0.1,
+        target_scale=2.0,
+    )
+    assert sorted(settable_values(base)) == sorted([*REFUSED, *ACCEPTED])
+    assert len(ACCEPTED) == 20
+
+    def reports(config):
+        # Every method's report, or the moved method's alone, which is
+        # compared with the base method's (METHODS[0]).
+        methods = [config.method] if config.method != base.method else METHODS
+        try:
+            return [run_pipeline(pool, test, replace(config, method=method),
+                                 seed=4) for method in methods]
+        except ValueError as exc:  # the data refuses the config
+            return exc
+
+    before = reports(base)
+    for name, value in ACCEPTED.items():
+        if name == "model.kind":
+            config = replace(base, model=ModelSpec(value, 3))
+        elif name == "alpha":
+            config = replace(base, alpha=value, quantile_template=replace(
+                base.quantile_template, alpha=value))
+        else:
+            config = with_value(base, name, value)
+        after = reports(config)
+        if isinstance(after, ValueError):
+            assert name in ("model.input_dim", "model.output_dim"), name
+        else:
+            assert after != before[:len(after)], name
+
+
+def test_calibrated_runs_fail_what_each_failure_owns():
+    def calibrate(target):
+        if target == "infeasible":
+            raise ValueError(target)
+        return float(len(target))
+
+    def train(sigmas):
+        calls.append(sigmas)
+        return [RuntimeError("run") if s == 3.0 else f"run@{s}"
+                for s in sigmas]
+
+    calls = []
+    runs = conformal._calibrated_runs(["ab", "infeasible", "abc", "a"],
+                                      calibrate, train)
+    assert calls == [[2.0, 3.0, 1.0]]
+    assert runs[0] == (2.0, "run@2.0") and runs[3] == (1.0, "run@1.0")
+    assert [str(runs[1]), str(runs[2])] == ["infeasible", "run"]
+
+    def failing(sigmas):
+        raise RuntimeError("lockstep")
+
+    runs = conformal._calibrated_runs(["ab", "infeasible"], calibrate, failing)
+    assert [str(r) for r in runs] == ["lockstep", "infeasible"]
+    del calls[:]
+    runs = conformal._calibrated_runs(["infeasible"], calibrate, train)
+    assert calls == [] and str(runs[0]) == "infeasible"
