@@ -17,19 +17,17 @@ Every trial is a pure function of (pool, test, config, seed).
 The ``SPLIT_METHODS`` train on one half of the pool and calibrate on the
 other, ``train_target`` names a method's epsilon_train target, and
 ``run_pipelines`` runs the configs of one training subset: it calibrates
-sigma_sgd and trains (one lockstep DP-SGD call) through
-``_calibrated_runs``, which the stability study shares, scores each distinct
-target once, each model bit-equal to the one its config trains alone, and
-finishes every config (sigma_q, search or exact quantile, evaluation) from
-its target's model. A failed calibration or scoring fails its target's
-configs and a failed finish its own config; the others are unchanged.
-``run_pipeline`` runs one config. Only the pipeline sets a trial's noise.
+sigma_sgd and trains (one lockstep DP-SGD call; ``_calibrated_runs``, which
+the stability study shares) and scores each distinct target once, each model
+bit-equal to the one its config trains alone, and finishes every config
+(sigma_q, search or exact quantile, evaluation) from its target's model. A
+failed calibration or scoring fails its target's configs and a failed finish
+its own config. ``run_pipeline`` runs one config.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from itertools import repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -59,7 +57,6 @@ class PipelineConfig:
     model: ModelSpec
     train_template: TrainConfig
     quantile_template: QuantileConfig
-    alpha: float = 0.1
     target_scale: float = 1.0
 
     def __post_init__(self) -> None:
@@ -67,21 +64,21 @@ class PipelineConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if self.target_scale <= 0.0:
             raise ValueError("target_scale must be positive")
-        # The pipeline sets a trial's noise, seeds and search rule, and the
-        # search's alpha is the config's: a template value that the pipeline
-        # would overwrite or ignore is refused.
-        for name, keys in (("train_template", ("noise_multiplier", "seed")),
-                           ("quantile_template", (
-                               "alpha", "sigma_q", "seed", "tau_override",
-                               "noise_override", "variant",
-                               "precision_delta"))):
-            for f in fields(getattr(self, name)):
-                keep = self.alpha if f.name == "alpha" else f.default
-                value = getattr(getattr(self, name), f.name)
-                if f.name in keys and (value is not None if keep is None
-                                       else value != keep):
-                    raise ValueError(f"{name}.{f.name} is set by the "
-                                     f"pipeline and must be {keep!r}")
+        # The pipeline sets a trial's noise, seeds and search rule: a
+        # template value that it would overwrite or ignore is refused.
+        for name, keys in (
+                ("train_template", ("noise_multiplier", "seed")),
+                ("quantile_template", ("sigma_q", "seed", "tau_override",
+                                       "noise_override", "variant",
+                                       "precision_delta"))):
+            template = getattr(self, name)
+            defaults = {f.name: f.default for f in fields(template)}
+            for key in keys:
+                value, default = getattr(template, key), defaults[key]
+                if value is not default and (default is None
+                                             or value != default):
+                    raise ValueError(f"{name}.{key} is set by the pipeline "
+                                     f"and must be {default!r}")
 
 
 @dataclass(frozen=True)
@@ -125,7 +122,7 @@ def _calibrated_runs(targets: Sequence, calibrate: Callable,
     try:
         runs = iter(train(calibrated) if calibrated else ())
     except Exception as exc:  # a failure shared by every calibrated run
-        runs = repeat(exc)
+        runs = iter([exc] * len(calibrated))
     pairs = [(s, s if isinstance(s, Exception) else next(runs))
              for s in sigmas]
     return [run if isinstance(run, Exception) else (s, run)
@@ -238,9 +235,8 @@ def run_pipelines(pool: Dataset, test: Dataset,
     delta = first.budget.delta_target
 
     def calibrate(eps_train: float | None) -> float:
-        return (0.0 if eps_train is None else
-                calibrate_sigma_sgd(tmpl.sampling_rate, tmpl.steps, eps_train,
-                                    delta))
+        return 0.0 if eps_train is None else calibrate_sigma_sgd(
+            tmpl.sampling_rate, tmpl.steps, eps_train, delta)
 
     def train(sigmas: list) -> list:
         return dp_sgd_train(train_data, first.model,
@@ -294,7 +290,7 @@ def _finish(config: PipelineConfig, test: Dataset, quant_seed: int,
     qt = config.quantile_template
 
     if method in ("split_cp", "naive_full"):
-        rank = target_rank(len(cal_scores), config.alpha)
+        rank = target_rank(len(cal_scores), qt.alpha)
         q_hat = exact_conformal_quantile(cal_scores, rank)
         sigma_q = 0.0
     else:

@@ -270,7 +270,7 @@ def _pipeline_group(config: ExperimentConfig, rows: list[dict], pool: Dataset,
         method=row["method"],
         budget=BudgetSpec(row["epsilon"], config.delta, row["p"]),
         model=model, train_template=train_template,
-        quantile_template=quantile_template, alpha=config.alpha,
+        quantile_template=quantile_template,
         target_scale=stats.target_sd) for row in rows]
     reports = run_pipelines(pool, test, pipes, rows[0]["seed"])
     return [_failed(row, report) if isinstance(report, Exception) else
@@ -282,14 +282,16 @@ def _pipeline_group(config: ExperimentConfig, rows: list[dict], pool: Dataset,
             for row, report in zip(rows, reports)]
 
 
-# An (n, trial) has one task per training subset, two in all, and _tasks
-# runs them back to back, so one data cell is kept. A cell keeps (test_size +
-# n) rows of d standardized features and one label: 2.8 MB at n = 30000,
-# test_size 2000 and d = 10. The pool and test are standardized in their row
-# slices of the one generated matrix; building a cell peaks at about 1.9x
-# what it keeps, the rest being the pool-sized deviations that the standard
-# deviation's np.std allocates.
-@lru_cache(maxsize=1)
+# An (n, trial) has one task per training subset, two in all. Tasks run each
+# subset for every trial in turn, so the tasks of one (n, trial) lie up to
+# (sample sizes x trials) data cells apart. 32 cells hold the desk grid (2 x
+# 10) and every trial of the paper's 30 at one n. A cell keeps (test_size + n)
+# rows of d standardized features and one label: 2.8 MB at n = 30000,
+# test_size 2000 and d = 10, so 32 such cells keep about 90 MB. The pool and
+# test are standardized in their row slices of the one generated matrix;
+# building a cell peaks at about 1.9x what it keeps, the rest being the
+# pool-sized deviations that the standard deviation's np.std allocates.
+@lru_cache(maxsize=32)
 def _scaling_data(generator: tuple, n: int, trial_seed: int
                   ) -> tuple[Dataset, Dataset, StandardizationStats]:
     """Standardized pool and test for one (n, trial), with the statistics.
@@ -338,11 +340,11 @@ def _csv_key(src: dict) -> tuple:
             bool(src["has_header"]), (st.st_mtime_ns, st.st_size))
 
 
-# One split is kept, as one scaling cell is: a trial has one task per
-# training subset (two in all), which run back to back. The split is
-# standardized in the rows it gathers, so a build peaks at about 1.9x what
-# it keeps, as a scaling cell does.
-@lru_cache(maxsize=1)
+# Bounded as _scaling_data is: a trial has one task per training subset (two
+# in all), and they lie up to (trials) tasks apart. The split is standardized
+# in the rows it gathers, so a build peaks at about 1.9x what it keeps, as a
+# scaling cell does.
+@lru_cache(maxsize=32)
 def _realdata_split(csv_key: tuple, test_fraction: float, trial_seed: int
                     ) -> tuple[Dataset, Dataset, StandardizationStats]:
     """Standardized pool and test of one trial's permuted split of the CSV,
@@ -368,12 +370,11 @@ def _run_realdata_trial(config: ExperimentConfig,
 
 def _run_stability_trial(config: ExperimentConfig,
                          rows: list[dict]) -> list[tuple[dict, list]]:
-    """Every epsilon cell of one stability trial: one data draw, sigma_sgd
-    per cell, and one lockstep ``coupled_train`` over the calibrated cells,
-    both through ``conformal._calibrated_runs``. The cells share the trial
-    seed, so they share masks, noise and extra-point flags and differ only
-    in sigma_sgd. A cell whose calibration fails fails alone, and a failed
-    lockstep call fails every calibrated cell."""
+    """Every epsilon cell of one stability trial: one data draw, then
+    sigma_sgd per cell and one lockstep ``coupled_train`` over the
+    calibrated cells, through ``conformal._calibrated_runs``. The cells share
+    the trial seed, so they share masks, noise and extra-point flags and
+    differ only in sigma_sgd."""
     trial_seed, n = rows[0]["seed"], rows[0]["n"]
     d = int(_section(config, "generator")["dim"])
     train = _section(config, "train")
@@ -565,21 +566,25 @@ def _safe_trial(config: ExperimentConfig, cells: list[dict],
 
 def _tasks(config: ExperimentConfig, cells: list[dict],
            trials: int) -> list[tuple[list[int], int]]:
-    """(cell indices, trial) tasks, in (data cell, trial, first cell) order,
-    so the tasks that read one data cell (n and trial; the trial's split of
-    the CSV for realdata) run back to back. Cells of a trial share a task
-    when their data cell agrees and their methods are all or none in
-    ``SPLIT_METHODS``: one task per training subset and trial, which trains
-    every distinct target of the subset in one lockstep call at any batch
-    size (every stability cell of a trial, in one ``coupled_train`` call). A
-    quantile-demo cell runs alone."""
-    subsets: dict = {}  # each data cell's training subsets' cells
+    """(cell indices, trial) tasks, in the order of each task's first row in
+    the output. Scaling and realdata cells of a trial share a task when
+    their data cell (n; the whole CSV for realdata) agrees and their methods
+    are all or none in ``SPLIT_METHODS``: one task per training subset and
+    trial, which trains every distinct target of the subset in one lockstep
+    call at any batch size. Every stability cell of a trial shares one task,
+    which trains all of them in lockstep. A quantile-demo cell runs alone."""
+    groups: dict = {}
     for i, cell in enumerate(cells):
-        data_cell = i if config.experiment == "quantile_demo" else cell["n"]
-        subsets.setdefault(data_cell, {}).setdefault(
-            cell["method"] in SPLIT_METHODS, []).append(i)
-    return [(members, t) for groups in subsets.values() for t in range(trials)
-            for members in groups.values()]
+        if config.experiment == "stability":
+            key = "coupled"
+        elif config.experiment == "quantile_demo":
+            key = i
+        else:
+            key = cell["n"], cell["method"] in SPLIT_METHODS
+        groups.setdefault(key, []).append(i)
+    tasks = [(members, t) for members in groups.values()
+             for t in range(trials)]
+    return sorted(tasks, key=lambda task: (task[0][0], task[1]))
 
 
 def _format_row(row: dict) -> dict:

@@ -264,7 +264,6 @@ def test_criterion_08_split_cp_validity():
             model=ModelSpec("softmax_linear", 10, 5),
             train_template=TrainConfig(0.05, 300, 32 / 1000, 1.0),
             quantile_template=QuantileConfig(0.0, 1.0, 0.1, 20),
-            alpha=0.1,
         )
         coverages[t] = run_pipeline(pool, test, cfg, seed=900 + t).coverage
     mean_cov = coverages.mean()

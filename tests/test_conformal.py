@@ -213,7 +213,6 @@ def tiny_pipeline_config(method, n_pool, epsilon=1.0, allocation=0.5,
         train_template=TrainConfig(0.05, steps, min(1.0, batch / n_train), 1.0),
         quantile_template=QuantileConfig(0.0, 1.0, 0.1, 20, beta=0.05,
                                          buffer_m=10),
-        alpha=0.1,
     )
 
 
@@ -304,7 +303,6 @@ def test_regression_pipeline_widths_on_original_scale():
         model=ModelSpec("linear_regression", 3),
         train_template=TrainConfig(0.1, 400, 0.1, 5.0),
         quantile_template=QuantileConfig(0.0, 10.0, 0.1, 20),
-        alpha=0.1,
         target_scale=scale,
     )
     report = run_pipeline(pool, test, cfg, seed=5)
@@ -489,7 +487,6 @@ def settable_values(config):
 REFUSED = {
     "train_template.noise_multiplier": 7.0,
     "train_template.seed": 5,
-    "quantile_template.alpha": 0.3,
     "quantile_template.sigma_q": 9.0,
     "quantile_template.seed": 4,
     "quantile_template.tau_override": 0.0,
@@ -518,28 +515,20 @@ def test_templates_refuse_what_the_pipeline_sets(name):
         with_value(config, name, REFUSED[name])
 
 
-def test_an_alpha_no_search_can_take_is_refused():
-    # The search's alpha must lie in (0, 1) and equal the config's.
-    for alpha in (0.0, 1.5, math.nan):
-        with pytest.raises(ValueError, match=r"quantile_template\.alpha"):
-            replace(tiny_pipeline_config("split_cp", 1000), alpha=alpha)
-
-
 def test_the_pipeline_configs_of_the_studies_construct():
     # Criterion 8's config, and a config as the experiments build it (every
     # value that the pipeline sets left at its default).
     PipelineConfig(method="split_cp", budget=BudgetSpec(1.0, 1e-5),
                    model=ModelSpec("softmax_linear", 10, 5),
                    train_template=TrainConfig(0.05, 300, 32 / 1000, 1.0),
-                   quantile_template=QuantileConfig(0.0, 1.0, 0.1, 20),
-                   alpha=0.1)
+                   quantile_template=QuantileConfig(0.0, 1.0, 0.1, 20))
     PipelineConfig(method="dpscp_f", budget=BudgetSpec(0.5, 1e-5, 0.3),
                    model=ModelSpec("mlp", 10, 5, (16, 16)),
                    train_template=TrainConfig(1e-3, 100, 0.05, 1.0),
                    quantile_template=QuantileConfig(
                        range_lo=0.0, range_hi=1.0, alpha=0.2, steps_n=20,
                        beta=0.05, buffer_m=10),
-                   alpha=0.2, target_scale=3.0)
+                   target_scale=3.0)
 
 
 # Each value that a PipelineConfig accepts, set away from the base config's:
@@ -563,7 +552,7 @@ ACCEPTED = {
     "quantile_template.steps_n": 12,
     "quantile_template.beta": 0.2,
     "quantile_template.buffer_m": 6,
-    "alpha": 0.2,
+    "quantile_template.alpha": 0.2,
     "target_scale": 3.0,
 }
 
@@ -585,7 +574,6 @@ def test_every_accepted_value_acts(regression_pool_test):
         model=ModelSpec("mlp", 3, 1, (4,)),
         train_template=TrainConfig(0.05, 30, 0.05, 1.0),
         quantile_template=QuantileConfig(0.0, 6.0, 0.1, 20, buffer_m=2),
-        alpha=0.1,
         target_scale=2.0,
     )
     assert sorted(settable_values(base)) == sorted([*REFUSED, *ACCEPTED])
@@ -605,9 +593,6 @@ def test_every_accepted_value_acts(regression_pool_test):
     for name, value in ACCEPTED.items():
         if name == "model.kind":
             config = replace(base, model=ModelSpec(value, 3))
-        elif name == "alpha":
-            config = replace(base, alpha=value, quantile_template=replace(
-                base.quantile_template, alpha=value))
         else:
             config = with_value(base, name, value)
         after = reports(config)

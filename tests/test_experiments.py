@@ -711,7 +711,7 @@ def test_infeasible_target_fails_alone_in_its_lockstep_task(tmp_path):
 def test_tasks_follow_the_methods_subset_in_any_order(methods):
     # Each (cell, trial) runs in exactly one task, a task's cells share n and
     # whether their methods split, there is one task per training subset and
-    # trial, and the tasks that share a data cell (n, trial) are adjacent.
+    # trial, and tasks come in the order of their first output row.
     cfg = tiny_scaling_config(methods=methods, sample_sizes=(300, 601),
                               allocations=(0.3, 0.5))
     cells = experiments._grid(cfg)
@@ -725,10 +725,8 @@ def test_tasks_follow_the_methods_subset_in_any_order(methods):
     assert all(len({subset(i) for i in members}) == 1
                for members, _ in tasks)
     assert len(tasks) == len(set(map(subset, range(len(cells))))) * cfg.trials
-    data_cells = [(cells[members[0]]["n"], t) for members, t in tasks]
-    runs = [cell for i, cell in enumerate(data_cells)
-            if i == 0 or cell != data_cells[i - 1]]
-    assert len(runs) == len(set(data_cells))
+    first_rows = [members[0] * cfg.trials + t for members, t in tasks]
+    assert first_rows == sorted(first_rows)
 
 
 def test_a_subset_trains_in_one_lockstep_task_at_any_batch_size(
@@ -1328,21 +1326,6 @@ def test_calibrate_sigma_q_computes_each_distinct_input_once(monkeypatch):
     del searches[:]
     assert run_experiment(cfg) == rows
     assert len(searches) == 12
-
-
-def test_each_data_cell_built_once_past_the_memo_of_one(monkeypatch):
-    # The two tasks of each (n, trial) run back to back, so a memo of one
-    # data cell builds each cell once, at any trial count.
-    cfg = tiny_scaling_config(
-        trials=33, epsilons=(1.0,), sample_sizes=(200,),
-        methods=("dpscp_a", "split_cp"),
-        generator={"dim": 4, "classes": 3, "test_size": 100},
-        train={"model": "softmax_linear", "epochs": 1, "batch_size": 50})
-    experiments._scaling_data.cache_clear()
-    calls = counting(monkeypatch, experiments, "gen_multiclass")
-    rows = run_experiment(cfg)
-    assert len(calls) == 33
-    assert sum(r["status"] == "ok" for r in rows) == 2 * 33
 
 
 def test_realdata_split_standardized_once_per_trial(tmp_path, monkeypatch):
