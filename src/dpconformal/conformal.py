@@ -1,32 +1,20 @@
 """Nonconformity scores, set evaluation and the end-to-end pipelines.
 
-Methods:
-
-* ``dpscp_f``   -- private training on the full pool at a p-fraction of the
-  budget, in-sample scores, buffered right-endpoint search with the full
-  rank inflation (stability buffer + noise correction).
-* ``dpscp_a``   -- same pipeline with both corrections pinned to zero.
-* ``dp_split``  -- disjoint train/calibration halves; each stage spends the
-  full budget on its own half (parallel composition).
-* ``split_cp``  -- non-private split conformal with the exact quantile.
-* ``naive_full`` -- non-private full-data reuse with the exact in-sample
-  quantile (deliberately invalid; quantifies the cost of ignoring the
-  in-sample shift).
-
-Every trial is a pure function of (pool, test, config, seed).
-The ``SPLIT_METHODS`` train on one half of the pool and calibrate on the
-other, ``train_target`` names a method's epsilon_train target, and
-``run_pipelines`` runs the configs of one training subset: it calibrates
-sigma_sgd and trains (one lockstep DP-SGD call; ``_calibrated_runs``, which
-the stability study shares) and scores each distinct target once, each model
-bit-equal to the one its config trains alone, and finishes every config
-(sigma_q, search or exact quantile, evaluation) from its target's model. A
-failed calibration or scoring fails its target's configs and a failed finish
-its own config. ``run_pipeline`` runs one config.
+Each method is one row of ``_METHOD_TABLE``, whose rules ``train_target``,
+``run_pipelines`` and ``_finish`` read. Every trial is a pure function of
+(pool, test, config, seed). ``run_pipelines`` runs the configs of one
+training subset: it calibrates sigma_sgd and trains (one lockstep DP-SGD
+call; ``_calibrated_runs``, which the stability study shares) and scores
+each distinct target once, each model bit-equal to the one its config trains
+alone, and finishes every config (sigma_q, search or exact quantile,
+evaluation) from its target's model. A failed calibration or scoring fails
+its target's configs and a failed finish its own config. ``run_pipeline``
+runs one config.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from typing import Callable, Sequence
 
@@ -44,10 +32,33 @@ from .training import TrainConfig, TrainedModel, dp_sgd_train
 __all__ = ["EvalReport", "PipelineConfig", "METHODS", "SPLIT_METHODS",
            "run_pipeline", "run_pipelines", "split_train_size", "train_target"]
 
-METHODS = ("dpscp_f", "dpscp_a", "dp_split", "split_cp", "naive_full")
-# Train on the train half of a split (split_train_size) and calibrate on the
-# rest; the other methods train and calibrate on the whole pool.
-SPLIT_METHODS = ("dp_split", "split_cp")
+
+@dataclass(frozen=True)
+class _Method:
+    """A method's rules. One that ``splits`` trains on ``split_train_size(n)``
+    rows of the pool and calibrates on the rest, so its search is accounted
+    alone (parallel composition); any other uses the whole pool for both.
+    Training spends p * epsilon at ``share`` "p", epsilon at "all", and
+    nothing at None, where the exact quantile replaces the search. The search
+    adds the buffer m for the in-sample shift if ``buffer``, and the noise
+    correction tau if ``tau`` (else tau is 0 while sigma_q still applies)."""
+
+    splits: bool
+    share: str | None
+    buffer: bool = False
+    tau: bool = False
+
+
+_METHOD_TABLE = {
+    "dpscp_f": _Method(splits=False, share="p", buffer=True, tau=True),
+    "dpscp_a": _Method(splits=False, share="p"),  # asymptotic variant
+    "dp_split": _Method(splits=True, share="all", tau=True),
+    "split_cp": _Method(splits=True, share=None),
+    # Deliberately invalid: the cost of ignoring the in-sample shift.
+    "naive_full": _Method(splits=False, share=None),
+}
+METHODS = tuple(_METHOD_TABLE)
+SPLIT_METHODS = tuple(m for m, row in _METHOD_TABLE.items() if row.splits)
 
 
 @dataclass(frozen=True)
@@ -62,8 +73,8 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.target_scale <= 0.0:
-            raise ValueError("target_scale must be positive")
+        if not 0.0 < self.target_scale < math.inf:  # NaN fails as well
+            raise ValueError("target_scale must be positive and finite")
         # The pipeline sets a trial's noise, seeds and search rule: a
         # template value that it would overwrite or ignore is refused.
         for name, keys in (
@@ -95,13 +106,13 @@ def train_target(method: str, budget: BudgetSpec) -> float | None:
     """The epsilon_train target of ``method`` (None for non-private
     training). Methods with equal targets on one subset train the same model
     from the same pool and trial seed, so ``run_pipelines`` trains it once."""
-    if method in ("dpscp_f", "dpscp_a"):
-        return budget.allocation_p * budget.epsilon_target
-    if method == "dp_split":
-        return budget.epsilon_target
-    if method in ("split_cp", "naive_full"):
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    share = _METHOD_TABLE[method].share
+    if share is None:
         return None
-    raise ValueError(f"unknown method {method!r}")
+    return (budget.allocation_p * budget.epsilon_target if share == "p"
+            else budget.epsilon_target)
 
 
 def _calibrated_runs(targets: Sequence, calibrate: Callable,
@@ -210,10 +221,10 @@ def run_pipelines(pool: Dataset, test: Dataset,
     first = configs[0]
     if first.model.task != pool.task:
         raise ValueError(f"the model has no {pool.task} head")
-    split = first.method in SPLIT_METHODS
+    split = _METHOD_TABLE[first.method].splits
     shared = (split, first.budget.delta_target, first.model,
               first.train_template)
-    if any((c.method in SPLIT_METHODS, c.budget.delta_target, c.model,
+    if any((_METHOD_TABLE[c.method].splits, c.budget.delta_target, c.model,
             c.train_template) != shared for c in configs):
         raise ValueError("configs must share one training subset, delta, "
                          "model and training template")
@@ -285,29 +296,19 @@ def _finish(config: PipelineConfig, test: Dataset, quant_seed: int,
             eps_train_spent: float) -> EvalReport:
     """The sigma_q calibration, the private search (or the exact quantile)
     and the evaluation of one config on the scores of its target's model."""
-    method = config.method
-    budget = config.budget
+    method = _METHOD_TABLE[config.method]
     qt = config.quantile_template
-
-    if method in ("split_cp", "naive_full"):
+    if method.share is None:
         rank = target_rank(len(cal_scores), qt.alpha)
         q_hat = exact_conformal_quantile(cal_scores, rank)
         sigma_q = 0.0
     else:
-        if method in SPLIT_METHODS:
-            # Disjoint calibration half: account the search in isolation.
+        if method.splits:
             train_profile = RdpProfile.zeros(default_orders())
-        sigma_q = calibrate_sigma_q(train_profile, qt.steps_n, budget)
-        if method == "dpscp_f":
-            buffer_m, tau_override = qt.buffer_m, None
-        elif method == "dpscp_a":
-            buffer_m, tau_override = 0, 0.0
-        else:
-            # dp_split keeps the noise correction; its disjoint calibration
-            # half needs no stability buffer.
-            buffer_m, tau_override = 0, None
-        search_config = replace(qt, sigma_q=sigma_q, buffer_m=buffer_m,
-                                tau_override=tau_override, seed=quant_seed)
+        sigma_q = calibrate_sigma_q(train_profile, qt.steps_n, config.budget)
+        search_config = replace(
+            qt, sigma_q=sigma_q, buffer_m=qt.buffer_m if method.buffer else 0,
+            tau_override=None if method.tau else 0.0, seed=quant_seed)
         q_hat = buffered_right_search(cal_scores, search_config).q_hat
 
     return EvalReport(

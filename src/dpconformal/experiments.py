@@ -150,8 +150,12 @@ class ExperimentConfig:
         if self.experiment == "stability" and len(self.sample_sizes) != 1:
             raise ValueError("stability takes exactly one sample size")
         for name in ("epsilons", "sample_sizes", "allocations", "methods"):
-            if not getattr(self, name):
+            values = getattr(self, name)
+            if not values:
                 raise ValueError(f"{name} must be nonempty")
+            # A repeated value would run the same grid cells twice.
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} repeats a value: {values}")
         # BudgetSpec checks each cell; an infeasible epsilon fails at run time.
         for epsilon, p in product(self.epsilons, self.allocations):
             BudgetSpec(epsilon, self.delta, p)
@@ -168,6 +172,15 @@ class ExperimentConfig:
             if not 0.0 < float(fraction) < 1.0:
                 raise ValueError("csv test_fraction must lie in (0, 1), got "
                                  f"{fraction!r}")
+            range_hi = _section(self, "quantile")["range_hi"]
+            if not 0.0 < float(range_hi) < math.inf:
+                raise ValueError("quantile range_hi must be positive and "
+                                 f"finite, got {range_hi!r}")
+        if self.experiment == "quantile_demo":
+            sigma = _section(self, "quantile")["sigma"]
+            if not 0.0 <= float(sigma) < math.inf:
+                raise ValueError("quantile sigma must be nonnegative and "
+                                 f"finite, got {sigma!r}")
 
 
 # The JSON config key of each ExperimentConfig field, in field order: its

@@ -68,24 +68,28 @@ class QuantileConfig:
     noise_override: Sequence[float] | None = None
 
     def __post_init__(self) -> None:
-        if not self.range_lo < self.range_hi:
-            raise ValueError("need range_lo < range_hi")
+        # Written so that NaN fails every check, as TrainConfig's are.
+        if not -math.inf < self.range_lo < self.range_hi < math.inf:
+            raise ValueError("need finite range_lo < range_hi")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-        if self.steps_n is not None and self.steps_n < 1:
+        if self.steps_n is not None and not self.steps_n >= 1:
             raise ValueError("steps_n must be >= 1 when set")
         if self.steps_n is None and self.variant != "midpoint":
             raise ValueError("steps_n may be unset only for the midpoint variant")
-        if self.sigma_q < 0.0:
-            raise ValueError("sigma_q must be nonnegative")
+        if not 0.0 <= self.sigma_q < math.inf:
+            raise ValueError("sigma_q must be nonnegative and finite")
         if not 0.0 < self.beta < 1.0:
             raise ValueError("beta must lie in (0, 1)")
-        if self.buffer_m < 0:
+        if not self.buffer_m >= 0:
             raise ValueError("buffer_m must be nonnegative")
         if self.variant not in ("buffered_right", "midpoint"):
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.precision_delta <= 0.0:
-            raise ValueError("precision_delta must be positive")
+        if not 0.0 < self.precision_delta < math.inf:
+            raise ValueError("precision_delta must be positive and finite")
+        if self.tau_override is not None and not math.isfinite(
+                self.tau_override):
+            raise ValueError("tau_override must be finite when set")
 
 
 @dataclass(frozen=True)
@@ -126,8 +130,8 @@ def target_rank(n: int, alpha: float) -> int:
 def noise_correction_tau(sigma_q: float, beta: float, steps_n: int) -> float:
     """Rank inflation sigma * Phi^{-1}(1 - beta/N) - 1 controlling false
     positives across N noisy queries."""
-    if sigma_q < 0.0:
-        raise ValueError("sigma_q must be nonnegative")
+    if not 0.0 <= sigma_q < math.inf:  # NaN fails the check as well
+        raise ValueError("sigma_q must be nonnegative and finite")
     if steps_n < 1:
         raise ValueError("steps_n must be >= 1")
     if not 0.0 < beta < 1.0 or beta / steps_n >= 1.0:
@@ -203,11 +207,15 @@ def buffered_right_search(scores, config: QuantileConfig) -> QuantileResult:
     else:
         tau = noise_correction_tau(config.sigma_q, config.beta, config.steps_n)
     r_prime = r + config.buffer_m + tau
-    if r_prime > n:
+    # With less than one noise sd between r' and n, the noisy counts more
+    # than the scores decide where the search ends; at sigma_q = 0 this is
+    # r' > n, where it can end only at range_hi.
+    if n - r_prime < config.sigma_q:
         warnings.warn(
-            f"effective threshold r' = {r_prime:.3f} exceeds n = {n}; the "
-            "search can only terminate at the upper range endpoint unless "
-            "noise pushes a count above r'",
+            f"effective threshold r' = {r_prime:.3f} leaves n - r' = "
+            f"{n - r_prime:.3f} below sigma_q = {config.sigma_q:.3f} "
+            f"(n = {n}); the search's answer follows its noise more than "
+            "the scores",
             stacklevel=2,
         )
     if config.range_hi < float(arr.max()):

@@ -465,6 +465,44 @@ def test_run_pipelines_fails_a_scoring_or_finish_failure_alone(
     assert reports[1] == alone[1]
 
 
+# Each method's rules, stated apart from conformal's method table: whether
+# it trains privately, splits the pool, and adds the buffer m and tau.
+METHOD_RULES = {
+    "dpscp_f": (True, False, True, True),
+    "dpscp_a": (True, False, False, False),
+    "dp_split": (True, True, False, True),
+    "split_cp": (False, True, False, False),
+    "naive_full": (False, False, False, False),
+}
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_each_method_follows_its_rules(method, class_pool_test, monkeypatch):
+    # The exact quantile runs exactly when training is non-private; sigma_q
+    # is calibrated against a zero training profile exactly when the method
+    # splits; the search adds m and tau exactly when its rules say so.
+    private, splits, buffer, tau = METHOD_RULES[method]
+    pool, test = class_pool_test
+    exact = count_calls(monkeypatch, "exact_conformal_quantile")
+    calibrated = count_calls(monkeypatch, "calibrate_sigma_q")
+    searched = count_calls(monkeypatch, "buffered_right_search")
+    config = tiny_pipeline_config(method, pool.n, steps=20)
+    (report,) = run_pipelines(pool, test, [config], seed=3)
+    assert not isinstance(report, Exception)
+    assert (len(exact), len(calibrated), len(searched)) == (
+        (0, 1, 1) if private else (1, 0, 0))
+    ((cal_scores, _),) = exact or searched
+    assert len(cal_scores) == (pool.n - split_train_size(pool.n) if splits
+                               else pool.n)
+    if private:
+        ((profile, _, _),), ((_, search),) = calibrated, searched
+        assert (max(profile.values) == 0.0) == splits
+        assert search.sigma_q == report.sigma_q > 0.0
+        assert search.buffer_m == (config.quantile_template.buffer_m
+                                   if buffer else 0)
+        assert search.tau_override == (None if tau else 0.0)
+
+
 # ---------------------------------------------------------------------------
 # What a PipelineConfig accepts
 
@@ -513,6 +551,13 @@ def test_templates_refuse_what_the_pipeline_sets(name):
     config = tiny_pipeline_config("dpscp_f", 1000)
     with pytest.raises(ValueError, match=name.replace(".", r"\.")):
         with_value(config, name, REFUSED[name])
+
+
+@pytest.mark.parametrize("scale", [math.nan, math.inf])
+def test_target_scale_must_be_positive_and_finite(scale):
+    # A NaN or infinite scale reported NaN or infinite interval widths.
+    with pytest.raises(ValueError, match="target_scale must be positive"):
+        replace(tiny_pipeline_config("split_cp", 1000), target_scale=scale)
 
 
 def test_the_pipeline_configs_of_the_studies_construct():

@@ -64,7 +64,8 @@ def assert_usage_error(tmp_path, capsys, raw, message):
     with pytest.raises(ValueError, match=message):
         load_config(path)
     with pytest.raises(SystemExit) as exc:
-        main([raw["experiment"], "--config", str(path), "--out", str(out)])
+        main([raw["experiment"].replace("_", "-"), "--config", str(path),
+              "--out", str(out)])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
@@ -589,7 +590,37 @@ def test_realdata_test_fraction_outside_the_open_unit_interval(
     assert load_config(path).csv_source["test_fraction"] == 0.5
 
 
-ALL_METHODS = ("dpscp_f", "dpscp_a", "dp_split", "split_cp", "naive_full")
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+def test_quantile_demo_sigma_must_be_finite_and_nonnegative(
+        tmp_path, value, capsys):
+    # A NaN sigma wrote four ok rows whose sigma_q was nan.
+    raw = {"experiment": "quantile_demo", "quantile": {"sigma": value}}
+    assert_usage_error(tmp_path, capsys, raw, "quantile sigma must be")
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan, 0.0])
+def test_realdata_range_hi_must_be_finite_and_positive(
+        tmp_path, value, capsys):
+    # An infinite range_hi returned q_hat = inf for every private cell.
+    data = tmp_path / "data.csv"
+    write_regression_csv(data, rows=50)
+    raw = {"experiment": "realdata",
+           "csv": {"path": str(data), "label_column": 3},
+           "quantile": {"range_hi": value}}
+    assert_usage_error(tmp_path, capsys, raw, "quantile range_hi must be")
+
+
+@pytest.mark.parametrize("name, values", [
+    ("epsilons", [0.5, 1.0, 0.5]), ("sample_sizes", [300, 300]),
+    ("allocations", [0.5, 0.5]), ("methods", ["dpscp_f", "dpscp_f"])])
+def test_repeated_grid_values_are_a_usage_error(tmp_path, name, values,
+                                                capsys):
+    # Each repeat ran the same grid cells again.
+    raw = {"experiment": "scaling", name: values}
+    assert_usage_error(tmp_path, capsys, raw, f"{name} repeats a value")
+
+
+ALL_METHODS =("dpscp_f", "dpscp_a", "dp_split", "split_cp", "naive_full")
 
 
 def counting(monkeypatch, module, name):

@@ -1,4 +1,6 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -102,6 +104,44 @@ def test_buffered_warns_when_range_misses_support():
     cfg = asymptotic_config(range_hi=8.0)
     with pytest.warns(UserWarning, match="range_hi"):
         buffered_right_search(STAIRCASE_SCORES, cfg)
+
+
+def test_buffered_warns_when_r_prime_is_within_sigma_q_of_n():
+    # A realdata dpscp_f cell on 1,000 rows at epsilon 1 (sigma_q 24.4)
+    # returned the same q_hat for every model: r' = 978.5 leaves less than
+    # one noise sd below n. At 2,500 rows and sigma_q 49.6 the headroom is
+    # about 2 sigma_q, and the search does not warn.
+    scores = np.linspace(0.0, 1.0, 1000)
+    cfg = QuantileConfig(0.0, 1.0, 0.1, 20, sigma_q=24.4, buffer_m=10)
+    with pytest.warns(UserWarning, match=r"effective threshold r' = 978\.492 "
+                      r"leaves n - r' = 21\.508 below sigma_q = 24\.400"):
+        assert buffered_right_search(scores, cfg).threshold_r_prime == (
+            pytest.approx(978.49, abs=0.01))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = buffered_right_search(np.linspace(0.0, 1.0, 2500),
+                                       replace(cfg, sigma_q=49.6))
+    assert 2500 - result.threshold_r_prime == pytest.approx(100.77, abs=0.01)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("sigma_q", math.nan), ("sigma_q", math.inf),
+    ("precision_delta", math.nan), ("precision_delta", math.inf),
+    ("range_lo", -math.inf), ("range_hi", math.inf), ("buffer_m", math.nan),
+    ("steps_n", math.nan), ("tau_override", math.nan),
+    ("tau_override", -math.inf)])
+def test_config_refuses_nan_and_infinite_values(field, value):
+    # A NaN sigma_q ran the search on NaN noise, range_hi = inf returned
+    # q_hat = inf and a NaN threshold never moved the right endpoint; each
+    # is refused when the config is built.
+    with pytest.raises(ValueError, match=field.split("_")[0]):
+        asymptotic_config(**{field: value})
+
+
+@pytest.mark.parametrize("sigma", [math.nan, math.inf])
+def test_noise_correction_refuses_a_nan_or_infinite_sigma(sigma):
+    with pytest.raises(ValueError, match="sigma_q must be nonnegative"):
+        noise_correction_tau(sigma, 0.05, 20)
 
 
 def test_buffered_conservative_monte_carlo_quick():
