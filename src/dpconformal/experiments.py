@@ -14,16 +14,18 @@ changes earlier rows, and grid cells sharing a trial index share their
 random draws (the generators are prefix-stable in n), which pairs the
 sweep's comparisons.
 
-A task is one training subset (the pool, or the train half for the
-``SPLIT_METHODS``) of one trial: one ``conformal.run_pipelines`` call trains
-every distinct ``train_target`` of its cells in lockstep and finishes each
+A task is one data cell (a scaling n, the realdata CSV) of one trial, built
+once. It makes one ``conformal.run_pipelines`` call per training subset (the
+pool, or the train half for the ``SPLIT_METHODS``), which trains every
+distinct ``train_target`` of the subset's cells in lockstep and finishes each
 cell from the model of its target, so ``dpscp_f`` and ``dpscp_a`` share a
 model. A stability task trains every epsilon cell of a trial in one lockstep
 ``coupled_train`` call. A lockstep model is bit-equal to the one its cell
 trains alone. Every cell's budget is checked when the config is read; a cell
-whose calibration, training or finish fails gets a failed row while the
-others are unchanged. Both CSVs are byte-identical for every worker count. A
-data cell is built, and a realdata CSV parsed, once per process.
+whose calibration, training or finish fails gets a failed row, and a subset
+whose call raises fails its own cells, while the others are unchanged. Both
+CSVs are byte-identical for every worker count. A realdata CSV is parsed
+once per process.
 """
 
 from __future__ import annotations
@@ -236,14 +238,6 @@ def _failed(row: dict, exc: Exception) -> tuple[dict, list]:
     return {**row, "status": f"failed:{type(exc).__name__}"}, []
 
 
-def _read_only(*datasets: Dataset) -> None:
-    """Freeze the arrays of memoized data: every task of the process reads
-    the one copy, so none may write into it."""
-    for data in datasets:
-        data.features.flags.writeable = False
-        data.labels.flags.writeable = False
-
-
 def _standardized(pool: Dataset, test: Dataset
                   ) -> tuple[Dataset, Dataset, StandardizationStats]:
     """Pool and test standardized in their own arrays, which the caller
@@ -253,21 +247,14 @@ def _standardized(pool: Dataset, test: Dataset
             apply_standardizer(stats, test, out=test), stats)
 
 
-def _pipeline_group(config: ExperimentConfig, rows: list[dict], pool: Dataset,
-                    test: Dataset, stats: StandardizationStats
-                    ) -> list[tuple[dict, list]]:
-    """The rows of the cells, which share one training subset, from one
-    ``run_pipelines`` call on the standardized pool: a cell that it fails
-    gets a failed row."""
+def _pipeline_groups(config: ExperimentConfig, rows: list[dict],
+                     pool: Dataset, test: Dataset, stats: StandardizationStats
+                     ) -> list[tuple[dict, list]]:
+    """The rows of the cells of one data cell, from one ``run_pipelines``
+    call on the standardized pool per training subset, in the order of each
+    subset's first row: a cell that its call fails gets a failed row, and a
+    subset whose call raises fails its own cells only."""
     train = _section(config, "train")
-    epochs = int(train["epochs"])
-    batch = int(train["batch_size"])
-    split = rows[0]["method"] in SPLIT_METHODS
-    n_train = split_train_size(pool.n) if split else pool.n
-    rate, steps = train_plan(n_train, epochs, batch)
-    train_template = TrainConfig(
-        learning_rate=float(train["learning_rate"]), steps=steps,
-        sampling_rate=rate, clip_norm=float(train["clip_norm"]))
     kind = train["model"]
     model = ModelSpec(kind, pool.dim, pool.n_classes or 1,
                       tuple(train["hidden"]) if kind == "mlp" else ())
@@ -279,50 +266,58 @@ def _pipeline_group(config: ExperimentConfig, rows: list[dict], pool: Dataset,
         else float(quantile["range_hi"]), alpha=config.alpha,
         steps_n=int(quantile["steps"]), beta=float(quantile["beta"]),
         buffer_m=int(quantile["buffer"]))
-    pipes = [PipelineConfig(
-        method=row["method"],
-        budget=BudgetSpec(row["epsilon"], config.delta, row["p"]),
-        model=model, train_template=train_template,
-        quantile_template=quantile_template,
-        target_scale=stats.target_sd) for row in rows]
-    reports = run_pipelines(pool, test, pipes, rows[0]["seed"])
-    return [_failed(row, report) if isinstance(report, Exception) else
-            ({**row, "n": pool.n, "status": "ok",
-              "coverage": report.coverage, "efficiency": report.efficiency,
-              "informativeness": report.informativeness,
-              "q_hat": report.q_hat, "sigma_q": report.sigma_q,
-              "eps_train": report.eps_train_spent}, [])
-            for row, report in zip(rows, reports)]
+    subsets: dict = {}
+    for i, row in enumerate(rows):
+        subsets.setdefault(row["method"] in SPLIT_METHODS, []).append(i)
+    out: list = [None] * len(rows)
+    for split, members in subsets.items():
+        group = [rows[i] for i in members]
+        try:
+            rate, steps = train_plan(
+                split_train_size(pool.n) if split else pool.n,
+                int(train["epochs"]), int(train["batch_size"]))
+            train_template = TrainConfig(
+                learning_rate=float(train["learning_rate"]), steps=steps,
+                sampling_rate=rate, clip_norm=float(train["clip_norm"]))
+            reports = run_pipelines(pool, test, [PipelineConfig(
+                method=row["method"],
+                budget=BudgetSpec(row["epsilon"], config.delta, row["p"]),
+                model=model, train_template=train_template,
+                quantile_template=quantile_template,
+                target_scale=stats.target_sd) for row in group],
+                group[0]["seed"])
+        except Exception as exc:  # the subset's cells fail, not the others
+            reports = repeat(exc)
+        for i, row, report in zip(members, group, reports):
+            out[i] = (_failed(row, report) if isinstance(report, Exception)
+                      else ({**row, "n": pool.n, "status": "ok",
+                             "coverage": report.coverage,
+                             "efficiency": report.efficiency,
+                             "informativeness": report.informativeness,
+                             "q_hat": report.q_hat, "sigma_q": report.sigma_q,
+                             "eps_train": report.eps_train_spent}, []))
+    return out
 
 
-# An (n, trial) has one task per training subset, two in all. Tasks run each
-# subset for every trial in turn, so the tasks of one (n, trial) lie up to
-# (sample sizes x trials) data cells apart. 32 cells hold the desk grid (2 x
-# 10) and every trial of the paper's 30 at one n. A cell keeps (test_size + n)
-# rows of d standardized features and one label: 2.8 MB at n = 30000,
-# test_size 2000 and d = 10, so 32 such cells keep about 90 MB. The pool and
-# test are standardized in their row slices of the one generated matrix;
-# building a cell peaks at about 1.9x what it keeps, the rest being the
-# pool-sized deviations that the standard deviation's np.std allocates.
-@lru_cache(maxsize=32)
+# The pool and test are standardized in their row slices of the one
+# generated matrix; building a cell peaks at about 1.9x what it keeps, the
+# rest being the pool-sized deviations that the standard deviation's np.std
+# allocates.
 def _scaling_data(generator: tuple, n: int, trial_seed: int
                   ) -> tuple[Dataset, Dataset, StandardizationStats]:
     """Standardized pool and test for one (n, trial), with the statistics.
 
     Both come from a single generator draw so that they share the same class
     centroids; the test block comes first, making it identical across the
-    n-grid, while pools at growing n are nested prefixes. Every task of the
-    process with this data cell reads the one copy.
+    n-grid, while pools at growing n are nested prefixes. The (n, trial)
+    task builds it once, for both training subsets.
     """
     d, k, sep, flip, test_size = generator
     data_seed = int(np.random.SeedSequence(trial_seed).spawn(1)[0]
                     .generate_state(1)[0])
     both = gen_multiclass(test_size + n, d, k, sep, flip, data_seed)
-    pool, test, stats = _standardized(
-        both.subset(slice(test_size, test_size + n)),
-        both.subset(slice(test_size)))
-    _read_only(pool, test)
-    return pool, test, stats
+    return _standardized(both.subset(slice(test_size, test_size + n)),
+                         both.subset(slice(test_size)))
 
 
 def _run_scaling_trial(config: ExperimentConfig,
@@ -331,14 +326,17 @@ def _run_scaling_trial(config: ExperimentConfig,
     generator = (int(gen["dim"]), int(gen["classes"]), float(gen["class_sep"]),
                  float(gen["flip_y"]), int(gen["test_size"]))
     data = _scaling_data(generator, rows[0]["n"], rows[0]["seed"])
-    return _pipeline_group(config, rows, *data)
+    return _pipeline_groups(config, rows, *data)
 
 
 @lru_cache(maxsize=1)
 def _parsed_csv(path: str, label_column: int, task: str, has_header: bool,
                 version: tuple[int, int]) -> Dataset:
+    """The parsed CSV, which every trial of the process reads: its arrays
+    are read-only."""
     data = load_csv(path, label_column, task, has_header)
-    _read_only(data)
+    data.features.flags.writeable = False
+    data.labels.flags.writeable = False
     return data
 
 
@@ -353,24 +351,20 @@ def _csv_key(src: dict) -> tuple:
             bool(src["has_header"]), (st.st_mtime_ns, st.st_size))
 
 
-# Bounded as _scaling_data is: a trial has one task per training subset (two
-# in all), and they lie up to (trials) tasks apart. The split is standardized
-# in the rows it gathers, so a build peaks at about 1.9x what it keeps, as a
-# scaling cell does.
-@lru_cache(maxsize=32)
+# The split is standardized in the rows it gathers, so a build peaks at about
+# 1.9x what it keeps, as a scaling cell does.
 def _realdata_split(csv_key: tuple, test_fraction: float, trial_seed: int
                     ) -> tuple[Dataset, Dataset, StandardizationStats]:
     """Standardized pool and test of one trial's permuted split of the CSV,
-    with the statistics; every task of the trial reads the one copy."""
+    with the statistics; the trial's task builds it once, for both training
+    subsets."""
     full = _parsed_csv(*csv_key)
     rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(trial_seed).spawn(1)[0]))
     perm = rng.permutation(full.n)
     n_test = max(1, int(math.floor(test_fraction * full.n)))
-    pool, test, stats = _standardized(full.subset(perm[n_test:]),
-                                      full.subset(perm[:n_test]))
-    _read_only(pool, test)
-    return pool, test, stats
+    return _standardized(full.subset(perm[n_test:]),
+                         full.subset(perm[:n_test]))
 
 
 def _run_realdata_trial(config: ExperimentConfig,
@@ -378,7 +372,7 @@ def _run_realdata_trial(config: ExperimentConfig,
     src = _section(config, "csv")
     data = _realdata_split(_csv_key(src), float(src["test_fraction"]),
                            rows[0]["seed"])
-    return _pipeline_group(config, rows, *data)
+    return _pipeline_groups(config, rows, *data)
 
 
 def _run_stability_trial(config: ExperimentConfig,
@@ -566,9 +560,10 @@ EXPERIMENTS = {
 
 def _safe_trial(config: ExperimentConfig, cells: list[dict],
                 trial: int) -> list[tuple[dict, list]]:
-    """Run one task: the grid cells of one trial that share a training
-    subset (every cell for stability, one cell for the quantile demo). A
-    failure that no single cell owns fails every cell of the task."""
+    """Run one task: the grid cells of one trial that share a data cell
+    (every cell for stability, one cell for the quantile demo). A failure
+    that no single cell or training subset owns, building the data cell
+    among them, fails every cell of the task."""
     rows = [{**cell, "trial": trial, "seed": config.seed + trial}
             for cell in cells]
     try:
@@ -580,20 +575,15 @@ def _safe_trial(config: ExperimentConfig, cells: list[dict],
 def _tasks(config: ExperimentConfig, cells: list[dict],
            trials: int) -> list[tuple[list[int], int]]:
     """(cell indices, trial) tasks, in the order of each task's first row in
-    the output. Scaling and realdata cells of a trial share a task when
-    their data cell (n; the whole CSV for realdata) agrees and their methods
-    are all or none in ``SPLIT_METHODS``: one task per training subset and
-    trial, which trains every distinct target of the subset in one lockstep
-    call at any batch size. Every stability cell of a trial shares one task,
-    which trains all of them in lockstep. A quantile-demo cell runs alone."""
+    the output: one per data cell and trial. Scaling cells share a task when
+    their n agrees and every realdata cell (whose n is "", the whole CSV)
+    shares one, which runs each training subset's cells through one
+    lockstep call at any batch size. Every stability cell of a trial shares
+    one task, which trains all of them in lockstep. A quantile-demo cell
+    runs alone."""
     groups: dict = {}
     for i, cell in enumerate(cells):
-        if config.experiment == "stability":
-            key = "coupled"
-        elif config.experiment == "quantile_demo":
-            key = i
-        else:
-            key = cell["n"], cell["method"] in SPLIT_METHODS
+        key = i if config.experiment == "quantile_demo" else cell["n"]
         groups.setdefault(key, []).append(i)
     tasks = [(members, t) for members in groups.values()
              for t in range(trials)]
@@ -651,8 +641,9 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
     """Run the configured sweep; returns the formatted result rows and, when
     ``config.output`` is set, writes ``<output>`` plus ``<stem>_series.csv``.
 
-    Each task trains the models of one training subset of one trial in
-    lockstep and finishes every grid cell that uses them; up to ``jobs``
+    Each task builds one data cell of one trial, trains the models of each
+    training subset in lockstep and finishes every grid cell that uses
+    them, so each data cell is built once at any ``jobs``; up to ``jobs``
     worker processes, and never more than there are tasks, run the tasks.
     Rows appear in deterministic (grid cell, trial) order with per-cell
     aggregate rows appended, regardless of worker count: a reorder buffer

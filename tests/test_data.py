@@ -490,8 +490,7 @@ def _traced_build(build, *args):
 # the (n, d) deviations that fit_standardizer's np.std makes of the pool:
 # about 0.86x the cell, and no more than 0.9x.
 def test_scaling_data_cell_builds_in_little_more_than_it_keeps():
-    # bypass the per-process memo
-    (pool, test), peak = _traced_build(_scaling_data.__wrapped__,
+    (pool, test), peak = _traced_build(_scaling_data,
                                        (10, 5, 0.6, 0.01, 2000), 20_000, 1)
     kept = _distinct_nbytes(pool.features, pool.labels, test.features,
                             test.labels)
@@ -507,8 +506,7 @@ def test_realdata_split_builds_in_little_more_than_it_keeps(tmp_path):
     key = _csv_key({"path": str(path), "label_column": 8,
                     "task": "regression", "has_header": True})
     _parsed_csv(*key)  # parsed once per process, before the split
-    (pool, test), peak = _traced_build(_realdata_split.__wrapped__, key, 0.2,
-                                       1)
+    (pool, test), peak = _traced_build(_realdata_split, key, 0.2, 1)
     kept = _distinct_nbytes(pool.features, pool.labels, test.features,
                             test.labels)
     assert (pool.n, test.n) == (16_000, 4_000)

@@ -703,13 +703,14 @@ def test_split_methods_train_on_the_half_the_plan_is_sized_for(monkeypatch):
 
 def test_infeasible_target_fails_alone_in_its_lockstep_task(tmp_path):
     # At epsilon 0.04 no sigma_sgd meets the dpscp or dp_split training
-    # target; each subset's task still trains its other targets.
+    # target; the (n, trial) task still trains each subset's other targets.
     cfg = tiny_scaling_config(
         tmp_path, methods=ALL_METHODS, epsilons=(0.04, 1.0),
         train={"model": "softmax_linear", "epochs": 2, "batch_size": 32,
                "learning_rate": 0.05, "clip_norm": 1.0})
-    tasks = experiments._tasks(cfg, experiments._grid(cfg), cfg.trials)
-    assert len(tasks) == 2 * 2
+    cells = experiments._grid(cfg)
+    tasks = experiments._tasks(cfg, cells, cfg.trials)
+    assert tasks == [(list(range(len(cells))), t) for t in range(2)]
     rows = run_experiment(cfg)
     status = {}
     for r in rows:
@@ -734,28 +735,47 @@ def test_infeasible_target_fails_alone_in_its_lockstep_task(tmp_path):
     assert feasible == alone
 
 
+def test_a_subset_that_raises_fails_only_its_own_cells():
+    # At n = 1 the split leaves an empty half, so split_cp's run_pipelines
+    # call raises; naive_full, which trains on the same data cell's full
+    # pool, still runs (its q_hat is inf), and dpscp_a fails alone on its
+    # rank.
+    cfg = tiny_scaling_config(
+        sample_sizes=(1, 3), methods=("naive_full", "split_cp", "dpscp_a"),
+        generator={"dim": 6, "classes": 3, "class_sep": 1.0, "flip_y": 0.01,
+                   "test_size": 50},
+        train={"model": "softmax_linear", "epochs": 1, "batch_size": 32,
+               "learning_rate": 0.05, "clip_norm": 1.0})
+    want = {"naive_full": ("ok", "inf"), "split_cp": ("failed:ValueError", ""),
+            "dpscp_a": ("failed:RankOverflowError", "")}
+    rows = [r for r in run_experiment(cfg) if r["seed"] and r["n"] == "1"]
+    assert len(rows) == 3 * cfg.trials
+    for r in rows:
+        assert (r["status"], r["q_hat"]) == want[r["method"]]
+
+
 @pytest.mark.parametrize("methods", [
     ("split_cp", "dpscp_a", "dp_split", "naive_full", "dpscp_f"),
     ALL_METHODS[::-1],
     ("split_cp", "dp_split"),
 ], ids=["split_first", "reversed", "one_subset"])
 def test_tasks_follow_the_methods_subset_in_any_order(methods):
-    # Each (cell, trial) runs in exactly one task, a task's cells share n and
-    # whether their methods split, there is one task per training subset and
-    # trial, and tasks come in the order of their first output row.
+    # Each (cell, trial) runs in exactly one task, a task holds every cell of
+    # one n (both training subsets' cells, in any method order), there is
+    # one task per (n, trial), and tasks come in the order of their first
+    # output row.
     cfg = tiny_scaling_config(methods=methods, sample_sizes=(300, 601),
                               allocations=(0.3, 0.5))
     cells = experiments._grid(cfg)
     tasks = experiments._tasks(cfg, cells, cfg.trials)
     assert sorted((i, t) for members, t in tasks for i in members) == [
         (i, t) for i in range(len(cells)) for t in range(cfg.trials)]
-
-    def subset(i):
-        return cells[i]["n"], cells[i]["method"] in SPLIT_METHODS
-
-    assert all(len({subset(i) for i in members}) == 1
-               for members, _ in tasks)
-    assert len(tasks) == len(set(map(subset, range(len(cells))))) * cfg.trials
+    for members, _ in tasks:
+        assert members == [i for i, cell in enumerate(cells)
+                           if cell["n"] == cells[members[0]]["n"]]
+        assert ({cells[i]["method"] in SPLIT_METHODS for i in members}
+                == {m in SPLIT_METHODS for m in methods})
+    assert len(tasks) == 2 * cfg.trials
     first_rows = [members[0] * cfg.trials + t for members, t in tasks]
     assert first_rows == sorted(first_rows)
 
@@ -763,15 +783,16 @@ def test_tasks_follow_the_methods_subset_in_any_order(methods):
 def test_a_subset_trains_in_one_lockstep_task_at_any_batch_size(
         tmp_path, monkeypatch):
     # Batch 2048 (full-batch steps on 600 rows): per trial, one task trains
-    # the full pool's 4 dpscp targets and naive_full, and one the train
-    # half's 3 targets, each in one lockstep call.
+    # the full pool's 4 dpscp targets and naive_full in one lockstep call,
+    # and the train half's 3 targets in another.
     cfg = tiny_scaling_config(
         tmp_path, methods=ALL_METHODS, epsilons=(0.5, 1.0),
         allocations=(0.3, 0.5),
         train={"model": "softmax_linear", "epochs": 8, "batch_size": 2048,
                "learning_rate": 0.05, "clip_norm": 1.0})
-    tasks = experiments._tasks(cfg, experiments._grid(cfg), cfg.trials)
-    assert len(tasks) == 2 * 2
+    cells = experiments._grid(cfg)
+    tasks = experiments._tasks(cfg, cells, cfg.trials)
+    assert tasks == [(list(range(len(cells))), t) for t in range(2)]
     runs = []
     real = conformal.dp_sgd_train
 
@@ -912,7 +933,6 @@ def test_each_scaling_data_cell_built_once_per_process(monkeypatch):
         sample_sizes=(300, 600), allocations=(0.3, 0.5),
         train={"model": "softmax_linear", "epochs": 2, "batch_size": 32,
                "learning_rate": 0.05, "clip_norm": 1.0})
-    experiments._scaling_data.cache_clear()
     calls = counting(monkeypatch, experiments, "gen_multiclass")
     rows = run_experiment(cfg)
     # One generation per (n, trial): 2 sizes x 2 trials.
@@ -920,7 +940,6 @@ def test_each_scaling_data_cell_built_once_per_process(monkeypatch):
     assert sum(r["status"] == "ok" for r in rows) == 3 * 2 * 2 * 2 * 2
     # Oracle: each cell in a sweep of its own, from freshly generated data.
     for first in rows[::4]:
-        experiments._scaling_data.cache_clear()
         alone = dataclasses.replace(
             cfg, epsilons=(float(first["epsilon"]),),
             sample_sizes=(int(first["n"]),), allocations=(float(first["p"]),),
@@ -930,13 +949,6 @@ def test_each_scaling_data_cell_built_once_per_process(monkeypatch):
         ] == run_experiment(alone)
     # 24 one-cell sweeps of 2 trials each generated their own data.
     assert len(calls) == 4 + 24 * 2
-
-    # Every task of the process reads the memoized arrays: none may write.
-    pool, test, _ = experiments._scaling_data((6, 3, 1.0, 0.01, 300), 300,
-                                              cfg.seed)
-    for array in (pool.features, pool.labels, test.features, test.labels):
-        with pytest.raises(ValueError, match="read-only"):
-            array[0] = 0
 
 
 @pytest.mark.parametrize("args, message", [
@@ -1359,6 +1371,54 @@ def test_calibrate_sigma_q_computes_each_distinct_input_once(monkeypatch):
     assert len(searches) == 12
 
 
+def counting_to_file(monkeypatch, module, name, path):
+    """Replace module.name by a wrapper that appends a line to ``path`` per
+    call, which forked pool workers share; returns the call counter."""
+    real = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        with open(path, "a") as fh:
+            fh.write("call\n")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return lambda: len(path.read_text().splitlines()) if path.exists() else 0
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_each_data_cell_built_once_per_trial_at_any_jobs(tmp_path, monkeypatch,
+                                                         jobs):
+    # 33 trials: one past the 32 data cells that a memo once kept, and a
+    # data cell's two training subsets in one task, so no worker count
+    # builds a cell twice.
+    trials = 33
+    train = {"model": "softmax_linear", "epochs": 1, "batch_size": 32,
+             "learning_rate": 0.05, "clip_norm": 1.0}
+    cfg = tiny_scaling_config(
+        trials=trials, sample_sizes=(60, 90), methods=("naive_full",
+                                                       "split_cp"),
+        generator={"dim": 6, "classes": 3, "class_sep": 1.0, "flip_y": 0.01,
+                   "test_size": 30}, train=train)
+    generated = counting_to_file(monkeypatch, experiments, "gen_multiclass",
+                                 tmp_path / "gen.txt")
+    rows = run_experiment(cfg, jobs=jobs)
+    assert sum(r["status"] == "ok" for r in rows) == 2 * 2 * trials
+    assert generated() == len(cfg.sample_sizes) * trials
+
+    path = tmp_path / "data.csv"
+    write_regression_csv(path, rows=100, seed=5)
+    cfg = ExperimentConfig(
+        experiment="realdata", trials=trials, epsilons=(1.0,),
+        methods=("naive_full", "split_cp"),
+        csv_source={"path": str(path), "label_column": 3}, train={
+            **train, "model": "linear_regression"})
+    fits = counting_to_file(monkeypatch, experiments, "fit_standardizer",
+                            tmp_path / "fits.txt")
+    rows = run_experiment(cfg, jobs=jobs)
+    assert sum(r["status"] == "ok" for r in rows) == 2 * trials
+    assert fits() == trials
+
+
 def test_realdata_split_standardized_once_per_trial(tmp_path, monkeypatch):
     path = tmp_path / "data.csv"
     write_regression_csv(path, rows=300, seed=5)
@@ -1369,21 +1429,17 @@ def test_realdata_split_standardized_once_per_trial(tmp_path, monkeypatch):
         train={"model": "linear_regression", "epochs": 2, "batch_size": 32,
                "learning_rate": 0.05, "clip_norm": 1.0},
     )
-    experiments._realdata_split.cache_clear()
     fits = counting(monkeypatch, experiments, "fit_standardizer")
     rows = run_experiment(cfg)
     # Two training subsets per trial, one split and fit per trial.
     assert len(fits) == 2
     assert sum(r["status"] == "ok" for r in rows) == 2 * 5 * 2
-    monkeypatch.setattr(experiments, "_realdata_split",
-                        experiments._realdata_split.__wrapped__)
     assert run_experiment(cfg) == rows
-    assert len(fits) == 2 + 2 * 2
-    monkeypatch.undo()
+    assert len(fits) == 2 * 2
 
-    pool, test, _ = experiments._realdata_split(
-        experiments._csv_key(experiments._section(cfg, "csv")),
-        0.2, cfg.seed)
-    for array in (pool.features, pool.labels, test.features, test.labels):
+    # Every trial of the process reads the memoized CSV: none may write.
+    full = experiments._parsed_csv(
+        *experiments._csv_key(experiments._section(cfg, "csv")))
+    for array in (full.features, full.labels):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
