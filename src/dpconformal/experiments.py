@@ -3,11 +3,11 @@ method) grids with deterministic CSV output.
 
 Result rows use the fixed header
 ``experiment,method,epsilon,n,p,trial,coverage,efficiency,informativeness,
-q_hat,sigma_q,eps_train,seed,status``; per-step series use
-``experiment,trial,step,metric,value`` with grid-cell parameters encoded in
-the metric name (e.g. ``gap/eps=0.5``). Aggregate mean/sd rows are computed
-from the formatted per-trial values, so recomputing them from the written
-file reproduces them exactly.
+q_hat,sigma_q,eps_train,seed,status``; each sidecar of ``_SIDECARS`` writes
+``<stem>_<name>.csv``, the series ``experiment,trial,step,metric,value`` with
+grid-cell parameters in the metric name (e.g. ``gap/eps=0.5``). Aggregate
+mean/sd rows are computed from the formatted per-trial values, so
+recomputing them from the written file reproduces them exactly.
 
 Trial t always runs with seed ``base_seed + t``: adding trials never
 changes earlier rows, and grid cells sharing a trial index share their
@@ -23,9 +23,9 @@ model. A stability task trains every epsilon cell of a trial in one lockstep
 ``coupled_train`` call. A lockstep model is bit-equal to the one its cell
 trains alone. Every cell's budget is checked when the config is read; a cell
 whose calibration, training or finish fails gets a failed row, and a subset
-whose call raises fails its own cells, while the others are unchanged. Both
-CSVs are byte-identical for every worker count. A realdata CSV is parsed
-once per process.
+whose call raises fails its own cells, while the others are unchanged. Every
+file a run writes is byte-identical for every worker count. A realdata CSV
+is parsed once per process.
 """
 
 from __future__ import annotations
@@ -79,12 +79,13 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _csv_prefix(*cells) -> str:
-    """The cells as ``csv.writer`` writes them at the start of a row, each
-    followed by its delimiter."""
+def _csv_rows(row: dict | None, rows) -> str:
+    """``rows`` of cells as ``csv.writer`` writes them, each cell through
+    ``_fmt``: the results CSV's formatter (it reads no trial row). Less its
+    line end, a row ending in an empty cell is its other cells and commas."""
     buf = io.StringIO()
-    csv.writer(buf).writerow([*map(_fmt, cells), ""])
-    return buf.getvalue()[:-2]
+    csv.writer(buf).writerows([*map(_fmt, cells)] for cells in rows)
+    return buf.getvalue()
 
 
 class _SeriesBlock(NamedTuple):
@@ -134,9 +135,19 @@ class ExperimentConfig:
                   and value != f.default):
                 raise ValueError(f"{self.experiment} does not read {key}")
         # A JSON config may give 2.5, 300.0 or true where a count belongs.
+        sections = {key: _section(self, key) for key in spec.sections}
+        hidden = sections.get("train", {}).get("hidden", ())
+        if "hidden" in sections.get("train", ()) and not (
+                isinstance(hidden, (list, tuple)) and hidden):
+            raise ValueError("train hidden takes a nonempty list of widths, "
+                             f"got {hidden!r}")
         for name, value, least in (
                 ("trials", self.trials, 1), ("seed", self.seed, 0),
-                *(("sample_sizes", n, 1) for n in self.sample_sizes)):
+                *(("sample_sizes", n, 1) for n in self.sample_sizes),
+                *((f"{key} {count}", sections[key][count], least)
+                  for key, count, least in _COUNTS
+                  if count in sections.get(key, ())),
+                *(("train hidden", width, 1) for width in hidden)):
             integral = isinstance(value, (int, np.integer))
             if not integral or isinstance(value, bool):
                 raise ValueError(f"{name} takes integers, got {value!r}")
@@ -162,7 +173,7 @@ class ExperimentConfig:
         for epsilon, p in product(self.epsilons, self.allocations):
             BudgetSpec(epsilon, self.delta, p)
         if ("hidden" in self.train
-                and _section(self, "train")["model"] != "mlp"):
+                and sections["train"]["model"] != "mlp"):
             raise ValueError("train hidden is read by the mlp model only")
         if self.experiment == "realdata":
             if not isinstance(self.csv_source.get("path"), (str, os.PathLike)):
@@ -170,19 +181,28 @@ class ExperimentConfig:
                                  "section's 'path' key)")
             # At 0 or below the test split is one row; at 1 or above the
             # pool is empty. NaN fails the check as well.
-            fraction = _section(self, "csv")["test_fraction"]
+            fraction = sections["csv"]["test_fraction"]
             if not 0.0 < float(fraction) < 1.0:
                 raise ValueError("csv test_fraction must lie in (0, 1), got "
                                  f"{fraction!r}")
-            range_hi = _section(self, "quantile")["range_hi"]
+            range_hi = sections["quantile"]["range_hi"]
             if not 0.0 < float(range_hi) < math.inf:
                 raise ValueError("quantile range_hi must be positive and "
                                  f"finite, got {range_hi!r}")
         if self.experiment == "quantile_demo":
-            sigma = _section(self, "quantile")["sigma"]
+            sigma = sections["quantile"]["sigma"]
             if not 0.0 <= float(sigma) < math.inf:
                 raise ValueError("quantile sigma must be nonnegative and "
                                  f"finite, got {sigma!r}")
+
+
+# The section keys that take counts, each with the least count it takes;
+# each width of train hidden takes at least 1.
+_COUNTS = (("quantile", "steps", 1), ("quantile", "buffer", 0),
+           ("train", "epochs", 1), ("train", "batch_size", 1),
+           ("train", "steps", 1), ("generator", "dim", 1),
+           ("generator", "classes", 2), ("generator", "test_size", 1),
+           ("csv", "label_column", 0))
 
 
 # The JSON config key of each ExperimentConfig field, in field order: its
@@ -234,8 +254,8 @@ def train_plan(n_train: int, epochs: int, batch_size: int) -> tuple[float, int]:
 # Per-trial workers (module-level for picklability)
 
 
-def _failed(row: dict, exc: Exception) -> tuple[dict, list]:
-    return {**row, "status": f"failed:{type(exc).__name__}"}, []
+def _failed(row: dict, exc: Exception) -> tuple[dict, dict]:
+    return {**row, "status": f"failed:{type(exc).__name__}"}, {}
 
 
 def _standardized(pool: Dataset, test: Dataset
@@ -249,7 +269,7 @@ def _standardized(pool: Dataset, test: Dataset
 
 def _pipeline_groups(config: ExperimentConfig, rows: list[dict],
                      pool: Dataset, test: Dataset, stats: StandardizationStats
-                     ) -> list[tuple[dict, list]]:
+                     ) -> list[tuple[dict, dict]]:
     """The rows of the cells of one data cell, from one ``run_pipelines``
     call on the standardized pool per training subset, in the order of each
     subset's first row: a cell that its call fails gets a failed row, and a
@@ -295,7 +315,7 @@ def _pipeline_groups(config: ExperimentConfig, rows: list[dict],
                              "efficiency": report.efficiency,
                              "informativeness": report.informativeness,
                              "q_hat": report.q_hat, "sigma_q": report.sigma_q,
-                             "eps_train": report.eps_train_spent}, []))
+                             "eps_train": report.eps_train_spent}, {}))
     return out
 
 
@@ -321,7 +341,7 @@ def _scaling_data(generator: tuple, n: int, trial_seed: int
 
 
 def _run_scaling_trial(config: ExperimentConfig,
-                       rows: list[dict]) -> list[tuple[dict, list]]:
+                       rows: list[dict]) -> list[tuple[dict, dict]]:
     gen = _section(config, "generator")
     generator = (int(gen["dim"]), int(gen["classes"]), float(gen["class_sep"]),
                  float(gen["flip_y"]), int(gen["test_size"]))
@@ -368,7 +388,7 @@ def _realdata_split(csv_key: tuple, test_fraction: float, trial_seed: int
 
 
 def _run_realdata_trial(config: ExperimentConfig,
-                        rows: list[dict]) -> list[tuple[dict, list]]:
+                        rows: list[dict]) -> list[tuple[dict, dict]]:
     src = _section(config, "csv")
     data = _realdata_split(_csv_key(src), float(src["test_fraction"]),
                            rows[0]["seed"])
@@ -376,7 +396,7 @@ def _run_realdata_trial(config: ExperimentConfig,
 
 
 def _run_stability_trial(config: ExperimentConfig,
-                         rows: list[dict]) -> list[tuple[dict, list]]:
+                         rows: list[dict]) -> list[tuple[dict, dict]]:
     """Every epsilon cell of one stability trial: one data draw, then
     sigma_sgd per cell and one lockstep ``coupled_train`` over the
     calibrated cells, through ``conformal._calibrated_runs``. The cells share
@@ -422,7 +442,7 @@ def _run_stability_trial(config: ExperimentConfig,
             (f"gap/eps={epsilon:g}", f"error/eps={epsilon:g}"), step_index,
             np.column_stack([trace.gap_series, trace.error_series]))
         out.append(({**row, "status": "ok", "sigma_q": sigma_sgd,
-                     "eps_train": epsilon}, [block]))
+                     "eps_train": epsilon}, {"series": [block]}))
     return out
 
 
@@ -451,7 +471,7 @@ def s5_quantile_fixtures() -> list[dict]:
 
 
 def _run_quantile_demo_trial(config: ExperimentConfig,
-                             rows: list[dict]) -> list[tuple[dict, list]]:
+                             rows: list[dict]) -> list[tuple[dict, dict]]:
     (row,) = rows
     fixture_name, variant = row["p"], row["method"]
     fixture = next(f for f in s5_quantile_fixtures()
@@ -487,7 +507,7 @@ def _run_quantile_demo_trial(config: ExperimentConfig,
                     ((fixture["target_order_stat"],),)),
     ]
     return [({**row, "status": "ok", "q_hat": result.q_hat,
-              "sigma_q": common["sigma_q"]}, series)]
+              "sigma_q": common["sigma_q"]}, {"series": series})]
 
 
 def _grid(config: ExperimentConfig) -> list[dict]:
@@ -559,7 +579,7 @@ EXPERIMENTS = {
 
 
 def _safe_trial(config: ExperimentConfig, cells: list[dict],
-                trial: int) -> list[tuple[dict, list]]:
+                trial: int) -> list[tuple[dict, dict]]:
     """Run one task: the grid cells of one trial that share a data cell
     (every cell for stability, one cell for the quantile demo). A failure
     that no single cell or training subset owns, building the data cell
@@ -585,9 +605,7 @@ def _tasks(config: ExperimentConfig, cells: list[dict],
     for i, cell in enumerate(cells):
         key = i if config.experiment == "quantile_demo" else cell["n"]
         groups.setdefault(key, []).append(i)
-    tasks = [(members, t) for members in groups.values()
-             for t in range(trials)]
-    return sorted(tasks, key=lambda task: (task[0][0], task[1]))
+    return [(members, t) for members in groups.values() for t in range(trials)]
 
 
 def _format_row(row: dict) -> dict:
@@ -616,30 +634,34 @@ def _aggregate_rows(cell_rows: list[dict]) -> list[dict]:
     return out
 
 
-def _series_text(experiment: str, trial: int,
-                 blocks: list[_SeriesBlock]) -> str:
-    """The rows ``csv.writer`` would write for the blocks, byte for byte:
-    the text cells go through ``csv`` quoting once per block, and the
-    numbers never need it."""
-    head = _csv_prefix(experiment, trial)
+def _series_text(row: dict, blocks: list[_SeriesBlock]) -> str:
+    """The series rows ``csv.writer`` would write for the blocks of the
+    trial row ``row``, byte for byte: the text cells go through ``csv``
+    quoting once per block, and the numbers never need it."""
+    head = _csv_rows(None, [(row["experiment"], row["trial"], "")])[:-2]
     parts = []
     for metrics, steps, values in blocks:
-        names = [_csv_prefix(metric) for metric in metrics]
+        names = [_csv_rows(None, [(metric, "")])[:-2] for metric in metrics]
         if isinstance(values, np.ndarray) and values.dtype == float:
             # Python floats, whose repr is their _fmt.
             parts.append("".join(f"{head}{step},{name}{value!r}\r\n"
-                                 for step, row in zip(steps, values.tolist())
-                                 for name, value in zip(names, row)))
+                                 for step, vals in zip(steps, values.tolist())
+                                 for name, value in zip(names, vals)))
         else:
             parts.append("".join(f"{head}{step},{name}{_fmt(value)}\r\n"
-                                 for step, row in zip(steps, values)
-                                 for name, value in zip(names, row)))
+                                 for step, vals in zip(steps, values)
+                                 for name, value in zip(names, vals)))
     return "".join(parts)
+
+
+# name: (columns of <stem>_<name>.csv, formatter of a trial row's payload)
+_SIDECARS = {"series": (SERIES_COLUMNS, _series_text)}
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
     """Run the configured sweep; returns the formatted result rows and, when
-    ``config.output`` is set, writes ``<output>`` plus ``<stem>_series.csv``.
+    ``config.output`` is set, writes ``<output>`` and ``<stem>_<name>.csv``
+    for each entry of ``_SIDECARS``, header-only when no trial writes to it.
 
     Each task builds one data cell of one trial, trains the models of each
     training subset in lockstep and finishes every grid cell that uses
@@ -661,19 +683,19 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
     all_rows: list[dict] = []
     cell_rows: list[dict] = []
     # Finished rows waiting for their turn, keyed by output position.
-    waiting: dict[int, tuple[dict, list]] = {}
+    waiting: dict[int, tuple[dict, dict]] = {}
     position = 0
     with ExitStack() as stack:
-        series_fh = None
+        files = {}
         if config.output is not None:
             out = Path(config.output)
             out.parent.mkdir(parents=True, exist_ok=True)
-            result_fh = stack.enter_context(open(out, "w", newline=""))
-            series_fh = stack.enter_context(
-                open(out.with_name(out.stem + "_series.csv"), "w", newline=""))
-            result_csv = csv.writer(result_fh)
-            result_csv.writerow(RESULT_COLUMNS)
-            csv.writer(series_fh).writerow(SERIES_COLUMNS)
+            for name, (columns, text) in {
+                    "": (RESULT_COLUMNS, _csv_rows), **_SIDECARS}.items():
+                path = out.with_name(f"{out.stem}_{name}.csv") if name else out
+                fh = stack.enter_context(open(path, "w", newline=""))
+                fh.write(_csv_rows(None, [columns]))
+                files[name] = fh, text
         mapper = map
         workers = min(jobs, len(tasks))
         if workers > 1:
@@ -690,22 +712,19 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
         for (members, t), group in zip(tasks, results):
             for i, result in zip(members, group):
                 waiting[i * trials + t] = result
-            released = len(all_rows)
             while position in waiting:
-                row, series = waiting.pop(position)
+                row, payloads = waiting.pop(position)
                 position += 1
-                formatted = _format_row(row)
-                cell_rows.append(formatted)
-                all_rows.append(formatted)
-                if series_fh is not None:
-                    series_fh.write(_series_text(row["experiment"],
-                                                 row["trial"], series))
+                released = [_format_row(row)]
+                cell_rows += released
                 if len(cell_rows) == trials:
-                    all_rows += _aggregate_rows(cell_rows)
+                    released += _aggregate_rows(cell_rows)
                     cell_rows = []
-            if series_fh is not None:
-                result_csv.writerows([row[col] for col in RESULT_COLUMNS]
-                                     for row in all_rows[released:])
-                result_fh.flush()
-                series_fh.flush()
+                all_rows += released
+                payloads = {"": [r.values() for r in released], **payloads}
+                for name, (fh, text) in files.items():
+                    if name in payloads:
+                        fh.write(text(row, payloads[name]))
+            for fh, _ in files.values():
+                fh.flush()
     return all_rows

@@ -167,8 +167,8 @@ def test_failed_trial_becomes_failed_row(tmp_path):
                                   train={"model": "nope"})
     stability = ExperimentConfig(
         experiment="stability", trials=1, seed=3, epsilons=(2.0,),
-        sample_sizes=(200,), generator={"dim": 5}, train={"steps": 0},
-        output=str(tmp_path / "stab.csv"),
+        sample_sizes=(200,), generator={"dim": 5},
+        train={"projection_radius": -1.0}, output=str(tmp_path / "stab.csv"),
     )
     # The realdata pool size is known only once the CSV has been read.
     cases = [
@@ -469,6 +469,56 @@ def test_hidden_layers_with_a_linear_model_are_a_usage_error(tmp_path,
                            "train hidden is read by the mlp model only")
     assert ExperimentConfig(experiment="scaling",
                             train={"model": "mlp", "hidden": [8]})
+
+
+@pytest.mark.parametrize("experiment, key, bad, floor, message", [
+    # Each ran before on a truncated count (1 epoch, batch 1, 20 steps,
+    # m = 3, d = 6, 100 test rows) or, for the widths, wrote failed rows.
+    ("scaling", "train.epochs", 1.9, 1, "train epochs takes integers"),
+    ("scaling", "train.batch_size", True, 1,
+     "train batch_size takes integers"),
+    ("scaling", "quantile.steps", 20.5, 1, "quantile steps takes integers"),
+    ("scaling", "quantile.buffer", 3.2, 0, "quantile buffer takes integers"),
+    ("scaling", "generator.dim", 6.9, 1, "generator dim takes integers"),
+    ("scaling", "generator.test_size", 100.7, 1,
+     "generator test_size takes integers"),
+    ("scaling", "train.hidden", [4.5], [1], "train hidden takes integers"),
+    ("scaling", "train.epochs", 0, 1, "train epochs must be >= 1, got 0"),
+    ("scaling", "train.batch_size", 0, 1, "train batch_size must be >= 1"),
+    ("scaling", "quantile.steps", 0, 1, "quantile steps must be >= 1"),
+    ("scaling", "quantile.buffer", -1, 0, "quantile buffer must be >= 0"),
+    ("scaling", "generator.dim", 0, 1, "generator dim must be >= 1"),
+    ("scaling", "generator.classes", 1, 2, "generator classes must be >= 2"),
+    ("scaling", "generator.classes", 3.0, 2,
+     "generator classes takes integers"),
+    ("scaling", "generator.test_size", 0, 1,
+     "generator test_size must be >= 1"),
+    ("scaling", "train.hidden", [16, 0], [16, 1],
+     "train hidden must be >= 1, got 0"),
+    ("scaling", "train.hidden", [], [1],
+     "train hidden takes a nonempty list of widths"),
+    ("scaling", "train.hidden", 16, [16],
+     "train hidden takes a nonempty list of widths"),
+    ("stability", "train.steps", 2.0, 1, "train steps takes integers"),
+    ("stability", "train.steps", 0, 1, "train steps must be >= 1"),
+    ("stability", "generator.dim", False, 1, "generator dim takes integers"),
+    ("realdata", "csv.label_column", -1, 0, "csv label_column must be >= 0"),
+    ("realdata", "csv.label_column", 1.0, 0,
+     "csv label_column takes integers"),
+    ("realdata", "train.epochs", 2.5, 1, "train epochs takes integers"),
+    ("quantile_demo", "quantile.steps", 0, 1, "quantile steps must be >= 1"),
+])
+def test_section_counts_are_integers_at_or_above_their_floor(
+        tmp_path, capsys, experiment, key, bad, floor, message):
+    raw = {"experiment": experiment}
+    if experiment == "stability":
+        raw["sample_sizes"] = [50]
+    if experiment == "realdata":
+        raw["csv"] = {"path": "table.csv"}
+    assert_usage_error(tmp_path, capsys, _with(raw, key, bad), message)
+    path = tmp_path / "floor.json"
+    path.write_text(json.dumps(_with(raw, key, floor)))
+    assert load_config(path).experiment == experiment
 
 
 @pytest.mark.parametrize("args, message", [
@@ -1147,33 +1197,88 @@ def test_paper_scale_with_a_config_file_is_a_usage_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+_CELLS_COLUMNS = ("experiment", "trial", "cell")
+
+
+def _cells_text(row, cells):
+    """Formatter of the test sidecar "cells": one line per payload item."""
+    return "".join(f"{row['experiment']},{row['trial']},{cell}\r\n"
+                   for cell in cells)
+
+
+def _add_cells_sidecar(monkeypatch):
+    """A second sidecar, "cells", to which each stability trial row sends
+    its epsilon and status; no other experiment writes to it."""
+    monkeypatch.setitem(experiments._SIDECARS, "cells",
+                        (_CELLS_COLUMNS, _cells_text))
+    spec = experiments.EXPERIMENTS["stability"]
+
+    def runner(config, rows):
+        return [(row, {**payloads,
+                       "cells": [f"{row['epsilon']}/{row['status']}"]})
+                for row, payloads in spec.runner(config, rows)]
+
+    monkeypatch.setitem(experiments.EXPERIMENTS, "stability",
+                        spec._replace(runner=runner))
+
+
+def test_a_second_sidecar_writes_its_rows_in_cell_trial_order(tmp_path,
+                                                              monkeypatch):
+    cfg = tiny_stability_config(tmp_path, trials=3)
+    rows = run_experiment(cfg)
+    written = {name: (tmp_path / name).read_bytes()
+               for name in ("results.csv", "results_series.csv")}
+    _add_cells_sidecar(monkeypatch)
+    want = ("experiment,trial,cell\r\n" + "".join(
+        f"stability,{t},{eps}/ok\r\n"
+        for eps in cfg.epsilons for t in range(cfg.trials))).encode()
+    for jobs in (1, 2):
+        assert run_experiment(cfg, jobs=jobs) == rows
+        assert (tmp_path / "results_cells.csv").read_bytes() == want
+        # The results and series files do not change with it.
+        assert all((tmp_path / name).read_bytes() == text
+                   for name, text in written.items())
+    # A run whose trials send it nothing writes its header alone.
+    run_experiment(ExperimentConfig(experiment="quantile_demo",
+                                    output=str(tmp_path / "demo.csv")))
+    assert (tmp_path / "demo_cells.csv").read_bytes() == (
+        b"experiment,trial,cell\r\n")
+    assert len(read_rows(tmp_path / "demo_series.csv")) > 0
+
+
 def test_result_files_closed_when_the_sweep_raises(tmp_path, monkeypatch):
     def broken_trial(*args):
         raise RuntimeError("worker lost")
 
     opened = _spy_on_open(monkeypatch)
     monkeypatch.setattr(experiments, "_safe_trial", broken_trial)
+    _add_cells_sidecar(monkeypatch)
     config = ExperimentConfig(experiment="quantile_demo",
                               output=str(tmp_path / "demo.csv"))
     with pytest.raises(RuntimeError, match="worker lost"):
         run_experiment(config)
-    assert [Path(fh.name).name for fh in opened] == ["demo.csv",
-                                                     "demo_series.csv"]
+    assert [Path(fh.name).name for fh in opened] == [
+        "demo.csv", "demo_series.csv", "demo_cells.csv"]
     assert all(fh.closed for fh in opened)
 
 
 def test_a_failed_open_closes_the_files_opened_before_it(tmp_path,
                                                          monkeypatch):
-    opened = _spy_on_open(monkeypatch)
-    (tmp_path / "demo_series.csv").mkdir()
+    _add_cells_sidecar(monkeypatch)
     config = ExperimentConfig(experiment="quantile_demo",
                               output=str(tmp_path / "demo.csv"))
-    with pytest.raises(IsADirectoryError) as exc:
-        run_experiment(config)
-    # exc holds the traceback, and every frame on it, here.
-    assert exc.value.filename == str(tmp_path / "demo_series.csv")
-    (results,) = opened
-    assert Path(results.name).name == "demo.csv" and results.closed
+    for blocked, before in (("demo_series.csv", ["demo.csv"]),
+                            ("demo_cells.csv",
+                             ["demo.csv", "demo_series.csv"])):
+        opened = _spy_on_open(monkeypatch)
+        (tmp_path / blocked).mkdir()
+        with pytest.raises(IsADirectoryError) as exc:
+            run_experiment(config)
+        # exc holds the traceback, and every frame on it, here.
+        assert exc.value.filename == str(tmp_path / blocked)
+        assert [Path(fh.name).name for fh in opened] == before
+        assert all(fh.closed for fh in opened)
+        (tmp_path / blocked).rmdir()
 
 
 class _InProcessPool:
@@ -1215,7 +1320,7 @@ def test_jobs_start_at_most_one_worker_per_task(make, jobs, workers,
     assert _InProcessPool.sizes == workers
 
 
-def test_series_writer_writes_what_csv_writer_writes():
+def test_series_writer_writes_what_csv_writer_writes(tmp_path, monkeypatch):
     # The oracle is a csv.writer over the same rows, formatted by _fmt.
     blocks = [
         experiments._SeriesBlock(
@@ -1228,7 +1333,9 @@ def test_series_writer_writes_what_csv_writer_writes():
         experiments._SeriesBlock(("count", "moved"), (5,), [(2, 1.0)]),
     ]
     trials = (("stab,ility", 3, blocks), ("stability", 4, blocks[1:]))
-    got = "".join(experiments._series_text(*trial) for trial in trials)
+    got = "".join(experiments._series_text(
+        {"experiment": experiment, "trial": trial}, trial_blocks)
+        for experiment, trial, trial_blocks in trials)
     want = io.StringIO()
     writer = csv.writer(want)
     for experiment, trial, trial_blocks in trials:
@@ -1241,6 +1348,26 @@ def test_series_writer_writes_what_csv_writer_writes():
     assert got == want.getvalue()
     assert '"quote ""me"", twice\nplease"' in got and "-0.0" in got
     assert "mixed,3\r\n" in got
+
+    # Result rows go through the same quoting: a comma, a quote or a newline
+    # in status or p, the aggregate rows' p among them.
+    spec = experiments.EXPERIMENTS["quantile_demo"]
+
+    def runner(config, rows):
+        return [({**row, "p": f'{row["p"]}, "{i}"', "status": f"ok\n{i},"},
+                 payloads)
+                for i, (row, payloads) in enumerate(spec.runner(config, rows))]
+
+    monkeypatch.setitem(experiments.EXPERIMENTS, "quantile_demo",
+                        spec._replace(runner=runner))
+    rows = run_experiment(ExperimentConfig(
+        experiment="quantile_demo", output=str(tmp_path / "demo.csv")))
+    want = io.StringIO()
+    csv.writer(want).writerows([RESULT_COLUMNS, *(
+        [row[col] for col in RESULT_COLUMNS] for row in rows)])
+    got = (tmp_path / "demo.csv").read_bytes().decode()
+    assert got == want.getvalue()
+    assert '"tie_jump, ""0""",0,' in got and '"ok\n0,"\r\n' in got
 
 
 def tiny_stability_config(tmp_path=None, **kw):
