@@ -61,7 +61,8 @@ def gen_logistic(
     return Dataset(x, labels, CLASSIFICATION, n_classes=2), theta
 
 
-# Rows of centroids gathered at once by gen_multiclass.
+# Rows of centroids gathered at once by gen_multiclass, and rows whose
+# squared deviations fit_standardizer sums at once.
 _GEN_BLOCK_ROWS = 2048
 
 
@@ -75,7 +76,7 @@ def gen_multiclass(
         raise ValueError("n and d must be >= 1")
     if k < 2:
         raise ValueError("k must be >= 2")
-    if class_sep < 0.0 or not 0.0 <= flip_y <= 1.0:
+    if not (0.0 <= class_sep < math.inf and 0.0 <= flip_y <= 1.0):
         raise ValueError("invalid class_sep or flip_y")
     if k > 2**d:
         raise ValueError(f"cannot place {k} distinct corners in {{-1,1}}^{d}")
@@ -223,10 +224,36 @@ class StandardizationStats:
 _DEGENERATE_SD = 1e-12
 
 
+def _column_sd(x: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """``x.std(axis=0)``, bit for bit, given ``mean = x.mean(axis=0)``,
+    without its (n, d) deviations array when ``x`` is C-ordered with d > 1.
+
+    numpy sums axis 0 of such a matrix row by row, so the squared deviations
+    are summed a block of ``_GEN_BLOCK_ROWS`` rows at a time, the running sum
+    entering each block as its first row. One column, or another layout,
+    makes numpy reduce pairwise, so ``x.std`` itself takes those."""
+    n, d = x.shape
+    if d == 1 or not x.flags.c_contiguous:
+        return x.std(axis=0)
+    buf = np.empty((min(n, _GEN_BLOCK_ROWS) + 1, d))
+    total = None
+    for start in range(0, n, _GEN_BLOCK_ROWS):
+        rows = x[start:start + _GEN_BLOCK_ROWS]
+        dev = np.subtract(rows, mean, out=buf[1:len(rows) + 1])
+        np.multiply(dev, dev, out=dev)
+        if total is None:
+            total = np.add.reduce(dev, axis=0)
+        else:
+            buf[0] = total
+            total = np.add.reduce(buf[:len(rows) + 1], axis=0)
+    total /= n
+    return np.sqrt(total, out=total)
+
+
 def fit_standardizer(train: Dataset) -> StandardizationStats:
     x = train.features
     mean = x.mean(axis=0)
-    sd = x.std(axis=0)
+    sd = _column_sd(x, mean)
     degenerate = tuple(int(i) for i in np.flatnonzero(sd < _DEGENERATE_SD))
     if degenerate:
         logger.warning("degenerate feature columns left at unit scale: %s",

@@ -175,25 +175,25 @@ class ExperimentConfig:
         if ("hidden" in self.train
                 and sections["train"]["model"] != "mlp"):
             raise ValueError("train hidden is read by the mlp model only")
-        if self.experiment == "realdata":
-            if not isinstance(self.csv_source.get("path"), (str, os.PathLike)):
-                raise ValueError("realdata needs a csv path (the csv "
-                                 "section's 'path' key)")
-            # At 0 or below the test split is one row; at 1 or above the
-            # pool is empty. NaN fails the check as well.
-            fraction = sections["csv"]["test_fraction"]
-            if not 0.0 < float(fraction) < 1.0:
-                raise ValueError("csv test_fraction must lie in (0, 1), got "
-                                 f"{fraction!r}")
-            range_hi = sections["quantile"]["range_hi"]
-            if not 0.0 < float(range_hi) < math.inf:
-                raise ValueError("quantile range_hi must be positive and "
-                                 f"finite, got {range_hi!r}")
-        if self.experiment == "quantile_demo":
-            sigma = sections["quantile"]["sigma"]
-            if not 0.0 <= float(sigma) < math.inf:
-                raise ValueError("quantile sigma must be nonnegative and "
-                                 f"finite, got {sigma!r}")
+        if (self.experiment == "realdata"
+                and not isinstance(self.csv_source.get("path"),
+                                   (str, os.PathLike))):
+            raise ValueError("realdata needs a csv path (the csv section's "
+                             "'path' key)")
+        # A real value outside its reader's rule would fail every row.
+        for key, name, (rule, holds) in _REALS:
+            if name not in sections.get(key, ()):
+                continue
+            value = sections[key][name]
+            if value is None and name == "projection_radius":
+                continue
+            try:
+                real = float(value)
+            except (TypeError, ValueError):
+                raise ValueError(f"{key} {name} takes a number, got "
+                                 f"{value!r}") from None
+            if not holds(real):
+                raise ValueError(f"{key} {name} must {rule}, got {value!r}")
 
 
 # The section keys that take counts, each with the least count it takes;
@@ -203,6 +203,28 @@ _COUNTS = (("quantile", "steps", 1), ("quantile", "buffer", 0),
            ("train", "steps", 1), ("generator", "dim", 1),
            ("generator", "classes", 2), ("generator", "test_size", 1),
            ("csv", "label_column", 0))
+
+
+# The real-valued section keys, each with the rule of its reader
+# (TrainConfig, QuantileConfig, gen_multiclass, the realdata split) as its
+# wording and its test; NaN fails every test. A stability run may leave
+# train projection_radius None.
+_POSITIVE = ("be positive and finite", lambda v: 0.0 < v < math.inf)
+_NONNEGATIVE = ("be nonnegative and finite", lambda v: 0.0 <= v < math.inf)
+_OPEN_UNIT = ("lie in (0, 1)", lambda v: 0.0 < v < 1.0)
+_REALS = (("train", "learning_rate", _POSITIVE),
+          ("train", "clip_norm", _POSITIVE),
+          ("train", "projection_radius", _POSITIVE),
+          ("train", "rate", ("lie in (0, 1]", lambda v: 0.0 < v <= 1.0)),
+          ("quantile", "beta", _OPEN_UNIT),
+          ("quantile", "sigma", _NONNEGATIVE),
+          ("quantile", "range_hi", _POSITIVE),
+          ("generator", "class_sep", _NONNEGATIVE),
+          ("generator", "flip_y", ("lie in [0, 1]",
+                                   lambda v: 0.0 <= v <= 1.0)),
+          # At 0 or below the test split is one row; at 1 or above the pool
+          # is empty.
+          ("csv", "test_fraction", _OPEN_UNIT))
 
 
 # The JSON config key of each ExperimentConfig field, in field order: its
@@ -320,9 +342,8 @@ def _pipeline_groups(config: ExperimentConfig, rows: list[dict],
 
 
 # The pool and test are standardized in their row slices of the one
-# generated matrix; building a cell peaks at about 1.9x what it keeps, the
-# rest being the pool-sized deviations that the standard deviation's np.std
-# allocates.
+# generated matrix; building a cell peaks at about 1.5x what it keeps, the
+# rest being gen_multiclass's per-row draws.
 def _scaling_data(generator: tuple, n: int, trial_seed: int
                   ) -> tuple[Dataset, Dataset, StandardizationStats]:
     """Standardized pool and test for one (n, trial), with the statistics.

@@ -16,6 +16,15 @@ Both trainers run one step loop, ``_lockstep``, which advances a stack of
 runs that differ only in their noise multiplier on one shared batch, so a
 standalone call can carry R runs and a coupled call R pairs in lockstep;
 every run keeps the bits it has when trained alone.
+
+Every per-step array is bounded by a block constant, not by the step count
+or the stack, though a block always holds at least one step or one run: a
+block of steps gathers about ``_BATCH_BLOCK_ROWS`` batch rows and draws at
+most ``_NOISE_BLOCK_FLOATS`` noise floats at a time; a coupled call takes
+its gap and error norms from at most ``_NORM_BLOCK_FLOATS`` floats of
+iterates; and a step advances its stack one block of runs at a time, whose
+widest temporary, (runs, batch rows, widest layer output), holds at most
+``_STEP_BLOCK_FLOATS`` floats.
 """
 
 from __future__ import annotations
@@ -337,6 +346,36 @@ def _batch_update(
     return failed
 
 
+# A step advances its stack a block of runs at a time: the block's widest
+# temporary, (runs, batch rows, widest layer output), holds at most this many
+# floats (256 KiB), or one run's. A run's bits do not depend on the runs
+# beside it, so the blocks change none of them.
+_STEP_BLOCK_FLOATS = 1 << 15
+
+
+def _blocked_update(spec: ModelSpec, params: np.ndarray, x_batch: np.ndarray,
+                    x_sq: np.ndarray, y_batch: np.ndarray,
+                    noise_vec: np.ndarray, noise_std: np.ndarray,
+                    config: TrainConfig, step: int,
+                    width: int) -> dict[int, str]:
+    """``_batch_update`` on the (R, P) stack ``params``, made one block of
+    runs at a time; ``width`` is the spec's widest layer output. A failed
+    run keeps its row index in the stack. A stack that fits in one block is
+    one call."""
+    per_block = max(1, _STEP_BLOCK_FLOATS // (x_batch.shape[0] * width))
+    if per_block >= params.shape[0]:
+        return _batch_update(spec, params, x_batch, x_sq, y_batch, noise_vec,
+                             noise_std, config, step)
+    failed = {}
+    for r0 in range(0, params.shape[0], per_block):
+        block = slice(r0, r0 + per_block)
+        failed.update(
+            (r0 + r, msg) for r, msg in _batch_update(
+                spec, params[block], x_batch, x_sq, y_batch, noise_vec,
+                noise_std[block], config, step).items())
+    return failed
+
+
 def _multipliers(config: TrainConfig,
                  noise_multipliers: Sequence[float] | None) -> list[float]:
     """The noise multiplier of each lockstep run: ``noise_multipliers``, or
@@ -383,6 +422,7 @@ def _lockstep(spec: ModelSpec, x: np.ndarray, y: np.ndarray,
     after each step t the loop completes."""
     runs = len(sigmas)
     stack = np.tile(init, (runs if extra is None else 2 * runs, 1))
+    width = max(fan_out for _, fan_out in spec.layer_dims())
     std = np.array(sigmas, dtype=float)[:, None] * config.clip_norm
     std_all = std if extra is None else np.concatenate([std, std])
     outcome: list = [None] * runs
@@ -397,16 +437,17 @@ def _lockstep(spec: ModelSpec, x: np.ndarray, y: np.ndarray,
             failed = {}
             if extra is None or not flags[t]:
                 if idx.size > 0:
-                    failed = _batch_update(spec, stack, xb, sqb, yb, noise,
-                                           std_all, config, t)
+                    failed = _blocked_update(spec, stack, xb, sqb, yb, noise,
+                                             std_all, config, t, width)
             else:
                 if idx.size > 0:
-                    failed = _batch_update(spec, stack[:runs], xb, sqb, yb,
-                                           noise, std, config, t)
-                failed_b = _batch_update(
+                    failed = _blocked_update(spec, stack[:runs], xb, sqb, yb,
+                                             noise, std, config, t, width)
+                failed_b = _blocked_update(
                     spec, stack[runs:], np.concatenate([xb, x_extra]),
                     np.concatenate([sqb, sq_extra]),
-                    np.concatenate([yb, y_extra]), noise, std, config, t)
+                    np.concatenate([yb, y_extra]), noise, std, config, t,
+                    width)
                 failed.update((runs + r, msg) for r, msg in failed_b.items())
             if failed and _fail(outcome, failed, t):
                 break

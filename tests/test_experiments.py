@@ -17,10 +17,13 @@ from dpconformal import cli, conformal, experiments
 from dpconformal.accounting import InfeasibleBudgetError
 from dpconformal.cli import main
 from dpconformal.conformal import SPLIT_METHODS
+from dpconformal.data import gen_multiclass
 from dpconformal.experiments import (ExperimentConfig, RESULT_COLUMNS,
                                      SERIES_COLUMNS, load_config,
                                      run_experiment, s5_quantile_fixtures,
                                      train_plan)
+from dpconformal.quantile import QuantileConfig
+from dpconformal.training import TrainConfig
 
 
 def tiny_scaling_config(tmp_path=None, trials=2, **kw):
@@ -168,7 +171,7 @@ def test_failed_trial_becomes_failed_row(tmp_path):
     stability = ExperimentConfig(
         experiment="stability", trials=1, seed=3, epsilons=(2.0,),
         sample_sizes=(200,), generator={"dim": 5},
-        train={"projection_radius": -1.0}, output=str(tmp_path / "stab.csv"),
+        train={"learning_rate": 1e308}, output=str(tmp_path / "stab.csv"),
     )
     # The realdata pool size is known only once the CSV has been read.
     cases = [
@@ -519,6 +522,72 @@ def test_section_counts_are_integers_at_or_above_their_floor(
     path = tmp_path / "floor.json"
     path.write_text(json.dumps(_with(raw, key, floor)))
     assert load_config(path).experiment == experiment
+
+
+def _reader_accepts(key, value):
+    """Whether the code that reads the section key accepts ``value``:
+    ``TrainConfig``, ``QuantileConfig`` or ``gen_multiclass``."""
+    section, _, name = key.partition(".")
+    try:
+        if section == "train":
+            name = {"rate": "sampling_rate"}.get(name, name)
+            TrainConfig(**{"learning_rate": 0.1, "steps": 1,
+                           "sampling_rate": 0.5, "clip_norm": 1.0,
+                           name: value})
+        elif section == "quantile":
+            QuantileConfig(0.0, 1.0, 0.1, 5, beta=value)
+        else:
+            args = {"class_sep": 1.0, "flip_y": 0.0, name: value}
+            gen_multiclass(5, 3, 2, args["class_sep"], args["flip_y"], 1)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("experiment, key, bad, message", [
+    ("scaling", "train.learning_rate", -1.0,
+     "train learning_rate must be positive and finite, got -1.0"),
+    ("scaling", "train.learning_rate", math.inf,
+     "train learning_rate must be positive"),
+    ("scaling", "train.clip_norm", 0.0, "train clip_norm must be positive"),
+    ("scaling", "quantile.beta", 2.0, "quantile beta must lie in"),
+    ("scaling", "generator.flip_y", 1.5, "generator flip_y must lie in"),
+    ("scaling", "generator.class_sep", -1.0,
+     "generator class_sep must be nonnegative and finite"),
+    ("scaling", "generator.class_sep", math.nan,
+     "generator class_sep must be nonnegative"),
+    ("stability", "train.rate", 0.0, "train rate must lie in"),
+    ("stability", "train.rate", 1.5, "train rate must lie in"),
+    ("stability", "train.projection_radius", -1.0,
+     "train projection_radius must be positive"),
+    ("stability", "train.clip_norm", math.nan,
+     "train clip_norm must be positive"),
+    ("realdata", "train.learning_rate", 0.0,
+     "train learning_rate must be positive"),
+    ("realdata", "quantile.beta", 0.0, "quantile beta must lie in"),
+    ("quantile_demo", "quantile.beta", 1.0, "quantile beta must lie in"),
+])
+def test_section_reals_outside_their_readers_rule_are_usage_errors(
+        tmp_path, capsys, experiment, key, bad, message):
+    # Each loaded before and then wrote failed:ValueError for every row.
+    # The rule is the reader's own: it refuses the value too.
+    raw = {"experiment": experiment}
+    if experiment == "stability":
+        raw["sample_sizes"] = [50]
+    if experiment == "realdata":
+        raw["csv"] = {"path": "table.csv"}
+    assert_usage_error(tmp_path, capsys, _with(raw, key, bad), message)
+    assert not _reader_accepts(key, bad)
+
+
+def test_a_section_real_that_is_not_a_number_is_a_usage_error(tmp_path,
+                                                              capsys):
+    raw = {"experiment": "scaling", "train": {"learning_rate": "fast"}}
+    assert_usage_error(tmp_path, capsys, raw,
+                       "train learning_rate takes a number, got 'fast'")
+    # A stability run may leave its projection off.
+    assert ExperimentConfig(experiment="stability", sample_sizes=(50,),
+                            train={"projection_radius": None})
 
 
 @pytest.mark.parametrize("args, message", [

@@ -1137,6 +1137,113 @@ def test_stacked_batch_grads_equal_per_run_calls(spec):
 
 
 # ---------------------------------------------------------------------------
+# Step blocks: a stack advances one block of runs at a time
+
+
+BLOCK_SIGMAS = (0.0, 0.7, 3.1, 1.3, 5.0)
+BLOCKINGS = ["one_run", "uneven"]
+
+
+def block_sizes(monkeypatch, blocking, n, spec):
+    """Set ``_STEP_BLOCK_FLOATS`` to 1 (one run per block) or, for
+    ``"uneven"``, to the floats of three runs on an ``n``-row batch, which
+    cut five runs into 3 + 2 and ten into 3 + 3 + 3 + 1 (on an (n + 1)-row
+    batch, five into 2 + 2 + 1). Returns the list of the run counts of the
+    blocks that the steps then make, in call order."""
+    width = max(fan_out for _, fan_out in spec.layer_dims())
+    floats = 1 if blocking == "one_run" else 3 * n * width
+    sizes = []
+    real = training._batch_update
+
+    def spy(spec, params, *args):
+        sizes.append(params.shape[0])
+        return real(spec, params, *args)
+
+    monkeypatch.setattr(training, "_STEP_BLOCK_FLOATS", floats)
+    monkeypatch.setattr(training, "_batch_update", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("blocking", BLOCKINGS)
+@pytest.mark.parametrize("spec", KIND_SPECS[1:], ids=KIND_IDS[1:])
+def test_blocked_dp_sgd_step_equals_the_unblocked_stack(spec, blocking,
+                                                        monkeypatch):
+    # At sampling rate 1 every batch holds all n rows, so the blocks have
+    # known sizes; each run is bit-equal to its run in the one-block stack.
+    x, y, task, k = kind_data(spec, n=60)
+    data = Dataset(x, y, task, k)
+    cfg = TrainConfig(0.2, 30, 1.0, 1.0, projection_radius=2.0, seed=13)
+    want = dp_sgd_train(data, spec, cfg, noise_multipliers=BLOCK_SIGMAS)
+    sizes = block_sizes(monkeypatch, blocking, data.n, spec)
+    got = dp_sgd_train(data, spec, cfg, noise_multipliers=BLOCK_SIGMAS)
+    assert sizes == {"one_run": [1] * 5, "uneven": [3, 2]}[blocking] * 30
+    for g, w in zip(got, want):
+        assert np.array_equal(g.params, w.params)
+    assert not np.array_equal(got[1].params, got[4].params)
+
+
+@pytest.mark.parametrize("blocking", BLOCKINGS)
+def test_blocked_coupled_step_equals_the_unblocked_stack(blocking,
+                                                         monkeypatch):
+    # The extra point is in at every third step: the whole stack of ten
+    # rows steps on the others, its two halves of five apart on those.
+    base, extra, spec, target = coupled_setup(n=60)
+    cfg = TrainConfig(0.2, 30, 1.0, 1.0, seed=13)
+    schedule = np.arange(cfg.steps) % 3 == 1
+
+    def train():
+        return coupled_train(base, extra, spec, cfg, theta_star=target,
+                             extra_schedule=schedule,
+                             noise_multipliers=BLOCK_SIGMAS)
+
+    want = train()
+    sizes = block_sizes(monkeypatch, blocking, base.n, spec)
+    got = train()
+    whole, halves = {"one_run": ([1] * 10, [1] * 10),
+                     "uneven": ([3, 3, 3, 1], [3, 2, 2, 2, 1])}[blocking]
+    assert sizes == [size for t in range(cfg.steps)
+                     for size in (halves if schedule[t] else whole)]
+    for g, w in zip(got, want):
+        assert_traces_equal(g, w)
+        assert g.gap_series[-1] > 0.0
+
+
+@pytest.mark.parametrize("trainer", ["coupled_train", "dp_sgd_train"])
+def test_a_run_failing_in_a_later_block_keeps_its_step_and_message(
+        trainer, monkeypatch):
+    # Run 4 of five, in the second block of the 3 + 2 cut (on a coupled
+    # call, of the whole stack and of either half), overflows its noisy
+    # update at step 0; at learning rate 1e150 the 1e5 run, in the first
+    # block, fails on its projection norm some steps later. Each fails with
+    # the step and message of its own call; the others are unchanged.
+    base, extra, spec, target = coupled_setup(n=60)
+    sigmas = (0.7, 1e5, 3.1, 0.0, 1e308)
+    cfg = TrainConfig(1e150, 30, 1.0, 1.0, projection_radius=1e200, seed=13)
+
+    def train(runs):
+        if trainer == "coupled_train":
+            return coupled_train(base, extra, spec, cfg, theta_star=target,
+                                 extra_schedule=np.arange(cfg.steps) % 2 == 0,
+                                 noise_multipliers=runs)
+        return dp_sgd_train(base, spec, cfg, noise_multipliers=runs)
+
+    want = train(sigmas)
+    block_sizes(monkeypatch, "uneven", base.n, spec)
+    got = train(sigmas)
+    assert str(got[4]) == "non-finite gradient update at step 0"
+    assert str(got[1]).startswith("non-finite projection norm at step ")
+    assert int(str(got[1]).rsplit(" ", 1)[1]) > 0
+    for i, sigma in enumerate(sigmas):
+        if i in (1, 4):
+            assert isinstance(got[i], NumericFailureError)
+            assert str(got[i]) == str(want[i]) == str(train([sigma])[0])
+        elif trainer == "coupled_train":
+            assert_traces_equal(got[i], want[i])
+        else:
+            assert np.array_equal(got[i].params, want[i].params)
+
+
+# ---------------------------------------------------------------------------
 # Closed-form bounds
 
 
