@@ -157,7 +157,7 @@ def _in_sample_scores(model: TrainedModel, data: Dataset) -> np.ndarray:
     classification, the absolute residual for regression."""
     if data.task == CLASSIFICATION:
         probs = predict_proba(model.spec, model.params, data.features)
-        return 1.0 - probs[np.arange(data.n), data.labels.astype(int)]
+        return 1.0 - np.take_along_axis(probs, data.labels[:, None], 1)[:, 0]
     return _score_matrix(model, data)
 
 
@@ -168,7 +168,7 @@ def _evaluate_fast(test_scores: np.ndarray, test: Dataset, q_hat: float,
     test split whose ``_score_matrix`` is ``test_scores``."""
     if test.task == CLASSIFICATION:
         member = test_scores <= q_hat
-        truth = member[np.arange(test.n), test.labels.astype(int)]
+        truth = np.take_along_axis(member, test.labels[:, None], 1)
         sizes = member.sum(axis=1)
         return {
             "coverage": float(truth.mean()),
@@ -211,10 +211,11 @@ def run_pipelines(pool: Dataset, test: Dataset,
     Returns, per config in order, its report or the exception that failed
     it: a target's calibration or scoring fails that target's configs, the
     lockstep call every calibrated target, and a finish its own config. One
-    target's score arrays are held at a time. An error that no single
-    config owns (the schema, a model head that does not serve the pool's
-    task, the configs' mix, the split) is raised before any calibration or
-    training.
+    target's score arrays are held at a time, and one half of a split pool:
+    it trains through the train half's row index and gathers the calibration
+    half after training. An error that no single config owns (the schema, a
+    model head that does not serve the pool's task, the configs' mix, the
+    split) is raised before any calibration or training.
     """
     if pool.task != test.task or pool.dim != test.dim:
         raise ValueError("pool and test must share schema")
@@ -236,11 +237,9 @@ def run_pipelines(pool: Dataset, test: Dataset,
     train_seed = int(ss[1].generate_state(1)[0])
     quant_seed = int(ss[2].generate_state(1)[0])
 
-    train_data = cal_data = pool
+    rows = cal_idx = None
     if split:
-        split_rng = np.random.Generator(np.random.PCG64(ss[0]))
-        train_idx, cal_idx = _split_indices(pool.n, split_rng)
-        train_data, cal_data = pool.subset(train_idx), pool.subset(cal_idx)
+        rows, cal_idx = _split_indices(pool.n, np.random.default_rng(ss[0]))
 
     tmpl = first.train_template
     delta = first.budget.delta_target
@@ -250,13 +249,14 @@ def run_pipelines(pool: Dataset, test: Dataset,
             tmpl.sampling_rate, tmpl.steps, eps_train, delta)
 
     def train(sigmas: list) -> list:
-        return dp_sgd_train(train_data, first.model,
-                            replace(tmpl, seed=train_seed),
+        return dp_sgd_train(pool, first.model,
+                            replace(tmpl, seed=train_seed), rows=rows,
                             noise_multipliers=sigmas)
 
+    runs = _calibrated_runs(targets, calibrate, train)
+    cal_data = pool if cal_idx is None else pool.subset(cal_idx)
     reports: list = [None] * len(configs)
-    for (eps_train, indices), run in zip(
-            targets.items(), _calibrated_runs(targets, calibrate, train)):
+    for (eps_train, indices), run in zip(targets.items(), runs):
         scores = run
         if not isinstance(run, Exception):
             try:

@@ -153,6 +153,9 @@ class ExperimentConfig:
                 raise ValueError(f"{name} takes integers, got {value!r}")
             if value < least:
                 raise ValueError(f"{name} must be >= {least}, got {value}")
+        gen = sections.get("generator", {})  # a class per corner of {-1,1}^dim
+        if "classes" in gen and int(gen["classes"]) - 1 >> int(gen["dim"]):
+            raise ValueError("generator classes must be <= 2 ** dim")
         if not 0.0 < self.alpha < 1.0:  # NaN fails the comparison as well
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
         if not isinstance(self.output, (str, os.PathLike, type(None))):

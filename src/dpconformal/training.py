@@ -17,14 +17,15 @@ runs that differ only in their noise multiplier on one shared batch, so a
 standalone call can carry R runs and a coupled call R pairs in lockstep;
 every run keeps the bits it has when trained alone.
 
-Every per-step array is bounded by a block constant, not by the step count
-or the stack, though a block always holds at least one step or one run: a
-block of steps gathers about ``_BATCH_BLOCK_ROWS`` batch rows and draws at
-most ``_NOISE_BLOCK_FLOATS`` noise floats at a time; a coupled call takes
-its gap and error norms from at most ``_NORM_BLOCK_FLOATS`` floats of
-iterates; and a step advances its stack one block of runs at a time, whose
-widest temporary, (runs, batch rows, widest layer output), holds at most
-``_STEP_BLOCK_FLOATS`` floats.
+No array of the training set's length is derived from it, and every per-step
+array is bounded by a block constant, not by the step count or the stack,
+though a block always holds at least one step or one run: a block of steps
+gathers about ``_BATCH_BLOCK_ROWS`` batch rows, through a trainer's ``rows``
+if given, takes their norms and draws at most ``_NOISE_BLOCK_FLOATS`` noise
+floats at a time; a coupled call takes its gap and error norms from at most
+``_NORM_BLOCK_FLOATS`` floats of iterates; and a step advances its stack one
+block of runs at a time, whose widest temporary, (runs, batch rows, widest
+layer output), holds at most ``_STEP_BLOCK_FLOATS`` floats.
 """
 
 from __future__ import annotations
@@ -198,42 +199,44 @@ _NOISE_BLOCK_FLOATS = 1 << 15
 
 def _draws(
     x: np.ndarray,
-    x_sq: np.ndarray,
     y: np.ndarray,
     p: int,
     config: TrainConfig,
     mask_rng: np.random.Generator,
     noise_rng: np.random.Generator,
+    rows: np.ndarray | None = None,
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray,
                     np.ndarray]]:
-    """Each step's Poisson batch over the rows of ``x``, as ``(t, idx,
-    x_batch, sq_batch, y_batch, noise)``: its row indices, ascending, the
-    rows' features, ``x_sq`` (their ``sq_row_norms``) and labels, and the
-    step's standard normal noise vector of length ``p``.
+    """Each step's Poisson batch over the rows of ``x``, or its ``rows``,
+    as ``(t, idx, x_batch, sq_batch, y_batch, noise)``: its indices into
+    them, ascending, the rows' features, ``sq_row_norms`` and labels, and
+    the step's standard normal noise vector of length ``p``.
 
     The steps come a block at a time: the block's batches from one
     ``_poisson_block`` draw on ``mask_rng``, its rows gathered with one
-    ``take`` per array, and its noise as (steps, p) draws on ``noise_rng``,
-    bit-equal to one (p,) draw per step. Each step gets contiguous views of
-    them. The blocks depend on n and the sampling rate alone, so a run's
-    batches are the first ones of any longer run. An empty batch is yielded
-    as is: the accounting assumes plain Poisson sampling at
-    ``config.sampling_rate``, so it is never redrawn."""
-    n = x.shape[0]
+    ``take`` per array, their norms from the gathered rows, and its noise as
+    (steps, p) draws on ``noise_rng``, bit-equal to one (p,) draw per step.
+    Each step gets contiguous views of them. The blocks depend on n and the
+    sampling rate alone, so a run's batches are the first ones of any longer
+    run. An empty batch is yielded as is: the accounting assumes plain
+    Poisson sampling at ``config.sampling_rate``, so it is never redrawn."""
+    n = x.shape[0] if rows is None else len(rows)
     rate = config.sampling_rate
     per_block = max(1, int(min(_BATCH_BLOCK_ROWS / (rate * n),
                                _BATCH_BLOCK_ROWS)))
     noise_rows = max(1, _NOISE_BLOCK_FLOATS // p)
     for t0 in range(0, config.steps, per_block):
         steps = min(per_block, config.steps - t0)
-        rows, bounds = _poisson_block(n, rate, steps, mask_rng)
-        xs, sqs, ys = x.take(rows, 0), x_sq.take(rows), y.take(rows)
+        idx, bounds = _poisson_block(n, rate, steps, mask_rng)
+        at = idx if rows is None else rows.take(idx)
+        xs, ys = x.take(at, 0), y.take(at)
+        sqs = sq_row_norms(xs)
         for i in range(steps):
             if i % noise_rows == 0:
                 noise = noise_rng.standard_normal(
                     (min(noise_rows, steps - i), p))
             a, b = bounds[i], bounds[i + 1]
-            yield (t0 + i, rows[a:b], xs[a:b], sqs[a:b], ys[a:b],
+            yield (t0 + i, idx[a:b], xs[a:b], sqs[a:b], ys[a:b],
                    noise[i % noise_rows])
 
 
@@ -406,11 +409,11 @@ def _fail(outcome: list, failed: dict[int, str], step: int) -> bool:
 def _lockstep(spec: ModelSpec, x: np.ndarray, y: np.ndarray,
               config: TrainConfig, sigmas: list[float], init: np.ndarray,
               mask_rng: np.random.Generator, noise_rng: np.random.Generator,
-              extra: tuple | None = None,
-              on_step: Callable | None = None) -> tuple[np.ndarray, list]:
+              extra: tuple | None = None, on_step: Callable | None = None,
+              rows: np.ndarray | None = None) -> tuple[np.ndarray, list]:
     """The DP-SGD step loop of both trainers: one run per noise multiplier
-    in ``sigmas``, each from the parameters ``init``, all advancing on each
-    step's one Poisson batch of (``x``, ``y``) and one noise vector.
+    in ``sigmas``, each from ``init``, all advancing on each step's one
+    Poisson batch of (``x``, ``y``), or their ``rows``, and one noise vector.
 
     Returns the stack of final iterates and, per run, None or the (step,
     ``NumericFailureError``) of its first failed check; a failed run's rows
@@ -432,8 +435,7 @@ def _lockstep(spec: ModelSpec, x: np.ndarray, y: np.ndarray,
             x_extra, y_extra, flags = extra
             sq_extra = sq_row_norms(x_extra)
         for t, idx, xb, sqb, yb, noise in _draws(
-                x, sq_row_norms(x), y, stack.shape[1], config, mask_rng,
-                noise_rng):
+                x, y, stack.shape[1], config, mask_rng, noise_rng, rows):
             failed = {}
             if extra is None or not flags[t]:
                 if idx.size > 0:
@@ -472,9 +474,12 @@ def dp_sgd_train(
     spec: ModelSpec,
     config: TrainConfig,
     *,
+    rows: np.ndarray | None = None,
     noise_multipliers: Sequence[float] | None = None,
 ) -> TrainedModel | list[TrainedModel | NumericFailureError]:
-    """Train with DP-SGD; bit-reproducible for a fixed config.
+    """Train with DP-SGD; bit-reproducible for a fixed config. With ``rows``
+    (nonempty integer indices) it trains on ``dataset.subset(rows)`` bit for
+    bit without building it; every label must be one the head reads.
 
     With ``noise_multipliers``, one run per multiplier replaces the run at
     ``config.noise_multiplier``, all R advancing on each step's one mask and
@@ -484,11 +489,13 @@ def dp_sgd_train(
     the others unchanged.
     """
     sigmas = _multipliers(config, noise_multipliers)
+    if rows is not None and (len(rows) == 0 or rows.dtype == bool):
+        raise ValueError("rows must be a nonempty integer index array")
     x, y = as_batch(spec, dataset.features, dataset.labels)
     mask_rng, noise_rng, _, init_rng = _spawn_streams(config.seed)
     params, failures = _lockstep(spec, x, y, config, sigmas,
                                  init_params(spec, init_rng), mask_rng,
-                                 noise_rng)
+                                 noise_rng, rows=rows)
     return _result([
         TrainedModel(spec, params[r], SgdAccountingRecord(
             sigma, config.sampling_rate, config.steps))

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,9 +12,10 @@ from dpconformal.accounting import (BudgetSpec, InfeasibleBudgetError,
                                     gaussian_profile, rdp_compose, rdp_to_eps,
                                     sgd_profile)
 from dpconformal import conformal
-from dpconformal.conformal import (METHODS, SPLIT_METHODS, PipelineConfig,
-                                   _evaluate_fast, _in_sample_scores,
-                                   _score_matrix, run_pipeline, run_pipelines,
+from dpconformal.conformal import (METHODS, SPLIT_METHODS, EvalReport,
+                                   PipelineConfig, _evaluate_fast,
+                                   _in_sample_scores, _score_matrix,
+                                   run_pipeline, run_pipelines,
                                    split_train_size, train_target)
 from dpconformal.data import gen_multiclass
 from dpconformal.models import (Dataset, ModelSpec, param_count,
@@ -328,15 +330,16 @@ def test_split_methods_are_the_methods_that_split(method, class_pool_test,
                                                   monkeypatch):
     # On an odd pool, a method trains on split_train_size(n) rows and
     # calibrates on the other rows exactly when it is in SPLIT_METHODS, and
-    # otherwise trains and calibrates on the whole pool.
+    # otherwise trains and calibrates on the whole pool. It trains on the
+    # pool itself, its train half selected by a row index.
     pool, test = class_pool_test
     pool = pool.subset(np.arange(601))
     trained, calibrated = [], []
     real_train, real_scores = conformal.dp_sgd_train, _in_sample_scores
 
-    def train(data, *args, **kwargs):
-        trained.append(data)
-        return real_train(data, *args, **kwargs)
+    def train(data, *args, rows=None, **kwargs):
+        trained.append((data, rows))
+        return real_train(data, *args, rows=rows, **kwargs)
 
     def scores(model, data):
         calibrated.append(data)
@@ -346,10 +349,12 @@ def test_split_methods_are_the_methods_that_split(method, class_pool_test,
     monkeypatch.setattr(conformal, "_in_sample_scores", scores)
     run_pipeline(pool, test, tiny_pipeline_config(method, pool.n, steps=20),
                  seed=3)
-    (train_data,), (cal_data,) = trained, calibrated
+    ((train_pool, idx),), (cal_data,) = trained, calibrated
+    assert train_pool is pool
     if method not in SPLIT_METHODS:
-        assert train_data is pool and cal_data is pool
+        assert idx is None and cal_data is pool
         return
+    train_data = pool.subset(idx)
     assert train_data.n == split_train_size(pool.n) == 300
     assert cal_data.n == pool.n - 300
 
@@ -359,6 +364,54 @@ def test_split_methods_are_the_methods_that_split(method, class_pool_test,
                                       data.labels.tolist()))
 
     assert rows(train_data, cal_data) == rows(pool)
+
+
+def test_a_split_trial_holds_one_half_at_a_time():
+    # The split methods train through the train half's row index and gather
+    # the calibration half after training. Above its entry level, the
+    # call's traced peak holds that half, the split's (n,) permutation
+    # (0.18 half) and the in-sample scoring of the half, its (n/2, 2)
+    # probabilities and (n/2,) reductions (0.45 half): 1.63 halves, below
+    # the 2 that both halves alone would take.
+    both = gen_multiclass(20_000 + 500, 10, 2, 0.8, 0.01, seed=99)
+    pool, test = both.subset(np.arange(500, 20_500)), both.subset(
+        np.arange(500))
+    del both
+    configs = [replace(tiny_pipeline_config(m, pool.n, steps=5, batch=2000),
+                       model=ModelSpec("softmax_linear", 10, 2))
+               for m in SPLIT_METHODS]
+    want = run_pipelines(pool, test, configs, seed=3)  # imports stay out
+    tracemalloc.start()
+    try:
+        entry, _ = tracemalloc.get_traced_memory()
+        got = run_pipelines(pool, test, configs, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == want and all(isinstance(r, EvalReport) for r in got)
+    half = 10_000 * 10 * 8 + 10_000 * 8
+    assert peak - entry <= 1.7 * half
+
+
+def test_a_label_the_head_cannot_read_fails_every_split_config(
+        class_pool_test):
+    # Class 4 is one that a 4-class head cannot read. In either half of the
+    # split, every config fails, at training or at scoring.
+    pool, test = class_pool_test
+    configs = [replace(tiny_pipeline_config(m, pool.n, steps=20),
+                       model=ModelSpec("softmax_linear", 10, 4))
+               for m in SPLIT_METHODS]
+    test = test.subset(test.labels < 4)
+    rng = np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(3).spawn(3)[0]))
+    train_idx, cal_idx = conformal._split_indices(pool.n, rng)
+    for half in (train_idx, cal_idx):
+        labels = np.minimum(pool.labels, 3)
+        labels[half[0]] = 4
+        reports = run_pipelines(Dataset(pool.features, labels,
+                                        "classification"), test, configs,
+                                seed=3)
+        assert all(isinstance(r, (ValueError, IndexError)) for r in reports)
 
 
 def test_run_pipelines_finishes_every_method_from_its_target(

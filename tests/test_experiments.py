@@ -518,10 +518,30 @@ def test_section_counts_are_integers_at_or_above_their_floor(
         raw["sample_sizes"] = [50]
     if experiment == "realdata":
         raw["csv"] = {"path": "table.csv"}
+    if (experiment, key) == ("scaling", "generator.dim"):
+        raw["generator"] = {"classes": 2}  # 2 corners at the floor dim 1
     assert_usage_error(tmp_path, capsys, _with(raw, key, bad), message)
     path = tmp_path / "floor.json"
     path.write_text(json.dumps(_with(raw, key, floor)))
     assert load_config(path).experiment == experiment
+
+
+@pytest.mark.parametrize("dim, classes", [(1, 3), (2, 5), (3, 9)])
+def test_more_generator_classes_than_corners_are_a_usage_error(
+        tmp_path, capsys, dim, classes):
+    # gen_multiclass puts each class at its own corner of {-1, 1}^dim, so
+    # such a config loaded before and then wrote failed:ValueError for
+    # every row. At 2^dim classes every corner holds one class.
+    raw = {"experiment": "scaling",
+           "generator": {"dim": dim, "classes": classes}}
+    assert_usage_error(tmp_path, capsys, raw, "generator classes must be <= 2")
+    with pytest.raises(ValueError) as exc:
+        ExperimentConfig("scaling", generator=raw["generator"])
+    assert str(exc.value) == "generator classes must be <= 2 ** dim"
+    with pytest.raises(ValueError, match="cannot place"):
+        gen_multiclass(5, dim, classes, 1.0, 0.0, 1)
+    assert ExperimentConfig("scaling",
+                            generator={"dim": dim, "classes": 2 ** dim})
 
 
 def _reader_accepts(key, value):
@@ -804,9 +824,9 @@ def test_split_methods_train_on_the_half_the_plan_is_sized_for(monkeypatch):
     calls = []
     real = conformal.dp_sgd_train
 
-    def train(dataset, spec, config, **kwargs):
-        calls.append((dataset.n, config.sampling_rate, config.steps))
-        return real(dataset, spec, config, **kwargs)
+    def train(dataset, spec, config, *, rows, **kwargs):
+        calls.append((len(rows), config.sampling_rate, config.steps))
+        return real(dataset, spec, config, rows=rows, **kwargs)
 
     monkeypatch.setattr(conformal, "dp_sgd_train", train)
     epochs, batch = 2, 32

@@ -124,29 +124,40 @@ def test_a_shorter_run_draws_the_first_batches_of_a_longer_one(q):
     assert all(np.array_equal(a, b) for a, b in zip(short, longer))
 
 
+@pytest.mark.parametrize("rows", [None, "odd_rows"])
+@pytest.mark.parametrize("d", [3, 9])
 @pytest.mark.parametrize("noise_floats", [None, 21],
                          ids=["default", "three_rows"])
-def test_draws_gather_each_batch_and_its_sequential_noise(noise_floats,
-                                                          monkeypatch):
+def test_draws_gather_each_batch_and_its_sequential_noise(noise_floats, d,
+                                                          rows, monkeypatch):
     # Each step's rows are views of the block's one gather, equal to the
-    # indexed rows, and its noise is bit-equal to one (p,) draw per step,
-    # also when the noise comes in chunks of 3 rows that do not divide a
-    # block.
+    # indexed rows, their squared norms are those of the whole matrix's
+    # rows bit for bit (summed column by column below 8 columns, by numpy
+    # from 8), and its noise is bit-equal to one (p,) draw per step, also
+    # when the noise comes in chunks of 3 rows that do not divide a block.
+    # Through a row index, the sampler runs over the indexed rows alone.
     if noise_floats is not None:
         monkeypatch.setattr(training, "_NOISE_BLOCK_FLOATS", noise_floats)
     n, p = 60, 7
     rng = np.random.default_rng(10)
-    x, y = rng.standard_normal((n, 3)), rng.integers(0, 4, n)
-    x_sq = sq_row_norms(x)
+    x, y = rng.standard_normal((n, d)), rng.integers(0, 4, n)
     cfg = TrainConfig(0.1, 500, 0.05, 1.0, seed=6)
+    at = np.arange(n)
+    if rows is not None:
+        rows = at = rng.permutation(n)[:31]
+        want = [idx for _, idx, *_ in training._draws(
+            x[:31], y[:31], p, cfg, *_spawn_streams(cfg.seed)[:2])]
     mask_rng, noise_rng = _spawn_streams(cfg.seed)[:2]
     sequential = _spawn_streams(cfg.seed)[1]
     steps = 0
     for t, idx, xb, sqb, yb, noise in training._draws(
-            x, x_sq, y, p, cfg, mask_rng, noise_rng):
+            x, y, p, cfg, mask_rng, noise_rng, rows):
         assert t == steps
-        assert xb.flags.c_contiguous and np.array_equal(xb, x[idx])
-        assert np.array_equal(sqb, x_sq[idx]) and np.array_equal(yb, y[idx])
+        if rows is not None:
+            assert np.array_equal(idx, want[t])
+        assert xb.flags.c_contiguous and np.array_equal(xb, x[at[idx]])
+        assert sqb.tobytes() == sq_row_norms(x)[at[idx]].tobytes()
+        assert np.array_equal(yb, y[at[idx]])
         assert np.array_equal(noise, sequential.standard_normal(p))
         steps += 1
     assert steps == cfg.steps
@@ -277,8 +288,7 @@ def replay_draws(n, cfg):
     index. The batches do not depend on the noise length, here 1."""
     mask_rng, noise_rng = _spawn_streams(cfg.seed)[:2]
     x = np.arange(n, dtype=float)[:, None]
-    return training._draws(x, sq_row_norms(x), np.zeros(n), 1, cfg, mask_rng,
-                           noise_rng)
+    return training._draws(x, np.zeros(n), 1, cfg, mask_rng, noise_rng)
 
 
 def first_batch_with(row, n, cfg):
@@ -992,9 +1002,8 @@ def concatenated_coupled_series(base, extra, spec, config, theta_star,
         return new
 
     stacks = [theta]
-    for t, idx, *_, noise in training._draws(x, sq_row_norms(x), y,
-                                             theta.shape[1], config, mask_rng,
-                                             noise_rng):
+    for t, idx, *_, noise in training._draws(x, y, theta.shape[1], config,
+                                             mask_rng, noise_rng):
         if not schedule[t]:
             if idx.size:
                 theta = stepped(theta, x[idx], y[idx],
@@ -1241,6 +1250,58 @@ def test_a_run_failing_in_a_later_block_keeps_its_step_and_message(
             assert_traces_equal(got[i], want[i])
         else:
             assert np.array_equal(got[i].params, want[i].params)
+
+
+# ---------------------------------------------------------------------------
+# Row index: a trainer trains on indexed rows without gathering them first
+
+
+@pytest.mark.parametrize("spec", KIND_SPECS[1:], ids=KIND_IDS[1:])
+def test_training_through_a_row_index_equals_the_subset(spec, monkeypatch):
+    # An odd pool's 101-row half at rate 0.1 makes _draws blocks of 101
+    # steps, so 350 steps span four of them. Each run, the 1e308 one that
+    # fails included, is its run on the gathered subset bit for bit.
+    x, y, task, k = kind_data(spec, n=203)
+    pool = Dataset(x, y, task, k)
+    idx = np.random.default_rng(4).permutation(pool.n)[:101]
+    cfg = TrainConfig(0.2, 350, 0.1, 1.0, projection_radius=2.0, seed=13)
+    sigmas = with_failing_run(1, (0.0, 0.7, 3.1))
+    want = dp_sgd_train(pool.subset(idx), spec, cfg, noise_multipliers=sigmas)
+    blocks = []
+    real = training._poisson_block
+
+    def spy(n, *args):
+        blocks.append(n)
+        return real(n, *args)
+
+    monkeypatch.setattr(training, "_poisson_block", spy)
+    got = dp_sgd_train(pool, spec, cfg, rows=idx, noise_multipliers=sigmas)
+    assert blocks == [101] * 4
+    assert isinstance(got[1], NumericFailureError)
+    assert str(got[1]) == str(want[1])
+    for i in (0, 2, 3):
+        assert np.array_equal(got[i].params, want[i].params)
+        assert got[i].accounting == want[i].accounting
+    assert not np.array_equal(got[2].params, got[3].params)
+
+
+def test_a_row_index_is_nonempty_integer_and_needs_readable_labels():
+    # The labels are checked once, over the whole dataset: class 3, which a
+    # 3-class head cannot read, fails a call whose rows do not hold it. An
+    # empty index is refused, as an empty subset is, and so is a boolean
+    # mask, which take would read as the indices 0 and 1.
+    spec = ModelSpec("softmax_linear", 5, 3)
+    x, y, task, _ = kind_data(spec, n=60)
+    y[7] = 3
+    pool = Dataset(x, y, task)
+    cfg = TrainConfig(0.2, 40, 0.2, 1.0, noise_multiplier=0.7, seed=5)
+    rows = np.arange(20, 50)
+    assert dp_sgd_train(pool.subset(rows), spec, cfg)
+    with pytest.raises(ValueError, match="got label 3"):
+        dp_sgd_train(pool, spec, cfg, rows=rows)
+    for bad in (np.arange(0), np.arange(60) < 30):
+        with pytest.raises(ValueError, match="nonempty integer index"):
+            dp_sgd_train(pool, spec, cfg, rows=bad)
 
 
 # ---------------------------------------------------------------------------
