@@ -40,7 +40,7 @@ from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from itertools import product, repeat
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -79,10 +79,10 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _csv_rows(row: dict | None, rows) -> str:
+def _csv_rows(rows) -> str:
     """``rows`` of cells as ``csv.writer`` writes them, each cell through
-    ``_fmt``: the results CSV's formatter (it reads no trial row). Less its
-    line end, a row ending in an empty cell is its other cells and commas."""
+    ``_fmt``. Less its line end, a row ending in an empty cell is its other
+    cells and commas."""
     buf = io.StringIO()
     csv.writer(buf).writerows([*map(_fmt, cells)] for cells in rows)
     return buf.getvalue()
@@ -396,7 +396,7 @@ def _csv_key(src: dict) -> tuple:
 
 
 # The split is standardized in the rows it gathers, so a build peaks at about
-# 1.9x what it keeps, as a scaling cell does.
+# 1.25x what it keeps.
 def _realdata_split(csv_key: tuple, test_fraction: float, trial_seed: int
                     ) -> tuple[Dataset, Dataset, StandardizationStats]:
     """Standardized pool and test of one trial's permuted split of the CSV,
@@ -658,28 +658,36 @@ def _aggregate_rows(cell_rows: list[dict]) -> list[dict]:
     return out
 
 
-def _series_text(row: dict, blocks: list[_SeriesBlock]) -> str:
+# A formatter yields each block in chunks of at most this many steps, each
+# formatted from its own slice, so writing a trial row holds O(chunk) text
+# and Python numbers however long its series is.
+_CHUNK_STEPS = 256
+
+
+def _series_chunks(row: dict, blocks: list[_SeriesBlock]) -> Iterator[str]:
     """The series rows ``csv.writer`` would write for the blocks of the
-    trial row ``row``, byte for byte: the text cells go through ``csv``
-    quoting once per block, and the numbers never need it."""
-    head = _csv_rows(None, [(row["experiment"], row["trial"], "")])[:-2]
-    parts = []
+    trial row ``row``, byte for byte, in chunks of at most ``_CHUNK_STEPS``
+    steps: the text cells go through ``csv`` quoting once per block, and the
+    numbers never need it."""
+    head = _csv_rows([(row["experiment"], row["trial"], "")])[:-2]
     for metrics, steps, values in blocks:
-        names = [_csv_rows(None, [(metric, "")])[:-2] for metric in metrics]
-        if isinstance(values, np.ndarray) and values.dtype == float:
-            # Python floats, whose repr is their _fmt.
-            parts.append("".join(f"{head}{step},{name}{value!r}\r\n"
-                                 for step, vals in zip(steps, values.tolist())
-                                 for name, value in zip(names, vals)))
-        else:
-            parts.append("".join(f"{head}{step},{name}{_fmt(value)}\r\n"
-                                 for step, vals in zip(steps, values)
-                                 for name, value in zip(names, vals)))
-    return "".join(parts)
+        names = [_csv_rows([(metric, "")])[:-2] for metric in metrics]
+        # A float array's chunk becomes Python floats, whose repr is their
+        # _fmt.
+        floats = isinstance(values, np.ndarray) and values.dtype == float
+        fmt = repr if floats else _fmt
+        for lo in range(0, len(steps), _CHUNK_STEPS):
+            chunk = values[lo:lo + _CHUNK_STEPS]
+            lines = zip(steps[lo:lo + _CHUNK_STEPS],
+                        chunk.tolist() if floats else chunk)
+            yield "".join(f"{head}{step},{name}{fmt(value)}\r\n"
+                          for step, vals in lines
+                          for name, value in zip(names, vals))
 
 
-# name: (columns of <stem>_<name>.csv, formatter of a trial row's payload)
-_SIDECARS = {"series": (SERIES_COLUMNS, _series_text)}
+# name: (columns of <stem>_<name>.csv, formatter of a trial row's payload
+# into its text chunks)
+_SIDECARS = {"series": (SERIES_COLUMNS, _series_chunks)}
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
@@ -715,10 +723,11 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
             out = Path(config.output)
             out.parent.mkdir(parents=True, exist_ok=True)
             for name, (columns, text) in {
-                    "": (RESULT_COLUMNS, _csv_rows), **_SIDECARS}.items():
+                    "": (RESULT_COLUMNS, lambda _, rows: (_csv_rows(rows),)),
+                    **_SIDECARS}.items():
                 path = out.with_name(f"{out.stem}_{name}.csv") if name else out
                 fh = stack.enter_context(open(path, "w", newline=""))
-                fh.write(_csv_rows(None, [columns]))
+                fh.write(_csv_rows([columns]))
                 files[name] = fh, text
         mapper = map
         workers = min(jobs, len(tasks))
@@ -748,7 +757,8 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
                 payloads = {"": [r.values() for r in released], **payloads}
                 for name, (fh, text) in files.items():
                     if name in payloads:
-                        fh.write(text(row, payloads[name]))
+                        # Each chunk is written as it is formatted.
+                        fh.writelines(text(row, payloads[name]))
             for fh, _ in files.values():
                 fh.flush()
     return all_rows

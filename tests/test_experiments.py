@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -1290,9 +1291,9 @@ _CELLS_COLUMNS = ("experiment", "trial", "cell")
 
 
 def _cells_text(row, cells):
-    """Formatter of the test sidecar "cells": one line per payload item."""
-    return "".join(f"{row['experiment']},{row['trial']},{cell}\r\n"
-                   for cell in cells)
+    """Formatter of the test sidecar "cells": one chunk, one line, per
+    payload item."""
+    return (f"{row['experiment']},{row['trial']},{cell}\r\n" for cell in cells)
 
 
 def _add_cells_sidecar(monkeypatch):
@@ -1409,6 +1410,21 @@ def test_jobs_start_at_most_one_worker_per_task(make, jobs, workers,
     assert _InProcessPool.sizes == workers
 
 
+def _series_oracle(trials):
+    """What a csv.writer writes for the series of (experiment, trial,
+    blocks) trials, each cell formatted by _fmt."""
+    want = io.StringIO()
+    writer = csv.writer(want)
+    for experiment, trial, trial_blocks in trials:
+        for metrics, steps, values in trial_blocks:
+            for step, row in zip(steps, values):
+                for metric, value in zip(metrics, row):
+                    writer.writerow([experiments._fmt(cell) for cell in
+                                     (experiment, trial, step, metric,
+                                      value)])
+    return want.getvalue()
+
+
 def test_series_writer_writes_what_csv_writer_writes(tmp_path, monkeypatch):
     # The oracle is a csv.writer over the same rows, formatted by _fmt.
     blocks = [
@@ -1422,19 +1438,10 @@ def test_series_writer_writes_what_csv_writer_writes(tmp_path, monkeypatch):
         experiments._SeriesBlock(("count", "moved"), (5,), [(2, 1.0)]),
     ]
     trials = (("stab,ility", 3, blocks), ("stability", 4, blocks[1:]))
-    got = "".join(experiments._series_text(
-        {"experiment": experiment, "trial": trial}, trial_blocks)
+    got = "".join("".join(experiments._series_chunks(
+        {"experiment": experiment, "trial": trial}, trial_blocks))
         for experiment, trial, trial_blocks in trials)
-    want = io.StringIO()
-    writer = csv.writer(want)
-    for experiment, trial, trial_blocks in trials:
-        for metrics, steps, values in trial_blocks:
-            for step, row in zip(steps, values):
-                for metric, value in zip(metrics, row):
-                    writer.writerow([experiments._fmt(cell) for cell in
-                                     (experiment, trial, step, metric,
-                                      value)])
-    assert got == want.getvalue()
+    assert got == _series_oracle(trials)
     assert '"quote ""me"", twice\nplease"' in got and "-0.0" in got
     assert "mixed,3\r\n" in got
 
@@ -1659,3 +1666,48 @@ def test_realdata_split_standardized_once_per_trial(tmp_path, monkeypatch):
     for array in (full.features, full.labels):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
+
+
+@pytest.mark.parametrize("steps", [256, 257, 513])
+def test_series_chunks_hold_at_most_chunk_steps(steps):
+    # A float array (a stability trace) and a nested sequence of ints and
+    # floats (a quantile-demo trace) that cross one or two chunk ends.
+    rng = np.random.default_rng(steps)
+    floats = rng.standard_normal((steps, 2)) * 10.0 ** rng.integers(
+        -300, 300, (steps, 2))
+    mixed = [(int(k), float(v)) for k, v in zip(
+        rng.integers(-10**9, 10**9, steps), rng.standard_normal(steps))]
+    trials = [("stability", 2, [
+        experiments._SeriesBlock(("gap/eps=0.5", 'q,"x"'), range(steps),
+                                 floats),
+        experiments._SeriesBlock(("count", "mid"), list(range(5, 5 + steps)),
+                                 mixed)])]
+    chunks = list(experiments._series_chunks(
+        {"experiment": "stability", "trial": 2}, trials[0][2]))
+    assert "".join(chunks) == _series_oracle(trials)
+    assert experiments._CHUNK_STEPS == 256
+    # Each block's chunks cut it every 256 steps of 2 lines each.
+    full, rest = divmod(steps, 256)
+    want = ([512] * full + [2 * rest] * (rest > 0)) * 2
+    assert [chunk.count("\r\n") for chunk in chunks] == want
+
+
+def test_series_chunks_format_a_long_block_in_bounded_memory():
+    # The text of 100,001 steps is about 9.7 MB; a chunk is 256 of them.
+    steps = 100_001
+    block = experiments._SeriesBlock(
+        ("gap/eps=0.5", "error/eps=0.5"), range(steps),
+        np.random.default_rng(5).standard_normal((steps, 2)))
+    row = {"experiment": "stability", "trial": 0}
+    want = [len(chunk) for chunk in experiments._series_chunks(row, [block])]
+    tracemalloc.start()
+    try:
+        entry, _ = tracemalloc.get_traced_memory()
+        got = [len(chunk)
+               for chunk in experiments._series_chunks(row, [block])]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == want and len(got) == math.ceil(steps / 256)
+    assert sum(got) > 9_000_000
+    assert peak - entry < 1_000_000
