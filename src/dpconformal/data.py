@@ -131,7 +131,8 @@ def load_csv(path, label_column: int, task: str,
             raise ValueError(f"{path}: class labels must be nonnegative")
         return Dataset(features, labels, CLASSIFICATION,
                        n_classes=int(labels.max()) + 1)
-    return Dataset(features, labels, REGRESSION)
+    # Dataset refuses a task that is neither.
+    return Dataset(features, labels, task)
 
 
 def _read_table(path, has_header: bool) -> np.ndarray:

@@ -34,10 +34,11 @@ import csv
 import io
 import json
 import math
+import numbers
 import os
 from contextlib import ExitStack
 from dataclasses import dataclass, field, fields
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product, repeat
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -51,7 +52,8 @@ from .conformal import (METHODS, SPLIT_METHODS, PipelineConfig,
 from .conformal import run_pipeline  # noqa: F401
 from .data import (StandardizationStats, apply_standardizer,
                    fit_standardizer, gen_logistic, gen_multiclass, load_csv)
-from .models import CLASSIFICATION, REGRESSION, Dataset, ModelSpec
+from .models import (CLASSIFICATION, MODEL_KINDS, REGRESSION, Dataset,
+                     ModelSpec)
 from .quantile import QuantileConfig, buffered_right_search, midpoint_search
 from .training import TrainConfig, coupled_train
 
@@ -135,31 +137,12 @@ class ExperimentConfig:
                   and value != f.default):
                 raise ValueError(f"{self.experiment} does not read {key}")
         # A JSON config may give 2.5, 300.0 or true where a count belongs.
-        sections = {key: _section(self, key) for key in spec.sections}
-        hidden = sections.get("train", {}).get("hidden", ())
-        if "hidden" in sections.get("train", ()) and not (
-                isinstance(hidden, (list, tuple)) and hidden):
-            raise ValueError("train hidden takes a nonempty list of widths, "
-                             f"got {hidden!r}")
-        for name, value, least in (
-                ("trials", self.trials, 1), ("seed", self.seed, 0),
-                *(("sample_sizes", n, 1) for n in self.sample_sizes),
-                *((f"{key} {count}", sections[key][count], least)
-                  for key, count, least in _COUNTS
-                  if count in sections.get(key, ())),
-                *(("train hidden", width, 1) for width in hidden)):
-            integral = isinstance(value, (int, np.integer))
-            if not integral or isinstance(value, bool):
-                raise ValueError(f"{name} takes integers, got {value!r}")
-            if value < least:
-                raise ValueError(f"{name} must be >= {least}, got {value}")
-        gen = sections.get("generator", {})  # a class per corner of {-1,1}^dim
-        if "classes" in gen and int(gen["classes"]) - 1 >> int(gen["dim"]):
-            raise ValueError("generator classes must be <= 2 ** dim")
-        if not 0.0 < self.alpha < 1.0:  # NaN fails the comparison as well
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
-        if not isinstance(self.output, (str, os.PathLike, type(None))):
-            raise ValueError(f"output takes a path, got {self.output!r}")
+        _COUNT("trials", self.trials)
+        _count(0)("seed", self.seed)
+        for n in self.sample_sizes:
+            _COUNT("sample_sizes", n)
+        _OPEN_UNIT("alpha", self.alpha)
+        _path("output", self.output)
         bad = [m for m in self.methods if m not in METHODS]
         if bad:
             raise ValueError(f"unknown methods {bad}")
@@ -175,59 +158,68 @@ class ExperimentConfig:
         # BudgetSpec checks each cell; an infeasible epsilon fails at run time.
         for epsilon, p in product(self.epsilons, self.allocations):
             BudgetSpec(epsilon, self.delta, p)
-        if ("hidden" in self.train
-                and sections["train"]["model"] != "mlp"):
-            raise ValueError("train hidden is read by the mlp model only")
-        if (self.experiment == "realdata"
-                and not isinstance(self.csv_source.get("path"),
-                                   (str, os.PathLike))):
+        # Before the section rules: the csv path's rule takes the default,
+        # None.
+        if self.experiment == "realdata" and not isinstance(
+                self.csv_source.get("path"), str | os.PathLike):
             raise ValueError("realdata needs a csv path (the csv section's "
                              "'path' key)")
-        # A real value outside its reader's rule would fail every row.
-        for key, name, (rule, holds) in _REALS:
-            if name not in sections.get(key, ()):
-                continue
-            value = sections[key][name]
-            if value is None and name == "projection_radius":
-                continue
-            try:
-                real = float(value)
-            except (TypeError, ValueError):
-                raise ValueError(f"{key} {name} takes a number, got "
-                                 f"{value!r}") from None
-            if not holds(real):
-                raise ValueError(f"{key} {name} must {rule}, got {value!r}")
+        # Each section value, its default too, against its rule.
+        sections = {key: _section(self, key) for key in spec.sections}
+        for key, table in spec.sections.items():
+            for name, (_, rule) in table.items():
+                rule(f"{key} {name}", sections[key][name])
+        gen = sections.get("generator", {})  # a class per corner of {-1,1}^dim
+        if "classes" in gen and int(gen["classes"]) - 1 >> int(gen["dim"]):
+            raise ValueError("generator classes must be <= 2 ** dim")
+        if "hidden" in self.train and sections["train"]["model"] != "mlp":
+            raise ValueError("train hidden is read by the mlp model only")
 
 
-# The section keys that take counts, each with the least count it takes;
-# each width of train hidden takes at least 1.
-_COUNTS = (("quantile", "steps", 1), ("quantile", "buffer", 0),
-           ("train", "epochs", 1), ("train", "batch_size", 1),
-           ("train", "steps", 1), ("generator", "dim", 1),
-           ("generator", "classes", 2), ("generator", "test_size", 1),
-           ("csv", "label_column", 0))
+# The rules of the config values, each a check(name, value) that raises
+# ValueError naming the key and the value when the value is not of the kind
+# that the key takes or breaks the rule of the code that reads it
+# (TrainConfig, QuantileConfig, ModelSpec, gen_multiclass, load_csv, the
+# realdata split).
+def _rule(takes: str, kind: Callable, must: str = "",
+          holds: Callable = lambda v: True) -> Callable:
+    def check(name: str, value) -> None:
+        if not kind(value):
+            raise ValueError(f"{name} takes {takes}, got {value!r}")
+        if not holds(value):  # NaN holds no comparison
+            raise ValueError(f"{name} must {must}, got {value!r}")
+    return check
 
 
-# The real-valued section keys, each with the rule of its reader
-# (TrainConfig, QuantileConfig, gen_multiclass, the realdata split) as its
-# wording and its test; NaN fails every test. A stability run may leave
-# train projection_radius None.
-_POSITIVE = ("be positive and finite", lambda v: 0.0 < v < math.inf)
-_NONNEGATIVE = ("be nonnegative and finite", lambda v: 0.0 <= v < math.inf)
-_OPEN_UNIT = ("lie in (0, 1)", lambda v: 0.0 < v < 1.0)
-_REALS = (("train", "learning_rate", _POSITIVE),
-          ("train", "clip_norm", _POSITIVE),
-          ("train", "projection_radius", _POSITIVE),
-          ("train", "rate", ("lie in (0, 1]", lambda v: 0.0 < v <= 1.0)),
-          ("quantile", "beta", _OPEN_UNIT),
-          ("quantile", "sigma", _NONNEGATIVE),
-          ("quantile", "range_hi", _POSITIVE),
-          ("generator", "class_sep", _NONNEGATIVE),
-          ("generator", "flip_y", ("lie in [0, 1]",
-                                   lambda v: 0.0 <= v <= 1.0)),
-          # At 0 or below the test split is one row; at 1 or above the pool
-          # is empty.
-          ("csv", "test_fraction", _OPEN_UNIT))
+def _count(least: int) -> Callable:
+    """An integer, not a bool or a float such as 2.0, >= ``least``."""
+    return _rule("integers", lambda v: type(v) is not bool and isinstance(
+        v, numbers.Integral), f"be >= {least}", lambda v: v >= least)
+
+
+# A real number that holds the rule of its reader.
+_real = partial(_rule, "a number", lambda v: isinstance(v, numbers.Real))
+
+
+def _choice(*options) -> Callable:
+    """One of ``options``, of its type too: true is not 1."""
+    return _rule(f"one of {json.dumps(options)}", lambda v: any(
+        type(v) is type(o) and v == o for o in options))
+
+
+def _widths(name: str, value) -> None:
+    _rule("a nonempty list of widths",
+          lambda v: isinstance(v, list | tuple) and v)(name, value)
+    for width in value:
+        _COUNT(name, width)
+
+
+_path = _rule("a path", lambda v: isinstance(v, str | os.PathLike | None))
+_COUNT = _count(1)
+_POSITIVE = _real("be positive and finite", lambda v: 0.0 < v < math.inf)
+_NONNEGATIVE = _real("be nonnegative and finite",
+                     lambda v: 0.0 <= v < math.inf)
+_OPEN_UNIT = _real("lie in (0, 1)", lambda v: 0.0 < v < 1.0)
 
 
 # The JSON config key of each ExperimentConfig field, in field order: its
@@ -239,7 +231,8 @@ _CONFIG_KEYS = {"csv" if f.name == "csv_source" else f.name: f
 def _section(config: ExperimentConfig, name: str) -> dict:
     """The config's values of section ``name`` laid over the defaults that
     its experiment's table gives them."""
-    return {**EXPERIMENTS[config.experiment].sections[name],
+    table = EXPERIMENTS[config.experiment].sections[name]
+    return {**{key: default for key, (default, _) in table.items()},
             **getattr(config, _CONFIG_KEYS[name].name)}
 
 
@@ -391,8 +384,8 @@ def _csv_key(src: dict) -> tuple:
     section."""
     path = os.path.abspath(src["path"])
     st = os.stat(path)
-    return (path, int(src["label_column"]), src["task"],
-            bool(src["has_header"]), (st.st_mtime_ns, st.st_size))
+    return (path, int(src["label_column"]), src["task"], src["has_header"],
+            (st.st_mtime_ns, st.st_size))
 
 
 # The split is standardized in the rows it gathers, so a build peaks at about
@@ -563,7 +556,7 @@ def _grid(config: ExperimentConfig) -> list[dict]:
 class _Experiment(NamedTuple):
     """An experiment's trial runner and all that ``ExperimentConfig`` accepts
     for it: the top-level fields that it reads, and each section that it
-    reads with the section's keys and their defaults."""
+    reads with each of the section's keys as its (default, rule)."""
 
     runner: Callable
     fields: tuple[str, ...]
@@ -572,33 +565,49 @@ class _Experiment(NamedTuple):
 
 _SWEEP = ("trials", "seed", "alpha", "delta", "epsilons", "allocations",
           "methods", "output")
-_NET_TRAIN = {"model": "mlp", "hidden": (16, 16), "epochs": 50,
-              "batch_size": 32, "learning_rate": 1e-3, "clip_norm": 1.0}
-_SEARCH = {"steps": 20, "beta": 0.05, "buffer": 10}
+# The step size and clip of DP-SGD, which every trained model reads.
+_STEP = {"learning_rate": (1e-3, _POSITIVE), "clip_norm": (1.0, _POSITIVE)}
+_NET_TRAIN = {"model": ("mlp", _choice(*MODEL_KINDS)),
+              "hidden": ((16, 16), _widths), "epochs": (50, _COUNT),
+              "batch_size": (32, _COUNT), **_STEP}
+_SEARCH = {"steps": (20, _COUNT), "beta": (0.05, _OPEN_UNIT),
+           "buffer": (10, _count(0))}
 
 EXPERIMENTS = {
     "stability": _Experiment(
         _run_stability_trial,
         ("trials", "seed", "delta", "epsilons", "sample_sizes", "output"),
-        {"generator": {"dim": 10},
-         "train": {"rate": 0.02, "steps": 100, "learning_rate": 1e-3,
-                   "clip_norm": 1.0, "projection_radius": None}}),
+        {"generator": {"dim": (10, _COUNT)},
+         "train": {"rate": (0.02, _real("lie in (0, 1]",
+                                        lambda v: 0 < v <= 1)),
+                   "steps": (100, _COUNT), **_STEP,
+                   # None: no projection.
+                   "projection_radius": (None, lambda name, value: (
+                       value is None or _POSITIVE(name, value)))}}),
     # Classification only: its scores lie in [0, 1], so no range_hi.
     "scaling": _Experiment(
         _run_scaling_trial, (*_SWEEP, "sample_sizes"),
-        {"generator": {"dim": 10, "classes": 5, "class_sep": 0.6,
-                       "flip_y": 0.01, "test_size": 2000},
+        {"generator": {"dim": (10, _COUNT), "classes": (5, _count(2)),
+                       "class_sep": (0.6, _NONNEGATIVE),
+                       "flip_y": (0.01, _real("lie in [0, 1]",
+                                              lambda v: 0 <= v <= 1)),
+                       "test_size": (2000, _COUNT)},
          "train": _NET_TRAIN, "quantile": _SEARCH}),
     # One run on fixed fixtures, each with its own alpha and search range.
     "quantile_demo": _Experiment(
         _run_quantile_demo_trial, ("seed", "output"),
-        {"quantile": {"steps": 20, "beta": 0.05, "sigma": 3.0}}),
-    # The pool is the CSV, whose path is required.
+        {"quantile": {"steps": (20, _COUNT), "beta": (0.05, _OPEN_UNIT),
+                      "sigma": (3.0, _NONNEGATIVE)}}),
+    # The pool is the CSV, whose path is required. At a test_fraction of 0
+    # or below the test split is one row; at 1 or above the pool is empty.
     "realdata": _Experiment(
         _run_realdata_trial, _SWEEP,
-        {"csv": {"path": None, "label_column": 0, "task": REGRESSION,
-                 "has_header": True, "test_fraction": 0.2},
-         "train": _NET_TRAIN, "quantile": {**_SEARCH, "range_hi": 10.0}}),
+        {"csv": {"path": (None, _path), "label_column": (0, _count(0)),
+                 "task": (REGRESSION, _choice(CLASSIFICATION, REGRESSION)),
+                 "has_header": (True, _choice(True, False)),
+                 "test_fraction": (0.2, _OPEN_UNIT)},
+         "train": _NET_TRAIN,
+         "quantile": {**_SEARCH, "range_hi": (10.0, _POSITIVE)}}),
 }
 
 

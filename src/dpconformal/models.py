@@ -20,6 +20,7 @@ __all__ = ["Dataset", "ModelSpec", "as_batch", "batch_loss_and_grads",
 
 CLASSIFICATION = "classification"
 REGRESSION = "regression"
+MODEL_KINDS = ("linear_regression", "softmax_linear", "mlp")
 
 
 def _class_indices(labels: np.ndarray, k: int) -> tuple[np.ndarray, int]:
@@ -94,7 +95,7 @@ class ModelSpec:
     hidden: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.kind not in ("linear_regression", "softmax_linear", "mlp"):
+        if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
         if self.input_dim < 1 or self.output_dim < 1:
             raise ValueError("input_dim and output_dim must be positive")

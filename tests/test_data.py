@@ -142,6 +142,14 @@ def test_load_csv_regression(tmp_path):
     np.testing.assert_allclose(data.labels, [3.0, 6.0, 9.0])
 
 
+def test_load_csv_refuses_an_unknown_task(tmp_path):
+    # A misspelt task read the table as regression.
+    path = tmp_path / "reg.csv"
+    path.write_text("a,b,y\n1.0,2.0,3.0\n4.0,5.0,6.0\n")
+    with pytest.raises(ValueError, match="unknown task 'regresion'"):
+        load_csv(path, label_column=2, task="regresion")
+
+
 def test_load_csv_non_numeric_cell_names_location(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b\n1.0,2.0\n3.0,oops\n")

@@ -167,8 +167,10 @@ def test_failed_trial_becomes_failed_row(tmp_path):
         csv_source={"path": str(tmp_path / "missing.csv")},
         output=str(tmp_path / "out.csv"),
     )
+    # A one-output head on the three-class pool: a model kind that is not
+    # one of ModelSpec's is a usage error, so a sound kind fails here.
     scaling = tiny_scaling_config(tmp_path, trials=1, methods=("dpscp_a",),
-                                  train={"model": "nope"})
+                                  train={"model": "linear_regression"})
     stability = ExperimentConfig(
         experiment="stability", trials=1, seed=3, epsilons=(2.0,),
         sample_sizes=(200,), generator={"dim": 5},
@@ -599,6 +601,60 @@ def test_section_reals_outside_their_readers_rule_are_usage_errors(
         raw["csv"] = {"path": "table.csv"}
     assert_usage_error(tmp_path, capsys, _with(raw, key, bad), message)
     assert not _reader_accepts(key, bad)
+
+
+def test_a_numeric_string_is_not_a_number(tmp_path, capsys):
+    # Each real reads a JSON number: "0.05" was read as 0.05 by the train
+    # section, and alpha "0.5" failed a comparison with a TypeError.
+    for raw, message in (
+            ({"train": {"learning_rate": "0.05"}},
+             "train learning_rate takes a number, got '0.05'"),
+            ({"alpha": "0.5"}, "alpha takes a number, got '0.5'")):
+        assert_usage_error(tmp_path, capsys, {"experiment": "scaling", **raw},
+                           message)
+
+
+@pytest.mark.parametrize("key, bad, good, message", [
+    # A misspelt model failed every row at run time, a misspelt task ran as
+    # regression, and "false" was true, skipping the first data row.
+    ("train.model", "softmax-linear", "softmax_linear",
+     "train model takes one of [\"linear_regression\", "
+     "\"softmax_linear\", \"mlp\"], got 'softmax-linear'"),
+    ("csv.task", "regresion", "classification",
+     "csv task takes one of [\"classification\", \"regression\"], "
+     "got 'regresion'"),
+    ("csv.has_header", "false", False,
+     "csv has_header takes one of [true, false], got 'false'"),
+    ("csv.has_header", 0, False,
+     "csv has_header takes one of [true, false], got 0"),
+])
+def test_section_choices_outside_their_set_are_usage_errors(
+        tmp_path, capsys, key, bad, good, message):
+    raw = {"experiment": "realdata", "csv": {"path": "table.csv"}}
+    path, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+    path.write_text(json.dumps(_with(raw, key, bad)))
+    with pytest.raises(SystemExit) as exc:
+        main(["realdata", "--config", str(path), "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        f"dpconformal realdata: error: bad --config {path}: {message}"]
+    assert "Traceback" not in err and not out.exists()
+    path.write_text(json.dumps(_with(raw, key, good)))
+    assert load_config(path).experiment == "realdata"
+
+
+def test_every_section_key_has_a_rule_that_its_values_pass():
+    # Each key's default and its moved value in _MOVED pass the rule that
+    # its table gives it.
+    for experiment, spec in experiments.EXPERIMENTS.items():
+        moved = {**_MOVED, **(_MOVED_REALDATA if experiment == "realdata"
+                              else {})}
+        for section, table in spec.sections.items():
+            for key, (default, rule) in table.items():
+                assert callable(rule), (experiment, section, key)
+                rule(f"{section} {key}", default)
+                rule(f"{section} {key}", moved[f"{section}.{key}"])
 
 
 def test_a_section_real_that_is_not_a_number_is_a_usage_error(tmp_path,
