@@ -9,7 +9,6 @@ cells through common random numbers.
 from __future__ import annotations
 
 import csv
-import logging
 import math
 import warnings
 from dataclasses import dataclass
@@ -21,7 +20,12 @@ from .models import CLASSIFICATION, REGRESSION, Dataset
 __all__ = ["CsvParseError", "StandardizationStats", "apply_standardizer",
            "fit_standardizer", "gen_logistic", "gen_multiclass", "load_csv"]
 
-logger = logging.getLogger(__name__)
+
+def _warn(msg: str, *args) -> None:
+    """Log a warning to the ``dpconformal.data`` logger. Only a dropped row
+    or a degenerate column warns, so a clean run never loads ``logging``."""
+    import logging
+    logging.getLogger(__name__).warning(msg, *args)
 
 
 class CsvParseError(ValueError):
@@ -204,8 +208,8 @@ def _row_loop_table(path, has_header: bool) -> np.ndarray:
 
 def _check_kept(path, kept: int, dropped: int) -> None:
     if dropped:
-        logger.warning("%s: dropped %d rows with missing/non-finite values",
-                       path, dropped)
+        _warn("%s: dropped %d rows with missing/non-finite values", path,
+              dropped)
     if not kept:
         raise ValueError(f"{path}: no usable data rows")
 
@@ -257,15 +261,14 @@ def fit_standardizer(train: Dataset) -> StandardizationStats:
     sd = _column_sd(x, mean)
     degenerate = tuple(int(i) for i in np.flatnonzero(sd < _DEGENERATE_SD))
     if degenerate:
-        logger.warning("degenerate feature columns left at unit scale: %s",
-                       degenerate)
+        _warn("degenerate feature columns left at unit scale: %s", degenerate)
         sd = sd.copy()
         sd[list(degenerate)] = 1.0
     if train.task == REGRESSION:
         t_mean = float(train.labels.mean())
         t_sd = float(train.labels.std())
         if t_sd < _DEGENERATE_SD:
-            logger.warning("degenerate target left at unit scale")
+            _warn("degenerate target left at unit scale")
             t_sd = 1.0
     else:
         t_mean, t_sd = 0.0, 1.0

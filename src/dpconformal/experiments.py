@@ -38,7 +38,7 @@ import numbers
 import os
 from contextlib import ExitStack
 from dataclasses import dataclass, field, fields
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import product, repeat
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -129,6 +129,7 @@ class ExperimentConfig:
         for key, f in _CONFIG_KEYS.items():
             value = getattr(self, f.name)
             if f.default_factory is dict:
+                _OBJECT(key, value)
                 unread = sorted(set(value) - set(spec.sections.get(key, ())))
                 if unread:
                     raise ValueError(f"{self.experiment} does not read {key} "
@@ -197,8 +198,16 @@ def _count(least: int) -> Callable:
         v, numbers.Integral), f"be >= {least}", lambda v: v >= least)
 
 
-# A real number that holds the rule of its reader.
-_real = partial(_rule, "a number", lambda v: isinstance(v, numbers.Real))
+def _real(must: str, test: Callable) -> Callable:
+    """A real number that holds the rule of its reader as the float that
+    the reader takes: an integer too large for a float breaks it."""
+    def holds(value) -> bool:
+        try:
+            return test(float(value))
+        except OverflowError:
+            return False
+    return _rule("a number", lambda v: isinstance(v, numbers.Real), must,
+                 holds)
 
 
 def _choice(*options) -> Callable:
@@ -214,6 +223,7 @@ def _widths(name: str, value) -> None:
         _COUNT(name, width)
 
 
+_OBJECT = _rule("a JSON object", lambda v: isinstance(v, dict))
 _path = _rule("a path", lambda v: isinstance(v, str | os.PathLike | None))
 _COUNT = _count(1)
 _POSITIVE = _real("be positive and finite", lambda v: 0.0 < v < math.inf)
@@ -249,8 +259,6 @@ def load_config(path) -> ExperimentConfig:
             value = raw[key]
             if isinstance(f.default, tuple):
                 value = tuple(value)
-            elif f.default_factory is dict:
-                value = dict(value)
             kwargs[f.name] = value
     return ExperimentConfig(**kwargs)
 

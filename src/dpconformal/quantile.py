@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from statistics import NormalDist
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -118,6 +118,55 @@ def _exact_ceil(value: float) -> int:
     return int(math.ceil(value))
 
 
+# Wichura (1988), "Algorithm AS241: The Percentage Points of the Normal
+# Distribution": for each of its three rational approximations to Phi^{-1}
+# (central, tail to r = 5, far tail), the numerator's and the denominator's
+# coefficients, highest power first.
+_AS241 = (
+    ((2.5090809287301226727e+3, 3.3430575583588128105e+4,
+      6.7265770927008700853e+4, 4.5921953931549871457e+4,
+      1.3731693765509461125e+4, 1.9715909503065514427e+3,
+      1.3314166789178437745e+2, 3.3871328727963666080e+0),
+     (5.2264952788528545610e+3, 2.8729085735721942674e+4,
+      3.9307895800092710610e+4, 2.1213794301586595867e+4,
+      5.3941960214247511077e+3, 6.8718700749205790830e+2,
+      4.2313330701600911252e+1, 1.0)),
+    ((7.74545014278341407640e-4, 2.27238449892691845833e-2,
+      2.41780725177450611770e-1, 1.27045825245236838258e+0,
+      3.64784832476320460504e+0, 5.76949722146069140550e+0,
+      4.63033784615654529590e+0, 1.42343711074968357734e+0),
+     (1.05075007164441684324e-9, 5.47593808499534494600e-4,
+      1.51986665636164571966e-2, 1.48103976427480074590e-1,
+      6.89767334985100004550e-1, 1.67638483018380384940e+0,
+      2.05319162663775882187e+0, 1.0)),
+    ((2.01033439929228813265e-7, 2.71155556874348757815e-5,
+      1.24266094738807843860e-3, 2.65321895265761230930e-2,
+      2.96560571828504891230e-1, 1.78482653991729133580e+0,
+      5.46378491116411436990e+0, 6.65790464350110377720e+0),
+     (2.04426310338993978564e-15, 1.42151175831644588870e-7,
+      1.84631831751005468180e-5, 7.86869131145613259100e-4,
+      1.48753612908506148525e-2, 1.36929880922735805310e-1,
+      5.99832206555887937690e-1, 1.0)),
+)
+
+
+def _normal_ppf(p: float) -> float:
+    """Phi^{-1}(p) for p in (0, 1) by AS241, as statistics.NormalDist's
+    inv_cdf computes it, operation for operation, so bit for bit."""
+    q = p - 0.5
+    if abs(q) <= 0.425:
+        branch, r = 0, 0.180625 - q * q
+    else:
+        r = math.sqrt(-math.log(p if q <= 0.0 else 1.0 - p))
+        branch, r = (1, r - 1.6) if r <= 5.0 else (2, r - 5.0)
+    # Horner's rule, from the highest power.
+    num, den = (reduce(lambda acc, c: acc * r + c, coeffs)
+                for coeffs in _AS241[branch])
+    if branch == 0:
+        return num * q / den
+    return -(num / den) if q < 0.0 else num / den
+
+
 def target_rank(n: int, alpha: float) -> int:
     """Conformal target rank ceil((1 - alpha) (n + 1))."""
     if n < 1:
@@ -139,7 +188,7 @@ def noise_correction_tau(sigma_q: float, beta: float, steps_n: int) -> float:
     if sigma_q == 0.0:
         return -1.0
     # Phi^{-1}(1 - u) = -Phi^{-1}(u); evaluate at u for tail precision.
-    return sigma_q * (-NormalDist().inv_cdf(beta / steps_n)) - 1.0
+    return sigma_q * (-_normal_ppf(beta / steps_n)) - 1.0
 
 
 def stability_buffer(n: int, fbar: float, lipschitz_l: float, u_n: float,

@@ -259,6 +259,17 @@ def test_quantile_demo_outputs(tmp_path):
     assert any(r["metric"] == "tie_jump/midpoint/noisy_count" for r in series)
 
 
+def _fresh_python(script: str) -> str:
+    """The stdout of ``script`` run in a fresh interpreter that imports this
+    package."""
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ,
+           "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    return subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
 def test_jobs_1_sweep_does_not_import_the_process_pool():
     # A fresh interpreter sees what a jobs=1 CLI run imports; the pool and
     # multiprocessing load only for jobs > 1.
@@ -269,13 +280,33 @@ def test_jobs_1_sweep_does_not_import_the_process_pool():
         " jobs=1)\n"
         "print(sorted({'concurrent.futures.process', 'multiprocessing'}"
         " & set(sys.modules)))\n")
-    src = str(Path(experiments.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ,
-           "PYTHONPATH": src + (os.pathsep + path if path else "")}
-    out = subprocess.run([sys.executable, "-c", script], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert _fresh_python(script).strip() == "[]"
+
+
+def test_jobs_1_private_sweeps_load_neither_statistics_nor_logging():
+    # Phi^{-1} of the search's rank inflation is computed in the package,
+    # and data.py loads logging only to warn, which a clean run never does.
+    # Counted beyond what numpy loads in the same interpreter, so a numpy
+    # that imports one of them itself does not fail the test.
+    script = (
+        "import sys\n"
+        "import numpy, numpy.random\n"
+        "base = set(sys.modules)\n"
+        "import dpconformal, dpconformal.experiments as ex\n"
+        "stability = ex.ExperimentConfig(\n"
+        "    experiment='stability', trials=1, epsilons=(1.0,),\n"
+        "    sample_sizes=(200,), train={'steps': 20})\n"
+        "scaling = ex.ExperimentConfig(\n"
+        "    experiment='scaling', trials=1, epsilons=(1.0,),\n"
+        "    sample_sizes=(300,), methods=('dpscp_f', 'dpscp_a', 'dp_split'),\n"
+        "    generator={'dim': 4, 'classes': 3, 'test_size': 100},\n"
+        "    train={'model': 'softmax_linear', 'epochs': 1})\n"
+        "rows = [*ex.run_experiment(stability, jobs=1),\n"
+        "        *ex.run_experiment(scaling, jobs=1)]\n"
+        "print(sorted({r['status'] for r in rows if r['seed'] != ''}))\n"
+        "print(sorted({'logging', 'statistics', 'decimal', 'fractions'}\n"
+        "             & (set(sys.modules) - base)))\n")
+    assert _fresh_python(script).splitlines() == ["['ok']", "[]"]
 
 
 def test_load_config_roundtrip(tmp_path):
@@ -612,6 +643,44 @@ def test_a_numeric_string_is_not_a_number(tmp_path, capsys):
             ({"alpha": "0.5"}, "alpha takes a number, got '0.5'")):
         assert_usage_error(tmp_path, capsys, {"experiment": "scaling", **raw},
                            message)
+
+
+def test_a_real_too_large_for_a_float_is_a_usage_error(tmp_path, capsys):
+    # Its reader takes float(value): a 401-digit JSON integer passed
+    # "finite" by exact comparison, and every demo row then failed with an
+    # OverflowError.
+    huge = 10 ** 400
+    assert_usage_error(
+        tmp_path, capsys,
+        {"experiment": "quantile_demo", "quantile": {"sigma": huge}},
+        f"quantile sigma must be nonnegative and finite, got {huge}")
+    assert_usage_error(tmp_path, capsys,
+                       {"experiment": "scaling", "alpha": -huge},
+                       "alpha must lie in")
+    with pytest.raises(ValueError) as exc:
+        ExperimentConfig("scaling", alpha=huge)
+    assert str(exc.value) == f"alpha must lie in (0, 1), got {huge}"
+
+
+@pytest.mark.parametrize("experiment, section, value", [
+    # A list of pairs was read as a mapping: the demo ran 12 search steps.
+    ("quantile_demo", "quantile", [["steps", 12]]),
+    ("scaling", "train", None),
+    ("realdata", "csv", "table.csv"),
+])
+def test_a_section_that_is_not_an_object_is_a_usage_error(
+        tmp_path, capsys, experiment, section, value):
+    path, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+    path.write_text(json.dumps({"experiment": experiment, section: value}))
+    command = experiment.replace("_", "-")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(path), "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        f"dpconformal {command}: error: bad --config {path}: {section} takes "
+        f"a JSON object, got {value!r}"]
+    assert "Traceback" not in err and not out.exists()
 
 
 @pytest.mark.parametrize("key, bad, good, message", [

@@ -1,4 +1,5 @@
 import math
+import statistics
 import warnings
 from dataclasses import replace
 
@@ -7,7 +8,7 @@ import pytest
 from scipy.stats import norm
 
 from dpconformal.quantile import (QuantileConfig, RankOverflowError,
-                                  buffered_right_search,
+                                  _normal_ppf, buffered_right_search,
                                   exact_conformal_quantile, midpoint_search,
                                   noise_correction_tau, stability_buffer,
                                   target_rank)
@@ -41,6 +42,29 @@ def test_noise_correction_tau_values():
                 sigma * z - 1.0, abs=tol)
     with pytest.raises(ValueError):
         noise_correction_tau(1.0, 0.99, 1) and noise_correction_tau(1.0, 2.0, 1)
+
+
+# Every beta/K that a preset, an acceptance test or CI's base-commit configs
+# search at, and the ones test_noise_correction_tau_values checks.
+_BETA_OVER_K = (0.05 / 20, 0.05 / 12, 0.3 / 2, 1e-12 / 12, 1e-5 / 10,
+                1e-11 / 10, 0.3 / 1)
+
+
+def test_normal_ppf_is_normal_dist_inv_cdf_bit_for_bit():
+    rng = np.random.default_rng(2026)
+    edges = [0.075, 0.925, math.exp(-25), 1e-300, 1.0 - 1e-16, 0.5]
+    # The branch edges (|p - 0.5| = 0.425, r = sqrt(-log p) = 5) and their
+    # neighbouring doubles.
+    edges += [float(np.nextafter(p, t)) for p in edges[:3] for t in (0, 1)]
+    grid = [*rng.random(2000), *10.0 ** rng.uniform(-300, 0, 2000),
+            *(1.0 - 10.0 ** rng.uniform(-16, 0, 1000))]
+    inv_cdf = statistics.NormalDist().inv_cdf
+    for p in [*map(float, grid), *edges, *_BETA_OVER_K]:
+        assert _normal_ppf(p).hex() == inv_cdf(p).hex(), p
+    branches = {0 if abs(p - 0.5) <= 0.425 else
+                1 if math.sqrt(-math.log(min(p, 1.0 - p))) <= 5.0 else 2
+                for p in _BETA_OVER_K}
+    assert branches == {0, 1, 2}
 
 
 def test_stability_buffer_values():
