@@ -21,6 +21,7 @@ its sigma read the same floats; their last bits follow numpy's ``exp``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -297,9 +298,11 @@ class BudgetSpec:
     allocation_p: float = 0.5
 
     def __post_init__(self) -> None:
-        if not self.epsilon_target > 0.0:
-            raise ValueError("epsilon_target must be positive, got "
-                             f"{self.epsilon_target}")
+        # An integer is compared exactly, so one too large for a float fails.
+        if isinstance(self.epsilon_target, bool) or not (
+                0.0 < self.epsilon_target <= sys.float_info.max):
+            raise ValueError("epsilon_target must be positive and finite, "
+                             f"got {self.epsilon_target}")
         if not 0.0 < self.delta_target < 1.0:
             raise ValueError("delta_target must lie in (0, 1)")
         if not 0.0 < self.allocation_p < 1.0:

@@ -58,7 +58,7 @@ def _ranged(convert, ok, what: str):
 # Each comparison is False for NaN, which is therefore rejected too.
 _positive_int = _ranged(int, lambda v: v >= 1, ">= 1")
 _nonnegative_int = _ranged(int, lambda v: v >= 0, ">= 0")
-_positive_float = _ranged(float, lambda v: v > 0.0, "> 0")
+_finite_positive = _ranged(float, lambda v: 0 < v < float("inf"), "finite > 0")
 _nonnegative_float = _ranged(float, lambda v: v >= 0.0, ">= 0")
 _unit_float = _ranged(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
 _open_unit_float = _ranged(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
@@ -168,7 +168,7 @@ def main(argv=None) -> int:
 
     cal = sub.add_parser("calibrate",
                          help="calibrate quantile noise against a budget")
-    cal.add_argument("--epsilon", type=_positive_float, required=True)
+    cal.add_argument("--epsilon", type=_finite_positive, required=True)
     cal.add_argument("--delta", type=_open_unit_float, default=1e-5)
     cal.add_argument("--queries", type=_positive_int, default=20)
     cal.add_argument("--sgd-sigma", type=_nonnegative_float, default=1.0,

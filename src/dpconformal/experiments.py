@@ -36,6 +36,7 @@ import json
 import math
 import numbers
 import os
+import sys
 from contextlib import ExitStack
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
@@ -199,15 +200,11 @@ def _count(least: int) -> Callable:
 
 
 def _real(must: str, test: Callable) -> Callable:
-    """A real number that holds the rule of its reader as the float that
-    the reader takes: an integer too large for a float breaks it."""
-    def holds(value) -> bool:
-        try:
-            return test(float(value))
-        except OverflowError:
-            return False
-    return _rule("a number", lambda v: isinstance(v, numbers.Real), must,
-                 holds)
+    """A real number, not a bool, that holds its reader's rule as the float
+    that the reader takes: an integer too large for a float breaks it."""
+    return _rule("a number", lambda v: type(v) is not bool
+                 and isinstance(v, numbers.Real), must,
+                 lambda v: abs(v) <= sys.float_info.max and test(float(v)))
 
 
 def _choice(*options) -> Callable:
@@ -253,14 +250,9 @@ def load_config(path) -> ExperimentConfig:
     unknown = set(raw) - set(_CONFIG_KEYS)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    kwargs = {}
-    for key, f in _CONFIG_KEYS.items():
-        if key in raw:
-            value = raw[key]
-            if isinstance(f.default, tuple):
-                value = tuple(value)
-            kwargs[f.name] = value
-    return ExperimentConfig(**kwargs)
+    return ExperimentConfig(**{
+        f.name: tuple(raw[key]) if isinstance(f.default, tuple) else raw[key]
+        for key, f in _CONFIG_KEYS.items() if key in raw})
 
 
 def train_plan(n_train: int, epochs: int, batch_size: int) -> tuple[float, int]:
@@ -345,6 +337,12 @@ def _pipeline_groups(config: ExperimentConfig, rows: list[dict],
     return out
 
 
+def _data_stream(trial_seed: int) -> np.random.SeedSequence:
+    """Child 0 of the trial's seed sequence, which seeds its data; the same
+    child is ``conformal.run_pipelines``' split stream (``spawn(3)[0]``)."""
+    return np.random.SeedSequence(trial_seed).spawn(1)[0]
+
+
 # The pool and test are standardized in their row slices of the one
 # generated matrix; building a cell peaks at about 1.5x what it keeps, the
 # rest being gen_multiclass's per-row draws.
@@ -358,8 +356,7 @@ def _scaling_data(generator: tuple, n: int, trial_seed: int
     task builds it once, for both training subsets.
     """
     d, k, sep, flip, test_size = generator
-    data_seed = int(np.random.SeedSequence(trial_seed).spawn(1)[0]
-                    .generate_state(1)[0])
+    data_seed = int(_data_stream(trial_seed).generate_state(1)[0])
     both = gen_multiclass(test_size + n, d, k, sep, flip, data_seed)
     return _standardized(both.subset(slice(test_size, test_size + n)),
                          both.subset(slice(test_size)))
@@ -404,8 +401,7 @@ def _realdata_split(csv_key: tuple, test_fraction: float, trial_seed: int
     with the statistics; the trial's task builds it once, for both training
     subsets."""
     full = _parsed_csv(*csv_key)
-    rng = np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence(trial_seed).spawn(1)[0]))
+    rng = np.random.Generator(np.random.PCG64(_data_stream(trial_seed)))
     perm = rng.permutation(full.n)
     n_test = max(1, int(math.floor(test_fraction * full.n)))
     return _standardized(full.subset(perm[n_test:]),
@@ -432,8 +428,7 @@ def _run_stability_trial(config: ExperimentConfig,
     train = _section(config, "train")
     rate = float(train["rate"])
     steps = int(train["steps"])
-    data_seed = int(np.random.SeedSequence(trial_seed).spawn(1)[0]
-                    .generate_state(1)[0])
+    data_seed = int(_data_stream(trial_seed).generate_state(1)[0])
     data, theta = gen_logistic(n + 1, d, data_seed)
     base = data.subset(slice(n))
     extra = (data.features[n], int(data.labels[n]))

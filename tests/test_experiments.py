@@ -640,7 +640,13 @@ def test_a_numeric_string_is_not_a_number(tmp_path, capsys):
     for raw, message in (
             ({"train": {"learning_rate": "0.05"}},
              "train learning_rate takes a number, got '0.05'"),
-            ({"alpha": "0.5"}, "alpha takes a number, got '0.5'")):
+            ({"alpha": "0.5"}, "alpha takes a number, got '0.5'"),
+            # true was read as 1.0; a count or a choice already refused it.
+            ({"train": {"learning_rate": True}},
+             "train learning_rate takes a number, got True"),
+            ({"generator": {"class_sep": True}},
+             "generator class_sep takes a number, got True"),
+            ({"alpha": True}, "alpha takes a number, got True")):
         assert_usage_error(tmp_path, capsys, {"experiment": "scaling", **raw},
                            message)
 
@@ -1222,6 +1228,9 @@ def test_each_scaling_data_cell_built_once_per_process(monkeypatch):
     (["--delta", "0"], "--delta"),
     (["--allocation", "1.5"], "--allocation"),
     (["--epsilon", "-1"], "--epsilon"),
+    # Each reads as inf, which calibrated sigma_q against an infinite target.
+    (["--epsilon", "inf"], "--epsilon"),
+    (["--epsilon", "1e400"], "--epsilon"),
     (["--sgd-sigma", "-1", "--sgd-steps", "3"], "--sgd-sigma"),
     (["--sgd-sigma", "0", "--sgd-steps", "3"], "no feasible sigma_q"),
     # 2 sigma^2 underflows: training spends eps = inf, as at sigma = 0.
@@ -1254,7 +1263,13 @@ def test_invalid_budget_is_a_usage_error(tmp_path, capsys):
             ("scaling", "delta", 1.0, "delta_target"),
             ("stability", "delta", 0.0, "delta_target"),
             ("scaling", "allocations", [0.5, 1.0], "allocation_p"),
-            ("realdata", "allocations", [math.nan], "allocation_p")):
+            ("realdata", "allocations", [math.nan], "allocation_p"),
+            # JSON's Infinity and 1e400 both read as inf, true ran as 1, and
+            # a 401-digit integer failed every row with an OverflowError.
+            ("scaling", "epsilons", [1.0, math.inf], "epsilon_target"),
+            ("stability", "epsilons", [math.inf], "epsilon_target"),
+            ("realdata", "epsilons", [True], "epsilon_target"),
+            ("scaling", "epsilons", [10 ** 400], "epsilon_target")):
         raw = {"experiment": experiment, name: value}
         if experiment == "stability":
             raw["sample_sizes"] = [50]
