@@ -402,7 +402,8 @@ def _calibrate_sigma_q(train_profile: RdpProfile, queries_k: int,
     )
 
 
-@lru_cache(maxsize=None)
+# Typed, so that True misses the entry of 1.0 and is refused.
+@lru_cache(maxsize=None, typed=True)
 def calibrate_sigma_sgd(
     rate_q: float,
     steps: int,
@@ -414,11 +415,7 @@ def calibrate_sigma_sgd(
     profile converts to at most epsilon_target at delta_target."""
     if not float(steps).is_integer() or steps < 1:
         raise ValueError(f"steps must be an integer >= 1, got {steps}")
-    if not epsilon_target > 0.0:
-        raise ValueError(f"epsilon_target must be positive, got "
-                         f"{epsilon_target}")
-    if not 0.0 < delta_target < 1.0:
-        raise ValueError("delta_target must lie in (0, 1)")
+    BudgetSpec(epsilon_target, delta_target)  # checks both as a budget does
     if not 0.0 <= rate_q <= 1.0:
         raise ValueError(f"rate_q must lie in [0, 1], got {rate_q}")
     orders = default_orders()

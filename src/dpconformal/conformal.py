@@ -6,10 +6,10 @@ Each method is one row of ``_METHOD_TABLE``, whose rules ``train_target``,
 training subset: it calibrates sigma_sgd and trains (one lockstep DP-SGD
 call; ``_calibrated_runs``, which the stability study shares) and scores
 each distinct target once, each model bit-equal to the one its config trains
-alone, and finishes every config (sigma_q, search or exact quantile,
-evaluation) from its target's model. A failed calibration or scoring fails
-its target's configs and a failed finish its own config. ``run_pipeline``
-runs one config.
+alone, and finishes every config from its target's model into a
+``TrialRecord``: the report, the training record, and the search's config
+and result, whose trace also holds exact counts with no noise (a diagnostic,
+not part of the release). ``run_pipeline`` returns one config's report.
 """
 
 from __future__ import annotations
@@ -20,17 +20,18 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .accounting import (BudgetSpec, RdpProfile, calibrate_sigma_q,
-                         calibrate_sigma_sgd, default_orders, rdp_to_eps,
-                         sgd_profile)
+from .accounting import (BudgetSpec, RdpProfile, SgdAccountingRecord,
+                         calibrate_sigma_q, calibrate_sigma_sgd,
+                         default_orders, rdp_to_eps, sgd_profile)
 from .models import (CLASSIFICATION, Dataset, ModelSpec, predict_proba,
                      predict_value)
-from .quantile import (QuantileConfig, buffered_right_search,
+from .quantile import (QuantileConfig, QuantileResult, buffered_right_search,
                        exact_conformal_quantile, target_rank)
 from .training import TrainConfig, TrainedModel, dp_sgd_train
 
 __all__ = ["EvalReport", "PipelineConfig", "METHODS", "SPLIT_METHODS",
-           "run_pipeline", "run_pipelines", "split_train_size", "train_target"]
+           "TrialRecord", "run_pipeline", "run_pipelines", "split_train_size",
+           "train_target"]
 
 
 @dataclass(frozen=True)
@@ -100,6 +101,17 @@ class EvalReport:
     q_hat: float
     sigma_q: float
     eps_train_spent: float
+
+
+@dataclass(frozen=True)
+class TrialRecord:
+    """One config's trial, holding no array of length n. A field is None
+    where the trial trained without noise or ran no search."""
+
+    report: EvalReport
+    training: SgdAccountingRecord | None  # sigma_sgd, q, steps
+    search_config: QuantileConfig | None  # sigma_q, K, m, tau rule, seed
+    search: QuantileResult | None  # q_hat, r, r' and the K-step trace
 
 
 def train_target(method: str, budget: BudgetSpec) -> float | None:
@@ -201,14 +213,14 @@ def _split_indices(n: int,
 
 def run_pipelines(pool: Dataset, test: Dataset,
                   configs: Sequence[PipelineConfig], seed: int
-                  ) -> list[EvalReport | Exception]:
+                  ) -> list[TrialRecord | Exception]:
     """One trial of every config, each model trained once: the configs
     train on one subset (all or none in ``SPLIT_METHODS``) with one delta,
     model spec and training template, and each distinct ``train_target`` is
     calibrated, trained and scored once, every target in one lockstep
     ``dp_sgd_train`` call and each model bit-equal to its own call.
 
-    Returns, per config in order, its report or the exception that failed
+    Returns, per config in order, its record or the exception that failed
     it: a target's calibration or scoring fails that target's configs, the
     lockstep call every calibrated target, and a finish its own config. One
     target's score arrays are held at a time, and one half of a split pool:
@@ -234,8 +246,7 @@ def run_pipelines(pool: Dataset, test: Dataset,
         targets.setdefault(train_target(config.method, config.budget),
                            []).append(i)
     ss = np.random.SeedSequence(seed).spawn(3)
-    train_seed = int(ss[1].generate_state(1)[0])
-    quant_seed = int(ss[2].generate_state(1)[0])
+    train_seed, quant_seed = (int(s.generate_state(1)[0]) for s in ss[1:])
 
     rows = cal_idx = None
     if split:
@@ -255,73 +266,64 @@ def run_pipelines(pool: Dataset, test: Dataset,
 
     runs = _calibrated_runs(targets, calibrate, train)
     cal_data = pool if cal_idx is None else pool.subset(cal_idx)
-    reports: list = [None] * len(configs)
+    records: list = [None] * len(configs)
     for (eps_train, indices), run in zip(targets.items(), runs):
-        scores = run
+        cal_scores = test_scores = None  # one target's scores at a time
         if not isinstance(run, Exception):
-            try:
-                scores = _target_scores(run[1], eps_train, delta, cal_data,
-                                        test)
-            except Exception as exc:  # fails this target's configs
-                scores = exc
+            model = run[1]
+            try:  # a failed scoring fails this target's configs
+                train_profile = None if eps_train is None else sgd_profile(
+                    model.accounting, default_orders())
+                cal_scores = _in_sample_scores(model, cal_data)
+                test_scores = _score_matrix(model, test)
+            except Exception as exc:
+                run = exc
         for i in indices:
-            if isinstance(scores, Exception):
-                reports[i] = scores
-                continue
-            try:
-                reports[i] = _finish(configs[i], test, quant_seed, *scores)
-            except Exception as exc:  # a failed finish fails this config
-                reports[i] = exc
-    return reports
-
-
-def _target_scores(model: TrainedModel, eps_train: float | None,
-                   delta: float, cal_data: Dataset, test: Dataset
-                   ) -> tuple[np.ndarray, np.ndarray, RdpProfile | None,
-                              float]:
-    """The calibration scores, the test scores, and the training profile
-    and spend of one target's model."""
-    if eps_train is None:
-        train_profile, eps_train_spent = None, 0.0
-    else:
-        train_profile = sgd_profile(model.accounting, default_orders())
-        eps_train_spent = rdp_to_eps(train_profile, delta)
-    return (_in_sample_scores(model, cal_data), _score_matrix(model, test),
-            train_profile, float(eps_train_spent))
+            try:  # a failed finish fails this config alone
+                records[i] = run if isinstance(run, Exception) else _finish(
+                    configs[i], test, quant_seed, model, train_profile,
+                    cal_scores, test_scores)
+            except Exception as exc:
+                records[i] = exc
+    return records
 
 
 def _finish(config: PipelineConfig, test: Dataset, quant_seed: int,
-            cal_scores: np.ndarray, test_scores: np.ndarray,
-            train_profile: RdpProfile | None,
-            eps_train_spent: float) -> EvalReport:
-    """The sigma_q calibration, the private search (or the exact quantile)
-    and the evaluation of one config on the scores of its target's model."""
+            model: TrainedModel, train_profile: RdpProfile | None,
+            cal_scores: np.ndarray, test_scores: np.ndarray) -> TrialRecord:
+    """One config's record from its target's model and scores: sigma_q, the
+    private search (or the exact quantile) and the evaluation."""
     method = _METHOD_TABLE[config.method]
     qt = config.quantile_template
     if method.share is None:
         rank = target_rank(len(cal_scores), qt.alpha)
         q_hat = exact_conformal_quantile(cal_scores, rank)
-        sigma_q = 0.0
+        sigma_q = eps_train_spent = 0.0
+        training = search_config = search = None
     else:
+        training = model.accounting
+        eps_train_spent = rdp_to_eps(train_profile,
+                                     config.budget.delta_target)
         if method.splits:
             train_profile = RdpProfile.zeros(default_orders())
         sigma_q = calibrate_sigma_q(train_profile, qt.steps_n, config.budget)
         search_config = replace(
             qt, sigma_q=sigma_q, buffer_m=qt.buffer_m if method.buffer else 0,
             tau_override=None if method.tau else 0.0, seed=quant_seed)
-        q_hat = buffered_right_search(cal_scores, search_config).q_hat
-
-    return EvalReport(
+        search = buffered_right_search(cal_scores, search_config)
+        q_hat = search.q_hat
+    report = EvalReport(
         **_evaluate_fast(test_scores, test, q_hat, config.target_scale),
         q_hat=float(q_hat), sigma_q=float(sigma_q),
-        eps_train_spent=eps_train_spent)
+        eps_train_spent=float(eps_train_spent))
+    return TrialRecord(report, training, search_config, search)
 
 
 def run_pipeline(pool: Dataset, test: Dataset, config: PipelineConfig,
                  seed: int) -> EvalReport:
     """Run one trial of the configured method and evaluate on the test
     split; raises what failed it."""
-    (report,) = run_pipelines(pool, test, [config], seed)
-    if isinstance(report, Exception):
-        raise report
-    return report
+    (record,) = run_pipelines(pool, test, [config], seed)
+    if isinstance(record, Exception):
+        raise record
+    return record.report

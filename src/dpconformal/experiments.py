@@ -317,7 +317,7 @@ def _pipeline_groups(config: ExperimentConfig, rows: list[dict],
             train_template = TrainConfig(
                 learning_rate=float(train["learning_rate"]), steps=steps,
                 sampling_rate=rate, clip_norm=float(train["clip_norm"]))
-            reports = run_pipelines(pool, test, [PipelineConfig(
+            records = run_pipelines(pool, test, [PipelineConfig(
                 method=row["method"],
                 budget=BudgetSpec(row["epsilon"], config.delta, row["p"]),
                 model=model, train_template=train_template,
@@ -325,15 +325,17 @@ def _pipeline_groups(config: ExperimentConfig, rows: list[dict],
                 target_scale=stats.target_sd) for row in group],
                 group[0]["seed"])
         except Exception as exc:  # the subset's cells fail, not the others
-            reports = repeat(exc)
-        for i, row, report in zip(members, group, reports):
-            out[i] = (_failed(row, report) if isinstance(report, Exception)
+            records = repeat(exc)
+        for i, row, record in zip(members, group, records):
+            report = None if isinstance(record, Exception) else record.report
+            out[i] = (_failed(row, record) if report is None
                       else ({**row, "n": pool.n, "status": "ok",
                              "coverage": report.coverage,
                              "efficiency": report.efficiency,
                              "informativeness": report.informativeness,
                              "q_hat": report.q_hat, "sigma_q": report.sigma_q,
                              "eps_train": report.eps_train_spent}, {}))
+        del records  # not held through the next subset's call
     return out
 
 

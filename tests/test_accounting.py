@@ -470,8 +470,13 @@ def test_calibrate_sigma_sgd_takes_numpy_integer_step_counts():
 
 
 def test_nan_is_rejected_by_the_calibration_checks():
-    with pytest.raises(ValueError, match="epsilon_target"):
-        calibrate_sigma_sgd(0.1, 10, math.nan, 1e-5)
+    # So are an infinite epsilon, one too large for a float, and True right
+    # after a call at 1.0, which an untyped cache would answer from 1.0's
+    # entry.
+    calibrate_sigma_sgd(0.1, 10, 1.0, 1e-5)
+    for epsilon in (math.nan, math.inf, 10**400, True):
+        with pytest.raises(ValueError, match="epsilon_target"):
+            calibrate_sigma_sgd(0.1, 10, epsilon, 1e-5)
     with pytest.raises(ValueError, match="noise_multiplier"):
         SgdAccountingRecord(math.nan, 0.1, 10)
     with pytest.raises(ValueError, match="rel_tol"):

@@ -20,7 +20,8 @@ from dpconformal.conformal import (METHODS, SPLIT_METHODS, EvalReport,
 from dpconformal.data import gen_multiclass
 from dpconformal.models import (Dataset, ModelSpec, param_count,
                                 predict_proba, predict_value)
-from dpconformal.quantile import QuantileConfig
+from dpconformal.quantile import (QuantileConfig, noise_correction_tau,
+                                  target_rank)
 from dpconformal.training import TrainConfig, TrainedModel
 
 RNG = np.random.default_rng(55)
@@ -242,34 +243,29 @@ def test_run_pipeline_report_shape(method, class_pool_test):
 
 
 def test_pipeline_privacy_ledger(class_pool_test):
-    """Recompute the total privacy spend from the report and the pipeline's
-    deterministic calibration inputs; it must respect the global budget."""
+    """Compose the total privacy spend from each trial's record: sigma_sgd,
+    q and steps from its training record, sigma_q and K from its search
+    config. It must respect the global budget."""
     pool, test = class_pool_test
     epsilon, delta, p = 1.0, 1e-5, 0.5
-    for method in ("dpscp_f", "dpscp_a"):
+    orders = default_orders()
+    for method in ("dpscp_f", "dpscp_a", "dp_split"):
         cfg = tiny_pipeline_config(method, pool.n, epsilon, p)
-        report = run_pipeline(pool, test, cfg, seed=3)
-        tmpl = cfg.train_template
-        sigma_sgd = calibrate_sigma_sgd(tmpl.sampling_rate, tmpl.steps,
-                                        p * epsilon, delta)
-        orders = default_orders()
-        train = sgd_profile(SgdAccountingRecord(sigma_sgd, tmpl.sampling_rate,
-                                                tmpl.steps), orders)
+        (record,) = run_pipelines(pool, test, [cfg], seed=3)
+        report, search = record.report, record.search_config
+        train = sgd_profile(record.training, orders)
         assert rdp_to_eps(train, delta) == pytest.approx(
             report.eps_train_spent, rel=1e-9)
-        total = rdp_to_eps(
-            rdp_compose([train, gaussian_profile(report.sigma_q, orders,
-                                                 queries=20)]), delta)
-        assert report.eps_train_spent <= p * epsilon + 1e-12
+        queries = gaussian_profile(search.sigma_q, orders,
+                                   queries=search.steps_n)
+        if method in SPLIT_METHODS:
+            # Parallel composition: each half meets the full budget alone.
+            assert report.eps_train_spent <= epsilon + 1e-12
+            total = rdp_to_eps(queries, delta)
+        else:
+            assert report.eps_train_spent <= p * epsilon + 1e-12
+            total = rdp_to_eps(rdp_compose([train, queries]), delta)
         assert total <= epsilon + 1e-12
-
-    # dp_split: both stages individually meet the full budget
-    cfg = tiny_pipeline_config("dp_split", pool.n, epsilon, p)
-    report = run_pipeline(pool, test, cfg, seed=3)
-    assert report.eps_train_spent <= epsilon + 1e-12
-    quantile_only = rdp_to_eps(
-        gaussian_profile(report.sigma_q, default_orders(), queries=20), delta)
-    assert quantile_only <= epsilon + 1e-12
 
 
 def test_finite_variant_at_least_as_conservative(class_pool_test):
@@ -388,7 +384,7 @@ def test_a_split_trial_holds_one_half_at_a_time():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert got == want and all(isinstance(r, EvalReport) for r in got)
+    assert got == want and all(isinstance(r.report, EvalReport) for r in got)
     half = 10_000 * 10 * 8 + 10_000 * 8
     assert peak - entry <= 1.7 * half
 
@@ -422,7 +418,8 @@ def test_run_pipelines_finishes_every_method_from_its_target(
     for methods in (("dpscp_f", "dpscp_a", "naive_full"),
                     ("dp_split", "split_cp")):
         configs = [tiny_pipeline_config(m, pool.n) for m in methods]
-        assert run_pipelines(pool, test, configs, seed=11) == [
+        records = run_pipelines(pool, test, configs, seed=11)
+        assert [r.report for r in records] == [
             run_pipeline(pool, test, cfg, seed=11) for cfg in configs]
 
 
@@ -441,8 +438,9 @@ def test_run_pipelines_equal_one_run_each(class_pool_test):
         with pytest.raises(InfeasibleBudgetError):
             run_pipeline(pool, test, configs[i], seed=11)
     for i in (0, 2, 3):
-        assert reports[i] == run_pipeline(pool, test, configs[i], seed=11)
-    assert reports[0] != reports[2]
+        assert reports[i].report == run_pipeline(pool, test, configs[i],
+                                                 seed=11)
+    assert reports[0].report != reports[2].report
 
 
 def test_run_pipelines_refuses_configs_it_cannot_train_together(
@@ -490,7 +488,8 @@ def test_run_pipelines_trains_and_scores_each_target_once(
     alone = [run_pipeline(pool, test, cfg, seed=11) for cfg in configs]
     trained = count_calls(monkeypatch, "dp_sgd_train")
     scored = count_calls(monkeypatch, "_in_sample_scores")
-    assert run_pipelines(pool, test, configs, seed=11) == alone
+    records = run_pipelines(pool, test, configs, seed=11)
+    assert [r.report for r in records] == alone
     assert len(trained) == 1
     assert len(scored) == 3
 
@@ -508,14 +507,14 @@ def test_run_pipelines_fails_a_scoring_or_finish_failure_alone(
                 lambda model, data: model.accounting.noise_multiplier == 0.0)
     reports = run_pipelines(pool, test, configs, seed=11)
     assert str(reports[3]) == "_in_sample_scores failed"
-    assert reports[:3] == alone[:3]
+    assert [r.report for r in reports[:3]] == alone[:3]
     count_calls(monkeypatch, "buffered_right_search",
                 lambda scores, config: config.buffer_m > 0)
     reports = run_pipelines(pool, test, configs, seed=11)
     assert [str(r) for r in (reports[0], reports[2], reports[3])] == [
         "buffered_right_search failed", "buffered_right_search failed",
         "_in_sample_scores failed"]
-    assert reports[1] == alone[1]
+    assert reports[1].report == alone[1]
 
 
 # Each method's rules, stated apart from conformal's method table: whether
@@ -529,31 +528,95 @@ METHOD_RULES = {
 }
 
 
+def parts(value):
+    """``value`` and, within it, every dataclass field and tuple item."""
+    yield value
+    if dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from parts(getattr(value, f.name))
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from parts(item)
+
+
 @pytest.mark.parametrize("method", METHODS)
 def test_each_method_follows_its_rules(method, class_pool_test, monkeypatch):
     # The exact quantile runs exactly when training is non-private; sigma_q
     # is calibrated against a zero training profile exactly when the method
-    # splits; the search adds m and tau exactly when its rules say so.
+    # splits; the search adds m and tau exactly when its rules say so. The
+    # trial's record holds the training record and the search as they ran,
+    # and no array of length n.
     private, splits, buffer, tau = METHOD_RULES[method]
     pool, test = class_pool_test
     exact = count_calls(monkeypatch, "exact_conformal_quantile")
     calibrated = count_calls(monkeypatch, "calibrate_sigma_q")
     searched = count_calls(monkeypatch, "buffered_right_search")
     config = tiny_pipeline_config(method, pool.n, steps=20)
-    (report,) = run_pipelines(pool, test, [config], seed=3)
-    assert not isinstance(report, Exception)
+    (record,) = run_pipelines(pool, test, [config], seed=3)
+    assert not isinstance(record, Exception)
     assert (len(exact), len(calibrated), len(searched)) == (
         (0, 1, 1) if private else (1, 0, 0))
     ((cal_scores, _),) = exact or searched
-    assert len(cal_scores) == (pool.n - split_train_size(pool.n) if splits
-                               else pool.n)
-    if private:
-        ((profile, _, _),), ((_, search),) = calibrated, searched
-        assert (max(profile.values) == 0.0) == splits
-        assert search.sigma_q == report.sigma_q > 0.0
-        assert search.buffer_m == (config.quantile_template.buffer_m
-                                   if buffer else 0)
-        assert search.tau_override == (None if tau else 0.0)
+    n_cal = pool.n - split_train_size(pool.n) if splits else pool.n
+    assert len(cal_scores) == n_cal
+    assert not any(isinstance(part, np.ndarray) for part in parts(record))
+    if not private:
+        assert record.training is None
+        assert record.search_config is None and record.search is None
+        return
+    ((profile, _, _),), ((_, search_config),) = calibrated, searched
+    report, search = record.report, record.search
+    qt, tmpl = config.quantile_template, config.train_template
+    assert (max(profile.values) == 0.0) == splits
+    assert record.search_config is search_config
+    assert search_config.sigma_q == report.sigma_q > 0.0
+    assert search_config.buffer_m == (qt.buffer_m if buffer else 0)
+    assert search_config.tau_override == (None if tau else 0.0)
+    sigma_sgd = calibrate_sigma_sgd(
+        tmpl.sampling_rate, tmpl.steps, train_target(method, config.budget),
+        config.budget.delta_target)
+    assert record.training == SgdAccountingRecord(
+        sigma_sgd, tmpl.sampling_rate, tmpl.steps)
+    assert len(search.trace) == qt.steps_n == search_config.steps_n
+    r = target_rank(n_cal, qt.alpha)
+    tau_value = (noise_correction_tau(report.sigma_q, qt.beta, qt.steps_n)
+                 if tau else 0.0)
+    assert search.rank_target_r == r
+    assert search.threshold_r_prime.hex() == (
+        r + search_config.buffer_m + tau_value).hex()
+
+
+def replayed_q_hat(record):
+    """The bisection's branch rule replayed from the record's public range,
+    its r' and the noisy counts of its trace alone, checking each step's
+    midpoint and branch: the q_hat that those answers give."""
+    config, search = record.search_config, record.search
+    left, right = config.range_lo, config.range_hi
+    for step in search.trace:
+        mid = 0.5 * (left + right)
+        assert step.mid == mid
+        if step.noisy_count >= search.threshold_r_prime:
+            right, branch = mid, "right"
+        else:
+            left, branch = mid, "left"
+        assert step.branch == branch
+    return right
+
+
+def test_q_hat_replays_from_the_noisy_counts(class_pool_test):
+    # q_hat is post-processing of the search's noisy answers: without the
+    # scores or the trace's exact counts, every private record gives its
+    # q_hat bit for bit.
+    pool, test = class_pool_test
+    split_pair = [tiny_pipeline_config(m, pool.n) for m in SPLIT_METHODS]
+    for configs in (four_configs_over_three_targets(pool.n), split_pair):
+        records = run_pipelines(pool, test, configs, seed=11)
+        assert [r.search is not None for r in records] == [
+            train_target(c.method, c.budget) is not None for c in configs]
+        for record in records:
+            if record.search is not None:
+                assert (replayed_q_hat(record).hex()
+                        == record.report.q_hat.hex())
 
 
 # ---------------------------------------------------------------------------
