@@ -28,6 +28,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .models import is_count
+
 __all__ = [
     "BudgetSpec",
     "GridMismatchError",
@@ -214,8 +216,9 @@ def gaussian_profile(
     queries: int = 1,
 ) -> RdpProfile:
     """Profile of ``queries`` composed Gaussian mechanisms at noise ``sigma``."""
-    if queries < 0:
-        raise ValueError(f"queries must be nonnegative, got {queries}")
+    if not is_count(queries) or queries < 0:
+        raise ValueError(f"queries must be a nonnegative integer, got "
+                         f"{queries!r}")
     orders = default_orders() if orders is None else tuple(orders)
     values = tuple(queries * rdp_gaussian(a, sigma) for a in orders)
     return RdpProfile(tuple(float(a) for a in orders), values)
@@ -367,8 +370,12 @@ def calibrate_sigma_q(
     calibration reads: the profile, K, the budget's epsilon and delta, and
     rel_tol. The allocation p is not read, so an empty training profile
     (``dp_split``) calibrates once per (epsilon, delta) whatever p is. A
-    calibration that raises is not memoized.
+    calibration that raises is not memoized. K is checked before the cache,
+    which would answer True from the entry of 1.
     """
+    if not is_count(queries_k) or queries_k < 1:
+        raise ValueError(f"queries_k must be an integer >= 1, got "
+                         f"{queries_k!r}")
     return _calibrate_sigma_q(train_profile, queries_k, budget.epsilon_target,
                               budget.delta_target, rel_tol)
 
@@ -379,8 +386,6 @@ def calibrate_sigma_q(
 def _calibrate_sigma_q(train_profile: RdpProfile, queries_k: int,
                        epsilon_target: float, delta_target: float,
                        rel_tol: float) -> float:
-    if queries_k < 1:
-        raise ValueError(f"queries_k must be >= 1, got {queries_k}")
     eps_train = rdp_to_eps(train_profile, delta_target)
     if eps_train > epsilon_target:
         raise InfeasibleBudgetError(

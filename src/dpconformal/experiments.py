@@ -54,7 +54,7 @@ from .conformal import run_pipeline  # noqa: F401
 from .data import (StandardizationStats, apply_standardizer,
                    fit_standardizer, gen_logistic, gen_multiclass, load_csv)
 from .models import (CLASSIFICATION, MODEL_KINDS, REGRESSION, Dataset,
-                     ModelSpec)
+                     ModelSpec, is_count)
 from .quantile import QuantileConfig, buffered_right_search, midpoint_search
 from .training import TrainConfig, coupled_train
 
@@ -195,8 +195,8 @@ def _rule(takes: str, kind: Callable, must: str = "",
 
 def _count(least: int) -> Callable:
     """An integer, not a bool or a float such as 2.0, >= ``least``."""
-    return _rule("integers", lambda v: type(v) is not bool and isinstance(
-        v, numbers.Integral), f"be >= {least}", lambda v: v >= least)
+    return _rule("integers", is_count, f"be >= {least}",
+                 lambda v: v >= least)
 
 
 def _real(must: str, test: Callable) -> Callable:

@@ -9,6 +9,7 @@ forming them; ``batch_loss_and_grads`` forms them and is its oracle.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -21,6 +22,12 @@ __all__ = ["Dataset", "ModelSpec", "as_batch", "batch_loss_and_grads",
 CLASSIFICATION = "classification"
 REGRESSION = "regression"
 MODEL_KINDS = ("linear_regression", "softmax_linear", "mlp")
+
+
+def is_count(value) -> bool:
+    """An integer, not a bool or a float such as 2.0: the rule of every
+    count the package takes (widths, steps, queries, ranks)."""
+    return type(value) is not bool and isinstance(value, numbers.Integral)
 
 
 def _class_indices(labels: np.ndarray, k: int) -> tuple[np.ndarray, int]:
@@ -97,11 +104,15 @@ class ModelSpec:
     def __post_init__(self) -> None:
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.input_dim < 1 or self.output_dim < 1:
-            raise ValueError("input_dim and output_dim must be positive")
+        if not all(is_count(d) and d >= 1
+                   for d in (self.input_dim, self.output_dim)):
+            raise ValueError("input_dim and output_dim must be positive "
+                             "integers")
         if self.kind == "mlp":
-            if len(self.hidden) == 0 or any(h < 1 for h in self.hidden):
-                raise ValueError("mlp needs a nonempty sequence of widths")
+            if len(self.hidden) == 0 or not all(is_count(h) and h >= 1
+                                                for h in self.hidden):
+                raise ValueError("mlp needs a nonempty sequence of "
+                                 "positive integer widths")
         elif len(self.hidden):
             raise ValueError(f"{self.kind} has no hidden layers")
         if self.kind == "linear_regression" and self.output_dim != 1:

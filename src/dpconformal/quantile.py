@@ -21,6 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .models import is_count
+
 __all__ = ["QuantileConfig", "QuantileResult", "RankOverflowError",
            "SearchStep", "buffered_right_search", "exact_conformal_quantile",
            "midpoint_search", "noise_correction_tau", "stability_buffer",
@@ -73,16 +75,17 @@ class QuantileConfig:
             raise ValueError("need finite range_lo < range_hi")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-        if self.steps_n is not None and not self.steps_n >= 1:
-            raise ValueError("steps_n must be >= 1 when set")
+        if self.steps_n is not None and not (is_count(self.steps_n)
+                                             and self.steps_n >= 1):
+            raise ValueError("steps_n must be an integer >= 1 when set")
         if self.steps_n is None and self.variant != "midpoint":
             raise ValueError("steps_n may be unset only for the midpoint variant")
         if not 0.0 <= self.sigma_q < math.inf:
             raise ValueError("sigma_q must be nonnegative and finite")
         if not 0.0 < self.beta < 1.0:
             raise ValueError("beta must lie in (0, 1)")
-        if not self.buffer_m >= 0:
-            raise ValueError("buffer_m must be nonnegative")
+        if not (is_count(self.buffer_m) and self.buffer_m >= 0):
+            raise ValueError("buffer_m must be a nonnegative integer")
         if self.variant not in ("buffered_right", "midpoint"):
             raise ValueError(f"unknown variant {self.variant!r}")
         if not 0.0 < self.precision_delta < math.inf:
@@ -92,7 +95,7 @@ class QuantileConfig:
             raise ValueError("tau_override must be finite when set")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SearchStep:
     step: int
     mid: float
@@ -222,12 +225,12 @@ def _bisect(arr: np.ndarray, config: QuantileConfig, steps: int,
     the left endpoint to the midpoint plus ``left_step``. Returns the final
     (left, right) bracket and the per-step trace."""
     noise = _noise_sequence(config, steps)
-    left, right = config.range_lo, config.range_hi
+    left, right = float(config.range_lo), float(config.range_hi)
     trace = []
     for k in range(steps):
         mid = 0.5 * (left + right)
         count = int(np.count_nonzero(arr <= mid))
-        noisy = count + noise[k]
+        noisy = float(count + noise[k])
         if noisy >= threshold:
             right = mid
             branch = "right"

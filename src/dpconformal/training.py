@@ -37,8 +37,8 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .accounting import SgdAccountingRecord
-from .models import (Dataset, ModelSpec, as_batch, init_params, param_count,
-                     sq_row_norms)
+from .models import (Dataset, ModelSpec, as_batch, init_params, is_count,
+                     param_count, sq_row_norms)
 # The step's one gradient call, the ghost-norm kernel. It is bound under the
 # name by which the traced benchmark (bench/layers.py) wraps this module's
 # gradient call; models.batch_loss_and_grads, which forms the per-sample
@@ -76,7 +76,7 @@ class TrainConfig:
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got "
                                  f"{value}")
-        if not isinstance(self.steps, (int, np.integer)) or self.steps < 1:
+        if not is_count(self.steps) or self.steps < 1:
             raise ValueError(f"steps must be an integer >= 1, got "
                              f"{self.steps!r}")
         if not 0.0 < self.sampling_rate <= 1.0:

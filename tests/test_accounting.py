@@ -472,11 +472,20 @@ def test_calibrate_sigma_sgd_takes_numpy_integer_step_counts():
 def test_nan_is_rejected_by_the_calibration_checks():
     # So are an infinite epsilon, one too large for a float, and True right
     # after a call at 1.0, which an untyped cache would answer from 1.0's
-    # entry.
+    # entry. A query count must be an integer: 2.5 gave a larger sigma_q
+    # than 2, and True right after a call at 1 was a hit on 1's entry.
     calibrate_sigma_sgd(0.1, 10, 1.0, 1e-5)
     for epsilon in (math.nan, math.inf, 10**400, True):
         with pytest.raises(ValueError, match="epsilon_target"):
             calibrate_sigma_sgd(0.1, 10, epsilon, 1e-5)
+    train, budget = RdpProfile.zeros(default_orders()), BudgetSpec(1.0, 1e-5)
+    calibrate_sigma_q(train, 1, budget)
+    for queries in (2.5, True, 0):
+        with pytest.raises(ValueError, match="queries_k"):
+            calibrate_sigma_q(train, queries, budget)
+    for queries in (2.5, True, -1):
+        with pytest.raises(ValueError, match="queries"):
+            gaussian_profile(1.0, queries=queries)
     with pytest.raises(ValueError, match="noise_multiplier"):
         SgdAccountingRecord(math.nan, 0.1, 10)
     with pytest.raises(ValueError, match="rel_tol"):

@@ -17,6 +17,10 @@ from dpconformal.experiments import (_csv_key, _parsed_csv, _realdata_split,
                                      _scaling_data)
 from dpconformal.models import Dataset
 
+# load_csv reads a CSV with numpy's C reader, which warns on a file without
+# data rows; no reader warning, nor any other, may reach the caller.
+pytestmark = pytest.mark.filterwarnings("error")
+
 
 # ---------------------------------------------------------------------------
 # Generators
@@ -540,3 +544,9 @@ def test_realdata_split_builds_in_little_more_than_it_keeps(tmp_path):
     assert (pool.n, test.n) == (16_000, 4_000)
     assert kept == 20_000 * 9 * 8
     assert peak <= 1.3 * kept
+
+
+def test_any_warning_fails_a_data_test():
+    # The module's filterwarnings mark, which a reader warning must meet.
+    with pytest.raises(UserWarning):
+        warnings.warn("x", UserWarning)

